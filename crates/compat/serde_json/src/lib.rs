@@ -35,6 +35,7 @@ pub fn from_str<T: Deserialize>(text: &str) -> Result<T, Error> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let v = p.value()?;
     p.skip_ws();
@@ -104,9 +105,15 @@ fn render_string(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// How deeply arrays and objects may nest, as in `serde_json`: deeper
+/// input is an error, not a stack overflow in the recursive parser.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -145,8 +152,26 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Parse one value, counting it against [`MAX_DEPTH`] if it opens an
+    /// array or object.
     fn value(&mut self) -> Result<Value, Error> {
         self.skip_ws();
+        if !matches!(self.peek(), Some(b'[' | b'{')) {
+            return self.value_at_depth();
+        }
+        if self.depth == MAX_DEPTH {
+            return Err(Error(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let v = self.value_at_depth();
+        self.depth -= 1;
+        v
+    }
+
+    fn value_at_depth(&mut self) -> Result<Value, Error> {
         match self.peek() {
             Some(b'n') => self.lit("null", Value::Null),
             Some(b't') => self.lit("true", Value::Bool(true)),
@@ -328,5 +353,21 @@ mod tests {
         assert!(from_str::<u32>("nope").is_err());
         assert!(from_str::<u32>("1 2").is_err());
         assert!(from_str::<String>("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_an_error_not_a_stack_overflow() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(from_str::<Value>(&nested(MAX_DEPTH)).is_ok());
+        let err = from_str::<Value>(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.0.contains("nesting deeper than 128"), "{err}");
+        let objects = format!(
+            "{}1{}",
+            "{\"a\":".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(from_str::<Value>(&objects).is_err());
+        // an unterminated megabyte of brackets, as a hostile request body
+        assert!(from_str::<Value>(&"[".repeat(1 << 20)).is_err());
     }
 }

@@ -401,11 +401,13 @@ impl<F: AddrFamily> ProbePlan<F> {
             ProbePlan::Prefixes(ps) => {
                 StreamInner::Prefixes(PrefixStream::new(ps, perm_seed, shard, total))
             }
-            ProbePlan::Addrs(hs) => StreamInner::Addrs(AddrStream {
-                hosts: hs,
-                idx: shard as usize,
-                stride: total as usize,
-            }),
+            ProbePlan::Addrs(hs) => StreamInner::Addrs(
+                hs.as_slice()
+                    .iter()
+                    .copied()
+                    .skip(shard as usize)
+                    .step_by(total as usize),
+            ),
             ProbePlan::FreshSample { per_cycle, seed } => StreamInner::Sample(SampleStream::new(
                 announced,
                 *per_cycle,
@@ -469,7 +471,7 @@ pub struct PlanStream<'a, F: AddrFamily = V4> {
 #[derive(Debug, Clone)]
 enum StreamInner<'a, F: AddrFamily> {
     Prefixes(PrefixStream<'a, F>),
-    Addrs(AddrStream<'a, F>),
+    Addrs(std::iter::StepBy<std::iter::Skip<std::iter::Copied<std::slice::Iter<'a, F::Addr>>>>),
     Sample(SampleStream<'a, F>),
 }
 
@@ -610,26 +612,6 @@ impl<F: AddrFamily> Iterator for PrefixStream<'_, F> {
             let s = (self.shard + ordinal as u64) % self.total;
             self.walk = prefix_walk(prefix, self.perm_seed, s, self.total);
         }
-    }
-}
-
-#[derive(Debug, Clone)]
-struct AddrStream<'a, F: AddrFamily> {
-    hosts: &'a HostSet<F>,
-    idx: usize,
-    stride: usize,
-}
-
-impl<F: AddrFamily> Iterator for AddrStream<'_, F> {
-    type Item = F::Addr;
-
-    fn next(&mut self) -> Option<F::Addr> {
-        if self.idx >= self.hosts.len() {
-            return None;
-        }
-        let out = self.hosts.get(self.idx);
-        self.idx += self.stride;
-        Some(out)
     }
 }
 

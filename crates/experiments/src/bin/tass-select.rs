@@ -32,14 +32,14 @@
 //!                       in parallel chunks (O(workers · chunk) memory);
 //!                       repeatable, e.g. 0:http:scan-2024-01.txt
 //!   --v6-hitlist FILE   IPv6 Hitlist responsive addresses → a TSS6
-//!                       zero-copy snapshot (DIR/v6-hitlist.snap)
+//!                       snapshot (DIR/v6-hitlist.snap)
 //!   --workers N         parse/sort worker threads (default 4)
 //!   --chunk-lines N     lines per streamed chunk (default 65536)
 //!
 //! tass-select migrate --corpus DIR
 //!
-//!   rewrites v1 snapshot files to the aligned zero-copy layout in
-//!   place (byte-identical replay results; safe to re-run)
+//!   rewrites v1 snapshot files to the aligned v2 layout in place
+//!   (byte-identical replay results; safe to re-run)
 //!   --strategy SPEC     a strategy to replay; repeatable. Specs:
 //!                       full-scan | ip-hitlist | tass:VIEW:PHI |
 //!                       random-sample:F | block24:F |

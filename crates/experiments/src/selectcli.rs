@@ -294,8 +294,8 @@ pub fn run_ingest(
     })
 }
 
-/// Upgrade a corpus directory's snapshots to the aligned zero-copy
-/// layout in place ([`migrate_corpus`]); returns how many files were
+/// Upgrade a corpus directory's snapshots to the aligned v2 layout in
+/// place ([`migrate_corpus`]); returns how many files were
 /// rewritten. Safe to re-run — already-aligned files are skipped — and
 /// replay results are byte-identical across the migration.
 pub fn run_migrate(corpus_dir: &Path) -> Result<usize, CliError> {
@@ -622,12 +622,10 @@ mod tests {
         // the ingested corpus opens, validates, and replays
         let replayed = run_replay(&out, &[StrategyKind::IpHitlist], 7).unwrap();
         assert!(!replayed.is_empty());
-        // the v6 snapshot is a mapped-decodable TSS6 file
+        // the v6 snapshot is a decodable TSS6 file
         let bytes = std::fs::read(out.join("v6-hitlist.snap")).unwrap();
-        let snap =
-            tass_model::Snapshot::<V6>::decode_mapped(tass_model::Bytes::from(bytes)).unwrap();
+        let snap = tass_model::Snapshot::<V6>::decode(&bytes).unwrap();
         assert_eq!(snap.hosts.len(), 2);
-        assert!(snap.hosts.is_mapped());
         // bad specs are typed errors
         assert!(matches!(
             parse_list_spec("zero:http:f"),
@@ -662,9 +660,8 @@ mod tests {
         // downgrading every snapshot file to v1 so migrate has work to do
         for entry in std::fs::read_dir(dir.join("snapshots")).unwrap() {
             let path = entry.unwrap().path();
-            let bytes = std::fs::read(&path).unwrap();
-            let snap = tass_model::Snapshot::<tass_net::V4>::decode(&bytes).unwrap();
-            std::fs::write(&path, snap.encode()).unwrap();
+            let v2 = std::fs::read(&path).unwrap();
+            std::fs::write(&path, [&v2[..4], &[1], &v2[5..18], &v2[64..]].concat()).unwrap();
         }
         let kinds = [parse_strategy("tass:more:0.95").unwrap()];
         let before = run_replay(&dir, &kinds, 11).unwrap();

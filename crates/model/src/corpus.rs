@@ -43,18 +43,20 @@
 //!
 //! # Cost model at routed-v4 scale
 //!
-//! The replay path is engineered so that a month load costs O(header) +
-//! one sequential validation pass, and a cache hit costs no exclusive
-//! lock at all:
+//! The replay path is engineered so that a month load costs one
+//! sequential decode pass, and a cache hit costs no exclusive lock at
+//! all:
 //!
-//! * **Mapped month loads.** [`Snapshot::decode_mapped`] serves the
-//!   sorted fixed-width LE address section of a snapshot file *in
-//!   place* — no per-host `Vec` rebuild. The topology agreement check
-//!   is a monotone counting sweep over the (sorted, disjoint) scan
-//!   units of the corpus topology: hosts covered == hosts total ⇔
-//!   every host is attributable, so the common all-good case costs
-//!   O(units · log gap) instead of one trie walk per host. Only on a
-//!   mismatch does a second pass name the first offending address.
+//! * **Decode-once month loads.** [`Snapshot::decode`] reads a snapshot
+//!   file's sorted fixed-width LE address section into an owned sorted
+//!   `Vec` in one fused pass (strict ascent checked on the way); the
+//!   file buffer is dropped as soon as the month is decoded. The
+//!   topology agreement check is a monotone counting sweep over the
+//!   (sorted, disjoint) scan units of the corpus topology: hosts
+//!   covered == hosts total ⇔ every host is attributable, so the
+//!   common all-good case costs O(units · log gap) instead of one trie
+//!   walk per host. Only on a mismatch does a second pass name the
+//!   first offending address.
 //! * **Read-optimized month cache.** Decoded months sit in a small
 //!   vector behind a reader/writer lock with per-entry atomic
 //!   recency stamps: a cache hit takes the shared side and bumps a
@@ -62,7 +64,7 @@
 //!   exclusive lock. Eviction (least-recently-touched) happens only on
 //!   miss, under the writer side, bounded by **both** an entry count
 //!   and an optional byte ceiling ([`CorpusOptions::cache_bytes`] —
-//!   mapped months are charged their whole file buffer, which is what
+//!   a month is charged `len × width`, its decoded `Vec`, which is what
 //!   eviction actually frees).
 //! * **Streamed ingestion.** [`CorpusBuilder::add_address_list_file`]
 //!   parses address lists in fixed-size chunks on worker threads,
@@ -70,20 +72,21 @@
 //!   aligned snapshot format — O(workers · chunk) peak memory however
 //!   large the input, with deterministic (lowest-line-wins) errors.
 //!   [`migrate_corpus`] upgrades a v1 corpus to the aligned layout in
-//!   place; both formats stay readable either way.
+//!   place; [`Snapshot::decode`] reads both layouts, so replay works
+//!   before and after.
 //!
 //! Put together, replay peak RSS is bounded by the cache ceiling plus a
 //! per-worker transient: `cache_bytes + workers × 2 × max_snapshot_bytes`
-//! (each worker may hold one month being decoded plus one being handed
-//! out) plus allocator slack. The `corpus_scale` bench asserts this
-//! budget against `/proc` RSS on a routed-v4-scale corpus every run.
+//! (while a worker decodes a month it holds the file buffer plus the
+//! `Vec` being filled) plus allocator slack. The `corpus_scale` bench
+//! asserts this budget against `/proc` RSS on a routed-v4-scale corpus
+//! every run.
 
 use crate::protocol::Protocol;
 use crate::snapshot::{DecodeError, HostSet, PrefixCount, Snapshot};
 use crate::source::GroundTruth;
 use crate::topology::Topology;
 use crate::universe::Universe;
-use bytes::Bytes;
 use std::collections::BTreeMap;
 use std::collections::BinaryHeap;
 use std::fmt;
@@ -393,7 +396,7 @@ impl Default for IngestOptions {
 /// file with bounded memory: the input is read in fixed-size line
 /// chunks, parsed and sorted on `opts.workers` threads, spilled as
 /// sorted runs, and k-way merged (deduplicating) straight into the
-/// [`Snapshot::encode_aligned`] layout. Peak memory is
+/// [`Snapshot::encode`] layout. Peak memory is
 /// O(workers · chunk), however large the input.
 ///
 /// The produced set is exactly what [`parse_address_list_family`] over
@@ -577,11 +580,11 @@ pub fn stream_address_list_to_snapshot<F: AddrFamily>(
 }
 
 /// Upgrade every snapshot file of a corpus directory to the aligned
-/// layout ([`Snapshot::encode_aligned`]) in place, via a temp file and
-/// rename per snapshot. Already-aligned files are left untouched;
-/// returns how many were rewritten. Replay results are byte-identical
-/// across the migration — both layouts encode the same sorted address
-/// section, the aligned one just serves it without a decode copy.
+/// layout ([`Snapshot::encode`]) in place, via a temp file and rename
+/// per snapshot. Already-aligned files are left untouched; returns how
+/// many were rewritten. Replay results are byte-identical across the
+/// migration — both layouts encode the same sorted address section,
+/// and [`Snapshot::decode`] reads either.
 pub fn migrate_corpus(dir: &Path) -> Result<usize, CorpusError> {
     let manifest_path = dir.join(MANIFEST_FILE);
     let text = fs::read_to_string(&manifest_path).map_err(|e| io_err(&manifest_path, e))?;
@@ -593,7 +596,7 @@ pub fn migrate_corpus(dir: &Path) -> Result<usize, CorpusError> {
             source,
         })?;
         let tmp = path.with_extension("snap-migrate.tmp");
-        fs::write(&tmp, snap.encode_aligned()).map_err(|e| io_err(&tmp, e))?;
+        fs::write(&tmp, snap.encode()).map_err(|e| io_err(&tmp, e))?;
         fs::rename(&tmp, path).map_err(|e| io_err(path, e))?;
         Ok(())
     }
@@ -601,7 +604,7 @@ pub fn migrate_corpus(dir: &Path) -> Result<usize, CorpusError> {
     for rel in manifest.snapshots.values() {
         let path = dir.join(rel);
         let bytes = fs::read(&path).map_err(|e| io_err(&path, e))?;
-        if bytes.get(4) == Some(&crate::snapshot::VERSION_ALIGNED) {
+        if bytes.get(4) == Some(&crate::snapshot::VERSION) {
             continue;
         }
         // The magic names the family; dispatch so each file decodes
@@ -824,9 +827,7 @@ impl CorpusBuilder {
             snap.protocol.tag()
         );
         let path = self.dir.join(&rel);
-        // new corpora are written in the aligned v2 layout; readers
-        // accept both, and `migrate_corpus` upgrades old directories
-        fs::write(&path, snap.encode_aligned()).map_err(|e| io_err(&path, e))?;
+        fs::write(&path, snap.encode()).map_err(|e| io_err(&path, e))?;
         if !self.protocols.contains(&snap.protocol) {
             self.protocols.push(snap.protocol);
         }
@@ -924,9 +925,9 @@ pub struct CorpusOptions {
     /// the month being replayed cannot thrash).
     pub cache_snapshots: usize,
     /// Optional hard ceiling on resident snapshot bytes
-    /// ([`Snapshot::resident_bytes`] — for mapped months, the shared
-    /// file buffer). Eviction drops least-recently-touched months
-    /// until the total fits; a single month larger than the ceiling
+    /// ([`Snapshot::resident_bytes`] — `len × width` of each decoded
+    /// month). Eviction drops least-recently-touched months until the
+    /// total fits; a single month larger than the ceiling
     /// still stays resident while it is being served.
     pub cache_bytes: Option<usize>,
 }
@@ -1024,9 +1025,9 @@ impl SnapshotCache {
 ///
 /// Opening reads and validates the manifest and builds the [`Topology`]
 /// from the pfx2as table; snapshots are decoded **lazily**, one month
-/// at a time as the campaign loop asks for them — mapped in place
-/// ([`Snapshot::decode_mapped`]) and retained in a small read-optimized
-/// cache bounded by entry count and an optional byte ceiling
+/// at a time as the campaign loop asks for them — decoded once into an
+/// owned sorted `Vec` ([`Snapshot::decode`]) and retained in a small
+/// read-optimized cache bounded by entry count and an optional byte ceiling
 /// ([`CorpusOptions`]). The type is `Sync`, so campaign pools replay
 /// one corpus from many worker threads, and warm months are served
 /// without any exclusive lock. Each month is checked against the
@@ -1115,8 +1116,8 @@ impl CorpusGroundTruth {
             .get(&(month, protocol))
             .ok_or(CorpusError::MissingMonth { month, protocol })?;
         let path = self.dir.join(rel);
-        let bytes = Bytes::from(fs::read(&path).map_err(|e| io_err(&path, e))?);
-        let snap = Snapshot::decode_mapped(bytes).map_err(|source| CorpusError::Decode {
+        let bytes = fs::read(&path).map_err(|e| io_err(&path, e))?;
+        let snap = Snapshot::decode(&bytes).map_err(|source| CorpusError::Decode {
             path: path.clone(),
             source,
         })?;
@@ -1295,10 +1296,6 @@ mod tests {
             let streamed = Snapshot::decode(&fs::read(&out).unwrap()).unwrap();
             let oneshot = Snapshot::new(Protocol::Http, 0, parse_address_list(text).unwrap());
             assert_eq!(streamed, oneshot, "chunk_lines={chunk_lines}");
-            // and the mapped reader serves the same set
-            let mapped =
-                Snapshot::<V4>::decode_mapped(Bytes::from(fs::read(&out).unwrap())).unwrap();
-            assert_eq!(mapped, oneshot);
         }
         let _ = fs::remove_dir_all(&dir);
     }
@@ -1342,8 +1339,8 @@ mod tests {
         // corpus by downgrading every snapshot file to v1
         for entry in fs::read_dir(dir.join(SNAPSHOT_DIR)).unwrap() {
             let path = entry.unwrap().path();
-            let snap = Snapshot::<V4>::decode(&fs::read(&path).unwrap()).unwrap();
-            fs::write(&path, snap.encode()).unwrap();
+            let v2 = fs::read(&path).unwrap();
+            fs::write(&path, [&v2[..4], &[1], &v2[5..18], &v2[64..]].concat()).unwrap();
         }
         let before = CorpusGroundTruth::open(&dir).unwrap();
         let snap_before = before.load_snapshot(0, Protocol::Http).unwrap();
@@ -1354,7 +1351,6 @@ mod tests {
         after.validate().unwrap();
         let snap_after = after.load_snapshot(0, Protocol::Http).unwrap();
         assert_eq!(&*snap_after, &*snap_before);
-        assert!(snap_after.hosts.is_mapped());
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -31,7 +31,6 @@ pub mod source;
 pub mod topology;
 pub mod universe;
 
-pub use bytes::Bytes;
 pub use churn::{default_churn, ChurnTable, ClassChurn};
 pub use corpus::{
     export_universe, migrate_corpus, parse_address_list, parse_address_list_family,
@@ -46,7 +45,7 @@ pub use protocol::Protocol;
 pub use registry::{
     RegistryError, SharedSource, SharedSourceV6, SourceEntry, SourceInfo, SourceRegistry,
 };
-pub use snapshot::{DecodeError, HostSet, HostSetView, HostSetViewIter, PrefixCount, Snapshot};
+pub use snapshot::{DecodeError, HostSet, HostSetView, PrefixCount, Snapshot};
 pub use source::{FamilySpace, GroundTruth};
 pub use topology::{BlockMeta, Topology};
 pub use universe::{Universe, UniverseConfig, V6Space, V6Universe, V6UniverseConfig};

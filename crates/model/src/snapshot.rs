@@ -36,14 +36,13 @@
 //!   the escape hatch back to an owned [`HostSet`], and the serde form
 //!   is byte-identical to the eager set's, so downstream digests cannot
 //!   tell the difference.
-//! * **Mapped decode.** [`Snapshot::decode_mapped`] validates a
-//!   snapshot buffer in one sequential pass and then serves the
-//!   address section *in place*: the [`HostSet`] decodes fixed-width
-//!   LE addresses on access instead of rebuilding a `Vec`, so loading
-//!   a month costs O(header) + one scan and its resident memory is the
-//!   shared file buffer ([`Snapshot::resident_bytes`]). Everything
-//!   above runs unchanged over either representation because every set
-//!   operation goes through rank-indexed accessors.
+//! * **Decode once.** [`Snapshot::decode`] parses the header and then
+//!   makes one fused pass over the fixed-width LE address section,
+//!   checking strict ascent while it fills the sorted `Vec` the
+//!   [`HostSet`] owns. A month load therefore costs one sequential scan
+//!   of the file, its resident memory is `len × width`
+//!   ([`Snapshot::resident_bytes`]), and every later set operation is a
+//!   plain slice search.
 
 use crate::protocol::Protocol;
 use bytes::{BufMut, Bytes, BytesMut};
@@ -106,39 +105,6 @@ fn gallop<T>(s: &[T], mut pred: impl FnMut(&T) -> bool) -> usize {
     lo + s[lo..hi].partition_point(pred)
 }
 
-/// The address section of a mapped snapshot: the whole read buffer plus
-/// the byte offset and element count of the sorted fixed-width LE
-/// address section inside it. Element `i` is decoded on access from
-/// `W` little-endian bytes at `off + i·W` — no per-host `Vec` is ever
-/// rebuilt, and clones share the buffer.
-#[derive(Clone)]
-struct MappedAddrs<F: AddrFamily> {
-    buf: Bytes,
-    off: usize,
-    count: usize,
-    _family: std::marker::PhantomData<fn() -> F>,
-}
-
-impl<F: AddrFamily> MappedAddrs<F> {
-    #[inline]
-    fn get(&self, i: usize) -> F::Addr {
-        debug_assert!(i < self.count);
-        let w = usize::from(F::BITS / 8);
-        let p = self.off + i * w;
-        let mut raw = [0u8; 16];
-        raw[..w].copy_from_slice(&self.buf[p..p + w]);
-        F::addr_from_u128(u128::from_le_bytes(raw))
-    }
-}
-
-/// How a [`HostSet`] stores its sorted addresses: an owned `Vec`, or a
-/// section of a decoded snapshot buffer read in place.
-#[derive(Clone)]
-enum SetRepr<F: AddrFamily> {
-    Owned(Vec<F::Addr>),
-    Mapped(MappedAddrs<F>),
-}
-
 /// A sorted, deduplicated set of responsive addresses, generic over the
 /// address family (the default `HostSet` is IPv4, `HostSet<V6>` carries
 /// `u128` addresses).
@@ -146,16 +112,13 @@ enum SetRepr<F: AddrFamily> {
 /// This is the "host set" unit of the whole evaluation: hitrates are
 /// ratios of intersections of these sets.
 ///
-/// The storage is either an owned `Vec` or a *mapped* section of a
-/// snapshot file buffer ([`Snapshot::decode_mapped`]): sorted
-/// fixed-width little-endian addresses decoded on access. All set
-/// operations go through rank-indexed accessors ([`HostSet::get`],
-/// [`HostSet::lower_bound`], [`HostSet::upper_bound`]), so they cost
-/// the same O(log n) searches over either representation and a corpus
-/// replay never pays an O(hosts) decode per month load.
-#[derive(Clone)]
+/// The storage is one owned ascending `Vec`; a corpus month is decoded
+/// into it once per load ([`Snapshot::decode`]). Every set operation is
+/// a binary search, `partition_point` or gallop over
+/// [`HostSet::as_slice`].
+#[derive(Clone, Default, PartialEq, Eq)]
 pub struct HostSet<F: AddrFamily = V4> {
-    repr: SetRepr<F>,
+    addrs: Vec<F::Addr>,
 }
 
 impl<F: AddrFamily> HostSet<F> {
@@ -163,9 +126,7 @@ impl<F: AddrFamily> HostSet<F> {
     pub fn from_addrs(mut addrs: Vec<F::Addr>) -> Self {
         addrs.sort_unstable();
         addrs.dedup();
-        HostSet {
-            repr: SetRepr::Owned(addrs),
-        }
+        HostSet { addrs }
     }
 
     /// Build from a list that is already sorted and unique.
@@ -176,127 +137,57 @@ impl<F: AddrFamily> HostSet<F> {
             addrs.windows(2).all(|w| w[0] < w[1]),
             "addrs not sorted/unique"
         );
-        HostSet {
-            repr: SetRepr::Owned(addrs),
-        }
+        HostSet { addrs }
     }
 
-    /// Wrap a validated mapped address section (callers guarantee the
-    /// section is in bounds, strictly ascending, fixed-width LE).
-    fn from_mapped(buf: Bytes, off: usize, count: usize) -> Self {
-        HostSet {
-            repr: SetRepr::Mapped(MappedAddrs {
-                buf,
-                off,
-                count,
-                _family: std::marker::PhantomData,
-            }),
-        }
+    /// The members, ascending.
+    pub fn as_slice(&self) -> &[F::Addr] {
+        &self.addrs
     }
 
-    /// The address at rank `i` (ascending). Panics if `i >= len()`.
-    #[inline]
-    pub fn get(&self, i: usize) -> F::Addr {
-        match &self.repr {
-            SetRepr::Owned(v) => v[i],
-            SetRepr::Mapped(m) => m.get(i),
-        }
-    }
-
-    /// Copy the members out into a fresh ascending `Vec`. O(n) — the
-    /// escape hatch for callers that genuinely need a slice.
+    /// Copy the members out into a fresh ascending `Vec`.
     pub fn to_vec(&self) -> Vec<F::Addr> {
-        match &self.repr {
-            SetRepr::Owned(v) => v.clone(),
-            SetRepr::Mapped(m) => (0..m.count).map(|i| m.get(i)).collect(),
-        }
+        self.addrs.clone()
     }
 
-    /// Is this set a mapped section of a snapshot buffer (as opposed to
-    /// an owned `Vec`)?
+    /// Always `false`: a host set is one owned `Vec`, never a view into
+    /// a snapshot file buffer. Kept so callers that report the share of
+    /// mapped months keep compiling; that share is now 0.
     pub fn is_mapped(&self) -> bool {
-        matches!(self.repr, SetRepr::Mapped(_))
-    }
-
-    /// Bytes of memory this set keeps resident: the `Vec` storage for
-    /// owned sets, the whole shared file buffer for mapped ones (the
-    /// buffer is what an eviction actually frees).
-    pub fn resident_bytes(&self) -> usize {
-        match &self.repr {
-            SetRepr::Owned(v) => v.len() * usize::from(F::BITS / 8),
-            SetRepr::Mapped(m) => m.buf.len(),
-        }
+        false
     }
 
     /// Number of hosts.
     pub fn len(&self) -> usize {
-        match &self.repr {
-            SetRepr::Owned(v) => v.len(),
-            SetRepr::Mapped(m) => m.count,
-        }
+        self.addrs.len()
     }
 
     /// Is the set empty?
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.addrs.is_empty()
     }
 
-    /// First rank whose address is `>= addr` (a `partition_point` over
-    /// ranks; O(log n) either representation).
+    /// First rank whose address is `>= addr`.
     pub fn lower_bound(&self, addr: F::Addr) -> usize {
-        self.partition_in(0, self.len(), |a| a < addr)
+        self.addrs.partition_point(|&a| a < addr)
     }
 
     /// First rank whose address is `> addr`.
     pub fn upper_bound(&self, addr: F::Addr) -> usize {
-        self.partition_in(0, self.len(), |a| a <= addr)
-    }
-
-    /// Binary search over ranks `[lo, hi)`: first rank where `pred`
-    /// turns false. `pred` must be monotone over the ascending members.
-    #[inline]
-    fn partition_in(
-        &self,
-        mut lo: usize,
-        mut hi: usize,
-        mut pred: impl FnMut(F::Addr) -> bool,
-    ) -> usize {
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if pred(self.get(mid)) {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        lo
-    }
-
-    /// [`gallop`] over ranks, starting at `base`: first rank `>= base`
-    /// where `pred` turns false, found by exponential probing — O(log d)
-    /// in the distance `d`, not O(log n).
-    pub(crate) fn gallop_from(&self, base: usize, mut pred: impl FnMut(F::Addr) -> bool) -> usize {
-        let len = self.len() - base;
-        let mut hi = 1usize;
-        while hi < len && pred(self.get(base + hi)) {
-            hi <<= 1;
-        }
-        let lo = hi >> 1;
-        let hi = hi.min(len);
-        self.partition_in(base + lo, base + hi, pred)
+        self.addrs.partition_point(|&a| a <= addr)
     }
 
     /// Membership test (binary search).
     pub fn contains(&self, addr: F::Addr) -> bool {
-        let i = self.lower_bound(addr);
-        i < self.len() && self.get(i) == addr
+        self.addrs.binary_search(&addr).is_ok()
     }
 
     /// Size of the intersection with another host set (linear merge).
     pub fn intersection_count(&self, other: &HostSet<F>) -> usize {
+        let (a, b) = (self.as_slice(), other.as_slice());
         let (mut i, mut j, mut n) = (0usize, 0usize, 0usize);
-        while i < self.len() && j < other.len() {
-            match self.get(i).cmp(&other.get(j)) {
+        while i < a.len() && j < b.len() {
+            match a[i].cmp(&b[j]) {
                 std::cmp::Ordering::Less => i += 1,
                 std::cmp::Ordering::Greater => j += 1,
                 std::cmp::Ordering::Equal => {
@@ -332,6 +223,7 @@ impl<F: AddrFamily> HostSet<F> {
         prefixes: &mut dyn Iterator<Item = Prefix<F>>,
         sink: &mut dyn FnMut(u64),
     ) {
+        let hosts = self.as_slice();
         // ranks `[..cursor]` are < the previous prefix's first address;
         // nested prefixes (next.first inside the previous span) keep the
         // cursor at `lo`, not `hi`, so the invariant holds under overlap.
@@ -342,8 +234,8 @@ impl<F: AddrFamily> HostSet<F> {
             if prev_first.is_some_and(|pf| first < pf) {
                 cursor = 0;
             }
-            let lo = self.gallop_from(cursor, |a| a < first);
-            let hi = self.gallop_from(lo, |a| a <= last);
+            let lo = cursor + gallop(&hosts[cursor..], |&a| a < first);
+            let hi = lo + gallop(&hosts[lo..], |&a| a <= last);
             sink((hi - lo) as u64);
             cursor = lo;
             prev_first = Some(first);
@@ -362,48 +254,19 @@ impl<F: AddrFamily> HostSet<F> {
 
     /// Iterate members ascending.
     pub fn iter(&self) -> impl Iterator<Item = F::Addr> + '_ {
-        (0..self.len()).map(move |i| self.get(i))
+        self.addrs.iter().copied()
     }
 }
-
-impl<F: AddrFamily> Default for HostSet<F> {
-    fn default() -> Self {
-        HostSet {
-            repr: SetRepr::Owned(Vec::new()),
-        }
-    }
-}
-
-// Sets compare as sets, independent of representation (a mapped month
-// equals its eagerly decoded twin).
-impl<F: AddrFamily> PartialEq for HostSet<F> {
-    fn eq(&self, other: &Self) -> bool {
-        match (&self.repr, &other.repr) {
-            (SetRepr::Owned(a), SetRepr::Owned(b)) => a == b,
-            _ => self.len() == other.len() && self.iter().eq(other.iter()),
-        }
-    }
-}
-
-impl<F: AddrFamily> Eq for HostSet<F> {}
 
 impl<F: AddrFamily> fmt::Debug for HostSet<F> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let repr = match &self.repr {
-            SetRepr::Owned(_) => "owned",
-            SetRepr::Mapped(_) => "mapped",
-        };
-        f.debug_struct("HostSet")
-            .field("len", &self.len())
-            .field("repr", &repr)
-            .finish()
+        f.debug_struct("HostSet").field("len", &self.len()).finish()
     }
 }
 
 // Serializes as the bare sorted address sequence; `from_addrs` on the
 // way back re-establishes the sorted/deduplicated invariant, so the
-// serde form is canonical: equal sets produce byte-equal JSON whatever
-// the representation.
+// serde form is canonical: equal sets produce byte-equal JSON.
 impl<F: AddrFamily> serde::Serialize for HostSet<F> {
     fn to_value(&self) -> serde::Value {
         serde::Value::Seq(self.iter().map(|a| a.to_value()).collect())
@@ -483,12 +346,12 @@ impl<F: AddrFamily> Snapshot<F> {
         self.hosts.is_empty()
     }
 
-    /// Bytes of memory this snapshot keeps resident (the host storage —
-    /// owned `Vec` or shared file buffer; the lazily built prefix-count
-    /// memo is not charged). This is what a byte-budgeted month cache
-    /// accounts evictions in.
+    /// Bytes of memory this snapshot keeps resident: `len × width` of
+    /// the host `Vec` (the lazily built prefix-count memo is not
+    /// charged). This is what a byte-budgeted month cache accounts
+    /// evictions in.
     pub fn resident_bytes(&self) -> usize {
-        self.hosts.resident_bytes()
+        self.hosts.len() * usize::from(F::BITS / 8)
     }
 
     /// Count responsive hosts covered by a prefix, memoised: the first
@@ -667,7 +530,7 @@ impl<F: AddrFamily> HostSetView<F> {
     /// never a double count. O(prefixes log hosts) to build; no
     /// host-proportional allocation.
     pub fn from_prefixes(snap: Arc<Snapshot<F>>, prefixes: &[Prefix<F>]) -> Self {
-        let hosts = &snap.hosts;
+        let hosts = snap.hosts.as_slice();
         // Plan prefixes arrive sorted on the hot path (strategies plan in
         // address order), so the spans fall out of a galloping sweep
         // already ordered by start and the sort below is skipped.
@@ -676,11 +539,11 @@ impl<F: AddrFamily> HostSetView<F> {
         let mut cursor = 0usize;
         for &p in prefixes {
             let lo = if sorted {
-                hosts.gallop_from(cursor, |a| a < p.first())
+                cursor + gallop(&hosts[cursor..], |&a| a < p.first())
             } else {
-                hosts.lower_bound(p.first())
+                hosts.partition_point(|&a| a < p.first())
             };
-            let hi = hosts.gallop_from(lo, |a| a <= p.last());
+            let hi = lo + gallop(&hosts[lo..], |&a| a <= p.last());
             cursor = lo;
             if lo < hi {
                 spans.push((lo, hi));
@@ -755,10 +618,9 @@ impl<F: AddrFamily> HostSetView<F> {
     pub fn contains(&self, addr: F::Addr) -> bool {
         match &self.repr {
             Repr::Ranges { snap, ranges, .. } => {
-                let idx = snap.hosts.lower_bound(addr);
-                if idx >= snap.hosts.len() || snap.hosts.get(idx) != addr {
+                let Ok(idx) = snap.hosts.as_slice().binary_search(&addr) else {
                     return false;
-                }
+                };
                 let i = ranges.partition_point(|&(s, _)| s <= idx);
                 i > 0 && idx < ranges[i - 1].1
             }
@@ -793,21 +655,15 @@ impl<F: AddrFamily> HostSetView<F> {
         self.count_in_range(p.first(), p.last())
     }
 
-    /// Iterate members ascending.
-    pub fn iter(&self) -> HostSetViewIter<'_, F> {
-        const EMPTY_RANGES: &[(usize, usize)] = &[];
-        match &self.repr {
-            Repr::Ranges { snap, ranges, .. } => HostSetViewIter {
-                hosts: &snap.hosts,
-                ranges: ranges.iter(),
-                cur: 0..0,
-            },
-            Repr::Owned(h) => HostSetViewIter {
-                hosts: h,
-                ranges: EMPTY_RANGES.iter(),
-                cur: 0..h.len(),
-            },
-        }
+    /// Iterate members ascending: an owned set's slice, or each range's
+    /// sub-slice of the snapshot's hosts in turn.
+    pub fn iter(&self) -> impl Iterator<Item = F::Addr> + '_ {
+        let (owned, hosts, ranges) = match &self.repr {
+            Repr::Ranges { snap, ranges, .. } => (&[][..], snap.hosts.as_slice(), &ranges[..]),
+            Repr::Owned(h) => (h.as_slice(), &[][..], &[][..]),
+        };
+        let ranged = ranges.iter().flat_map(move |&(s, e)| &hosts[s..e]);
+        owned.iter().chain(ranged).copied()
     }
 
     /// The escape hatch: copy the view out into an owned, eagerly
@@ -818,38 +674,15 @@ impl<F: AddrFamily> HostSetView<F> {
             Repr::Ranges {
                 snap, ranges, len, ..
             } => {
-                let hosts = &snap.hosts;
+                let hosts = snap.hosts.as_slice();
                 let mut out = Vec::with_capacity(*len);
                 for &(s, e) in ranges {
-                    out.extend((s..e).map(|i| hosts.get(i)));
+                    out.extend_from_slice(&hosts[s..e]);
                 }
                 // Disjoint ascending ranges over a sorted unique list.
                 HostSet::from_sorted_unique(out)
             }
             Repr::Owned(h) => h.clone(),
-        }
-    }
-}
-
-/// Ascending iterator over a [`HostSetView`]'s members: a cursor of
-/// rank ranges into the underlying host set, decoded on access (so it
-/// runs unchanged off mapped snapshot bytes).
-pub struct HostSetViewIter<'a, F: AddrFamily> {
-    hosts: &'a HostSet<F>,
-    ranges: std::slice::Iter<'a, (usize, usize)>,
-    cur: std::ops::Range<usize>,
-}
-
-impl<'a, F: AddrFamily> Iterator for HostSetViewIter<'a, F> {
-    type Item = F::Addr;
-
-    fn next(&mut self) -> Option<F::Addr> {
-        loop {
-            if let Some(i) = self.cur.next() {
-                return Some(self.hosts.get(i));
-            }
-            let &(s, e) = self.ranges.next()?;
-            self.cur = s..e;
         }
     }
 }
@@ -876,7 +709,7 @@ impl<F: AddrFamily> HostSetView<F> {
             Repr::Ranges {
                 snap, ranges, cum, ..
             } => {
-                let hosts = &snap.hosts;
+                let hosts = snap.hosts.as_slice();
                 // count of range members with host index < `idx`, given
                 // the partition index `r` (first range with start >= idx)
                 let rank_at = |r: usize, idx: usize| -> usize {
@@ -895,8 +728,8 @@ impl<F: AddrFamily> HostSetView<F> {
                         cursor = 0;
                         rcursor = 0;
                     }
-                    let lo = hosts.gallop_from(cursor, |a| a < first);
-                    let hi = hosts.gallop_from(lo, |a| a <= last);
+                    let lo = cursor + gallop(&hosts[cursor..], |&a| a < first);
+                    let hi = lo + gallop(&hosts[lo..], |&a| a <= last);
                     let rlo = rcursor + gallop(&ranges[rcursor..], |&(s, _)| s < lo);
                     let rhi = rlo + gallop(&ranges[rlo..], |&(s, _)| s < hi);
                     sink((rank_at(rhi, hi) - rank_at(rlo, lo)) as u64);
@@ -1021,11 +854,12 @@ impl std::error::Error for DecodeError {}
 
 const MAGIC_V4: &[u8; 4] = b"TSS1";
 const MAGIC_V6: &[u8; 4] = b"TSS6";
-const VERSION: u8 = 1;
-/// Format version with an explicit, aligned address section
-/// ([`Snapshot::encode_aligned`]) — the form [`Snapshot::decode_mapped`]
-/// serves without rebuilding a `Vec`.
-pub(crate) const VERSION_ALIGNED: u8 = 2;
+/// The legacy format version: address section right after the 18-byte
+/// header. Still decoded, so `migrate_corpus` can upgrade old corpora.
+const VERSION_V1: u8 = 1;
+/// The format version [`Snapshot::encode`] writes: an explicit, aligned
+/// address-section offset in the header.
+pub(crate) const VERSION: u8 = 2;
 /// Byte length of the fixed v1 header (also the v1 address-section
 /// offset): magic(4) version(1) protocol(1) month(4) count(8).
 const HEADER_V1_LEN: usize = 18;
@@ -1047,7 +881,7 @@ fn family_magic<F: AddrFamily>() -> &'static [u8; 4] {
     }
 }
 
-/// The fixed 64-byte v2 header, as [`Snapshot::encode_aligned`] writes
+/// The fixed 64-byte v2 header, as [`Snapshot::encode`] writes
 /// it. Streaming writers emit this with a placeholder count and patch
 /// it once the merged address count is known.
 pub(crate) fn aligned_header<F: AddrFamily>(
@@ -1057,7 +891,7 @@ pub(crate) fn aligned_header<F: AddrFamily>(
 ) -> [u8; SECTION_ALIGN] {
     let mut h = [0u8; SECTION_ALIGN];
     h[..4].copy_from_slice(family_magic::<F>());
-    h[4] = VERSION_ALIGNED;
+    h[4] = VERSION;
     h[5] = protocol.index() as u8;
     h[6..10].copy_from_slice(&month.to_le_bytes());
     h[10..18].copy_from_slice(&count.to_le_bytes());
@@ -1100,7 +934,7 @@ fn parse_header<F: AddrFamily>(data: &[u8]) -> Result<SnapHeader, DecodeError> {
         });
     }
     let version = data[4];
-    if version != VERSION && version != VERSION_ALIGNED {
+    if version != VERSION_V1 && version != VERSION {
         return Err(DecodeError::BadVersion(version));
     }
     let ptag = data[5];
@@ -1108,7 +942,7 @@ fn parse_header<F: AddrFamily>(data: &[u8]) -> Result<SnapHeader, DecodeError> {
     let month = u32::from_le_bytes(data[6..10].try_into().expect("4-byte slice"));
     let count64 = u64::from_le_bytes(data[10..18].try_into().expect("8-byte slice"));
     let count = usize::try_from(count64).map_err(|_| DecodeError::Truncated)?;
-    let section_off = if version == VERSION {
+    let section_off = if version == VERSION_V1 {
         HEADER_V1_LEN
     } else {
         if data.len() < HEADER_V2_LEN {
@@ -1133,32 +967,13 @@ fn parse_header<F: AddrFamily>(data: &[u8]) -> Result<SnapHeader, DecodeError> {
 }
 
 impl<F: AddrFamily> Snapshot<F> {
-    /// Encode to the compact binary format:
-    /// `magic(4) version(1) protocol(1) month(4 LE) count(8 LE)
-    /// addrs(W·n LE)` where `W` is the family's address width in bytes
-    /// (4 for IPv4 — bit-identical to the pre-generic format — and 16
-    /// for IPv6, under the `TSS6` magic).
-    pub fn encode(&self) -> Bytes {
-        let width = usize::from(F::BITS / 8);
-        let mut buf = BytesMut::with_capacity(18 + width * self.hosts.len());
-        buf.put_slice(family_magic::<F>());
-        buf.put_u8(VERSION);
-        buf.put_u8(self.protocol.index() as u8);
-        buf.put_u32_le(self.month);
-        buf.put_u64_le(self.hosts.len() as u64);
-        for a in self.hosts.iter() {
-            buf.put_slice(&F::addr_to_u128(a).to_le_bytes()[..width]);
-        }
-        buf.freeze()
-    }
-
-    /// Encode to the v2 *aligned* binary format:
+    /// Encode to the binary format:
     /// `magic(4) version=2(1) protocol(1) month(4 LE) count(8 LE)
     /// section_off(4 LE) pad` with the sorted fixed-width LE address
-    /// section starting at `section_off` (the first 64-byte boundary).
-    /// This is the form [`Snapshot::decode_mapped`] can serve without
-    /// rebuilding a `Vec`; [`Snapshot::decode`] reads it too.
-    pub fn encode_aligned(&self) -> Bytes {
+    /// section starting at `section_off`, the first 64-byte boundary.
+    /// The address width is 4 bytes under the `TSS1` magic and 16 under
+    /// `TSS6`.
+    pub fn encode(&self) -> Bytes {
         let width = usize::from(F::BITS / 8);
         let mut buf = BytesMut::with_capacity(SECTION_ALIGN + width * self.hosts.len());
         buf.put_slice(&aligned_header::<F>(
@@ -1166,14 +981,17 @@ impl<F: AddrFamily> Snapshot<F> {
             self.month,
             self.hosts.len() as u64,
         ));
-        for a in self.hosts.iter() {
+        for &a in self.hosts.as_slice() {
             buf.put_slice(&F::addr_to_u128(a).to_le_bytes()[..width]);
         }
         buf.freeze()
     }
 
-    /// Decode the binary format produced by [`Snapshot::encode`] or
-    /// [`Snapshot::encode_aligned`] into an owned snapshot.
+    /// Decode the binary format, either version: v2 as
+    /// [`Snapshot::encode`] writes it, or the legacy v1 layout whose
+    /// address section starts right after an 18-byte header. One fused
+    /// pass over the address section checks strict ascent and fills the
+    /// host set's `Vec`.
     ///
     /// The decoder is family-checked: handing v6 bytes to a v4 decode
     /// (or vice versa) fails with [`DecodeError::WrongFamily`] rather
@@ -1181,56 +999,21 @@ impl<F: AddrFamily> Snapshot<F> {
     pub fn decode(data: &[u8]) -> Result<Snapshot<F>, DecodeError> {
         let width = usize::from(F::BITS / 8);
         let h = parse_header::<F>(data)?;
-        let mut addrs = Vec::with_capacity(h.count);
-        let mut prev: Option<F::Addr> = None;
+        let section = &data[h.section_off..h.section_off + h.count * width];
+        let mut addrs: Vec<F::Addr> = Vec::with_capacity(h.count);
         let mut raw = [0u8; 16];
-        for i in 0..h.count {
-            let p = h.section_off + i * width;
-            raw[..width].copy_from_slice(&data[p..p + width]);
+        for chunk in section.chunks_exact(width) {
+            raw[..width].copy_from_slice(chunk);
             let a = F::addr_from_u128(u128::from_le_bytes(raw));
-            if let Some(p) = prev {
-                if a <= p {
-                    return Err(DecodeError::Unsorted);
-                }
+            if addrs.last().is_some_and(|&prev| a <= prev) {
+                return Err(DecodeError::Unsorted);
             }
-            prev = Some(a);
             addrs.push(a);
         }
         Ok(Snapshot::new(
             h.protocol,
             h.month,
             HostSet::from_sorted_unique(addrs),
-        ))
-    }
-
-    /// Decode a snapshot buffer *in place*: parse and bounds-check the
-    /// header, make one strict-ascent validation pass over the address
-    /// section, and hand back a snapshot whose host set reads the
-    /// section directly out of `buf` — no per-host `Vec` rebuild, so
-    /// the decode cost is O(header) + one sequential scan, and the
-    /// returned snapshot's memory *is* the (shared) file buffer.
-    /// Either format version works; v1's section simply starts at
-    /// byte 18.
-    pub fn decode_mapped(buf: Bytes) -> Result<Snapshot<F>, DecodeError> {
-        let width = usize::from(F::BITS / 8);
-        let h = parse_header::<F>(&buf)?;
-        let mut prev: Option<u128> = None;
-        let mut raw = [0u8; 16];
-        for i in 0..h.count {
-            let p = h.section_off + i * width;
-            raw[..width].copy_from_slice(&buf[p..p + width]);
-            let a = u128::from_le_bytes(raw);
-            if let Some(pv) = prev {
-                if a <= pv {
-                    return Err(DecodeError::Unsorted);
-                }
-            }
-            prev = Some(a);
-        }
-        Ok(Snapshot::new(
-            h.protocol,
-            h.month,
-            HostSet::from_mapped(buf, h.section_off, h.count),
         ))
     }
 }
@@ -1247,8 +1030,7 @@ mod tests {
     fn from_addrs_sorts_and_dedups() {
         let s = hs(&[5, 1, 3, 3, 1]);
         assert_eq!(s.to_vec(), vec![1, 3, 5]);
-        assert_eq!(s.get(0), 1);
-        assert_eq!(s.get(2), 5);
+        assert_eq!(s.as_slice(), [1, 3, 5]);
         assert_eq!(s.len(), 3);
         assert!(!s.is_empty());
         assert!(!s.is_mapped());
@@ -1372,17 +1154,35 @@ mod tests {
         }
     }
 
+    /// Legacy v1 bytes of the set `v2` encodes: version byte 1 and the
+    /// address section right after the 18-byte header.
+    fn v1_of(v2: &[u8]) -> Vec<u8> {
+        [&v2[..4], &[1], &v2[5..18], &v2[64..]].concat()
+    }
+
     #[test]
     fn aligned_encode_roundtrips_both_decoders() {
-        let snap = Snapshot::new(Protocol::Https, 3, hs(&[1, 7, 0xFFFF_FFFF]));
-        let aligned = snap.encode_aligned();
-        assert_eq!(aligned[4], 2); // version byte
-        assert_eq!(aligned.len(), 64 + 4 * 3);
-        let owned = Snapshot::decode(&aligned).unwrap();
-        assert_eq!(owned, snap);
-        let mapped = Snapshot::decode_mapped(aligned).unwrap();
-        assert_eq!(mapped, snap);
-        assert!(mapped.hosts.is_mapped());
+        let snap = Snapshot::new(
+            Protocol::Http,
+            2,
+            hs(&[0x0A00_0001, 0x0A00_0002, 0x0A00_0100, 0x0B00_0000]),
+        );
+        let v2 = snap.encode();
+        assert_eq!(v2[4], 2); // version byte
+        assert_eq!(v2.len(), 64 + 4 * 4);
+        let v1 = v1_of(&v2);
+        assert_eq!(v1.len(), 18 + 4 * 4);
+        let from_v1 = Snapshot::<V4>::decode(&v1).unwrap();
+        let from_v2 = Snapshot::<V4>::decode(&v2).unwrap();
+        assert_eq!(from_v1, snap);
+        assert_eq!(from_v2, snap);
+        for cut in 0..v1.len() {
+            assert_eq!(
+                Snapshot::<V4>::decode(&v1[..cut]),
+                Err(DecodeError::Truncated),
+                "v1 cut at {cut}"
+            );
+        }
     }
 
     #[test]
@@ -1392,22 +1192,19 @@ mod tests {
             2,
             hs(&[0x0A00_0001, 0x0A00_0002, 0x0A00_0100, 0x0B00_0000]),
         );
-        let mapped = Snapshot::decode_mapped(snap.encode()).unwrap();
-        assert_eq!(mapped, snap);
-        assert!(mapped.hosts.is_mapped());
-        assert_eq!(mapped.hosts.to_vec(), snap.hosts.to_vec());
-        assert!(mapped.hosts.contains(0x0A00_0100));
-        assert!(!mapped.hosts.contains(0x0A00_0003));
+        let decoded = Snapshot::<V4>::decode(&v1_of(&snap.encode())).unwrap();
+        assert_eq!(decoded, snap);
+        assert_eq!(decoded.hosts.to_vec(), snap.hosts.to_vec());
+        assert!(decoded.hosts.contains(0x0A00_0100));
+        assert!(!decoded.hosts.contains(0x0A00_0003));
         let p24: tass_net::Prefix = "10.0.0.0/24".parse().unwrap();
-        assert_eq!(mapped.hosts.count_in_prefix(p24), 2);
-        assert_eq!(mapped.hosts.intersection_count(&snap.hosts), 4);
-        // serde form is representation-independent
+        assert_eq!(decoded.hosts.count_in_prefix(p24), 2);
+        assert_eq!(decoded.hosts.intersection_count(&snap.hosts), 4);
         assert_eq!(
-            serde_json::to_string(&mapped.hosts).unwrap(),
+            serde_json::to_string(&decoded.hosts).unwrap(),
             serde_json::to_string(&snap.hosts).unwrap()
         );
-        // views run off the mapped bytes
-        let arc = Arc::new(mapped);
+        let arc = Arc::new(decoded);
         let v = HostSetView::from_prefixes(arc.clone(), &[p24]);
         assert_eq!(v.len(), 2);
         assert_eq!(v.iter().collect::<Vec<_>>(), vec![0x0A00_0001, 0x0A00_0002]);
@@ -1417,27 +1214,25 @@ mod tests {
     fn mapped_resident_bytes_is_the_buffer() {
         let snap = Snapshot::new(Protocol::Http, 0, hs(&[1, 2, 3]));
         assert_eq!(snap.resident_bytes(), 12);
-        let bytes = snap.encode_aligned();
-        let total = bytes.len();
-        let mapped = Snapshot::<V4>::decode_mapped(bytes).unwrap();
-        assert_eq!(mapped.resident_bytes(), total);
+        // a decoded month holds only the address section, len x width
+        let v2 = snap.encode();
+        let section = v2.len() - 64;
+        assert_eq!(section, 12);
+        let from_v2 = Snapshot::<V4>::decode(&v2).unwrap();
+        assert_eq!(from_v2.resident_bytes(), section);
+        let from_v1 = Snapshot::<V4>::decode(&v1_of(&v2)).unwrap();
+        assert_eq!(from_v1.resident_bytes(), section);
     }
 
     #[test]
     fn aligned_truncation_at_every_boundary_is_typed() {
         let snap = Snapshot::new(Protocol::Cwmp, 2, hs(&[5, 6, 7]));
-        let bytes = snap.encode_aligned();
+        let bytes = snap.encode();
         for cut in 0..bytes.len() {
             assert_eq!(
                 Snapshot::<V4>::decode(&bytes[..cut]),
                 Err(DecodeError::Truncated),
                 "cut at {cut}"
-            );
-            let buf = Bytes::from(bytes[..cut].to_vec());
-            assert_eq!(
-                Snapshot::<V4>::decode_mapped(buf).map(|s| s.month),
-                Err(DecodeError::Truncated),
-                "mapped cut at {cut}"
             );
         }
     }
@@ -1445,30 +1240,16 @@ mod tests {
     #[test]
     fn bad_section_offset_is_typed() {
         let snap = Snapshot::new(Protocol::Http, 1, hs(&[1, 2]));
-        let mut bytes = snap.encode_aligned().to_vec();
+        let mut bytes = snap.encode().to_vec();
         bytes[18..22].copy_from_slice(&4u32.to_le_bytes());
         assert_eq!(
             Snapshot::<V4>::decode(&bytes),
             Err(DecodeError::BadSection(4))
         );
         // an offset past the end of the buffer is a truncation
-        let mut bytes = snap.encode_aligned().to_vec();
+        let mut bytes = snap.encode().to_vec();
         bytes[18..22].copy_from_slice(&10_000u32.to_le_bytes());
         assert_eq!(Snapshot::<V4>::decode(&bytes), Err(DecodeError::Truncated));
-    }
-
-    #[test]
-    fn mapped_decode_rejects_unsorted_payload() {
-        let snap = Snapshot::new(Protocol::Http, 1, hs(&[1, 2]));
-        let mut bytes = snap.encode_aligned().to_vec();
-        let n = bytes.len();
-        for i in 0..4 {
-            bytes.swap(n - 8 + i, n - 4 + i);
-        }
-        assert_eq!(
-            Snapshot::<V4>::decode_mapped(Bytes::from(bytes)).map(|s| s.month),
-            Err(DecodeError::Unsorted)
-        );
     }
 
     #[test]
@@ -1478,7 +1259,7 @@ mod tests {
         let snap: Snapshot<tass_net::V6> = Snapshot::new(Protocol::Http, 4, hosts);
         let bytes = snap.encode();
         assert_eq!(&bytes[..4], b"TSS6");
-        assert_eq!(bytes.len(), 18 + 3 * 16);
+        assert_eq!(bytes.len(), 64 + 3 * 16);
         let back = Snapshot::<tass_net::V6>::decode(&bytes).unwrap();
         assert_eq!(back, snap);
     }

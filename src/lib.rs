@@ -166,12 +166,13 @@
 //!     --cache-bytes 268435456
 //! ```
 //!
-//! Snapshots use a zero-copy layout: the sorted address section is
-//! 64-byte aligned in the file, so a month load is a header check plus
-//! one validation sweep over a mapped buffer — no per-host rebuild. At
+//! Snapshots store the sorted address section at a 64-byte aligned
+//! offset, so a month load is a header check plus one fused pass that
+//! checks strict ascent while filling the month's sorted `Vec`. At
 //! routed-v4 scale (a synthetic corpus announcing 2.8 B addresses, see
-//! `BENCH_corpus_scale.json`) that makes cold month loads ~10× faster
-//! than the decode-to-`Vec` path, and bounded replay holds RSS under
+//! `BENCH_corpus_scale.json`) the load plus the topology check runs
+//! well over 4× faster than decoding and then attributing each host
+//! through the topology trie, and bounded replay holds RSS under
 //! `cache_bytes` plus a per-worker transient. The underlying API is
 //! `tass::model::corpus::CorpusBuilder`, which validates the
 //! month × protocol matrix and writes the manifest.

@@ -268,6 +268,37 @@ fn result_pages_over_http() {
     daemon.shutdown(ShutdownMode::Drain).unwrap();
 }
 
+/// A hostile body of one megabyte of `[` used to overflow the JSON
+/// parser's stack and abort the daemon. It must bounce with a typed
+/// 400, and the daemon must keep serving.
+#[test]
+fn deeply_nested_submit_body_is_a_typed_400() {
+    let daemon = Tassd::start(
+        registry(),
+        ServiceConfig {
+            workers: 1,
+            quota: TenantQuota::default(),
+            month_delay: Duration::from_millis(1),
+            checkpoint_dir: None,
+        },
+    )
+    .unwrap();
+    let server = HttpServer::bind("127.0.0.1:0", daemon.core(), api::router()).unwrap();
+    let mut client = HttpClient::connect(server.addr());
+    let (status, body) = client
+        .post("/v1/campaigns", Some("mallory"), &"[".repeat(1 << 20))
+        .unwrap();
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("bad_request"), "{body}");
+    let (status, body) = client.get("/v1/healthz", None).unwrap();
+    assert_eq!(status, 200, "{body}");
+    let id = submit(&mut client, "alice", "full-scan", 1);
+    wait_done(&mut client, "alice", id);
+
+    server.shutdown();
+    daemon.shutdown(ShutdownMode::Drain).unwrap();
+}
+
 /// Many concurrent tenants hammering submit + poll from their own
 /// threads: nothing is dropped, every job completes, and round-robin
 /// dispatch keeps completions interleaved across tenants rather than

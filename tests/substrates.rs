@@ -68,7 +68,7 @@ fn snapshot_binary_roundtrip_at_scale() {
     let addrs: Vec<u32> = (0..50_000u32).map(|i| i.wrapping_mul(85_733)).collect();
     let snap: Snapshot = Snapshot::new(Protocol::Cwmp, 4, HostSet::from_addrs(addrs));
     let encoded = snap.encode();
-    assert_eq!(encoded.len(), 18 + 4 * snap.len());
+    assert_eq!(encoded.len(), 64 + 4 * snap.len());
     let decoded = Snapshot::decode(&encoded).unwrap();
     assert_eq!(decoded, snap);
 }
