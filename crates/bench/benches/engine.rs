@@ -67,20 +67,13 @@ fn lossy() -> FaultConfig {
 }
 
 /// One timed sweep cell: probes/sec through `run_plan`.
-fn measure(
-    engine: &ScanEngine,
-    wire_level: bool,
-    drain_batched: bool,
-    threads: usize,
-    reps: usize,
-) -> f64 {
+fn measure(engine: &ScanEngine, wire_level: bool, threads: usize, reps: usize) -> f64 {
     let plan = ProbePlan::Prefixes(vec!["10.0.0.0/18".parse::<Prefix>().unwrap()]);
     let cfg = ScanConfig::for_port(80)
         .unlimited_rate()
         .threads(threads)
         .blocklist(Blocklist::empty())
-        .wire_level(wire_level)
-        .drain_batched(drain_batched);
+        .wire_level(wire_level);
     // warm-up
     let report = engine.run_plan(&plan, 0, &[], &cfg).unwrap();
     assert_eq!(report.probes_sent, TARGETS);
@@ -102,48 +95,28 @@ fn main() {
         let engine = ScanEngine::new(network(faults));
         for (path, wire_level) in [("logical", false), ("wire", true)] {
             for threads in [1usize, 2, 4, 8] {
-                let pps = measure(&engine, wire_level, true, threads, reps);
+                let pps = measure(&engine, wire_level, threads, reps);
                 let before = BEFORE
                     .iter()
                     .find(|(p, f, t, _)| *p == path && *f == faults_name && *t == threads)
                     .map(|(_, _, _, v)| *v)
                     .unwrap_or(0.0);
                 let speedup = if before > 0.0 { pps / before } else { 0.0 };
-                // the drain comparison is measured live in the same run
-                // (same machine state), not against a cross-day pin: the
-                // interleaved schedule is one config flag away
-                let interleaved = if wire_level {
-                    Some(measure(&engine, true, false, threads, reps))
-                } else {
-                    None
-                };
                 eprintln!(
                     "engine {path:>7} {faults_name:>7} x{threads}: \
-                     {:.2} Mpps (before {:.2} Mpps, {speedup:.2}x{})",
+                     {:.2} Mpps (before {:.2} Mpps, {speedup:.2}x)",
                     pps / 1e6,
                     before / 1e6,
-                    match interleaved {
-                        Some(v) => format!("; interleaved drain {:.2} Mpps", v / 1e6),
-                        None => String::new(),
-                    },
                 );
                 if !rows.is_empty() {
                     rows.push(',');
                 }
-                let drain = match interleaved {
-                    Some(v) if v > 0.0 => format!(
-                        ",\"interleaved_drain_pps\":{:.0},\"drain_speedup\":{:.2}",
-                        v,
-                        pps / v
-                    ),
-                    _ => String::new(),
-                };
                 rows.push_str(&format!(
                     concat!(
                         "\n  {{\"path\":\"{}\",\"faults\":\"{}\",\"threads\":{},",
-                        "\"before_pps\":{:.0},\"after_pps\":{:.0},\"speedup\":{:.2}{}}}"
+                        "\"before_pps\":{:.0},\"after_pps\":{:.0},\"speedup\":{:.2}}}"
                     ),
-                    path, faults_name, threads, before, pps, speedup, drain
+                    path, faults_name, threads, before, pps, speedup
                 ));
             }
         }
@@ -155,11 +128,9 @@ fn main() {
             "\"note\":\"before = PR-6 engine (shared Mutex<SmallRng> fault draws, ",
             "mutex-guarded NetStats, per-probe frame allocation); ",
             "after = deterministic SipHash faults, atomic stats, reusable ",
-            "SynTemplate frames, and batched response drain (wire rows also ",
-            "carry interleaved_drain_pps, the per-probe send+validate schedule ",
-            "measured live in the same run for a same-machine comparison; the ",
-            "before pins predate a container slowdown visible on the untouched ",
-            "logical path, so drain_speedup is the trustworthy column)\",",
+            "SynTemplate frames, and batched response drain. The before pins ",
+            "were measured on another day, so speedup is a cross-day ",
+            "comparison, not a same-run A/B\",",
             "\"sweep\":[{}\n]}}\n"
         ),
         TARGETS, reps, rows

@@ -33,7 +33,6 @@ use serde::{Deserialize, Serialize, Value};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use tass_model::{GroundTruth, Protocol};
-use tass_net::{AddrFamily, V4, V6};
 
 /// The stable job-level identity of a campaign: the strategy spec string
 /// (see [`StrategyKind::spec`]), the protocol, and the seed — everything
@@ -232,22 +231,23 @@ pub enum CampaignRun {
 /// prepare at t₀ from the source's seeding context, then
 /// `plan → evaluate → observe` for each month the source holds.
 ///
-/// `done` carries the evaluations of months already completed by an
-/// earlier (interrupted) run: the driver rebuilds the strategy's state by
-/// replaying those cycles' plans and outcomes — skipping the expensive
-/// `evaluate` step, whose numbers are already stored — and continues with
-/// the first unfinished month. `control` is consulted at each remaining
-/// month boundary; `Err` carries the completed months back out when it
-/// suspends. Both paths are byte-identical to an uninterrupted serial
-/// run (campaigns are deterministic per seed).
+/// On entry `months` holds the evaluations of months already completed
+/// by an earlier (interrupted) run: the driver rebuilds the strategy's
+/// state by replaying those cycles' plans and outcomes — skipping the
+/// expensive `evaluate` step, whose numbers are already stored — and
+/// appends each further month as it completes. `control` is consulted
+/// at each remaining month boundary; the return value is `false` when
+/// it suspended the campaign and `true` when every month of the source
+/// ran. Both paths are byte-identical to an uninterrupted serial run
+/// (campaigns are deterministic per seed).
 fn drive_campaign_from<F, G>(
     source: &G,
     strategy: &dyn Strategy<F>,
     protocol: Protocol,
     seed: u64,
-    mut months: Vec<MonthEval>,
+    months: &mut Vec<MonthEval>,
     control: &mut dyn FnMut(u32, &[MonthEval]) -> CampaignStep,
-) -> Result<CampaignResult, Vec<MonthEval>>
+) -> bool
 where
     F: FamilySpace,
     G: GroundTruth<F> + ?Sized,
@@ -274,8 +274,8 @@ where
         }
     }
     for m in months.len() as u32..=source.months() {
-        if control(m, &months) == CampaignStep::Suspend {
-            return Err(months);
+        if control(m, months) == CampaignStep::Suspend {
+            return false;
         }
         let truth = source.snapshot(m, protocol);
         let plan = prepared.plan(m);
@@ -299,26 +299,26 @@ where
         };
         months.push(MonthEval { month: m, eval });
     }
-    Ok(assemble_result(
-        strategy.label(),
-        protocol,
-        F::wide_to_u128(announced),
-        months,
-    ))
+    true
 }
 
 /// The result envelope a completed month series determines. Every
 /// driver funnels its finished months through this one constructor, so
-/// any two producers handed the same label, protocol, announced count
-/// and month series serialize to the same bytes.
-fn assemble_result(
-    strategy: String,
+/// any two producers handed the same source, strategy, protocol and
+/// month series serialize to the same bytes.
+fn assemble_result<F, G>(
+    source: &G,
+    strategy: &dyn Strategy<F>,
     protocol: Protocol,
-    announced: u128,
     months: Vec<MonthEval>,
-) -> CampaignResult {
+) -> CampaignResult
+where
+    F: FamilySpace,
+    G: GroundTruth<F> + ?Sized,
+{
+    let announced = F::wide_to_u128(F::announced_space(source.topology()));
     CampaignResult {
-        strategy,
+        strategy: strategy.label(),
         protocol,
         probes_per_cycle: months[0].eval.probes,
         probe_space_fraction: if announced > 0 {
@@ -341,45 +341,20 @@ fn assemble_result(
 /// elements) and suffix (everything after them) are **byte-identical**
 /// to the final result's — which is what lets the service stream a
 /// running campaign's result incrementally and still deliver exactly
-/// the bytes [`run_campaign_checkpointed`] will store at completion.
-pub fn partial_result<G>(
-    source: &G,
-    kind: StrategyKind,
-    protocol: Protocol,
-    seed: u64,
-    months: Vec<MonthEval>,
-) -> Option<CampaignResult>
-where
-    G: GroundTruth + ?Sized,
-{
-    if months.is_empty() {
-        return None;
-    }
-    let announced = V4::wide_to_u128(V4::announced_space(source.topology()));
-    Some(
-        assemble_result(kind.strategy().label(), protocol, announced, months)
-            .with_job(CampaignJob::new(kind, protocol, seed)),
-    )
-}
-
-/// The uninterruptible convenience over [`drive_campaign_from`]: fresh
-/// start, never suspends.
-fn drive_campaign<F, G>(
+/// the bytes the driver stores at completion. Like the drivers, it
+/// leaves `job` unset; a producer that stamps one on the final result
+/// stamps it here too.
+pub fn partial_result<F, G>(
     source: &G,
     strategy: &dyn Strategy<F>,
     protocol: Protocol,
-    seed: u64,
-) -> CampaignResult
+    months: Vec<MonthEval>,
+) -> Option<CampaignResult>
 where
     F: FamilySpace,
     G: GroundTruth<F> + ?Sized,
 {
-    match drive_campaign_from(source, strategy, protocol, seed, Vec::new(), &mut |_, _| {
-        CampaignStep::Continue
-    }) {
-        Ok(result) => result,
-        Err(_) => unreachable!("the always-Continue control never suspends"),
-    }
+    (!months.is_empty()).then(|| assemble_result(source, strategy, protocol, months))
 }
 
 /// Run (or resume) a registry campaign with a per-month control hook —
@@ -410,17 +385,18 @@ where
         kind,
         protocol,
         seed,
-        months,
+        mut months,
     } = checkpoint;
-    let job = CampaignJob::new(kind, protocol, seed);
-    match drive_campaign_from(source, &*kind.strategy(), protocol, seed, months, control) {
-        Ok(result) => CampaignRun::Done(result.with_job(job)),
-        Err(months) => CampaignRun::Suspended(CampaignCheckpoint {
+    if drive_campaign_from(source, &kind, protocol, seed, &mut months, control) {
+        let job = CampaignJob::new(kind, protocol, seed);
+        CampaignRun::Done(assemble_result(source, &kind, protocol, months).with_job(job))
+    } else {
+        CampaignRun::Suspended(CampaignCheckpoint {
             kind,
             protocol,
             seed,
             months,
-        }),
+        })
     }
 }
 
@@ -428,37 +404,34 @@ where
 /// source for one protocol: prepare at t₀, then
 /// `plan → evaluate → observe` each month.
 ///
-/// `source` is any [`GroundTruth`] — the synthetic `Universe`, a
+/// `source` is any [`GroundTruth`] of either address family — the
+/// synthetic `Universe` or `V6Universe`, a
 /// [`tass_model::corpus::CorpusGroundTruth`] replaying archived
-/// snapshots from disk, or a user-defined feed.
-pub fn run_campaign_strategy<G>(
+/// snapshots from disk, or a user-defined feed. v4 strategies seed from
+/// the BGP topology, v6 strategies from the announced v6 space; hitrates
+/// are relative to the month's ground truth and probe costs are absolute
+/// address counts, so results of both families compare directly.
+pub fn run_campaign_strategy<F, G>(
     source: &G,
-    strategy: &dyn Strategy,
+    strategy: &dyn Strategy<F>,
     protocol: Protocol,
     seed: u64,
 ) -> CampaignResult
 where
-    G: GroundTruth + ?Sized,
+    F: FamilySpace,
+    G: GroundTruth<F> + ?Sized,
 {
-    drive_campaign(source, strategy, protocol, seed)
-}
-
-/// Run one IPv6 strategy's full lifecycle over a v6 [`GroundTruth`]
-/// source (e.g. the seeded `V6Universe`): the same
-/// `prepare → plan → evaluate → observe` loop as
-/// [`run_campaign_strategy`], seeded from the v6 space instead of a BGP
-/// topology. Results are directly comparable: hitrates are relative to
-/// the month's ground truth, probe costs are absolute address counts.
-pub fn run_campaign_v6<G>(source: &G, strategy: &dyn Strategy<V6>, seed: u64) -> CampaignResult
-where
-    G: GroundTruth<V6> + ?Sized,
-{
-    let protocol = source
-        .protocols()
-        .first()
-        .copied()
-        .expect("a v6 ground-truth source holds at least one protocol");
-    drive_campaign(source, strategy, protocol, seed)
+    let mut months = Vec::new();
+    // a control that never suspends: every month runs
+    drive_campaign_from(
+        source,
+        strategy,
+        protocol,
+        seed,
+        &mut months,
+        &mut |_, _| CampaignStep::Continue,
+    );
+    assemble_result(source, strategy, protocol, months)
 }
 
 /// Run one registry strategy over all months of a source for one
@@ -472,7 +445,7 @@ pub fn run_campaign<G>(
 where
     G: GroundTruth + ?Sized,
 {
-    run_campaign_strategy(source, &*kind.strategy(), protocol, seed)
+    run_campaign_strategy(source, &kind, protocol, seed)
 }
 
 /// A pool of campaign workers for sharding independent campaigns over
@@ -559,50 +532,42 @@ impl CampaignPool {
         G: GroundTruth + ?Sized,
     {
         let workers = self.workers.min(jobs.len());
-        if workers <= 1 {
-            return jobs
-                .iter()
-                .map(|&(kind, proto)| run_campaign(source, kind, proto, seed))
-                .collect();
-        }
         let cursor = AtomicUsize::new(0);
+        // claim jobs from one shared cursor until none remain; spawned
+        // workers and the calling thread all run this same loop
+        let claim = |out: &mut dyn FnMut(usize, CampaignResult)| loop {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(&(kind, proto)) = jobs.get(i) else {
+                break;
+            };
+            out(i, run_campaign(source, kind, proto, seed));
+        };
+        let mut slots: Vec<Option<CampaignResult>> = vec![None; jobs.len()];
         let (tx, rx) = mpsc::channel::<(usize, CampaignResult)>();
         std::thread::scope(|scope| {
-            // the calling thread is the last worker: it claims jobs from
-            // the same cursor instead of parking on the channel, so a
-            // matrix of w jobs costs w−1 thread spawns, not w, and the
-            // caller's core is never idle while campaigns remain
-            for _ in 0..workers - 1 {
+            // the calling thread is the last worker, so a matrix of w
+            // jobs costs w−1 thread spawns, not w, and the caller's core
+            // is never idle while campaigns remain (one worker spawns
+            // nothing at all)
+            for _ in 1..workers {
                 let tx = tx.clone();
-                let cursor = &cursor;
-                scope.spawn(move || loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(&(kind, proto)) = jobs.get(i) else {
-                        break;
-                    };
-                    let result = run_campaign(source, kind, proto, seed);
-                    if tx.send((i, result)).is_err() {
-                        break;
-                    }
+                scope.spawn(move || {
+                    claim(&mut |i, result| {
+                        tx.send((i, result))
+                            .expect("the receiver outlives the workers")
+                    })
                 });
             }
             drop(tx);
-            let mut slots: Vec<Option<CampaignResult>> = vec![None; jobs.len()];
-            loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(&(kind, proto)) = jobs.get(i) else {
-                    break;
-                };
-                slots[i] = Some(run_campaign(source, kind, proto, seed));
-            }
-            for (i, result) in rx {
-                slots[i] = Some(result);
-            }
-            slots
-                .into_iter()
-                .map(|s| s.expect("every job ran exactly once"))
-                .collect()
-        })
+            claim(&mut |i, result| slots[i] = Some(result));
+        });
+        for (i, result) in rx {
+            slots[i] = Some(result);
+        }
+        slots
+            .into_iter()
+            .map(|s| s.expect("every job ran exactly once"))
+            .collect()
     }
 
     /// Run several strategies over every protocol the source holds, on

@@ -17,8 +17,9 @@
 //! cycle emits a typed [`plan::ProbePlan`] (what to probe) and receives a
 //! [`plan::CycleOutcome`] (what the probes found) — so re-seeding,
 //! adaptive density updates, and user-defined strategies are all
-//! first-class. The closed [`strategy::StrategyKind`] enum survives as a
-//! serializable constructor registry over the trait.
+//! first-class. The closed [`strategy::StrategyKind`] enum is the
+//! serializable registry of built-in strategies, and is itself a
+//! `Strategy`.
 //!
 //! * [`density`] — steps 1–3: per-prefix counts, densities, the ranking;
 //! * [`select`] — step 4: the minimal-k cumulative-coverage cutoff;
@@ -27,16 +28,18 @@
 //!   Plans stream: [`plan::ProbePlan::stream`] yields targets lazily in
 //!   cyclic-permutation order with O(1) state per prefix, and shards
 //!   partition the stream for multi-threaded consumption;
-//! * [`strategy`] — the `Strategy`/`PreparedStrategy` lifecycle, TASS,
-//!   every baseline the paper discusses (periodic full scan, §4.1
-//!   IP-address hitlist, §2 random address samples and Heidemann-style
-//!   /24-block samples, a random-prefix ablation) plus the two
-//!   feedback-driven strategies the redesign enables: the literal Δt
-//!   re-seeding loop and feedback-only adaptive TASS;
+//! * [`strategy`] — the `Strategy`/`PreparedStrategy` lifecycle and the
+//!   `StrategyKind` registry: TASS, every baseline the paper discusses
+//!   (periodic full scan, §4.1 IP-address hitlist, §2 random address
+//!   samples and Heidemann-style /24-block samples, a random-prefix
+//!   ablation) plus two feedback-driven strategies: the literal Δt
+//!   re-seeding loop and feedback-only adaptive TASS; and the IPv6
+//!   strategies;
 //! * [`metrics`] — hitrate/accuracy, probe cost, efficiency and traffic
 //!   reduction;
 //! * [`campaign`] — the §4 simulation: seed at t₀, then drive
-//!   `plan → evaluate → observe` monthly. Campaign matrices shard over a
+//!   `plan → evaluate → observe` monthly, for either address family
+//!   ([`campaign::run_campaign_strategy`]). Campaign matrices shard over a
 //!   [`campaign::CampaignPool`] of threads (campaigns are independent and
 //!   deterministic, so parallel results are byte-identical to serial).
 
@@ -53,9 +56,8 @@ pub mod spec;
 pub mod strategy;
 
 pub use campaign::{
-    partial_result, run_campaign, run_campaign_checkpointed, run_campaign_strategy,
-    run_campaign_v6, run_matrix, CampaignCheckpoint, CampaignJob, CampaignPool, CampaignResult,
-    CampaignRun, CampaignStep,
+    partial_result, run_campaign, run_campaign_checkpointed, run_campaign_strategy, run_matrix,
+    CampaignCheckpoint, CampaignJob, CampaignPool, CampaignResult, CampaignRun, CampaignStep,
 };
 pub use cluster::{cluster_units, Cluster, ClusterConfig};
 pub use density::{
@@ -67,7 +69,6 @@ pub use plan::{CycleOutcome, Eval, PlanStream, ProbePlan, StreamError};
 pub use select::{select_prefixes, select_prefixes_budgeted, Selection};
 pub use spec::{parse_spec, SpecError};
 pub use strategy::{
-    AdaptiveTass, Block24Sample, FamilySpace, FullScan, IpHitlist, Prepared, PreparedStrategy,
-    RandomPrefix, RandomSample, ReseedingTass, Strategy, StrategyKind, Tass, V6BlockTass,
-    V6FreshSample, V6Hitlist,
+    AdaptiveTass, FamilySpace, PreparedStrategy, ReseedingTass, Strategy, StrategyKind,
+    V6BlockTass, V6FreshSample, V6Hitlist,
 };

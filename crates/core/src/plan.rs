@@ -142,10 +142,10 @@ impl<F: AddrFamily> ProbePlan<F> {
     /// Evaluate the plan against one cycle's ground truth.
     ///
     /// `cycle` feeds the fresh-sample RNG so repeated samples differ
-    /// cycle to cycle, as they would in a real campaign. The arithmetic
-    /// is byte-identical to the seed implementation's `Prepared::evaluate`
-    /// for IPv4 (probe counts above 2⁶⁴ — possible only for v6 prefix
-    /// plans — saturate [`Eval::probes`]).
+    /// cycle to cycle, as they would in a real campaign. For a static
+    /// strategy, evaluating its t₀ plan against each month *is* the §4
+    /// frozen evaluation (probe counts above 2⁶⁴ — possible only for v6
+    /// prefix plans — saturate [`Eval::probes`]).
     pub fn evaluate(&self, truth: &Snapshot<F>, cycle: u32, announced_space: F::Wide) -> Eval {
         let total = truth.hosts.len() as u64;
         let found = match self {

@@ -70,7 +70,9 @@ pub fn parse_spec(text: &str) -> Result<StrategyKind, SpecError> {
         if !(0.0..=1.0).contains(&v) || v.is_nan() {
             return Err(bad(&format!("{what} must be within [0, 1]")));
         }
-        Ok(v)
+        // `-0` is within [0, 1] and compares equal to `0`, but renders as
+        // "-0": fold it so one strategy has one spec and one label
+        Ok(if v == 0.0 { 0.0 } else { v })
     };
     match parts.as_slice() {
         ["full-scan"] => Ok(StrategyKind::FullScan),
@@ -144,6 +146,7 @@ impl StrategyKind {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::strategy::Strategy;
 
     fn registry_samples() -> Vec<StrategyKind> {
         vec![
@@ -213,6 +216,21 @@ mod tests {
             let err = parse_spec(bad).unwrap_err();
             assert_eq!(err.text, bad);
             assert!(!err.to_string().is_empty());
+        }
+    }
+
+    #[test]
+    fn negative_zero_parses_to_the_canonical_spec() {
+        for (text, canonical) in [
+            ("tass:more:-0", "tass:more:0"),
+            ("random-sample:-0", "random-sample:0"),
+            ("adaptive-tass:less:-0.0:-0", "adaptive-tass:less:0:0"),
+        ] {
+            let kind = parse_spec(text).unwrap();
+            let twin = parse_spec(canonical).unwrap();
+            assert_eq!(kind.spec(), canonical, "{text}");
+            assert_eq!(kind.label(), twin.label(), "{text}");
+            assert_eq!(kind, twin);
         }
     }
 

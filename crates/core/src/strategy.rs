@@ -14,28 +14,34 @@
 //!    [`CycleOutcome`] and adapt: re-rank densities, re-seed, or ignore it
 //!    (the static baselines do).
 //!
-//! [`StrategyKind`] remains as a thin constructor/registry so CLIs,
-//! serde, and exhibit tables can still name strategies as plain data;
-//! [`StrategyKind::strategy`] opens any kind into the trait object.
+//! [`StrategyKind`] is the registry: plain data that CLIs, serde, and
+//! exhibit tables name strategies by, and itself a [`Strategy`], so a
+//! registry kind drives the lifecycle directly.
 //!
-//! Implemented strategies:
+//! Registry strategies:
 //!
-//! * [`FullScan`] — the baseline everything is measured against;
-//! * [`Tass`] — the paper's contribution, parameterised by view
-//!   granularity and host-coverage target φ;
-//! * [`IpHitlist`] — §4.1: re-probe exactly the addresses responsive at
-//!   t₀ (maximally efficient, decays fastest);
-//! * [`RandomSample`] — §2: probe a uniform random sample of announced
-//!   space each cycle (Rossow-style);
-//! * [`Block24Sample`] — §2: Heidemann-style /24-block panel: 50 % random
-//!   blocks, 25 % previously-responsive blocks, 25 % densest blocks;
-//! * [`RandomPrefix`] — ablation: random scan units under the same
-//!   address-space budget as a TASS selection;
-//! * [`ReseedingTass`] — the paper's literal Δt loop: full re-scan and
-//!   re-rank every Δt cycles (feedback-driven; new in the trait redesign);
-//! * [`AdaptiveTass`] — re-ranks densities from each cycle's *own*
-//!   observed responses plus a small rotating exploration budget — no
-//!   full re-scan ever (feedback-driven; new in the trait redesign).
+//! * [`StrategyKind::FullScan`] — the baseline everything is measured
+//!   against;
+//! * [`StrategyKind::Tass`] — the paper's contribution, parameterised by
+//!   view granularity and host-coverage target φ;
+//! * [`StrategyKind::IpHitlist`] — §4.1: re-probe exactly the addresses
+//!   responsive at t₀ (maximally efficient, decays fastest);
+//! * [`StrategyKind::RandomSample`] — §2: probe a uniform random sample of
+//!   announced space each cycle (Rossow-style);
+//! * [`StrategyKind::Block24Sample`] — §2: Heidemann-style /24-block
+//!   panel: 50 % random blocks, 25 % previously-responsive blocks, 25 %
+//!   densest blocks;
+//! * [`StrategyKind::RandomPrefix`] — ablation: random scan units under
+//!   the same address-space budget as a TASS selection;
+//! * [`StrategyKind::ReseedingTass`] ([`ReseedingTass`]) — the paper's
+//!   literal Δt loop: full re-scan and re-rank every Δt cycles;
+//! * [`StrategyKind::AdaptiveTass`] ([`AdaptiveTass`]) — re-ranks
+//!   densities from each cycle's *own* observed responses plus a small
+//!   rotating exploration budget — no full re-scan ever.
+//!
+//! The first six freeze their plan at t₀ ([`StaticPrepared`]); the last
+//! two consume feedback. The IPv6 strategies ([`V6Hitlist`],
+//! [`V6BlockTass`], [`V6FreshSample`]) implement `Strategy<V6>`.
 
 use crate::density::DensityCounts;
 use crate::plan::{CycleOutcome, ProbePlan};
@@ -61,8 +67,8 @@ pub use tass_model::FamilySpace;
 ///
 /// Implement this (plus [`PreparedStrategy`] for the per-campaign state)
 /// to plug a new strategy into [`crate::campaign::run_campaign_strategy`]
-/// (or [`crate::campaign::run_campaign_v6`]), the exhibits, and the scan
-/// engine. All built-in strategies go through this same interface; the
+/// (for either family), the exhibits, and the scan engine. All built-in
+/// strategies go through this same interface; the
 /// seeding context is the family's [`FamilySpace::Space`].
 pub trait Strategy<F: FamilySpace = V4>: fmt::Debug {
     /// Short human-readable label (used in tables and CSV).
@@ -116,8 +122,9 @@ pub trait PreparedStrategy<F: AddrFamily = V4>: fmt::Debug {
 
 /// Which strategy to prepare — the closed, serializable registry form.
 ///
-/// This is plain data for CLIs, config files, and exhibit tables; call
-/// [`StrategyKind::strategy`] to open it into the trait-based lifecycle.
+/// This is plain data for CLIs, config files, and exhibit tables, and it
+/// is itself a [`Strategy`]: pass `&kind` wherever a `&dyn Strategy` is
+/// expected.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum StrategyKind {
     /// Scan the whole announced space every cycle.
@@ -175,24 +182,24 @@ pub enum StrategyKind {
 }
 
 impl StrategyKind {
-    /// Short human-readable label. Matches the corresponding
-    /// [`Strategy::label`] without allocating a trait object (exhibit
-    /// tables call this in loops).
-    pub fn label(&self) -> String {
+    /// This registry entry as a boxed trait object.
+    pub fn strategy(&self) -> Box<dyn Strategy> {
+        Box::new(*self)
+    }
+}
+
+impl Strategy for StrategyKind {
+    fn label(&self) -> String {
         match *self {
-            StrategyKind::FullScan => FullScan.label(),
-            StrategyKind::Tass { view, phi } => Tass { view, phi }.label(),
-            StrategyKind::IpHitlist => IpHitlist.label(),
-            StrategyKind::RandomSample { fraction } => RandomSample { fraction }.label(),
-            StrategyKind::Block24Sample { fraction } => Block24Sample { fraction }.label(),
+            StrategyKind::FullScan => "full-scan".into(),
+            StrategyKind::Tass { view, phi } => format!("tass-{view}-phi{phi}"),
+            StrategyKind::IpHitlist => "ip-hitlist".into(),
+            StrategyKind::RandomSample { fraction } => format!("random-sample-{fraction}"),
+            StrategyKind::Block24Sample { fraction } => format!("block24-sample-{fraction}"),
             StrategyKind::RandomPrefix {
                 view,
                 space_fraction,
-            } => RandomPrefix {
-                view,
-                space_fraction,
-            }
-            .label(),
+            } => format!("random-prefix-{view}-{space_fraction}"),
             StrategyKind::ReseedingTass { view, phi, delta_t } => {
                 ReseedingTass { view, phi, delta_t }.label()
             }
@@ -202,36 +209,66 @@ impl StrategyKind {
         }
     }
 
-    /// Open the registry entry into the trait-based lifecycle.
-    pub fn strategy(&self) -> Box<dyn Strategy> {
-        match *self {
-            StrategyKind::FullScan => Box::new(FullScan),
-            StrategyKind::Tass { view, phi } => Box::new(Tass { view, phi }),
-            StrategyKind::IpHitlist => Box::new(IpHitlist),
-            StrategyKind::RandomSample { fraction } => Box::new(RandomSample { fraction }),
-            StrategyKind::Block24Sample { fraction } => Box::new(Block24Sample { fraction }),
+    /// The six static kinds freeze their t₀ plan into a
+    /// [`StaticPrepared`]; the two feedback kinds delegate to
+    /// [`ReseedingTass`] and [`AdaptiveTass`].
+    fn prepare(&self, topo: &Topology, t0: &Snapshot, seed: u64) -> Box<dyn PreparedStrategy> {
+        let announced = topo.announced_space();
+        let (plan, selection) = match *self {
+            StrategyKind::FullScan => (ProbePlan::All, None),
+            StrategyKind::Tass { view, phi } => {
+                // count through the snapshot's memoised index, rank top-k only
+                let counts = DensityCounts::units(view_of(topo, view), t0);
+                let sel = select_prefixes_budgeted(counts, phi, 0);
+                (ProbePlan::Prefixes(sel.sorted_prefixes()), Some(sel))
+            }
+            StrategyKind::IpHitlist => (ProbePlan::Addrs(t0.hosts.clone()), None),
+            StrategyKind::RandomSample { fraction } => {
+                let per_cycle = (announced as f64 * fraction).round() as u64;
+                (ProbePlan::FreshSample { per_cycle, seed }, None)
+            }
+            StrategyKind::Block24Sample { fraction } => (
+                ProbePlan::Prefixes(block24_panel(topo, t0, fraction, seed)),
+                None,
+            ),
             StrategyKind::RandomPrefix {
                 view,
                 space_fraction,
-            } => Box::new(RandomPrefix {
-                view,
-                space_fraction,
-            }),
+            } => {
+                let v = view_of(topo, view);
+                let budget = (announced as f64 * space_fraction) as u64;
+                let mut rng = SmallRng::seed_from_u64(seed);
+                let mut picked = Vec::new();
+                let mut space = 0u64;
+                let n = v.len();
+                let mut tried = std::collections::HashSet::new();
+                while space < budget && tried.len() < n {
+                    let i = rng.random_range(0..n);
+                    if tried.insert(i) {
+                        let p = v.units()[i].prefix;
+                        picked.push(p);
+                        space += p.size();
+                    }
+                }
+                picked.sort_unstable();
+                (ProbePlan::Prefixes(picked), None)
+            }
             StrategyKind::ReseedingTass { view, phi, delta_t } => {
-                Box::new(ReseedingTass { view, phi, delta_t })
+                return ReseedingTass { view, phi, delta_t }.prepare(topo, t0, seed)
             }
             StrategyKind::AdaptiveTass { view, phi, explore } => {
-                Box::new(AdaptiveTass { view, phi, explore })
+                return AdaptiveTass { view, phi, explore }.prepare(topo, t0, seed)
             }
-        }
+        };
+        Box::new(StaticPrepared::new(plan, selection))
     }
 }
 
 // ------------------------------------------------------------------ static
 
 /// A prepared strategy with a fixed plan: probes the same targets every
-/// cycle and ignores feedback. All six seed strategies reduce to this
-/// (and so do the static v6 strategies — the type is family-generic).
+/// cycle and ignores feedback. The six static registry kinds reduce to
+/// this (and so do the static v6 strategies — the type is family-generic).
 #[derive(Debug, Clone)]
 pub struct StaticPrepared<F: AddrFamily = V4> {
     plan: ProbePlan<F>,
@@ -259,199 +296,6 @@ impl<F: AddrFamily> PreparedStrategy<F> for StaticPrepared<F> {
     }
 }
 
-/// Build the fixed plan of one of the six static strategy kinds. This is
-/// the seed implementation's preparation logic, verbatim — the single
-/// source of truth both for the trait impls and for the [`Prepared`]
-/// compatibility wrapper, so the two paths cannot drift apart.
-fn prepare_static(
-    kind: StrategyKind,
-    topo: &Topology,
-    t0: &Snapshot,
-    seed: u64,
-) -> (ProbePlan, Option<Selection>) {
-    let announced = topo.announced_space();
-    match kind {
-        StrategyKind::FullScan => (ProbePlan::All, None),
-        StrategyKind::Tass { view, phi } => {
-            // count through the snapshot's memoised index, rank top-k only
-            let v = view_of(topo, view);
-            let counts = DensityCounts::units(v, t0);
-            let sel = select_prefixes_budgeted(counts, phi, 0);
-            (ProbePlan::Prefixes(sel.sorted_prefixes()), Some(sel))
-        }
-        StrategyKind::IpHitlist => (ProbePlan::Addrs(t0.hosts.clone()), None),
-        StrategyKind::RandomSample { fraction } => {
-            let per_cycle = (announced as f64 * fraction).round() as u64;
-            (ProbePlan::FreshSample { per_cycle, seed }, None)
-        }
-        StrategyKind::Block24Sample { fraction } => (
-            ProbePlan::Prefixes(block24_panel(topo, t0, fraction, seed)),
-            None,
-        ),
-        StrategyKind::RandomPrefix {
-            view,
-            space_fraction,
-        } => {
-            let v = view_of(topo, view);
-            let budget = (announced as f64 * space_fraction) as u64;
-            let mut rng = SmallRng::seed_from_u64(seed);
-            let mut picked = Vec::new();
-            let mut space = 0u64;
-            let n = v.len();
-            let mut tried = std::collections::HashSet::new();
-            while space < budget && tried.len() < n {
-                let i = rng.random_range(0..n);
-                if tried.insert(i) {
-                    let p = v.units()[i].prefix;
-                    picked.push(p);
-                    space += p.size();
-                }
-            }
-            picked.sort_unstable();
-            (ProbePlan::Prefixes(picked), None)
-        }
-        StrategyKind::ReseedingTass { .. } | StrategyKind::AdaptiveTass { .. } => {
-            unreachable!("feedback strategies have their own prepare")
-        }
-    }
-}
-
-/// The periodic full scan.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FullScan;
-
-impl Strategy for FullScan {
-    fn label(&self) -> String {
-        "full-scan".into()
-    }
-
-    fn prepare(&self, topo: &Topology, t0: &Snapshot, seed: u64) -> Box<dyn PreparedStrategy> {
-        let (plan, sel) = prepare_static(StrategyKind::FullScan, topo, t0, seed);
-        Box::new(StaticPrepared::new(plan, sel))
-    }
-}
-
-/// TASS, seeded once at t₀ (the paper's §4 evaluation setting).
-#[derive(Debug, Clone, Copy)]
-pub struct Tass {
-    /// l-prefixes or the deaggregated m-partition.
-    pub view: ViewKind,
-    /// Host-coverage target φ.
-    pub phi: f64,
-}
-
-impl Strategy for Tass {
-    fn label(&self) -> String {
-        format!("tass-{}-phi{}", self.view, self.phi)
-    }
-
-    fn prepare(&self, topo: &Topology, t0: &Snapshot, seed: u64) -> Box<dyn PreparedStrategy> {
-        let (plan, sel) = prepare_static(
-            StrategyKind::Tass {
-                view: self.view,
-                phi: self.phi,
-            },
-            topo,
-            t0,
-            seed,
-        );
-        Box::new(StaticPrepared::new(plan, sel))
-    }
-}
-
-/// The §4.1 IP-address hitlist.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct IpHitlist;
-
-impl Strategy for IpHitlist {
-    fn label(&self) -> String {
-        "ip-hitlist".into()
-    }
-
-    fn prepare(&self, topo: &Topology, t0: &Snapshot, seed: u64) -> Box<dyn PreparedStrategy> {
-        let (plan, sel) = prepare_static(StrategyKind::IpHitlist, topo, t0, seed);
-        Box::new(StaticPrepared::new(plan, sel))
-    }
-}
-
-/// A fresh uniform random address sample each cycle.
-#[derive(Debug, Clone, Copy)]
-pub struct RandomSample {
-    /// Fraction of announced addresses sampled per cycle.
-    pub fraction: f64,
-}
-
-impl Strategy for RandomSample {
-    fn label(&self) -> String {
-        format!("random-sample-{}", self.fraction)
-    }
-
-    fn prepare(&self, topo: &Topology, t0: &Snapshot, seed: u64) -> Box<dyn PreparedStrategy> {
-        let (plan, sel) = prepare_static(
-            StrategyKind::RandomSample {
-                fraction: self.fraction,
-            },
-            topo,
-            t0,
-            seed,
-        );
-        Box::new(StaticPrepared::new(plan, sel))
-    }
-}
-
-/// The Heidemann-style /24-block panel.
-#[derive(Debug, Clone, Copy)]
-pub struct Block24Sample {
-    /// Fraction of announced space covered by the panel.
-    pub fraction: f64,
-}
-
-impl Strategy for Block24Sample {
-    fn label(&self) -> String {
-        format!("block24-sample-{}", self.fraction)
-    }
-
-    fn prepare(&self, topo: &Topology, t0: &Snapshot, seed: u64) -> Box<dyn PreparedStrategy> {
-        let (plan, sel) = prepare_static(
-            StrategyKind::Block24Sample {
-                fraction: self.fraction,
-            },
-            topo,
-            t0,
-            seed,
-        );
-        Box::new(StaticPrepared::new(plan, sel))
-    }
-}
-
-/// Random scan units at a fixed space budget (ablation).
-#[derive(Debug, Clone, Copy)]
-pub struct RandomPrefix {
-    /// View granularity to draw units from.
-    pub view: ViewKind,
-    /// Address-space budget as a fraction of announced space.
-    pub space_fraction: f64,
-}
-
-impl Strategy for RandomPrefix {
-    fn label(&self) -> String {
-        format!("random-prefix-{}-{}", self.view, self.space_fraction)
-    }
-
-    fn prepare(&self, topo: &Topology, t0: &Snapshot, seed: u64) -> Box<dyn PreparedStrategy> {
-        let (plan, sel) = prepare_static(
-            StrategyKind::RandomPrefix {
-                view: self.view,
-                space_fraction: self.space_fraction,
-            },
-            topo,
-            t0,
-            seed,
-        );
-        Box::new(StaticPrepared::new(plan, sel))
-    }
-}
-
 // ---------------------------------------------------------------- feedback
 
 fn view_of(topo: &Topology, kind: ViewKind) -> &View {
@@ -467,7 +311,7 @@ fn view_of(topo: &Topology, kind: ViewKind) -> &View {
 /// become the new seeding scan and the selection is re-ranked from them.
 ///
 /// With `delta_t == `[`ReseedingTass::NEVER`] it never re-seeds and is
-/// exactly the static [`Tass`] evaluated in §4.
+/// exactly the static [`StrategyKind::Tass`] evaluated in §4.
 #[derive(Debug, Clone, Copy)]
 pub struct ReseedingTass {
     /// l-prefixes or the deaggregated m-partition.
@@ -561,7 +405,8 @@ impl PreparedStrategy for ReseedingPrepared {
 /// unselected units, then re-ranks densities from what the cycle actually
 /// observed. Host churn into previously-unselected prefixes is discovered
 /// by exploration and pulled into the selection — so accuracy decays more
-/// slowly than the t₀-frozen [`Tass`] at a small, bounded probe overhead.
+/// slowly than the t₀-frozen [`StrategyKind::Tass`] at a small, bounded
+/// probe overhead.
 #[derive(Debug, Clone, Copy)]
 pub struct AdaptiveTass {
     /// l-prefixes or the deaggregated m-partition.
@@ -864,70 +709,6 @@ impl Strategy<V6> for V6FreshSample {
     }
 }
 
-// ------------------------------------------------------- compat wrapper
-
-/// A strategy frozen at t₀ — the static snapshot view of the lifecycle.
-///
-/// This is the seed API, kept as a thin wrapper over
-/// [`StrategyKind::strategy`] + [`PreparedStrategy::plan`]`(0)`: it holds
-/// the first cycle's plan and evaluates it against any month. For the six
-/// static strategies this is the *whole* behaviour; feedback strategies
-/// ([`ReseedingTass`], [`AdaptiveTass`]) need the full lifecycle loop in
-/// [`crate::campaign::run_campaign_strategy`] and cannot be frozen here.
-#[derive(Debug, Clone)]
-pub struct Prepared {
-    /// The strategy that was prepared.
-    pub kind: StrategyKind,
-    /// Addresses probed per scan cycle.
-    pub probes_per_cycle: u64,
-    /// Fraction of the announced space probed per cycle.
-    pub probe_space_fraction: f64,
-    /// The TASS selection details (present for TASS strategies).
-    pub selection: Option<Selection>,
-    /// The fixed plan probed each cycle.
-    pub plan: ProbePlan,
-    announced_space: u64,
-}
-
-impl Prepared {
-    /// Prepare a static strategy from the t₀ ground truth.
-    ///
-    /// `seed` drives the randomized strategies (samples, random prefixes);
-    /// TASS and the hitlist are deterministic.
-    ///
-    /// Panics for the feedback strategies — they are not expressible as a
-    /// frozen probe set; drive them through
-    /// [`crate::campaign::run_campaign_strategy`] instead.
-    pub fn prepare(kind: StrategyKind, topo: &Topology, t0: &Snapshot, seed: u64) -> Prepared {
-        assert!(
-            !matches!(
-                kind,
-                StrategyKind::ReseedingTass { .. } | StrategyKind::AdaptiveTass { .. }
-            ),
-            "feedback strategies cannot be frozen into a static Prepared; \
-             use run_campaign_strategy"
-        );
-        let announced = topo.announced_space();
-        let (plan, selection) = prepare_static(kind, topo, t0, seed);
-        Prepared {
-            kind,
-            probes_per_cycle: plan.probe_count(announced),
-            probe_space_fraction: plan.space_fraction(announced),
-            selection,
-            plan,
-            announced_space: announced,
-        }
-    }
-
-    /// Evaluate against one month's ground truth.
-    ///
-    /// `month` feeds the fresh-sample RNG so repeated samples differ
-    /// month to month, as they would in a real campaign.
-    pub fn evaluate(&self, truth: &Snapshot, month: u32) -> Eval {
-        self.plan.evaluate(truth, month, self.announced_space)
-    }
-}
-
 /// Build the Heidemann-style /24 panel: 50 % random announced blocks,
 /// 25 % blocks responsive at t₀, 25 % densest blocks at t₀.
 fn block24_panel(topo: &Topology, t0: &Snapshot, fraction: f64, seed: u64) -> Vec<Prefix> {
@@ -985,36 +766,43 @@ mod tests {
         Universe::generate(&UniverseConfig::small(21))
     }
 
+    /// The frozen reference of a static kind: its t₀ plan, evaluated
+    /// against any month with [`ProbePlan::evaluate`].
+    fn freeze(kind: StrategyKind, topo: &Topology, t0: &Snapshot, seed: u64) -> ProbePlan {
+        kind.prepare(topo, t0, seed).plan(0)
+    }
+
     #[test]
     fn full_scan_always_perfect() {
         let u = small_universe();
-        let prep = Prepared::prepare(
+        let announced = u.topology().announced_space();
+        let plan = freeze(
             StrategyKind::FullScan,
             u.topology(),
             u.snapshot(0, Protocol::Http),
             1,
         );
         for month in 0..=6 {
-            let e = prep.evaluate(u.snapshot(month, Protocol::Http), month);
+            let e = plan.evaluate(u.snapshot(month, Protocol::Http), month, announced);
             assert_eq!(e.found, e.total);
             assert_eq!(e.hitrate, 1.0);
         }
-        assert_eq!(prep.probes_per_cycle, u.topology().announced_space());
+        assert_eq!(plan.probe_count(announced), announced);
     }
 
     #[test]
     fn tass_phi1_month0_is_perfect() {
         let u = small_universe();
         let t0 = u.snapshot(0, Protocol::Ftp);
+        let announced = u.topology().announced_space();
         for view in [ViewKind::LessSpecific, ViewKind::MoreSpecific] {
-            let prep =
-                Prepared::prepare(StrategyKind::Tass { view, phi: 1.0 }, u.topology(), t0, 1);
-            let e = prep.evaluate(t0, 0);
+            let plan = freeze(StrategyKind::Tass { view, phi: 1.0 }, u.topology(), t0, 1);
+            let e = plan.evaluate(t0, 0, announced);
             assert_eq!(
                 e.hitrate, 1.0,
                 "{view}: all t0 hosts are in responsive prefixes"
             );
-            assert!(prep.probes_per_cycle < u.topology().announced_space());
+            assert!(plan.probe_count(announced) < announced);
         }
     }
 
@@ -1022,23 +810,21 @@ mod tests {
     fn tass_phi95_month0_exceeds_95() {
         let u = small_universe();
         let t0 = u.snapshot(0, Protocol::Http);
-        let prep = Prepared::prepare(
-            StrategyKind::Tass {
-                view: ViewKind::MoreSpecific,
-                phi: 0.95,
-            },
-            u.topology(),
-            t0,
-            1,
-        );
-        let e = prep.evaluate(t0, 0);
+        let mut prepared = StrategyKind::Tass {
+            view: ViewKind::MoreSpecific,
+            phi: 0.95,
+        }
+        .prepare(u.topology(), t0, 1);
+        let e = prepared
+            .plan(0)
+            .evaluate(t0, 0, u.topology().announced_space());
         assert!(
             e.hitrate > 0.95,
             "hitrate {} must exceed phi at t0",
             e.hitrate
         );
         assert!(e.hitrate < 1.0, "phi=0.95 should not cover everything");
-        let sel = prep.selection.as_ref().unwrap();
+        let sel = prepared.selection().unwrap();
         assert!(sel.space_fraction < 1.0);
     }
 
@@ -1046,29 +832,18 @@ mod tests {
     fn m_view_selection_needs_less_space_than_l_view() {
         let u = small_universe();
         let t0 = u.snapshot(0, Protocol::Http);
-        let l = Prepared::prepare(
-            StrategyKind::Tass {
-                view: ViewKind::LessSpecific,
-                phi: 1.0,
-            },
-            u.topology(),
-            t0,
-            1,
-        );
-        let m = Prepared::prepare(
-            StrategyKind::Tass {
-                view: ViewKind::MoreSpecific,
-                phi: 1.0,
-            },
-            u.topology(),
-            t0,
-            1,
+        let announced = u.topology().announced_space();
+        let probes = |view| {
+            freeze(StrategyKind::Tass { view, phi: 1.0 }, u.topology(), t0, 1)
+                .probe_count(announced)
+        };
+        let (l, m) = (
+            probes(ViewKind::LessSpecific),
+            probes(ViewKind::MoreSpecific),
         );
         assert!(
-            m.probes_per_cycle < l.probes_per_cycle,
-            "paper §3.3: m-prefixes are denser, so full coverage is cheaper: {} vs {}",
-            m.probes_per_cycle,
-            l.probes_per_cycle
+            m < l,
+            "paper §3.3: m-prefixes are denser, so full coverage is cheaper: {m} vs {l}"
         );
     }
 
@@ -1076,12 +851,13 @@ mod tests {
     fn hitlist_perfect_at_t0_then_decays() {
         let u = small_universe();
         let t0 = u.snapshot(0, Protocol::Cwmp);
-        let prep = Prepared::prepare(StrategyKind::IpHitlist, u.topology(), t0, 1);
-        assert_eq!(prep.probes_per_cycle, t0.len() as u64);
-        let e0 = prep.evaluate(t0, 0);
+        let announced = u.topology().announced_space();
+        let plan = freeze(StrategyKind::IpHitlist, u.topology(), t0, 1);
+        assert_eq!(plan.probe_count(announced), t0.len() as u64);
+        let e0 = plan.evaluate(t0, 0, announced);
         assert_eq!(e0.hitrate, 1.0);
-        let e3 = prep.evaluate(u.snapshot(3, Protocol::Cwmp), 3);
-        let e6 = prep.evaluate(u.snapshot(6, Protocol::Cwmp), 6);
+        let e3 = plan.evaluate(u.snapshot(3, Protocol::Cwmp), 3, announced);
+        let e6 = plan.evaluate(u.snapshot(6, Protocol::Cwmp), 6, announced);
         assert!(
             e3.hitrate < 0.95,
             "CWMP hitlist must decay, got {}",
@@ -1094,7 +870,8 @@ mod tests {
     fn tass_decays_slower_than_hitlist() {
         let u = small_universe();
         let t0 = u.snapshot(0, Protocol::Http);
-        let tass = Prepared::prepare(
+        let announced = u.topology().announced_space();
+        let tass = freeze(
             StrategyKind::Tass {
                 view: ViewKind::LessSpecific,
                 phi: 1.0,
@@ -1103,10 +880,10 @@ mod tests {
             t0,
             1,
         );
-        let hit = Prepared::prepare(StrategyKind::IpHitlist, u.topology(), t0, 1);
+        let hit = freeze(StrategyKind::IpHitlist, u.topology(), t0, 1);
         let t6 = u.snapshot(6, Protocol::Http);
-        let tass6 = tass.evaluate(t6, 6).hitrate;
-        let hit6 = hit.evaluate(t6, 6).hitrate;
+        let tass6 = tass.evaluate(t6, 6, announced).hitrate;
+        let hit6 = hit.evaluate(t6, 6, announced).hitrate;
         assert!(
             tass6 > hit6 + 0.05,
             "paper's core claim: TASS {tass6} must hold up much better than hitlist {hit6}"
@@ -1121,7 +898,8 @@ mod tests {
     fn random_prefix_worse_than_tass_at_same_budget() {
         let u = small_universe();
         let t0 = u.snapshot(0, Protocol::Http);
-        let tass = Prepared::prepare(
+        let announced = u.topology().announced_space();
+        let tass = freeze(
             StrategyKind::Tass {
                 view: ViewKind::MoreSpecific,
                 phi: 0.95,
@@ -1130,8 +908,8 @@ mod tests {
             t0,
             1,
         );
-        let budget = tass.probe_space_fraction;
-        let rand = Prepared::prepare(
+        let budget = tass.space_fraction(announced);
+        let rand = freeze(
             StrategyKind::RandomPrefix {
                 view: ViewKind::MoreSpecific,
                 space_fraction: budget,
@@ -1140,8 +918,8 @@ mod tests {
             t0,
             99,
         );
-        let e_tass = tass.evaluate(t0, 0);
-        let e_rand = rand.evaluate(t0, 0);
+        let e_tass = tass.evaluate(t0, 0, announced);
+        let e_rand = rand.evaluate(t0, 0, announced);
         assert!(
             e_tass.hitrate > e_rand.hitrate + 0.2,
             "density ranking must beat random prefixes: {} vs {}",
@@ -1154,20 +932,20 @@ mod tests {
     fn block24_panel_respects_budget_and_mix() {
         let u = small_universe();
         let t0 = u.snapshot(0, Protocol::Http);
-        let prep = Prepared::prepare(
+        let plan = freeze(
             StrategyKind::Block24Sample { fraction: 0.01 },
             u.topology(),
             t0,
             5,
         );
         let announced = u.topology().announced_space();
-        let frac = prep.probes_per_cycle as f64 / announced as f64;
+        let frac = plan.probe_count(announced) as f64 / announced as f64;
         assert!(
             (0.004..0.02).contains(&frac),
             "panel covers {frac}, wanted ≈ 0.01"
         );
         // the panel includes some responsive blocks, so it finds some hosts
-        let e = prep.evaluate(t0, 0);
+        let e = plan.evaluate(t0, 0, announced);
         assert!(e.found > 0);
         assert!(e.hitrate < 0.9, "a 1% panel cannot cover most hosts");
     }
@@ -1176,13 +954,13 @@ mod tests {
     fn random_sample_efficiency_matches_density() {
         let u = small_universe();
         let t0 = u.snapshot(0, Protocol::Http);
-        let prep = Prepared::prepare(
+        let plan = freeze(
             StrategyKind::RandomSample { fraction: 0.05 },
             u.topology(),
             t0,
             5,
         );
-        let e = prep.evaluate(t0, 0);
+        let e = plan.evaluate(t0, 0, u.topology().announced_space());
         // expected hitrate of a uniform sample ≈ sample fraction
         assert!(
             (0.02..0.09).contains(&e.hitrate),
@@ -1238,33 +1016,23 @@ mod tests {
             view: ViewKind::MoreSpecific,
             phi: 0.95,
         };
-        let mut prepared = kind.strategy().prepare(u.topology(), t0, 1);
-        let frozen = Prepared::prepare(kind, u.topology(), t0, 1);
-        // the lifecycle's cycle-0 plan is the frozen plan, bit for bit
-        assert_eq!(prepared.plan(0), frozen.plan);
+        let mut prepared = kind.prepare(u.topology(), t0, 1);
+        let mut boxed = kind.strategy().prepare(u.topology(), t0, 1);
+        let frozen = prepared.plan(0);
+        let selection = prepared.selection().unwrap().clone();
+        assert!(!prepared.wants_feedback(), "static kinds skip feedback");
+        // a static kind replans its t₀ plan, bit for bit, every cycle
+        for cycle in 0..=6 {
+            assert_eq!(prepared.plan(cycle), frozen);
+            assert_eq!(boxed.plan(cycle), frozen);
+        }
         assert_eq!(
-            prepared.selection().unwrap().prefixes,
-            frozen.selection.as_ref().unwrap().prefixes
+            frozen,
+            ProbePlan::Prefixes(selection.sorted_prefixes()),
+            "TASS probes its selection"
         );
-    }
-
-    #[test]
-    fn prepared_rejects_feedback_strategies() {
-        let u = small_universe();
-        let t0 = u.snapshot(0, Protocol::Http);
-        let result = std::panic::catch_unwind(|| {
-            Prepared::prepare(
-                StrategyKind::AdaptiveTass {
-                    view: ViewKind::MoreSpecific,
-                    phi: 0.95,
-                    explore: 0.1,
-                },
-                u.topology(),
-                t0,
-                1,
-            )
-        });
-        assert!(result.is_err(), "freezing an adaptive strategy must panic");
+        assert_eq!(boxed.selection().unwrap().prefixes, selection.prefixes);
+        assert_eq!(kind.strategy().label(), kind.label());
     }
 
     #[test]
@@ -1308,7 +1076,7 @@ mod tests {
         };
         let mut prepared = strat.prepare(u.topology(), t0, 1);
         let announced = u.topology().announced_space();
-        let static_probes = Prepared::prepare(
+        let static_probes = freeze(
             StrategyKind::Tass {
                 view: ViewKind::MoreSpecific,
                 phi: 0.95,
@@ -1317,7 +1085,7 @@ mod tests {
             t0,
             1,
         )
-        .probes_per_cycle;
+        .probe_count(announced);
         let plan = prepared.plan(0);
         let probes = plan.probe_count(announced);
         assert!(probes > static_probes, "exploration adds probes");

@@ -24,7 +24,7 @@
 use crate::table::{f3, thousands, TextTable};
 use crate::{ExhibitOutput, Scenario};
 use std::sync::Arc;
-use tass_core::campaign::run_campaign_v6;
+use tass_core::campaign::run_campaign_strategy;
 use tass_core::strategy::{Strategy, V6BlockTass, V6FreshSample, V6Hitlist};
 use tass_model::{V6Universe, V6UniverseConfig};
 use tass_net::V6;
@@ -68,7 +68,7 @@ pub fn run(s: &Scenario) -> ExhibitOutput {
     let mut t = TextTable::new(["strategy", "probes/cycle", "hit@0", "hit@3", "hit@6"]);
     let mut csv = TextTable::new(["strategy", "month", "hitrate", "probes"]);
     for (name, strategy) in &strategies {
-        let r = run_campaign_v6(&universe, strategy.as_ref(), s.config.seed);
+        let r = run_campaign_strategy(&universe, strategy.as_ref(), t0.protocol, s.config.seed);
         for m in &r.months {
             csv.row([
                 name.to_string(),

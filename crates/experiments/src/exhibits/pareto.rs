@@ -109,6 +109,7 @@ mod tests {
     use super::*;
     use crate::ScenarioConfig;
     use tass_core::campaign::run_campaign;
+    use tass_core::Strategy;
 
     #[test]
     fn grid_spans_anchors_and_both_families() {

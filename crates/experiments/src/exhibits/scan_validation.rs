@@ -11,6 +11,7 @@ use crate::{ExhibitOutput, Scenario};
 use std::sync::Arc;
 
 use tass_core::density::rank_units;
+use tass_core::plan::ProbePlan;
 use tass_core::select::select_prefixes;
 use tass_model::Protocol;
 use tass_scan::{Blocklist, FaultConfig, Responder, ScanConfig, ScanEngine, SimNetwork};
@@ -44,15 +45,15 @@ pub fn run(s: &Scenario) -> ExhibitOutput {
     ));
     let engine = ScanEngine::new(network);
 
-    let report = engine.run(
-        &ScanConfig::for_port(proto.port())
-            .targets(targets.clone())
-            .rate(10_000_000.0)
-            .threads(4)
-            .blocklist(Blocklist::iana_default())
-            .banner_grab(true)
-            .wire_level(false), // logical probes: full space at campaign scale
-    );
+    let cfg = ScanConfig::for_port(proto.port())
+        .rate(10_000_000.0)
+        .threads(4)
+        .blocklist(Blocklist::iana_default())
+        .banner_grab(true)
+        .wire_level(false); // logical probes: full space at campaign scale
+    let report = engine
+        .run_plan(&ProbePlan::Prefixes(targets.clone()), 0, &[], &cfg)
+        .expect("v4 prefix plans always stream");
 
     // ground truth inside the scanned prefixes
     let expected: u64 = targets

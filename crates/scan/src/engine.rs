@@ -35,10 +35,9 @@
 //! [`wire::SynTemplate`] — only the destination, source port, and
 //! sequence number are re-encoded, with incremental checksums — and
 //! replies come back in the network's inline [`Replies`]
-//! storage. Sends and drains are batched separately: the worker
-//! transmits the whole 64-probe batch first (replies park in their
-//! inline buffers) and then validates the batch in send order, so the
-//! template stays hot through the send burst. Fault injection is a deterministic per-address hash (see
+//! storage. The worker transmits the whole 64-probe batch first
+//! (replies park in their inline buffers) and then validates the batch
+//! in send order. Fault injection is a deterministic per-address hash (see
 //! [`SimNetwork`]), and network counters are relaxed atomics, so the
 //! report — including lossy, duplicating runs — is **byte-identical at
 //! any thread count**: the shards partition the plan, and nothing about
@@ -64,12 +63,10 @@ use tass_net::{iana, AddrFamily, Prefix, PrefixSet, V4, V6};
 
 /// Scan-engine configuration, generic over the address family.
 /// `ScanConfig` written bare is the IPv4 config exactly as before;
-/// `ScanConfig<V6>` carries 128-bit targets, source address, and
+/// `ScanConfig<V6>` carries a 128-bit source address and
 /// blocklist.
 #[derive(Debug, Clone)]
 pub struct ScanConfig<F: ScanFamily = V4> {
-    /// Prefixes to scan (TASS's selected prefixes, or a whole view).
-    pub targets: Vec<Prefix<F>>,
     /// Destination TCP port.
     pub port: u16,
     /// Probes per second across all threads.
@@ -82,12 +79,6 @@ pub struct ScanConfig<F: ScanFamily = V4> {
     pub banner_grab: bool,
     /// Build/parse real frames (slower, full fidelity).
     pub wire_level: bool,
-    /// Wire path only: send the whole probe batch before draining its
-    /// replies (the default), instead of alternating send and validate
-    /// per probe. Outcomes are identical either way — the interleaved
-    /// mode exists so the drain benchmark can compare both on the same
-    /// machine in the same run.
-    pub drain_batched: bool,
     /// Scanner source address.
     pub source_ip: F::Addr,
     /// Seed for permutation and validation keys.
@@ -97,14 +88,12 @@ pub struct ScanConfig<F: ScanFamily = V4> {
 impl<F: ScanFamily> Default for ScanConfig<F> {
     fn default() -> Self {
         ScanConfig {
-            targets: Vec::new(),
             port: 80,
             rate_pps: 1_000_000.0,
             threads: 4,
             blocklist: Blocklist::iana_default(),
             banner_grab: false,
             wire_level: true,
-            drain_batched: true,
             source_ip: F::default_source_ip(),
             seed: 0x5CAA_77E5,
         }
@@ -130,12 +119,6 @@ impl<F: ScanFamily> ScanConfig<F> {
             port,
             ..ScanConfig::default()
         }
-    }
-
-    /// Set the prefixes to scan (used by [`ScanEngine::run`]).
-    pub fn targets(mut self, targets: Vec<Prefix<F>>) -> Self {
-        self.targets = targets;
-        self
     }
 
     /// Set the aggregate probe rate in packets per second.
@@ -173,14 +156,6 @@ impl<F: ScanFamily> ScanConfig<F> {
         self
     }
 
-    /// Choose between batched (default) and per-probe interleaved
-    /// response draining on the wire path. Reports are identical; only
-    /// the send/validate schedule differs.
-    pub fn drain_batched(mut self, yes: bool) -> Self {
-        self.drain_batched = yes;
-        self
-    }
-
     /// Set the scanner source address.
     pub fn source_ip(mut self, ip: F::Addr) -> Self {
         self.source_ip = ip;
@@ -199,10 +174,10 @@ impl<F: ScanFamily> ScanConfig<F> {
 /// deduplication, and banner logic are all family-generic over the
 /// [`WireFamily`] codec; what remains per family is only genuine policy —
 /// which IANA registry backs the default blocklist and which documentation
-/// address the scanner sources from. `wire_probe` ships a real
-/// codec-backed default for every wire family: both `ScanEngine` (IPv4)
-/// and `ScanEngine<V6>` encode, transmit, parse, and statelessly validate
-/// genuine frames when `wire_level` is set.
+/// address the scanner sources from. `wire_send` and `wire_drain` ship
+/// real codec-backed defaults for every wire family: both `ScanEngine`
+/// (IPv4) and `ScanEngine<V6>` encode, transmit, parse, and statelessly
+/// validate genuine frames when `wire_level` is set.
 pub trait ScanFamily: WireFamily {
     /// The family's IANA special-purpose space — the default blocklist
     /// ([`Blocklist::iana_default`]).
@@ -269,27 +244,6 @@ pub trait ScanFamily: WireFamily {
             }
         }
         out
-    }
-
-    /// One whole wire-level probe: [`ScanFamily::wire_send`] followed
-    /// immediately by [`ScanFamily::wire_drain`]. The engine's hot loop
-    /// batches the two phases instead; this is the convenient form for
-    /// tests and one-off probes.
-    fn wire_probe(
-        network: &SimNetwork<Self>,
-        cfg: &ScanConfig<Self>,
-        key: SipHash24,
-        addr: Self::Addr,
-        tmpl: &mut wire::SynTemplate<Self>,
-    ) -> Option<WireReplies> {
-        let (replies, src_port, expected_seq) = Self::wire_send(network, key, addr, tmpl)?;
-        Some(Self::wire_drain(
-            cfg,
-            addr,
-            src_port,
-            expected_seq,
-            &replies,
-        ))
     }
 }
 
@@ -431,16 +385,6 @@ struct WorkerResult<F: AddrFamily> {
     duration_secs: f64,
 }
 
-impl ScanEngine {
-    /// Run a scan over `cfg.targets`: exactly
-    /// [`run_plan`](ScanEngine::run_plan) with a
-    /// [`ProbePlan::Prefixes`] plan over the configured prefixes.
-    pub fn run(&self, cfg: &ScanConfig) -> ScanReport {
-        self.run_plan(&ProbePlan::Prefixes(cfg.targets.clone()), 0, &[], cfg)
-            .expect("v4 prefixes are always enumerable")
-    }
-}
-
 impl<F: ScanFamily> ScanEngine<F> {
     /// Create an engine over a simulated network.
     pub fn new(network: Arc<SimNetwork<F>>) -> ScanEngine<F> {
@@ -479,8 +423,6 @@ impl<F: ScanFamily> ScanEngine<F> {
     /// [`StreamError`] *before* any probe is sent, so callers can fall
     /// back to dense sub-prefix, hitlist, or sampling plans. Every v4
     /// plan is streamable; v4 callers may unwrap.
-    ///
-    /// `cfg.targets` is ignored; the plan is the target.
     pub fn run_plan(
         &self,
         plan: &ProbePlan<F>,
@@ -609,15 +551,13 @@ fn scan_worker<F: ScanFamily>(
         out.duration_secs = bucket.take_n(n as u64);
         out.probes_sent += n as u64;
 
-        if cfg.wire_level && cfg.drain_batched {
+        if cfg.wire_level {
             // wire path: every probe is an encoded, checksum-validated
             // frame of the family's codec; counters come from the frames.
             // Send the whole batch first — replies park in their inline
             // stack buffers, like a ring of in-flight probes — then
             // drain it in send order. Reply outcomes are deterministic
-            // per address, so the split changes nothing observable; it
-            // keeps the SYN template hot through the send burst instead
-            // of alternating encode and validate per probe.
+            // per address, so the split changes nothing observable.
             for (i, &addr) in batch[..n].iter().enumerate() {
                 pending[i] = match F::wire_send(network, key, addr, &mut tmpl) {
                     Some((replies, src_port, seq)) => (src_port, seq, Some(replies)),
@@ -630,23 +570,6 @@ fn scan_worker<F: ScanFamily>(
                     continue;
                 };
                 let counted = F::wire_drain(cfg, addr, *src_port, *seq, replies);
-                out.validation_failures += counted.validation_failures;
-                out.rst_responses += counted.rsts;
-                if counted.syn_acks > 0 {
-                    out.responses += counted.syn_acks;
-                    if seen.insert(addr) {
-                        out.responsive.push(addr);
-                    }
-                }
-            }
-        } else if cfg.wire_level {
-            // interleaved drain: validate each probe's replies before
-            // sending the next — the pre-batching schedule, kept for the
-            // drain benchmark's same-machine comparison
-            for &addr in &batch[..n] {
-                let Some(counted) = F::wire_probe(network, cfg, key, addr, &mut tmpl) else {
-                    continue;
-                };
                 out.validation_failures += counted.validation_failures;
                 out.rst_responses += counted.rsts;
                 if counted.syn_acks > 0 {
@@ -713,9 +636,14 @@ mod tests {
         Arc::new(SimNetwork::new(responder, faults, 7))
     }
 
+    /// Scan a prefix list, as a plan with no announced space.
+    fn scan(engine: &ScanEngine, targets: &[&str], cfg: &ScanConfig) -> ScanReport {
+        let plan = ProbePlan::Prefixes(targets.iter().map(|t| p(t)).collect());
+        engine.run_plan(&plan, 0, &[], cfg).unwrap()
+    }
+
     fn base_cfg() -> ScanConfig {
         ScanConfig::for_port(80)
-            .targets(vec![p("1.0.0.0/24")])
             .unlimited_rate()
             .threads(2)
             .blocklist(Blocklist::empty())
@@ -724,7 +652,7 @@ mod tests {
     #[test]
     fn perfect_scan_finds_every_host() {
         let engine = ScanEngine::new(demo_network(FaultConfig::default()));
-        let report = engine.run(&base_cfg());
+        let report = scan(&engine, &["1.0.0.0/24"], &base_cfg());
         assert_eq!(report.probes_sent, 256);
         assert_eq!(report.responsive.len(), 32);
         assert_eq!(report.responses, 32);
@@ -735,11 +663,15 @@ mod tests {
     #[test]
     fn logical_and_wire_level_agree() {
         let engine = ScanEngine::new(demo_network(FaultConfig::default()));
-        let wire = engine.run(&base_cfg());
-        let logical = engine.run(&ScanConfig {
-            wire_level: false,
-            ..base_cfg()
-        });
+        let wire = scan(&engine, &["1.0.0.0/24"], &base_cfg());
+        let logical = scan(
+            &engine,
+            &["1.0.0.0/24"],
+            &ScanConfig {
+                wire_level: false,
+                ..base_cfg()
+            },
+        );
         assert_eq!(wire.responsive, logical.responsive);
         assert_eq!(wire.probes_sent, logical.probes_sent);
     }
@@ -752,7 +684,7 @@ mod tests {
             duplicate: 0.0,
             latency_ms: 10.0,
         }));
-        let report = engine.run(&base_cfg());
+        let report = scan(&engine, &["1.0.0.0/24"], &base_cfg());
         assert!(report.responsive.len() < 32, "loss must cost coverage");
         assert!(report.responsive.len() > 5, "but not everything");
     }
@@ -765,7 +697,7 @@ mod tests {
             duplicate: 1.0,
             latency_ms: 1.0,
         }));
-        let report = engine.run(&base_cfg());
+        let report = scan(&engine, &["1.0.0.0/24"], &base_cfg());
         assert_eq!(report.responsive.len(), 32, "dedup must hold");
         assert_eq!(report.responses, 64, "every SYN-ACK arrived twice");
     }
@@ -779,7 +711,7 @@ mod tests {
             b
         };
         let engine = ScanEngine::new(demo_network(FaultConfig::default()));
-        let report = engine.run(&cfg);
+        let report = scan(&engine, &["1.0.0.0/24"], &cfg);
         assert_eq!(report.blocked_skipped, 128);
         assert_eq!(report.probes_sent, 128);
         assert_eq!(report.responsive.len(), 16, "only the upper half answered");
@@ -792,7 +724,7 @@ mod tests {
         let mut cfg = base_cfg();
         cfg.rate_pps = 1000.0;
         cfg.threads = 1;
-        let report = engine.run(&cfg);
+        let report = scan(&engine, &["1.0.0.0/24"], &cfg);
         // 256 probes at 1000 pps ≈ 0.25 s minus the initial burst
         assert!(
             report.duration_secs > 0.1,
@@ -844,7 +776,7 @@ mod tests {
         // the network models 35 ms of one-way latency. One round trip
         // (2 × latency) must show up in the aggregate duration.
         let engine = ScanEngine::new(demo_network(FaultConfig::default()));
-        let report = engine.run(&base_cfg());
+        let report = scan(&engine, &["1.0.0.0/24"], &base_cfg());
         assert!(
             (report.duration_secs - 0.07).abs() < 1e-12,
             "duration {}",
@@ -863,7 +795,7 @@ mod tests {
             b
         };
         let engine = ScanEngine::new(demo_network(FaultConfig::default()));
-        let report = engine.run(&cfg);
+        let report = scan(&engine, &["1.0.0.0/24"], &cfg);
         assert_eq!(report.probes_sent, 0);
         assert_eq!(report.blocked_skipped, 256);
         assert_eq!(report.duration_secs, 0.0, "no probes, no elapsed time");
@@ -873,9 +805,7 @@ mod tests {
     #[test]
     fn empty_scan_has_zero_duration() {
         let engine = ScanEngine::new(demo_network(FaultConfig::default()));
-        let mut cfg = base_cfg();
-        cfg.targets = Vec::new();
-        let report = engine.run(&cfg);
+        let report = scan(&engine, &[], &base_cfg());
         assert_eq!(report.duration_secs, 0.0);
     }
 
@@ -884,7 +814,7 @@ mod tests {
         let engine = ScanEngine::new(demo_network(FaultConfig::default()));
         let mut cfg = base_cfg();
         cfg.banner_grab = true;
-        let report = engine.run(&cfg);
+        let report = scan(&engine, &["1.0.0.0/24"], &cfg);
         assert_eq!(report.banners_grabbed, 32);
         assert!(!report.sample_banners.is_empty());
         assert!(report.sample_banners[0].1.contains("HTTP/1.1"));
@@ -900,10 +830,11 @@ mod tests {
         hosts.extend((0..256u32).filter(|i| i % 4 == 0).map(|i| 0x0200_0000 + i));
         let responder = Responder::new().with_service(Protocol::Http, HostSet::from_addrs(hosts));
         let engine = ScanEngine::new(Arc::new(SimNetwork::perfect(responder)));
-        let mut cfg = base_cfg();
-        cfg.targets = vec![p("1.0.0.0/24"), p("2.0.0.0/24"), p("3.0.0.0/24")];
-        cfg.threads = 3;
-        let report = engine.run(&cfg);
+        let report = scan(
+            &engine,
+            &["1.0.0.0/24", "2.0.0.0/24", "3.0.0.0/24"],
+            &base_cfg().threads(3),
+        );
         assert_eq!(report.probes_sent, 3 * 256);
         assert_eq!(report.responsive.len(), 32 + 64);
     }
@@ -911,9 +842,7 @@ mod tests {
     #[test]
     fn empty_targets_yield_empty_report() {
         let engine = ScanEngine::new(demo_network(FaultConfig::default()));
-        let mut cfg = base_cfg();
-        cfg.targets = Vec::new();
-        let report = engine.run(&cfg);
+        let report = scan(&engine, &[], &base_cfg());
         assert_eq!(report.probes_sent, 0);
         assert_eq!(report.hitrate, 0.0);
         assert!(report.responsive.is_empty());
@@ -936,19 +865,6 @@ mod tests {
         let plan = ProbePlan::Prefixes(vec![p("9.9.9.9/32")]);
         let addrs: Vec<u32> = plan.stream(0, &[], 4).collect();
         assert_eq!(addrs, vec![0x09090909]);
-    }
-
-    #[test]
-    fn run_plan_prefixes_equals_run_with_targets() {
-        let engine = ScanEngine::new(demo_network(FaultConfig::default()));
-        let cfg = base_cfg();
-        let by_targets = engine.run(&cfg);
-        let plan = ProbePlan::Prefixes(vec![p("1.0.0.0/24")]);
-        let by_plan = engine
-            .run_plan(&plan, 0, &[], &cfg.clone().targets(Vec::new()))
-            .unwrap();
-        assert_eq!(by_plan.responsive, by_targets.responsive);
-        assert_eq!(by_plan.probes_sent, by_targets.probes_sent);
     }
 
     #[test]
@@ -1153,6 +1069,5 @@ mod tests {
         assert!(!built.wire_level);
         assert_eq!(built.source_ip, 7);
         assert_eq!(built.seed, 99);
-        assert!(built.targets.is_empty());
     }
 }

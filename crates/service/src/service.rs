@@ -789,7 +789,7 @@ impl ServiceCore {
             inner,
             months: months_total,
         };
-        let (kind, protocol, seed) = (checkpoint.kind, checkpoint.protocol, checkpoint.seed);
+        let (kind, protocol, identity) = (checkpoint.kind, checkpoint.protocol, checkpoint.job());
         let delay = self.cfg.month_delay;
         let mut control = |month: u32, done: &[MonthEval]| {
             {
@@ -801,11 +801,12 @@ impl ServiceCore {
                         // One-time per job: render the envelope prefix
                         // from the first completed month. partial_result
                         // routes through the same constructor as the
-                        // final result, so these bytes match the stored
-                        // result's prefix exactly.
-                        let partial =
-                            partial_result(&source, kind, protocol, seed, done[..1].to_vec())
-                                .expect("done is non-empty");
+                        // final result, and the job stamp is the one the
+                        // checkpointed driver adds, so these bytes match
+                        // the stored result's prefix exactly.
+                        let partial = partial_result(&source, &kind, protocol, done[..1].to_vec())
+                            .expect("done is non-empty")
+                            .with_job(identity.clone());
                         let json = serde_json::to_string(&partial)
                             .expect("campaign results always serialize");
                         let spans = month_spans(&json).expect("results carry a months array");

@@ -13,13 +13,13 @@
 //! six-month horizon — and loses coverage to them, instructively: with
 //! decay but *no exploration budget* the selection can only shrink, so
 //! the strategy drifts toward high efficiency at falling hitrate (compare
-//! `AdaptiveTass`, whose rotating exploration re-discovers churned
-//! units).
+//! `StrategyKind::AdaptiveTass`, whose rotating exploration re-discovers
+//! churned units).
 //!
 //! Run with: `cargo run --release --example adaptive_strategy`
 
 use tass::bgp::ViewKind;
-use tass::core::campaign::{run_campaign, run_campaign_strategy};
+use tass::core::campaign::run_campaign_strategy;
 use tass::core::plan::{CycleOutcome, ProbePlan};
 use tass::core::strategy::{PreparedStrategy, Strategy, StrategyKind};
 use tass::core::{rank_from_counts, rank_units, select_prefixes, Selection};
@@ -118,7 +118,7 @@ fn main() {
         "strategy", "hit@1", "hit@3", "hit@6", "avg probes"
     );
 
-    // built-ins through the registry…
+    // built-ins from the registry: every `StrategyKind` is a `Strategy`…
     let view = ViewKind::MoreSpecific;
     let builtins = [
         StrategyKind::Tass { view, phi: 0.95 },
@@ -135,10 +135,10 @@ fn main() {
     ];
     let mut results: Vec<_> = builtins
         .iter()
-        .map(|&k| run_campaign(&universe, k, proto, seed))
+        .map(|k| run_campaign_strategy(&universe, k, proto, seed))
         .collect();
 
-    // …and the user-defined strategy through the very same driver
+    // …so the user-defined one runs through the very same driver
     results.push(run_campaign_strategy(
         &universe,
         &EwmaTass {

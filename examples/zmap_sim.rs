@@ -8,6 +8,7 @@
 //! Run with: `cargo run --release --example zmap_sim`
 
 use std::sync::Arc;
+use tass::core::ProbePlan;
 use tass::model::{HostSet, Protocol};
 use tass::net::Prefix;
 use tass::scan::{Blocklist, FaultConfig, Responder, ScanConfig, ScanEngine, SimNetwork};
@@ -34,11 +35,11 @@ fn main() {
     let network = Arc::new(SimNetwork::new(responder, faults, 7));
     let engine = ScanEngine::new(Arc::clone(&network));
 
+    let targets = vec![
+        "203.0.16.0/20".parse::<Prefix>().unwrap(),
+        "198.19.64.0/20".parse::<Prefix>().unwrap(),
+    ];
     let cfg = ScanConfig::for_port(Protocol::Ftp.port())
-        .targets(vec![
-            "203.0.16.0/20".parse::<Prefix>().unwrap(),
-            "198.19.64.0/20".parse::<Prefix>().unwrap(),
-        ])
         .rate(50_000.0)
         .threads(4)
         .blocklist(Blocklist::iana_default())
@@ -47,11 +48,13 @@ fn main() {
 
     println!(
         "scanning {} addresses at {} pps over {} threads (wire level)…",
-        cfg.targets.iter().map(|p| p.size()).sum::<u64>(),
+        targets.iter().map(|p| p.size()).sum::<u64>(),
         cfg.rate_pps,
         cfg.threads
     );
-    let report = engine.run(&cfg);
+    let report = engine
+        .run_plan(&ProbePlan::Prefixes(targets), 0, &[], &cfg)
+        .expect("v4 prefix plans always stream");
 
     println!("\nscan report:");
     println!("  probes sent          {}", report.probes_sent);

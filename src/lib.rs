@@ -72,7 +72,7 @@
 //! ```
 //! use std::sync::Arc;
 //! use tass::core::plan::CycleOutcome;
-//! use tass::core::{Strategy, Tass};
+//! use tass::core::{Strategy, StrategyKind};
 //! use tass::bgp::ViewKind;
 //! use tass::model::{Protocol, Universe, UniverseConfig};
 //! use tass::scan::{Blocklist, Responder, ScanConfig, ScanEngine, SimNetwork};
@@ -82,7 +82,7 @@
 //! let t0 = universe.snapshot(0, Protocol::Http);
 //!
 //! // prepare the strategy and plan cycle 0
-//! let strategy = Tass { view: ViewKind::MoreSpecific, phi: 0.95 };
+//! let strategy = StrategyKind::Tass { view: ViewKind::MoreSpecific, phi: 0.95 };
 //! let mut prepared = strategy.prepare(topo, t0, 7);
 //! let plan = prepared.plan(0);
 //!
@@ -276,9 +276,9 @@
 //! hitlist-/prefix-seeded plans are the only strategy:
 //!
 //! ```
-//! use tass::core::campaign::run_campaign_v6;
+//! use tass::core::campaign::run_campaign_strategy;
 //! use tass::core::strategy::{V6BlockTass, V6FreshSample};
-//! use tass::model::{V6Universe, V6UniverseConfig};
+//! use tass::model::{Protocol, V6Universe, V6UniverseConfig};
 //!
 //! // A sparse seeded v6 universe: /48–/64 operator prefixes, responsive
 //! // hosts clustered in dense /116 blocks, monthly churn.
@@ -287,16 +287,23 @@
 //!
 //! // TASS transplanted to v6: rank the hitlist's /116 blocks by density,
 //! // select phi = 0.95, re-rank from each cycle's own responses.
-//! let tass = run_campaign_v6(
+//! // The same driver as for v4: only the strategy's family differs.
+//! let tass = run_campaign_strategy(
 //!     &universe,
 //!     &V6BlockTass { phi: 0.95, block_len: 116 },
+//!     Protocol::Http,
 //!     42,
 //! );
 //! assert!(tass.hitrate(0) > 0.95);
 //! assert!(tass.final_hitrate() > 0.9, "dense blocks persist through churn");
 //!
 //! // …while a uniform sample of 2^81 addresses finds nothing at all.
-//! let sample = run_campaign_v6(&universe, &V6FreshSample { per_cycle: 100_000 }, 42);
+//! let sample = run_campaign_strategy(
+//!     &universe,
+//!     &V6FreshSample { per_cycle: 100_000 },
+//!     Protocol::Http,
+//!     42,
+//! );
 //! assert!(sample.final_hitrate() < 1e-3);
 //! ```
 //!

@@ -17,9 +17,12 @@
 
 use proptest::prelude::*;
 use std::sync::Arc;
+use tass::core::ProbePlan;
 use tass::model::{HostSet, Protocol};
 use tass::net::Prefix;
-use tass::scan::{Blocklist, FaultConfig, Responder, ScanConfig, ScanEngine, SimNetwork};
+use tass::scan::{
+    Blocklist, FaultConfig, Responder, ScanConfig, ScanEngine, ScanReport, SimNetwork,
+};
 
 /// Faults aggressive enough that every branch of the model fires.
 fn lossy_faults() -> FaultConfig {
@@ -49,14 +52,17 @@ fn demo_network(faults: FaultConfig) -> Arc<SimNetwork> {
     Arc::new(SimNetwork::new(responder, faults, 0xFEED_5EED))
 }
 
-fn demo_cfg(threads: usize, wire_level: bool) -> ScanConfig {
-    let mut cfg = ScanConfig::for_port(80)
-        .targets(vec!["10.42.0.0/22".parse::<Prefix>().unwrap()])
+/// Scan 10.42.0.0/22 on port 80 over `threads` workers.
+fn demo_scan(network: Arc<SimNetwork>, threads: usize, wire_level: bool) -> ScanReport {
+    let cfg = ScanConfig::for_port(80)
         .unlimited_rate()
         .threads(threads)
-        .blocklist(Blocklist::empty());
-    cfg.wire_level = wire_level;
-    cfg
+        .blocklist(Blocklist::empty())
+        .wire_level(wire_level);
+    let plan = ProbePlan::Prefixes(vec!["10.42.0.0/22".parse::<Prefix>().unwrap()]);
+    ScanEngine::new(network)
+        .run_plan(&plan, 0, &[], &cfg)
+        .unwrap()
 }
 
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -72,8 +78,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 fn lossy_scan_is_byte_identical_across_thread_counts() {
     let mut jsons = Vec::new();
     for threads in [1usize, 2, 8] {
-        let engine = ScanEngine::new(demo_network(lossy_faults()));
-        let report = engine.run(&demo_cfg(threads, true));
+        let report = demo_scan(demo_network(lossy_faults()), threads, true);
         jsons.push(serde_json::to_string(&report).expect("report serializes"));
     }
     assert_eq!(jsons[0], jsons[1], "1 vs 2 threads");
@@ -93,8 +98,8 @@ fn lossy_scan_is_byte_identical_across_thread_counts() {
 fn wire_and_logical_engines_agree_with_identical_net_stats() {
     let wire_net = demo_network(lossy_faults());
     let logical_net = demo_network(lossy_faults());
-    let wire = ScanEngine::new(Arc::clone(&wire_net)).run(&demo_cfg(4, true));
-    let logical = ScanEngine::new(Arc::clone(&logical_net)).run(&demo_cfg(4, false));
+    let wire = demo_scan(Arc::clone(&wire_net), 4, true);
+    let logical = demo_scan(Arc::clone(&logical_net), 4, false);
     assert_eq!(
         serde_json::to_string(&wire).unwrap(),
         serde_json::to_string(&logical).unwrap(),

@@ -13,7 +13,7 @@
 //! suppression) are checked at 128-bit width.
 
 use std::sync::Arc;
-use tass::core::campaign::run_campaign_v6;
+use tass::core::campaign::{partial_result, run_campaign_strategy};
 use tass::core::plan::CycleOutcome;
 use tass::core::strategy::{Strategy, V6BlockTass, V6FreshSample, V6Hitlist};
 use tass::core::ProbePlan;
@@ -110,8 +110,8 @@ fn v6_engine_matches_analytic_evaluation_on_perfect_network() {
         phi: 0.95,
         block_len: 116,
     };
-    // analytic campaign (run_campaign_v6) vs engine-driven at month 0
-    let analytic = run_campaign_v6(&u, &strategy, 7);
+    // analytic campaign vs engine-driven at month 0
+    let analytic = run_campaign_strategy(&u, &strategy, t0.protocol, 7);
     let plan = strategy.prepare(u.space(), t0, 7).plan(0);
     let report = engine_for(t0)
         .run_plan(&plan, 0, u.space().announced(), &cfg())
@@ -122,6 +122,37 @@ fn v6_engine_matches_analytic_evaluation_on_perfect_network() {
     );
     assert_eq!(report.probes_sent, analytic.months[0].eval.probes);
     assert!(report.hitrate > 0.0, "nonzero engine hitrate");
+}
+
+#[test]
+fn v6_partial_result_envelope_matches_the_final_result() {
+    // an in-flight campaign's envelope, rendered from its first k months,
+    // must serialize byte-identically to the finished result up to the
+    // months array — the property result streaming relies on
+    let u = universe();
+    let strategy = V6BlockTass {
+        phi: 0.95,
+        block_len: 116,
+    };
+    let protocol = u.snapshot(0).protocol;
+    let done = run_campaign_strategy(&u, &strategy, protocol, 7);
+    let final_json = serde_json::to_string(&done).unwrap();
+    let envelope = |json: &str| {
+        let open = json
+            .find("\"months\":[")
+            .expect("results carry a months array");
+        json[..open + "\"months\":[".len()].to_string()
+    };
+    assert!(partial_result(&u, &strategy, protocol, Vec::new()).is_none());
+    for k in 1..=done.months.len() {
+        let partial = partial_result(&u, &strategy, protocol, done.months[..k].to_vec())
+            .expect("at least one month done");
+        let json = serde_json::to_string(&partial).unwrap();
+        assert_eq!(envelope(&json), envelope(&final_json), "first {k} months");
+        if k == done.months.len() {
+            assert_eq!(partial, done, "every month done is the final result");
+        }
+    }
 }
 
 #[test]

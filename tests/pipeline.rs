@@ -11,7 +11,7 @@ use tass::bgp::ViewKind;
 use tass::core::density::rank_units;
 use tass::core::plan::ProbePlan;
 use tass::core::select::select_prefixes;
-use tass::core::strategy::{Prepared, StrategyKind};
+use tass::core::strategy::{Strategy, StrategyKind};
 use tass::model::{Protocol, Universe, UniverseConfig};
 use tass::scan::{Blocklist, FaultConfig, Responder, ScanConfig, ScanEngine, SimNetwork};
 
@@ -80,14 +80,14 @@ fn lossy_seeding_scan_still_yields_a_good_selection() {
         0xBAD,
     )));
     let targets: Vec<_> = topo.l_view.units().iter().map(|un| un.prefix).collect();
-    let report = engine.run(
-        &ScanConfig::for_port(proto.port())
-            .targets(targets)
-            .unlimited_rate()
-            .threads(8)
-            .blocklist(Blocklist::empty())
-            .wire_level(false),
-    );
+    let cfg = ScanConfig::for_port(proto.port())
+        .unlimited_rate()
+        .threads(8)
+        .blocklist(Blocklist::empty())
+        .wire_level(false);
+    let report = engine
+        .run_plan(&ProbePlan::Prefixes(targets), 0, &[], &cfg)
+        .unwrap();
 
     // ~8% of hosts lost to the network…
     let found_frac = report.responsive.len() as f64 / t0.len() as f64;
@@ -111,6 +111,7 @@ fn lossy_seeding_scan_still_yields_a_good_selection() {
 #[test]
 fn full_matrix_hitrates_ordered_and_bounded() {
     let u = universe();
+    let announced = u.topology().announced_space();
     for proto in Protocol::ALL {
         let t0 = u.snapshot(0, proto);
         let strategies = [
@@ -125,13 +126,17 @@ fn full_matrix_hitrates_ordered_and_bounded() {
             },
             StrategyKind::IpHitlist,
         ];
-        let prepared: Vec<Prepared> = strategies
+        // each static strategy frozen at t₀: its cycle-0 plan
+        let plans: Vec<ProbePlan> = strategies
             .iter()
-            .map(|&k| Prepared::prepare(k, u.topology(), t0, 7))
+            .map(|k| k.prepare(u.topology(), t0, 7).plan(0))
             .collect();
         for month in 0..=u.months() {
             let truth = u.snapshot(month, proto);
-            let evals: Vec<_> = prepared.iter().map(|p| p.evaluate(truth, month)).collect();
+            let evals: Vec<_> = plans
+                .iter()
+                .map(|p| p.evaluate(truth, month, announced))
+                .collect();
             for e in &evals {
                 assert!(e.hitrate >= 0.0 && e.hitrate <= 1.0);
                 assert!(e.found <= e.total);
@@ -142,7 +147,7 @@ fn full_matrix_hitrates_ordered_and_bounded() {
             }
         }
         // probe ordering: full > tass(l,1) > tass(m,.95) > hitlist
-        let probes: Vec<u64> = prepared.iter().map(|p| p.probes_per_cycle).collect();
+        let probes: Vec<u64> = plans.iter().map(|p| p.probe_count(announced)).collect();
         assert!(probes[0] > probes[1]);
         assert!(probes[1] > probes[2]);
         assert!(probes[2] > probes[3]);
@@ -154,23 +159,21 @@ fn headline_claim_traffic_cut_vs_coverage_loss() {
     // Abstract: "reduce scan traffic between 25-90% and miss only 1-10% of
     // the hosts, depending on desired trade-offs and protocols."
     let u = universe();
+    let announced = u.topology().announced_space();
     for proto in Protocol::ALL {
         let t0 = u.snapshot(0, proto);
-        let prep = Prepared::prepare(
-            StrategyKind::Tass {
-                view: ViewKind::MoreSpecific,
-                phi: 0.95,
-            },
-            u.topology(),
-            t0,
-            7,
-        );
-        let cut = 1.0 - prep.probe_space_fraction;
+        let plan = StrategyKind::Tass {
+            view: ViewKind::MoreSpecific,
+            phi: 0.95,
+        }
+        .prepare(u.topology(), t0, 7)
+        .plan(0);
+        let cut = 1.0 - plan.space_fraction(announced);
         assert!(
             (0.25..=0.99).contains(&cut),
             "{proto}: traffic cut {cut} outside the paper's 25-90%+ band"
         );
-        let final_eval = prep.evaluate(u.snapshot(6, proto), 6);
+        let final_eval = plan.evaluate(u.snapshot(6, proto), 6, announced);
         let miss = 1.0 - final_eval.hitrate;
         assert!(
             miss <= 0.15,

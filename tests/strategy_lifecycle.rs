@@ -4,9 +4,9 @@
 //!
 //! 1. **Equivalence** — every seed strategy, run through the new
 //!    `Strategy`/`PreparedStrategy`/`ProbePlan` lifecycle, produces
-//!    campaign results identical to the frozen `Prepared` path (the seed
-//!    implementation's semantics), including `ReseedingTass` with
-//!    Δt = ∞ reproducing plain `Tass` exactly.
+//!    campaign results identical to freezing its t₀ plan and evaluating
+//!    that against every month (the paper's §4 semantics), including
+//!    `ReseedingTass` with Δt = ∞ reproducing plain `Tass` exactly.
 //! 2. **Adaptivity pays** — both feedback strategies beat the frozen
 //!    baseline's month-6 hitrate in the default scenario while probing
 //!    less space than a monthly full scan.
@@ -19,7 +19,7 @@ use std::sync::Arc;
 use tass::bgp::ViewKind;
 use tass::core::campaign::{run_campaign, run_campaign_strategy};
 use tass::core::plan::{CycleOutcome, ProbePlan};
-use tass::core::strategy::{Prepared, PreparedStrategy, ReseedingTass, Strategy, StrategyKind};
+use tass::core::strategy::{PreparedStrategy, ReseedingTass, Strategy, StrategyKind};
 use tass::core::Selection;
 use tass::model::{HostSet, Protocol, Snapshot, Topology, Universe, UniverseConfig};
 use tass::scan::{Blocklist, Responder, ScanConfig, ScanEngine, SimNetwork};
@@ -55,18 +55,20 @@ fn seed_kinds() -> Vec<StrategyKind> {
 #[test]
 fn trait_lifecycle_equals_frozen_prepared_for_all_seed_strategies() {
     let u = universe();
+    let announced = u.topology().announced_space();
     for kind in seed_kinds() {
         for proto in [Protocol::Http, Protocol::Cwmp] {
             // the lifecycle path: prepare → plan → evaluate → observe
             let lifecycle = run_campaign(&u, kind, proto, 7);
-            // the seed path: freeze at t₀, evaluate each month
-            let frozen = Prepared::prepare(kind, u.topology(), u.snapshot(0, proto), 7);
+            // the frozen path: the t₀ plan, evaluated against each month
+            let frozen = kind.prepare(u.topology(), u.snapshot(0, proto), 7).plan(0);
             assert_eq!(
-                lifecycle.probes_per_cycle, frozen.probes_per_cycle,
+                lifecycle.probes_per_cycle,
+                frozen.probe_count(announced),
                 "{kind:?}/{proto}: probe cost must match"
             );
             for m in 0..=u.months() {
-                let reference = frozen.evaluate(u.snapshot(m, proto), m);
+                let reference = frozen.evaluate(u.snapshot(m, proto), m, announced);
                 assert_eq!(
                     lifecycle.months[m as usize].eval, reference,
                     "{kind:?}/{proto} month {m}: evals must be byte-identical"

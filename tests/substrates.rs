@@ -4,6 +4,7 @@
 
 use std::sync::Arc;
 use tass::bgp::{pfx2as, View, ViewKind};
+use tass::core::ProbePlan;
 use tass::model::{HostSet, Protocol, Snapshot};
 use tass::net::{iana, Prefix, PrefixSet};
 use tass::scan::{Blocklist, Responder, ScanConfig, ScanEngine, SimNetwork};
@@ -81,14 +82,13 @@ fn wire_level_engine_respects_blocklist_and_finds_hosts() {
     let engine = ScanEngine::new(Arc::new(SimNetwork::perfect(responder)));
     let mut blocklist = Blocklist::empty();
     blocklist.block("11.0.1.0/24".parse::<Prefix>().unwrap());
-    let report = engine.run(
-        &ScanConfig::for_port(80)
-            .targets(vec!["11.0.0.0/22".parse::<Prefix>().unwrap()])
-            .unlimited_rate()
-            .threads(3)
-            .blocklist(blocklist)
-            .banner_grab(true),
-    );
+    let plan = ProbePlan::Prefixes(vec!["11.0.0.0/22".parse::<Prefix>().unwrap()]);
+    let cfg = ScanConfig::for_port(80)
+        .unlimited_rate()
+        .threads(3)
+        .blocklist(blocklist)
+        .banner_grab(true);
+    let report = engine.run_plan(&plan, 0, &[], &cfg).unwrap();
     assert_eq!(report.probes_sent, 1024 - 256);
     assert_eq!(report.blocked_skipped, 256);
     // hosts at even offsets: 512 total, 128 of them inside the blocked /24
