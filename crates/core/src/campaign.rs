@@ -12,12 +12,24 @@
 //! [`observe`](crate::strategy::PreparedStrategy::observe) so
 //! feedback-driven strategies (re-seeding, adaptive) can react.
 //!
+//! One loop drives every campaign, and it drives them in *units*: one or
+//! more campaigns on the same protocol, run in lockstep. The unit loads
+//! t₀ once and prepares every campaign from it, then loads each month
+//! **once** and runs `plan → evaluate → observe` for each campaign in
+//! turn. A serial matrix of `k` strategies over a disk corpus therefore
+//! reads and decodes each month once per protocol, not `k` times,
+//! whatever the corpus's month cache holds. The single-campaign drivers
+//! ([`run_campaign_strategy`], the service's
+//! [`run_campaign_checkpointed`]) are units of one.
+//!
 //! Campaigns are independent and deterministic per seed, so the matrix
 //! shards for free: [`run_matrix`] fans its campaigns out over a
 //! [`CampaignPool`] of `std::thread` workers (sized by the
 //! `CAMPAIGN_WORKERS` environment variable, default: all cores) and
-//! gathers results in input order — byte-identical to the serial path at
-//! any worker count.
+//! gathers results in input order — byte-identical to the serial path,
+//! and to one campaign at a time, at any worker count. Only a serial
+//! pool groups campaigns into multi-campaign units; a pool of several
+//! workers claims one campaign at a time so uneven campaigns balance.
 //!
 //! Nothing here reads the synthetic `Universe` concretely: every driver
 //! is generic over a [`GroundTruth`] source, so a corpus of real monthly
@@ -227,77 +239,105 @@ pub enum CampaignRun {
     Suspended(CampaignCheckpoint),
 }
 
-/// The family-generic campaign loop every public driver funnels into:
-/// prepare at t₀ from the source's seeding context, then
-/// `plan → evaluate → observe` for each month the source holds.
-///
-/// On entry `months` holds the evaluations of months already completed
-/// by an earlier (interrupted) run: the driver rebuilds the strategy's
-/// state by replaying those cycles' plans and outcomes — skipping the
-/// expensive `evaluate` step, whose numbers are already stored — and
-/// appends each further month as it completes. `control` is consulted
-/// at each remaining month boundary; the return value is `false` when
-/// it suspended the campaign and `true` when every month of the source
-/// ran. Both paths are byte-identical to an uninterrupted serial run
-/// (campaigns are deterministic per seed).
-fn drive_campaign_from<F, G>(
-    source: &G,
-    strategy: &dyn Strategy<F>,
-    protocol: Protocol,
+/// One campaign of a lockstep unit: the strategy and seed that define
+/// it, and the evaluations of every month it has completed.
+struct Lane<'s, F: FamilySpace> {
+    strategy: &'s dyn Strategy<F>,
     seed: u64,
-    months: &mut Vec<MonthEval>,
-    control: &mut dyn FnMut(u32, &[MonthEval]) -> CampaignStep,
+    months: Vec<MonthEval>,
+}
+
+/// The one campaign loop every public driver funnels into. It runs a
+/// *unit* — one or more campaigns on the same protocol — in lockstep:
+/// t₀ is loaded once and every lane is prepared from it; that same t₀
+/// doubles as month 0's truth and is released before month 1; then each
+/// month is loaded **once** and `plan → evaluate → observe` runs for
+/// each lane in unit order. Lanes never share state, so a unit's results
+/// are byte-identical to running its campaigns one by one; only the
+/// number of month loads drops (one per month, not one per lane).
+///
+/// On entry every lane holds the evaluations of the same months already
+/// completed by an earlier (interrupted) run: the driver rebuilds each
+/// strategy's state by replaying those cycles' plans and outcomes —
+/// skipping the expensive `evaluate` step, whose numbers are already
+/// stored — and appends each further month as it completes. `control` is
+/// consulted at each remaining month boundary; the return value is
+/// `false` when it suspended the unit and `true` when every month of the
+/// source ran. Both paths are byte-identical to an uninterrupted serial
+/// run (campaigns are deterministic per seed).
+fn drive_unit<F, G>(
+    source: &G,
+    protocol: Protocol,
+    lanes: &mut [Lane<'_, F>],
+    control: &mut dyn FnMut(u32, &[Lane<'_, F>]) -> CampaignStep,
 ) -> bool
 where
     F: FamilySpace,
     G: GroundTruth<F> + ?Sized,
 {
+    let done = lanes.first().map_or(0, |lane| lane.months.len());
+    debug_assert!(lanes.iter().all(|lane| lane.months.len() == done));
     let space = source.topology();
     let announced = F::announced_space(space);
-    let t0 = source.snapshot(0, protocol);
-    let mut prepared = strategy.prepare(space, &t0, seed);
-    // fast-forward: replay the completed cycles to rebuild strategy
-    // state. plan() must run for every cycle (it advances per-cycle
-    // state such as rotating exploration windows); the observe edge only
-    // matters to feedback strategies, and the stored evaluations are
-    // trusted rather than recomputed.
-    for m in 0..months.len() as u32 {
-        let plan = prepared.plan(m);
-        if prepared.wants_feedback() {
-            let truth = source.snapshot(m, protocol);
-            let outcome = CycleOutcome {
-                cycle: m,
-                probes: months[m as usize].eval.probes,
-                responsive: plan.observed(&truth, m, announced),
-            };
-            prepared.observe(m, &outcome);
-        }
-    }
-    for m in months.len() as u32..=source.months() {
-        if control(m, months) == CampaignStep::Suspend {
+    let mut t0 = Some(source.snapshot(0, protocol));
+    let mut prepared: Vec<_> = lanes
+        .iter()
+        .map(|lane| {
+            let t0 = t0.as_deref().expect("t₀ is loaded above");
+            lane.strategy.prepare(space, t0, lane.seed)
+        })
+        .collect();
+    for m in 0..=source.months() {
+        let replay = (m as usize) < done;
+        if !replay && control(m, lanes) == CampaignStep::Suspend {
             return false;
         }
-        let truth = source.snapshot(m, protocol);
-        let plan = prepared.plan(m);
-        // Static strategies discard the responsive set, so only the
-        // analytic evaluation runs. Feedback strategies need the observed
-        // view anyway — and its length *is* the responsive count for
-        // exact plans, so the view doubles as the evaluation and the
-        // cycle pays one counting sweep, not two.
-        let eval = if prepared.wants_feedback() {
-            let responsive = plan.observed(&truth, m, announced);
-            let eval = plan.evaluate_observed(&truth, &responsive, m, announced);
-            let outcome = CycleOutcome {
-                cycle: m,
-                probes: eval.probes,
-                responsive,
+        // month 0's truth is the t₀ already loaded (taking it here drops
+        // it before month 1); later months load on first use, once for
+        // the whole unit
+        let mut truth = t0.take();
+        for (lane, prepared) in lanes.iter_mut().zip(&mut prepared) {
+            // plan() runs for every cycle, replayed ones included: it
+            // advances per-cycle state such as rotating exploration
+            // windows
+            let plan = prepared.plan(m);
+            let feedback = prepared.wants_feedback();
+            // fast-forward: the observe edge only matters to feedback
+            // strategies, and the stored evaluations are trusted rather
+            // than recomputed
+            if replay && !feedback {
+                continue;
+            }
+            let truth = truth.get_or_insert_with(|| source.snapshot(m, protocol));
+            if replay {
+                let outcome = CycleOutcome {
+                    cycle: m,
+                    probes: lane.months[m as usize].eval.probes,
+                    responsive: plan.observed(truth, m, announced),
+                };
+                prepared.observe(m, &outcome);
+                continue;
+            }
+            // Static strategies discard the responsive set, so only the
+            // analytic evaluation runs. Feedback strategies need the
+            // observed view anyway — and its length *is* the responsive
+            // count for exact plans, so the view doubles as the
+            // evaluation and the cycle pays one counting sweep, not two.
+            let eval = if feedback {
+                let responsive = plan.observed(truth, m, announced);
+                let eval = plan.evaluate_observed(truth, &responsive, m, announced);
+                let outcome = CycleOutcome {
+                    cycle: m,
+                    probes: eval.probes,
+                    responsive,
+                };
+                prepared.observe(m, &outcome);
+                eval
+            } else {
+                plan.evaluate(truth, m, announced)
             };
-            prepared.observe(m, &outcome);
-            eval
-        } else {
-            plan.evaluate(&truth, m, announced)
-        };
-        months.push(MonthEval { month: m, eval });
+            lane.months.push(MonthEval { month: m, eval });
+        }
     }
     true
 }
@@ -385,9 +425,18 @@ where
         kind,
         protocol,
         seed,
-        mut months,
+        months,
     } = checkpoint;
-    if drive_campaign_from(source, &kind, protocol, seed, &mut months, control) {
+    let mut lane = [Lane {
+        strategy: &kind,
+        seed,
+        months,
+    }];
+    let finished = drive_unit(source, protocol, &mut lane, &mut |m, lanes| {
+        control(m, &lanes[0].months)
+    });
+    let [Lane { months, .. }] = lane;
+    if finished {
         let job = CampaignJob::new(kind, protocol, seed);
         CampaignRun::Done(assemble_result(source, &kind, protocol, months).with_job(job))
     } else {
@@ -421,16 +470,16 @@ where
     F: FamilySpace,
     G: GroundTruth<F> + ?Sized,
 {
-    let mut months = Vec::new();
-    // a control that never suspends: every month runs
-    drive_campaign_from(
-        source,
+    let mut lane = [Lane {
         strategy,
-        protocol,
         seed,
-        &mut months,
-        &mut |_, _| CampaignStep::Continue,
-    );
+        months: Vec::new(),
+    }];
+    // a control that never suspends: every month runs
+    drive_unit(source, protocol, &mut lane, &mut |_, _| {
+        CampaignStep::Continue
+    });
+    let [Lane { months, .. }] = lane;
     assemble_result(source, strategy, protocol, months)
 }
 
@@ -448,15 +497,41 @@ where
     run_campaign_strategy(source, &kind, protocol, seed)
 }
 
+/// The lockstep units a pool of `workers` runs `jobs` as, each a list of
+/// ascending job indices on one protocol.
+///
+/// A serial pool groups its jobs by protocol, in order of first
+/// appearance (no sort), so each month is loaded once per protocol: with
+/// one worker there is no balance to lose. A pool of several workers
+/// keeps every job a unit of its own and claims one campaign at a time,
+/// because the pool cannot see what a campaign costs: any coarser unit
+/// lets the heaviest protocol's campaigns pile up on one worker (on a
+/// 2-vCPU VM the in-memory `campaign_matrix` bench's 4-worker matrix ran
+/// ~6 % slower as 4 units of 4 than as 16 units of 1).
+fn units(jobs: &[(StrategyKind, Protocol)], workers: usize) -> Vec<Vec<usize>> {
+    if workers > 1 {
+        return (0..jobs.len()).map(|i| vec![i]).collect();
+    }
+    let mut groups: Vec<(Protocol, Vec<usize>)> = Vec::new();
+    for (i, &(_, protocol)) in jobs.iter().enumerate() {
+        match groups.iter_mut().find(|(p, _)| *p == protocol) {
+            Some((_, group)) => group.push(i),
+            None => groups.push((protocol, vec![i])),
+        }
+    }
+    groups.into_iter().map(|(_, group)| group).collect()
+}
+
 /// A pool of campaign workers for sharding independent campaigns over
 /// threads.
 ///
 /// Every campaign in a matrix is independent (its own strategy state,
 /// its own RNG seeded from the campaign seed) and deterministic, so
-/// distributing campaigns over threads cannot change any result — only
-/// the wall clock. The pool gathers results **in input order**, so
-/// [`CampaignPool::run_matrix`] at any worker count is byte-identical to
-/// the serial loop.
+/// neither grouping campaigns into lockstep units nor distributing the
+/// units over threads can change any result — only the number of month
+/// loads and the wall clock. The pool gathers results **in input
+/// order**, so [`CampaignPool::run_matrix`] at any worker count is
+/// byte-identical to the serial loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CampaignPool {
     workers: usize,
@@ -519,9 +594,14 @@ impl CampaignPool {
     /// [`GroundTruth`] (sources are `Sync`, so one corpus or universe is
     /// shared by every worker).
     ///
-    /// Jobs are claimed dynamically (an atomic cursor, not round-robin)
-    /// so uneven campaigns — a full scan next to a hitlist — balance
-    /// across workers.
+    /// Jobs run in lockstep *units*. A serial pool makes one unit of each
+    /// protocol's jobs, in order of the protocol's first appearance, and
+    /// loads each month once per unit rather than once per campaign. A
+    /// pool of several workers makes each job a unit of its own, claimed
+    /// dynamically (an atomic cursor, not round-robin) so uneven
+    /// campaigns — a full scan next to a hitlist — balance across
+    /// workers; its campaigns share months only through the source's
+    /// own cache. Either way results are scattered back into job order.
     pub fn run_campaigns<G>(
         &self,
         source: &G,
@@ -531,23 +611,41 @@ impl CampaignPool {
     where
         G: GroundTruth + ?Sized,
     {
-        let workers = self.workers.min(jobs.len());
+        let units = units(jobs, self.workers);
+        let workers = self.workers.min(units.len());
         let cursor = AtomicUsize::new(0);
-        // claim jobs from one shared cursor until none remain; spawned
+        // claim units from one shared cursor until none remain; spawned
         // workers and the calling thread all run this same loop
         let claim = |out: &mut dyn FnMut(usize, CampaignResult)| loop {
-            let i = cursor.fetch_add(1, Ordering::Relaxed);
-            let Some(&(kind, proto)) = jobs.get(i) else {
+            let u = cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(unit) = units.get(u) else {
                 break;
             };
-            out(i, run_campaign(source, kind, proto, seed));
+            let protocol = jobs[unit[0]].1;
+            let mut lanes: Vec<_> = unit
+                .iter()
+                .map(|&i| Lane {
+                    strategy: &jobs[i].0,
+                    seed,
+                    months: Vec::new(),
+                })
+                .collect();
+            drive_unit(source, protocol, &mut lanes, &mut |_, _| {
+                CampaignStep::Continue
+            });
+            for (&i, lane) in unit.iter().zip(lanes) {
+                out(
+                    i,
+                    assemble_result(source, lane.strategy, protocol, lane.months),
+                );
+            }
         };
         let mut slots: Vec<Option<CampaignResult>> = vec![None; jobs.len()];
         let (tx, rx) = mpsc::channel::<(usize, CampaignResult)>();
         std::thread::scope(|scope| {
-            // the calling thread is the last worker, so a matrix of w
-            // jobs costs w−1 thread spawns, not w, and the caller's core
-            // is never idle while campaigns remain (one worker spawns
+            // the calling thread is the last worker, so a pool of w
+            // workers costs w−1 thread spawns, not w, and the caller's
+            // core is never idle while units remain (one worker spawns
             // nothing at all)
             for _ in 1..workers {
                 let tx = tx.clone();
@@ -749,6 +847,61 @@ mod tests {
             let pooled = CampaignPool::new(workers).run_matrix(&u, &kinds, 9);
             assert_eq!(serial, pooled, "{workers} workers");
         }
+    }
+
+    #[test]
+    fn units_group_protocols_serially_and_keep_pooled_jobs_single() {
+        use Protocol::*;
+        let k = StrategyKind::IpHitlist;
+        let matrix: Vec<_> = Protocol::ALL
+            .iter()
+            .flat_map(|&p| [k, StrategyKind::FullScan, k].map(|kind| (kind, p)))
+            .collect();
+        let lists: Vec<Vec<(StrategyKind, Protocol)>> = vec![
+            Vec::new(),
+            vec![(k, Http)],
+            // fig5 / fig6: one campaign per protocol
+            Protocol::ALL.iter().map(|&p| (k, p)).collect(),
+            // corpus_scale: one protocol, many strategies
+            vec![(k, Http); 4],
+            // pareto / adaptive: protocol-major blocks
+            [Http, Cwmp]
+                .iter()
+                .flat_map(|&p| std::iter::repeat_n((k, p), 7))
+                .collect(),
+            // interleaved protocols
+            vec![(k, Cwmp), (k, Http), (k, Cwmp), (k, Ftp), (k, Http)],
+            matrix.clone(),
+        ];
+        for jobs in &lists {
+            // serial: one unit per protocol, in order of each protocol's
+            // first job, job order kept within a protocol
+            let mut order: Vec<Protocol> = Vec::new();
+            for &(_, p) in jobs {
+                if !order.contains(&p) {
+                    order.push(p);
+                }
+            }
+            let expected: Vec<Vec<usize>> = order
+                .iter()
+                .map(|&p| (0..jobs.len()).filter(|&i| jobs[i].1 == p).collect())
+                .collect();
+            assert_eq!(units(jobs, 1), expected, "{jobs:?}");
+            // pooled: one campaign per unit, so claiming balances exactly
+            // as per-job claiming does
+            let single: Vec<Vec<usize>> = (0..jobs.len()).map(|i| vec![i]).collect();
+            for workers in 2..=8 {
+                assert_eq!(units(jobs, workers), single, "{workers} workers");
+            }
+        }
+        // the shapes the pool docs promise
+        assert_eq!(units(&matrix, 1).len(), 4, "serial 12-job matrix");
+        assert_eq!(units(&lists[3], 4).len(), 4, "4 cells on 4 workers");
+        assert_eq!(
+            units(&lists[5], 1),
+            vec![vec![0, 2], vec![1, 4], vec![3]],
+            "grouped by first appearance, not sorted"
+        );
     }
 
     #[test]

@@ -77,8 +77,12 @@
 //!
 //! Put together, replay peak RSS is bounded by the cache ceiling plus a
 //! per-worker transient: `cache_bytes + workers × 2 × max_snapshot_bytes`
-//! (while a worker decodes a month it holds the file buffer plus the
-//! `Vec` being filled) plus allocator slack. The `corpus_scale` bench
+//! plus allocator slack. A worker runs one lockstep unit of campaigns
+//! at a time (a serial pool: all of a protocol's campaigns; a wider
+//! pool: one campaign), and a unit holds **one** evaluated month, shared
+//! by all its campaigns and released before the next month loads; while
+//! that next month decodes, the worker holds the file buffer plus the
+//! `Vec` being filled. The `corpus_scale` bench
 //! asserts this budget against `/proc` RSS on a routed-v4-scale corpus
 //! every run.
 
@@ -109,10 +113,13 @@ pub const CORPUS_VERSION: u32 = 1;
 
 /// How many decoded months [`CorpusGroundTruth`] retains by default.
 ///
-/// A campaign walks months in order, so a handful of cached snapshots
-/// serves matrices of many strategies over the same corpus; raise it
-/// with [`CorpusGroundTruth::with_cache_capacity`] when many protocols
-/// interleave.
+/// A serial campaign pool runs a protocol's strategies in one lockstep
+/// unit and loads each month once for all of them, so that matrix needs
+/// no cache hit at all. The cache serves what is left: a pool of several
+/// workers, which runs one campaign per unit so its campaigns share
+/// months only through here, and repeated replays of a corpus that fits.
+/// Raise it with [`CorpusGroundTruth::with_cache_capacity`] when many
+/// workers replay different protocols at once.
 pub const DEFAULT_CACHE_SNAPSHOTS: usize = 8;
 
 // ---------------------------------------------------------------- errors

@@ -59,7 +59,9 @@ impl DensityParams {
 /// carries ~20–50× fewer hosts than the 2015 Internet, so absolute ρ values
 /// are proportionally lower than the paper's (which reports e.g. ρ > 0.04
 /// for the densest 20 K FTP prefixes). All of the paper's evaluation
-/// quantities are ratios, which scale out. See EXPERIMENTS.md.
+/// quantities are ratios, which scale out. The `calibration` exhibit
+/// (`crates/experiments/src/exhibits/calibration.rs`) prints the
+/// model-scale host counts next to the paper's dataset statistics.
 pub fn default_density(class: AsClass, proto: Protocol) -> DensityParams {
     use AsClass::*;
     use Protocol::*;

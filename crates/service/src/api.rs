@@ -4,7 +4,7 @@
 //! |---|---|---|
 //! | `GET /v1/healthz` | none | liveness + job counters |
 //! | `GET /v1/sources` | none | the source catalogue |
-//! | `POST /v1/campaigns` | `X-Api-Key` | submit a campaign |
+//! | `POST /v1/campaigns` | `X-Api-Key` | submit a campaign: a JSON object of `source`, `strategy` and optional `protocol`, `seed`, `months`, each at most once |
 //! | `GET /v1/campaigns/{id}` | `X-Api-Key` | job status |
 //! | `GET /v1/campaigns/{id}/results` | `X-Api-Key` | the finished `CampaignResult` |
 //! | `GET /v1/campaigns/{id}/results?offset=&limit=` | `X-Api-Key` | a page of its months |
@@ -68,12 +68,9 @@ fn tenant(req: &Request) -> Result<String, Response> {
     }
 }
 
-fn lookup<'v>(body: &'v Value, key: &str) -> Option<&'v Value> {
-    match body {
-        Value::Map(entries) => entries.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-        _ => None,
-    }
-}
+/// Every field a submission may carry. Anything else, or a field given
+/// twice, is a 400: a body must have exactly one reading.
+const SUBMISSION_FIELDS: [&str; 5] = ["source", "strategy", "protocol", "seed", "months"];
 
 fn parse_submission(body: &[u8]) -> Result<SubmitRequest, Response> {
     let text = std::str::from_utf8(body)
@@ -85,7 +82,27 @@ fn parse_submission(body: &[u8]) -> Result<SubmitRequest, Response> {
             &format!("request body is not JSON: {e}"),
         )
     })?;
-    let field_str = |key: &str| match lookup(&v, key) {
+    let Value::Map(entries) = v else {
+        return Err(err(
+            400,
+            "bad_request",
+            "request body must be a JSON object",
+        ));
+    };
+    for (i, (key, _)) in entries.iter().enumerate() {
+        if !SUBMISSION_FIELDS.contains(&key.as_str()) {
+            return Err(err(400, "bad_request", &format!("unknown field {key:?}")));
+        }
+        if entries[..i].iter().any(|(k, _)| k == key) {
+            return Err(err(
+                400,
+                "bad_request",
+                &format!("field {key:?} is repeated"),
+            ));
+        }
+    }
+    let lookup = |key: &str| entries.iter().find(|(k, _)| k == key).map(|(_, v)| v);
+    let field_str = |key: &str| match lookup(key) {
         Some(Value::Str(s)) => Ok(Some(s.clone())),
         Some(Value::Null) | None => Ok(None),
         Some(_) => Err(err(
@@ -94,7 +111,7 @@ fn parse_submission(body: &[u8]) -> Result<SubmitRequest, Response> {
             &format!("field {key:?} must be a string"),
         )),
     };
-    let field_u64 = |key: &str| match lookup(&v, key) {
+    let field_u64 = |key: &str| match lookup(key) {
         Some(Value::U64(n)) => Ok(Some(*n)),
         Some(Value::Null) | None => Ok(None),
         Some(_) => Err(err(
@@ -400,6 +417,12 @@ mod tests {
                 400,
                 "bad_months",
             ),
+            // a body that is JSON but not an object
+            (
+                request("POST", "/v1/campaigns", Some("t"), "[1,2]"),
+                400,
+                "bad_request",
+            ),
             // status of a job that does not exist
             (
                 request("GET", "/v1/campaigns/77", Some("t"), ""),
@@ -436,5 +459,60 @@ mod tests {
         assert_eq!(resp.status, 200);
         assert!(body.contains(r#""name":"demo""#), "{body}");
         daemon.shutdown(ShutdownMode::Drain).unwrap();
+    }
+
+    #[test]
+    fn submission_rejects_repeated_and_unknown_fields_naming_them() {
+        let rejected = |body: &str| {
+            let resp = parse_submission(body.as_bytes()).expect_err(body);
+            (resp.status, String::from_utf8(resp.body).unwrap())
+        };
+        for (body, key) in [
+            (
+                r#"{"source":"demo","strategy":"full-scan","months":2,"months":3}"#,
+                "months",
+            ),
+            (
+                r#"{"source":"a","source":"a","strategy":"full-scan"}"#,
+                "source",
+            ),
+            (
+                r#"{"source":"demo","strategy":"full-scan","seed":1,"seed":1}"#,
+                "seed",
+            ),
+        ] {
+            let (status, body_text) = rejected(body);
+            assert_eq!(status, 400, "{body}");
+            assert!(body_text.contains(r#""code":"bad_request""#), "{body_text}");
+            assert!(
+                body_text.contains(&format!(r#"field \"{key}\" is repeated"#)),
+                "{body_text}"
+            );
+        }
+        for (body, key) in [
+            (
+                r#"{"source":"demo","strategy":"full-scan","priority":9}"#,
+                "priority",
+            ),
+            (r#"{"Source":"demo","strategy":"full-scan"}"#, "Source"),
+            (
+                r#"{"source":"demo","strategy":"full-scan","months":null,"x":null}"#,
+                "x",
+            ),
+        ] {
+            let (status, body_text) = rejected(body);
+            assert_eq!(status, 400, "{body}");
+            assert!(body_text.contains(r#""code":"bad_request""#), "{body_text}");
+            assert!(
+                body_text.contains(&format!(r#"unknown field \"{key}\""#)),
+                "{body_text}"
+            );
+        }
+        // every known field, each once, still parses
+        let ok = parse_submission(
+            br#"{"source":"demo","strategy":"full-scan","protocol":"http","seed":4,"months":2}"#,
+        )
+        .unwrap_or_else(|resp| panic!("{:?}", String::from_utf8(resp.body)));
+        assert_eq!((ok.seed, ok.months), (4, Some(2)));
     }
 }

@@ -19,6 +19,8 @@
 use proptest::prelude::*;
 use std::fs;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use tass::bgp::{pfx2as, ViewKind};
 use tass::core::campaign::{CampaignPool, CampaignResult};
 use tass::core::strategy::StrategyKind;
@@ -28,7 +30,7 @@ use tass::model::corpus::{
     MANIFEST_FILE,
 };
 use tass::model::snapshot::DecodeError;
-use tass::model::{GroundTruth, HostSet, Protocol, Snapshot, Universe, UniverseConfig};
+use tass::model::{GroundTruth, HostSet, Protocol, Snapshot, Topology, Universe, UniverseConfig};
 use tass::net::V6;
 
 fn tmp(name: &str) -> PathBuf {
@@ -409,6 +411,103 @@ fn byte_ceiling_eviction_is_invisible_to_replay_at_any_worker_count() {
             to_json(&replayed),
             "{workers} workers under a {}-byte ceiling",
             2 * max_snap_bytes
+        );
+    }
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A source that counts `load_snapshot` calls on the corpus it wraps.
+struct CountingLoads {
+    inner: CorpusGroundTruth,
+    loads: AtomicUsize,
+}
+
+impl CountingLoads {
+    fn take(&self) -> usize {
+        self.loads.swap(0, Ordering::Relaxed)
+    }
+}
+
+impl GroundTruth for CountingLoads {
+    fn topology(&self) -> &Topology {
+        self.inner.topology()
+    }
+    fn months(&self) -> u32 {
+        self.inner.months()
+    }
+    fn protocols(&self) -> Vec<Protocol> {
+        self.inner.protocols()
+    }
+    fn load_snapshot(&self, month: u32, protocol: Protocol) -> Result<Arc<Snapshot>, CorpusError> {
+        self.loads.fetch_add(1, Ordering::Relaxed);
+        self.inner.load_snapshot(month, protocol)
+    }
+}
+
+#[test]
+fn matrix_loads_each_month_once_per_unit_not_once_per_campaign() {
+    // The byte ceiling holds ~2 of a protocol's 7 months, so a month
+    // cache can never serve a campaign walking months 0..=6 after
+    // another; only running a protocol's campaigns in lockstep shares
+    // the loads. Driving one campaign at a time would make 12 × 8 = 96
+    // calls here (t₀ twice, then each month); lockstep units make one per
+    // month.
+    let u = universe();
+    let dir = tmp("loads");
+    export_universe(&u, &dir).unwrap();
+    let max_snap_bytes = (0..=u.months())
+        .flat_map(|m| Protocol::ALL.iter().map(move |&p| (m, p)))
+        .map(|(m, p)| u.snapshot(m, p).len() * 4 + 64)
+        .max()
+        .unwrap();
+    let opts = CorpusOptions {
+        cache_snapshots: usize::MAX,
+        cache_bytes: Some(2 * max_snap_bytes),
+    };
+    let source = CountingLoads {
+        inner: CorpusGroundTruth::open_with(&dir, &opts).unwrap(),
+        loads: AtomicUsize::new(0),
+    };
+    let kinds = [
+        StrategyKind::Tass {
+            view: ViewKind::MoreSpecific,
+            phi: 0.95,
+        },
+        StrategyKind::ReseedingTass {
+            view: ViewKind::MoreSpecific,
+            phi: 0.95,
+            delta_t: 3,
+        },
+        StrategyKind::AdaptiveTass {
+            view: ViewKind::MoreSpecific,
+            phi: 0.95,
+            explore: 0.02,
+        },
+    ];
+    let direct = to_json(&CampaignPool::serial().run_matrix(&u, &kinds, 13));
+    let protocols = source.protocols().len();
+    let months = source.months() as usize + 1;
+
+    let serial = CampaignPool::serial().run_matrix(&source, &kinds, 13);
+    assert_eq!(to_json(&serial), direct, "replay == direct");
+    assert_eq!(
+        source.take(),
+        protocols * months,
+        "one load per protocol-month"
+    );
+    assert_eq!(protocols * months, 28);
+
+    // a pool of several workers makes every campaign a unit of its own,
+    // so it loads at most one month per campaign-month (t₀ doubling as
+    // month 0), however its workers interleave
+    let units = protocols * kinds.len();
+    for workers in 2..=8 {
+        let pooled = CampaignPool::new(workers).run_matrix(&source, &kinds, 13);
+        assert_eq!(to_json(&pooled), direct, "{workers} workers");
+        let loads = source.take();
+        assert!(
+            loads <= units * months,
+            "{workers} workers: {loads} loads for {units} units"
         );
     }
     let _ = fs::remove_dir_all(&dir);

@@ -6,7 +6,9 @@
 //! 1. `run_matrix` over a `CampaignPool` of 1, 2 and 8 workers returns
 //!    results *byte-identical* (serialized-JSON-identical, not merely
 //!    `==`) to the serial path, for every strategy kind including the
-//!    feedback-driven ones.
+//!    feedback-driven ones; and `run_campaigns`, whose serial pool runs
+//!    each protocol's jobs as one lockstep unit, matches one campaign at
+//!    a time on the exhibits' job shapes at 1..=8 workers.
 //! 2. The streaming scan path (`ScanEngine::run_plan` consuming
 //!    `PlanStream` shards) probes exactly the materialised plan's
 //!    targets, probe for probe, at every thread count.
@@ -17,7 +19,7 @@
 
 use std::sync::Arc;
 use tass::bgp::ViewKind;
-use tass::core::campaign::{CampaignPool, CampaignResult};
+use tass::core::campaign::{run_campaign, CampaignPool, CampaignResult};
 use tass::core::strategy::{ReseedingTass, StrategyKind};
 use tass::core::ProbePlan;
 use tass::model::{HostSet, Protocol, Universe, UniverseConfig};
@@ -145,6 +147,46 @@ fn pooled_jobs_return_in_input_order_regardless_of_cost() {
         assert_eq!(want.strategy, got.strategy, "job {i}");
         assert_eq!(want.protocol, got.protocol, "job {i}");
         assert_eq!(want, got, "job {i}");
+    }
+}
+
+#[test]
+fn lockstep_units_are_byte_identical_to_one_campaign_at_a_time() {
+    // The job lists the exhibits hand the pool, plus an interleaved one:
+    // a serial pool runs them as protocol units in lockstep, a wider one
+    // one campaign per unit, and at every worker count each result must
+    // serialize exactly like the one-campaign run of its job.
+    let u = universe();
+    let kinds = all_kinds();
+    let fig5: Vec<_> = Protocol::ALL
+        .iter()
+        .map(|&p| (StrategyKind::IpHitlist, p))
+        .collect();
+    let single: Vec<_> = kinds.iter().map(|&k| (k, Protocol::Https)).collect();
+    let pareto: Vec<_> = [Protocol::Http, Protocol::Cwmp]
+        .iter()
+        .flat_map(|&p| kinds[7..].iter().map(move |&k| (k, p)))
+        .collect();
+    let interleaved: Vec<_> = kinds
+        .iter()
+        .zip(Protocol::ALL.iter().cycle())
+        .map(|(&k, &p)| (k, p))
+        .collect();
+    for jobs in [fig5, single, pareto, interleaved] {
+        let one_by_one: Vec<CampaignResult> = jobs
+            .iter()
+            .map(|&(kind, proto)| run_campaign(&u, kind, proto, 5))
+            .collect();
+        let want = to_bytes(&one_by_one);
+        assert_eq!(
+            to_bytes(&CampaignPool::serial().run_campaigns(&u, &jobs, 5)),
+            want,
+            "serial"
+        );
+        for workers in 1..=8 {
+            let pooled = CampaignPool::new(workers).run_campaigns(&u, &jobs, 5);
+            assert_eq!(to_bytes(&pooled), want, "{workers} workers, {jobs:?}");
+        }
     }
 }
 

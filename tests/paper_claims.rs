@@ -1,9 +1,12 @@
 //! The paper's quoted claims, asserted one by one against the simulation.
 //!
 //! Each test quotes the sentence it checks. Bands are widened to what a
-//! calibrated simulation can promise across seeds (EXPERIMENTS.md records
-//! the point values of the default scenario), but every *ordering* and
-//! *order of magnitude* is asserted strictly.
+//! calibrated simulation can promise across seeds, but every *ordering*
+//! and *order of magnitude* is asserted strictly. The point values of the
+//! default scenario come from the `repro` exhibits in
+//! `crates/experiments/src/exhibits/`: `table1` and `efficiency` for
+//! coverage, traffic and efficiency, `fig5` and `fig6` for the monthly
+//! decays, and `sec34` for FTP's six-month coverage.
 
 use tass::bgp::ViewKind;
 use tass::core::campaign::run_campaign;
