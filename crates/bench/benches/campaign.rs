@@ -1,74 +1,44 @@
 //! The cycle loop: strategy selection, per-cycle feedback, re-ranking.
 //!
-//! PR 7 made the probe path lock-free and batched, so matrix campaigns
-//! now spend their time in the *selection* layer. This sweep measures
-//! cycles-per-second of `CampaignPool::run_matrix` over the standard
-//! 4-protocol matrix for the feedback strategies (`Tass`,
-//! `ReseedingTass`, `AdaptiveTass`) at 1/2/4 workers, plus the bytes
-//! allocated per cycle on a serial run (a counting global allocator —
-//! the copy-free feedback claim is an allocation claim, so it is
-//! measured, not asserted). Results go to `BENCH_campaign.json` at the
-//! repo root next to the pinned *before* numbers (the PR-7 cycle loop:
-//! `ProbePlan::observed` cloning the full truth host set per `All`
-//! cycle and sort+deduping a fresh `Vec` per `Prefixes` cycle, plus a
-//! full `sort_unstable` of every density ranking even when only a
-//! budget-sized top-k is consumed).
+//! Matrix campaigns spend their time in the *selection* layer, not the
+//! probe path. This sweep measures cycles per second of
+//! `CampaignPool::run_matrix` over the standard 4-protocol matrix for
+//! the feedback strategies (`Tass`, `ReseedingTass`, `AdaptiveTass`) at
+//! 1/2/4 workers, plus the bytes allocated per cycle (a counting global
+//! allocator: the copy-free feedback claim is an allocation claim, so it
+//! is measured, not asserted).
 //!
-//! Runs fast enough for CI (set `CAMPAIGN_BENCH_QUICK=1` to shrink the
-//! rep count); throughput varies with the machine, but the sweep
-//! structure, cycle counts, and allocation numbers are deterministic.
+//! Every timed run asserts the same cycle count, so a quick run
+//! (`BENCH_QUICK=1`) is CI's check; throughput varies with the machine,
+//! but the sweep structure, cycle counts and allocation numbers are
+//! deterministic.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::path::Path;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::time::Instant;
-use tass_bench::scenario;
+use std::sync::atomic::{AtomicU64, Ordering};
+use tass_bench::{scenario, time, Bench};
 use tass_bgp::ViewKind;
 use tass_core::campaign::CampaignPool;
 use tass_core::StrategyKind;
 
 /// A pass-through allocator that counts every byte, so the bench can
-/// report allocated-bytes-per-cycle and peak live heap for the cycle
-/// loop itself.
+/// report allocated bytes per cycle for the cycle loop itself.
 struct CountingAlloc;
 
 static ALLOCATED: AtomicU64 = AtomicU64::new(0);
-static IN_USE: AtomicI64 = AtomicI64::new(0);
-static PEAK: AtomicI64 = AtomicI64::new(0);
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATED.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        let live = IN_USE.fetch_add(layout.size() as i64, Ordering::Relaxed) + layout.size() as i64;
-        PEAK.fetch_max(live, Ordering::Relaxed);
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        IN_USE.fetch_sub(layout.size() as i64, Ordering::Relaxed);
         System.dealloc(ptr, layout)
     }
 }
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
-
-/// Pinned pre-refactor numbers measured on the same 1-core CI-class
-/// container, keyed by (strategy, workers): cycles/s through
-/// `run_matrix` and allocated bytes per cycle on the serial run. The
-/// "before" cycle loop materialised a fresh sorted `HostSet` per
-/// feedback cycle and fully re-sorted every density ranking.
-const BEFORE: &[(&str, usize, f64, u64)] = &[
-    ("tass", 1, 41_620.0, 11_282),
-    ("tass", 2, 37_596.0, 11_459),
-    ("tass", 4, 35_118.0, 11_471),
-    ("reseeding_tass", 1, 10_807.0, 104_711),
-    ("reseeding_tass", 2, 10_051.0, 104_888),
-    ("reseeding_tass", 4, 9_891.0, 104_900),
-    ("adaptive_tass", 1, 5_350.0, 159_764),
-    ("adaptive_tass", 2, 5_175.0, 159_941),
-    ("adaptive_tass", 4, 4_596.0, 159_953),
-];
 
 /// The feedback-strategy sweep: every strategy whose cycle loop reads
 /// the ranking or the per-cycle responsive set.
@@ -100,100 +70,41 @@ fn sweep_kinds() -> Vec<(&'static str, StrategyKind)> {
     ]
 }
 
-/// One timed cell: cycles/s of the 4-protocol matrix for one strategy
-/// at a worker count, plus (allocated bytes, cycles) for the runs.
-fn measure(
-    universe: &tass_model::Universe,
-    kind: StrategyKind,
-    workers: usize,
-    reps: usize,
-) -> (f64, u64, u64) {
-    let pool = if workers == 1 {
-        CampaignPool::serial()
-    } else {
-        CampaignPool::new(workers)
-    };
-    let kinds = [kind];
-    // warm-up (also the cycle count: deterministic across reps)
-    let cycles: u64 = pool
-        .run_matrix(universe, &kinds, 7)
-        .iter()
-        .map(|r| r.months.len() as u64)
-        .sum();
-    let alloc0 = ALLOCATED.load(Ordering::Relaxed);
-    let t0 = Instant::now();
-    for _ in 0..reps {
-        let c: u64 = pool
-            .run_matrix(universe, &kinds, 7)
-            .iter()
-            .map(|r| r.months.len() as u64)
-            .sum();
-        assert_eq!(c, cycles);
-    }
-    let secs = t0.elapsed().as_secs_f64();
-    let allocated = ALLOCATED.load(Ordering::Relaxed) - alloc0;
-    (
-        cycles as f64 * reps as f64 / secs,
-        allocated / (cycles * reps as u64),
-        cycles,
-    )
-}
-
 fn main() {
-    // `cargo bench` passes harness flags; ignore them.
-    let quick = std::env::var("CAMPAIGN_BENCH_QUICK").is_ok();
-    let reps = if quick { 2 } else { 8 };
-
-    let s = scenario();
-    let mut rows = String::new();
-    let mut total_cycles = 0u64;
+    let mut bench = Bench::new("campaign");
+    let universe = &scenario().universe;
+    let n = bench.samples();
     for (name, kind) in sweep_kinds() {
         for workers in [1usize, 2, 4] {
-            let (cps, bytes_per_cycle, cycles) = measure(&s.universe, kind, workers, reps);
-            total_cycles = total_cycles.max(cycles);
-            let (before_cps, before_bytes) = BEFORE
-                .iter()
-                .find(|(n, w, _, _)| *n == name && *w == workers)
-                .map(|(_, _, c, b)| (*c, *b))
-                .unwrap_or((0.0, 0));
-            let speedup = if before_cps > 0.0 {
-                cps / before_cps
-            } else {
-                0.0
+            let pool = CampaignPool::new(workers);
+            let kinds = [kind];
+            let matrix_cycles = || -> u64 {
+                pool.run_matrix(universe, &kinds, 7)
+                    .iter()
+                    .map(|r| r.months.len() as u64)
+                    .sum()
             };
-            eprintln!(
-                "campaign {name:>15} x{workers}: {cps:7.0} cycles/s \
-                 (before {before_cps:7.0}, {speedup:.2}x), \
-                 {bytes_per_cycle} B/cycle (before {before_bytes})",
+            // the first run builds the snapshots' lazy indexes; the
+            // allocation count starts after it
+            let cycles = matrix_cycles();
+            let alloc0 = ALLOCATED.load(Ordering::Relaxed);
+            let cps =
+                time(n, || assert_eq!(matrix_cycles(), cycles)).map(|secs| cycles as f64 / secs);
+            // the timed runs plus the harness's warm-up run
+            let runs = n as u64 + 1;
+            let alloc_per_cycle = (ALLOCATED.load(Ordering::Relaxed) - alloc0) / (cycles * runs);
+            bench.record(
+                &format!("{name}/x{workers}"),
+                "cycles/s",
+                cps,
+                &[
+                    ("strategy", &name.to_string()),
+                    ("workers", &workers),
+                    ("matrix_cycles", &cycles),
+                    ("alloc_bytes_per_cycle", &alloc_per_cycle),
+                ],
             );
-            if !rows.is_empty() {
-                rows.push(',');
-            }
-            rows.push_str(&format!(
-                concat!(
-                    "\n  {{\"strategy\":\"{}\",\"workers\":{},",
-                    "\"before_cps\":{:.0},\"after_cps\":{:.0},\"speedup\":{:.2},",
-                    "\"before_alloc_bytes_per_cycle\":{},\"after_alloc_bytes_per_cycle\":{}}}"
-                ),
-                name, workers, before_cps, cps, speedup, before_bytes, bytes_per_cycle
-            ));
         }
     }
-
-    let peak = PEAK.load(Ordering::Relaxed);
-    let record = format!(
-        concat!(
-            "{{\"bench\":\"campaign\",\"matrix_cycles\":{},\"reps\":{},",
-            "\"peak_live_heap_bytes\":{},",
-            "\"note\":\"before = PR-7 cycle loop (ProbePlan::observed clones the ",
-            "full truth host set per All cycle, sort+dedups a fresh Vec per ",
-            "Prefixes cycle; every density ranking fully re-sorted); ",
-            "after = Arc-shared snapshot unit-count index, copy-free ",
-            "HostSetView feedback, DensityRank::top_k\",\"sweep\":[{}\n]}}\n"
-        ),
-        total_cycles, reps, peak, rows
-    );
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_campaign.json");
-    std::fs::write(&path, &record).expect("write BENCH_campaign.json");
-    eprintln!("campaign sweep → {}", path.display());
+    bench.finish();
 }

@@ -2,20 +2,20 @@
 //!
 //! Two claims are measured here:
 //!
-//! * **wall-clock scaling** — `run_matrix` over the standard 4-protocol
-//!   matrix at 1, 2, 4 and 8 workers. Campaigns are independent, so on
-//!   an N-core machine the 4-worker matrix should run ≥2× faster than
-//!   serial (the explicit speedup line printed at the end measures
-//!   exactly that; on a single-core runner it honestly reports ~1×);
-//! * **memory cap** — streaming a full-scan `ProbePlan` over a /10 of
+//! * **wall-clock scaling**: `run_matrix` over the standard 4-protocol
+//!   matrix at 1, 2, 4 and 8 workers, each asserted byte-identical to
+//!   the serial matrix before it is timed. Campaigns are independent,
+//!   so on an N-core machine the 4-worker matrix should run ≥2× faster
+//!   than the 1-worker one (the records' fingerprint gives the core
+//!   count; on a single core the honest ratio is ~1×). This is the only
+//!   measurement of a matrix at more than one worker;
+//! * **memory cap**: streaming a full-scan `ProbePlan` over a /10 of
 //!   address space. The stream holds O(1) state per prefix; throughput
-//!   is reported in Melem/s. The eager equivalent would allocate the
-//!   whole 4M-entry target vector before the first probe.
+//!   is recorded in addresses/s. The eager equivalent would allocate
+//!   the whole 4M-entry target vector before the first probe.
 
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
-use std::time::Instant;
-use tass_bench::scenario;
+use tass_bench::{scenario, time, Bench};
 use tass_core::campaign::CampaignPool;
 use tass_core::{ProbePlan, StrategyKind};
 use tass_net::Prefix;
@@ -38,23 +38,30 @@ fn matrix_kinds() -> Vec<StrategyKind> {
     ]
 }
 
-fn matrix_scaling(c: &mut Criterion) {
-    let s = scenario();
+fn main() {
+    let mut bench = Bench::new("campaign_matrix");
+    let universe = &scenario().universe;
     let kinds = matrix_kinds();
-    let mut group = c.benchmark_group("matrix");
+    let serial = CampaignPool::serial().run_matrix(universe, &kinds, 7);
     for workers in [1usize, 2, 4, 8] {
-        group.bench_with_input(format!("{workers}_workers"), &workers, |b, &w| {
-            b.iter(|| {
-                CampaignPool::new(w)
-                    .run_matrix(black_box(&s.universe), black_box(&kinds), 7)
-                    .len()
-            })
+        let pool = CampaignPool::new(workers);
+        assert_eq!(
+            pool.run_matrix(universe, &kinds, 7),
+            serial,
+            "pooled matrix must be byte-identical"
+        );
+        let matrix = time(bench.samples(), || {
+            pool.run_matrix(black_box(universe), black_box(&kinds), 7)
+                .len()
         });
+        bench.record(
+            &format!("matrix/x{workers}"),
+            "ms",
+            matrix.map(|secs| secs * 1e3),
+            &[("workers", &workers), ("campaigns", &serial.len())],
+        );
     }
-    group.finish();
-}
 
-fn plan_streaming(c: &mut Criterion) {
     // a /10 of space (4M addresses) as three uneven announced prefixes
     let announced: Vec<Prefix> = vec![
         "10.0.0.0/11".parse().unwrap(),
@@ -62,51 +69,17 @@ fn plan_streaming(c: &mut Criterion) {
         "10.48.0.0/12".parse().unwrap(),
     ];
     let space: u64 = announced.iter().map(|p| p.size()).sum();
-    let mut group = c.benchmark_group("plan_stream");
-    group.throughput(Throughput::Elements(space));
-    group.bench_function("full_scan_slash10", |b| {
-        b.iter(|| {
-            // consume the whole stream without materialising it
-            ProbePlan::All
-                .stream(0, black_box(&announced), 0xF00D)
-                .fold(0u64, |acc, a| acc ^ u64::from(a))
-        })
+    let stream = time(bench.samples(), || {
+        // consume the whole stream without materialising it
+        ProbePlan::All
+            .stream(0, black_box(&announced), 0xF00D)
+            .fold(0u64, |acc, a| acc ^ u64::from(a))
     });
-    group.finish();
-}
-
-/// The headline number, measured directly: serial vs 4-worker wall
-/// clock on the standard matrix, with a result-equality check.
-fn speedup_summary(c: &mut Criterion) {
-    let _ = c;
-    let s = scenario();
-    let kinds = matrix_kinds();
-    let best = |pool: CampaignPool| {
-        let mut secs = f64::INFINITY;
-        let mut out = Vec::new();
-        for _ in 0..3 {
-            let t = Instant::now();
-            out = pool.run_matrix(&s.universe, &kinds, 7);
-            secs = secs.min(t.elapsed().as_secs_f64());
-        }
-        (secs, out)
-    };
-    let (serial_secs, serial) = best(CampaignPool::serial());
-    let (pooled_secs, pooled) = best(CampaignPool::new(4));
-    assert_eq!(serial, pooled, "pooled matrix must be byte-identical");
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    println!(
-        "matrix speedup @4 workers: {:.2}x (serial {:.3} s, pooled {:.3} s, {} core(s), results identical)",
-        serial_secs / pooled_secs.max(1e-9),
-        serial_secs,
-        pooled_secs,
-        cores
+    bench.record(
+        "plan_stream/full_scan_slash10",
+        "addrs/s",
+        stream.map(|secs| space as f64 / secs),
+        &[("addresses", &space)],
     );
+    bench.finish();
 }
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10);
-    targets = matrix_scaling, plan_streaming, speedup_summary
-}
-criterion_main!(benches);

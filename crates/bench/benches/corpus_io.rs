@@ -1,20 +1,20 @@
 //! Corpus I/O: the snapshot codec and the lazy month-load path.
 //!
-//! Three questions are measured:
+//! Three questions are measured, each in hosts/s:
 //!
-//! * **encode throughput** — serialising a host set to the binary
+//! * **encode throughput**: serialising a host set to the binary
 //!   snapshot format, per family (4-byte v4 vs 16-byte v6 addresses);
-//! * **decode throughput** — parsing it back with full validation
+//! * **decode throughput**: parsing it back with full validation
 //!   (magic/family check, strict address ordering);
-//! * **month-load throughput** — what a replaying campaign actually
+//! * **month-load throughput**: what a replaying campaign actually
 //!   pays per month: `CorpusGroundTruth::load_snapshot` from disk
 //!   (decode + topology-agreement check) cold vs LRU-cached.
 
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
+use tass_bench::{time, Bench, Stats};
 use tass_model::corpus::{export_universe, CorpusGroundTruth};
 use tass_model::{GroundTruth, HostSet, Protocol, Snapshot, Universe, UniverseConfig};
-use tass_net::V6;
+use tass_net::{V4, V6};
 
 const HOSTS: usize = 50_000;
 
@@ -30,62 +30,68 @@ fn v6_snapshot() -> Snapshot<V6> {
     Snapshot::new(Protocol::Http, 3, HostSet::from_addrs(addrs))
 }
 
-fn bench_codec(c: &mut Criterion) {
-    let mut group = c.benchmark_group("snapshot_codec");
-    group.throughput(Throughput::Elements(HOSTS as u64));
-
-    let v4 = v4_snapshot();
-    group.bench_function("encode_v4_50k", |b| b.iter(|| black_box(&v4).encode()));
-    let v4_bytes = v4.encode();
-    group.bench_function("decode_v4_50k", |b| {
-        b.iter(|| Snapshot::<tass_net::V4>::decode(black_box(&v4_bytes)).expect("valid snapshot"))
-    });
-
-    let v6 = v6_snapshot();
-    group.bench_function("encode_v6_50k", |b| b.iter(|| black_box(&v6).encode()));
-    let v6_bytes = v6.encode();
-    group.bench_function("decode_v6_50k", |b| {
-        b.iter(|| Snapshot::<V6>::decode(black_box(&v6_bytes)).expect("valid snapshot"))
-    });
-
-    group.finish();
+fn record(bench: &mut Bench, case: &str, hosts: u64, stats: Stats) {
+    let rate = stats.map(|secs| hosts as f64 / secs);
+    bench.record(case, "hosts/s", rate, &[("hosts", &hosts)]);
 }
 
-fn bench_month_load(c: &mut Criterion) {
+fn main() {
+    let mut bench = Bench::new("corpus_io");
+    let n = bench.samples();
+    let hosts = HOSTS as u64;
+
+    let v4 = v4_snapshot();
+    record(
+        &mut bench,
+        "encode_v4",
+        hosts,
+        time(n, || black_box(&v4).encode()),
+    );
+    let v4_bytes = v4.encode();
+    let decode = time(n, || {
+        Snapshot::<V4>::decode(black_box(&v4_bytes)).expect("valid snapshot")
+    });
+    record(&mut bench, "decode_v4", hosts, decode);
+
+    let v6 = v6_snapshot();
+    record(
+        &mut bench,
+        "encode_v6",
+        hosts,
+        time(n, || black_box(&v6).encode()),
+    );
+    let v6_bytes = v6.encode();
+    let decode = time(n, || {
+        Snapshot::<V6>::decode(black_box(&v6_bytes)).expect("valid snapshot")
+    });
+    record(&mut bench, "decode_v6", hosts, decode);
+
     let dir = std::env::temp_dir().join(format!("tass-corpus-bench-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let universe = Universe::generate(&UniverseConfig::small(0xBE9C));
     export_universe(&universe, &dir).expect("corpus export");
-
-    let mut group = c.benchmark_group("corpus_month_load");
     let t0_hosts = universe.snapshot(0, Protocol::Http).len() as u64;
-    group.throughput(Throughput::Elements(t0_hosts));
 
     // capacity 1 + alternating months ⇒ every load hits the disk path
     // (read + decode + topology check)
     let cold = CorpusGroundTruth::with_cache_capacity(&dir, 1).expect("corpus open");
     let mut month = 0u32;
-    group.bench_function("cold_disk_load", |b| {
-        b.iter(|| {
-            month = (month + 1) % 7;
-            cold.load_snapshot(black_box(month), Protocol::Http)
-                .expect("month loads")
-        })
+    let cold_load = time(n, || {
+        month = (month + 1) % 7;
+        cold.load_snapshot(black_box(month), Protocol::Http)
+            .expect("month loads")
     });
+    record(&mut bench, "month_load_cold", t0_hosts, cold_load);
 
     // a warm cache serves pointer clones
     let warm = CorpusGroundTruth::open(&dir).expect("corpus open");
     warm.load_snapshot(0, Protocol::Http).expect("prime cache");
-    group.bench_function("warm_cache_load", |b| {
-        b.iter(|| {
-            warm.load_snapshot(black_box(0), Protocol::Http)
-                .expect("cached month loads")
-        })
+    let warm_load = time(n, || {
+        warm.load_snapshot(black_box(0), Protocol::Http)
+            .expect("cached month loads")
     });
+    record(&mut bench, "month_load_warm", t0_hosts, warm_load);
 
-    group.finish();
     let _ = std::fs::remove_dir_all(&dir);
+    bench.finish();
 }
-
-criterion_group!(benches, bench_codec, bench_month_load);
-criterion_main!(benches);

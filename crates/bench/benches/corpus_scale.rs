@@ -8,17 +8,19 @@
 //! 1. **Ingest throughput**: month 0 is ingested from a plain-text
 //!    address list through the chunked parallel streaming path
 //!    (`stream_address_list_to_snapshot`), recorded as addresses/sec.
-//! 2. **Cold month-load latency**: *before* = the legacy load
-//!    reconstructed inline (decode every host into a fresh `Vec`, then
-//!    attribute each host through the topology trie, as the old
-//!    `load_from_disk` did); *after* = the corpus load
+//! 2. **Cold month-load latency**, two arms measured by this run with
+//!    their samples alternating, so machine drift hits both alike: the
+//!    legacy load reconstructed inline (decode every host into a fresh
+//!    `Vec`, then attribute each host through the topology trie, as the
+//!    old `load_from_disk` did) against the corpus load
 //!    (`Snapshot::decode` into the month's `Vec` + the covered-count
-//!    topology sweep). The acceptance bar is a ≥ 4× speedup.
+//!    topology sweep). The acceptance bar is a ≥ 4× speedup of the
+//!    medians.
 //! 3. **Warm replay wall-clock at 1/4 workers**: a 4-cell TASS matrix
 //!    replayed off a fully-resident month cache. Reads take no
 //!    exclusive lock, so added workers must not introduce a cache
-//!    plateau (this container is 1-core, so the honest expectation is
-//!    ratio ≈ 1, not a speedup).
+//!    plateau (on a 1-core machine the honest expectation is a ratio
+//!    ≈ 1, not a speedup).
 //! 4. **Bounded-memory replay**: the same matrix under a hard
 //!    `cache_bytes` ceiling a fifth of the corpus size, with peak RSS
 //!    recorded; when the kernel lets us reset the RSS high-water mark
@@ -29,14 +31,13 @@
 //!    so evicted buffers actually leave RSS instead of lingering in
 //!    glibc's per-thread arenas.
 //!
-//! Results go to `BENCH_corpus_scale.json` at the repo root. Set
-//! `CORPUS_SCALE_QUICK=1` for the CI-sized run (same structure and
-//! assertions, ~100× smaller corpus).
+//! `BENCH_QUICK=1` is the CI-sized run: the same structure, sample
+//! counts and assertions on a ~100× smaller corpus.
 
 use std::collections::BTreeMap;
 use std::io::Write as _;
-use std::path::Path;
 use std::time::Instant;
+use tass_bench::{time, Bench, Stats};
 use tass_bgp::synth::{generate, SynthConfig};
 use tass_bgp::{pfx2as, ScanUnit, SynthTable, ViewKind};
 use tass_core::campaign::CampaignPool;
@@ -46,7 +47,7 @@ use tass_model::corpus::{
 };
 use tass_model::{GroundTruth, HostSet, Protocol, Snapshot, Topology};
 
-/// One sweep cell's sizing, quick (CI) or full.
+/// The corpus sizing, quick (CI) or full.
 struct Scale {
     /// l-prefix budget for the synthetic table (full mode sets it high
     /// enough that the allocated-space sweep, not the budget, ends
@@ -54,15 +55,22 @@ struct Scale {
     l_prefix_count: usize,
     /// Responsive hosts per monthly snapshot.
     hosts_per_month: u64,
-    /// Months after t₀ (snapshots = months + 1).
-    months: u32,
-    /// The bounded-replay cache ceiling, as a fraction of the total
-    /// resident snapshot bytes (< 1 so eviction must actually happen).
-    cache_fraction: f64,
-    /// RSS slack over the ceiling for the bounded-replay assertion:
-    /// covers strategy state, rank vectors, and allocator overhead.
-    rss_slack_bytes: u64,
 }
+
+/// Months after t₀ (snapshots = months + 1).
+const MONTHS: u32 = 15;
+
+/// The bounded-replay cache ceiling, as a fraction of the total resident
+/// snapshot bytes (< 1 so eviction must actually happen).
+const CACHE_FRACTION: f64 = 0.2;
+
+/// RSS slack over the ceiling for the bounded-replay assertion: covers
+/// strategy state, rank vectors, and allocator overhead.
+const RSS_SLACK_BYTES: u64 = 48 << 20;
+
+/// Samples per cold-load arm, the same in quick and full runs: the gate
+/// compares medians, so one slow sample cannot fail it.
+const COLD_SAMPLES: usize = 9;
 
 fn rss_field(field: &str) -> u64 {
     let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
@@ -147,22 +155,16 @@ fn main() {
         std::process::exit(status.code().unwrap_or(1));
     }
 
-    let quick = std::env::var("CORPUS_SCALE_QUICK").is_ok();
-    let scale = if quick {
+    let mut bench = Bench::new("corpus_scale");
+    let scale = if bench.quick() {
         Scale {
             l_prefix_count: 3_000,
             hosts_per_month: 60_000,
-            months: 15,
-            cache_fraction: 0.2,
-            rss_slack_bytes: 48 << 20,
         }
     } else {
         Scale {
             l_prefix_count: 400_000,
             hosts_per_month: 2_000_000,
-            months: 15,
-            cache_fraction: 0.2,
-            rss_slack_bytes: 48 << 20,
         }
     };
 
@@ -190,9 +192,6 @@ fn main() {
         announced as f64 / 1e9,
         t0.elapsed(),
     );
-    if std::env::var("CORPUS_SCALE_GEN_ONLY").is_ok() {
-        return;
-    }
 
     // ---- build the corpus: month 0 through the streamed text path
     // (that is the ingest-throughput measurement), months 1.. as direct
@@ -207,11 +206,10 @@ fn main() {
     builder
         .add_address_list_file(0, Protocol::Http, &list_path, &IngestOptions::default())
         .expect("streamed ingest");
-    let ingest_secs = t_ingest.elapsed().as_secs_f64();
-    let ingest_aps = n_m0 as f64 / ingest_secs;
+    let ingest = Stats::of(&[t_ingest.elapsed().as_secs_f64()]);
     let _ = std::fs::remove_file(&list_path);
     let mut snapshot_bytes_total = 0u64;
-    for m in 1..=scale.months {
+    for m in 1..=MONTHS {
         let hosts = month_hosts(view.units(), m, scale.hosts_per_month, announced);
         snapshot_bytes_total += hosts.len() as u64 * 4;
         let snap = Snapshot::new(Protocol::Http, m, HostSet::from_sorted_unique(hosts));
@@ -219,18 +217,24 @@ fn main() {
     }
     snapshot_bytes_total += n_m0 * 4;
     builder.finish().expect("manifest");
-    eprintln!(
-        "corpus_scale: ingest {:.2} M addrs/s ({n_m0} hosts in {ingest_secs:.2}s); \
-         {} snapshots, {:.1} MiB total",
-        ingest_aps / 1e6,
-        scale.months + 1,
-        snapshot_bytes_total as f64 / (1 << 20) as f64,
+    bench.record(
+        "ingest",
+        "addrs/s",
+        ingest.map(|secs| n_m0 as f64 / secs),
+        &[
+            ("announced_addresses", &announced),
+            ("table_prefixes", &synth.table.len()),
+            ("scan_units", &view.len()),
+            ("snapshots", &(MONTHS + 1)),
+            ("hosts_per_month", &scale.hosts_per_month),
+            ("snapshot_bytes_total", &snapshot_bytes_total),
+        ],
     );
 
     // ---- migrate months 1.. to the aligned layout. The builder writes
     // v2 natively, so stage a legacy corpus first (untimed): downgrade
     // months 1.. to the v1 layout, then time the in-place upgrade.
-    for m in 1..=scale.months {
+    for m in 1..=MONTHS {
         let path = dir.join(format!("snapshots/m{m}-http.snap"));
         let v2 = std::fs::read(&path).expect("read snapshot");
         let v1 = [&v2[..4], &[1], &v2[5..18], &v2[64..]].concat();
@@ -238,14 +242,17 @@ fn main() {
     }
     let t_migrate = Instant::now();
     let rewritten = migrate_corpus(&dir).expect("migrate");
-    let migrate_secs = t_migrate.elapsed().as_secs_f64();
-    assert_eq!(rewritten as u32, scale.months, "month 0 is already aligned");
+    bench.record(
+        "migrate",
+        "s",
+        Stats::of(&[t_migrate.elapsed().as_secs_f64()]),
+        &[],
+    );
+    assert_eq!(rewritten as u32, MONTHS, "month 0 is already aligned");
 
-    // ---- cold month-load latency, before vs after
-    let reps = if quick { 2 } else { 3 };
+    // ---- cold month-load latency: the legacy arm and the corpus arm,
+    // sample by sample in turn after one warm-up pair
     let snap_path = dir.join("snapshots/m1-http.snap");
-    // before: the legacy load — decode every host into a fresh Vec,
-    // then attribute each host through the topology trie
     let legacy_topo = {
         let text = std::fs::read_to_string(dir.join("topology.pfx2as")).unwrap();
         let table = pfx2as::read_table(text.as_bytes()).unwrap();
@@ -255,8 +262,9 @@ fn main() {
             class_by_asn: BTreeMap::new(),
         })
     };
-    let mut before_cold_secs = f64::MAX;
-    for _ in 0..reps {
+    // legacy: decode every host into a fresh Vec, then attribute each
+    // host through the topology trie
+    let legacy_load = || {
         let t = Instant::now();
         let bytes = std::fs::read(&snap_path).unwrap();
         let snap: Snapshot = Snapshot::decode(&bytes).unwrap();
@@ -267,23 +275,35 @@ fn main() {
             }
         }
         assert_eq!(attributed, snap.hosts.len() as u64);
-        before_cold_secs = before_cold_secs.min(t.elapsed().as_secs_f64());
-    }
-    drop(legacy_topo);
-    // after: the load through the real corpus path (fresh corpus per
-    // rep, so the month cache is cold every time)
-    let mut after_cold_secs = f64::MAX;
-    for _ in 0..reps {
+        t.elapsed().as_secs_f64() * 1e3
+    };
+    // corpus: the load through the real corpus path, on a freshly
+    // opened corpus so the month cache is cold every time
+    let corpus_load = || {
         let corpus = CorpusGroundTruth::open(&dir).unwrap();
         let t = Instant::now();
         corpus.load_snapshot(1, Protocol::Http).unwrap();
-        after_cold_secs = after_cold_secs.min(t.elapsed().as_secs_f64());
+        t.elapsed().as_secs_f64() * 1e3
+    };
+    legacy_load();
+    corpus_load();
+    let (mut legacy_ms, mut corpus_ms) = (Vec::new(), Vec::new());
+    for _ in 0..COLD_SAMPLES {
+        legacy_ms.push(legacy_load());
+        corpus_ms.push(corpus_load());
     }
-    let cold_speedup = before_cold_secs / after_cold_secs;
-    eprintln!(
-        "corpus_scale: cold month load {:.1} ms → {:.1} ms ({cold_speedup:.1}x)",
-        before_cold_secs * 1e3,
-        after_cold_secs * 1e3,
+    drop(legacy_topo);
+    let (legacy, cold) = (Stats::of(&legacy_ms), Stats::of(&corpus_ms));
+    let cold_speedup = legacy.median / cold.median;
+    bench.record("cold_load_legacy", "ms", legacy, &[]);
+    bench.record(
+        "cold_load",
+        "ms",
+        cold,
+        &[
+            ("before_cold_load_ms", &legacy.median),
+            ("cold_load_speedup", &cold_speedup),
+        ],
     );
     assert!(
         cold_speedup >= 4.0,
@@ -300,40 +320,44 @@ fn main() {
         })
         .collect();
     let all_resident = CorpusOptions {
-        cache_snapshots: scale.months as usize + 1,
+        cache_snapshots: MONTHS as usize + 1,
         cache_bytes: None,
     };
     let corpus = CorpusGroundTruth::open_with(&dir, &all_resident).unwrap();
     corpus.validate().unwrap(); // also warms the cache: every month stays
-    let t1 = Instant::now();
-    let r1 = CampaignPool::serial().run_matrix(&corpus, &kinds, 7);
-    let warm_w1_secs = t1.elapsed().as_secs_f64();
-    let t4 = Instant::now();
-    let r4 = CampaignPool::new(4).run_matrix(&corpus, &kinds, 7);
-    let warm_w4_secs = t4.elapsed().as_secs_f64();
-    assert_eq!(r1, r4, "replay is byte-identical at any worker count");
-    let warm_ratio = warm_w1_secs / warm_w4_secs;
+    let serial = CampaignPool::serial().run_matrix(&corpus, &kinds, 7);
+    for workers in [1usize, 4] {
+        let pool = CampaignPool::new(workers);
+        assert_eq!(
+            pool.run_matrix(&corpus, &kinds, 7),
+            serial,
+            "replay is byte-identical at any worker count"
+        );
+        let warm = time(bench.samples(), || pool.run_matrix(&corpus, &kinds, 7));
+        bench.record(
+            &format!("warm_replay/x{workers}"),
+            "s",
+            warm,
+            &[("workers", &workers), ("campaigns", &kinds.len())],
+        );
+    }
     drop(corpus);
-    eprintln!(
-        "corpus_scale: warm replay {warm_w1_secs:.2}s x1, {warm_w4_secs:.2}s x4 \
-         ({warm_ratio:.2}x; 4 campaign cells)",
-    );
 
     // ---- bounded-memory replay under a hard byte ceiling
-    let cache_bytes = (snapshot_bytes_total as f64 * scale.cache_fraction) as u64;
-    let rss_before = rss_field("VmRSS:");
+    let cache_bytes = (snapshot_bytes_total as f64 * CACHE_FRACTION) as u64;
+    let rss_at_start = rss_field("VmRSS:");
     let peak_reset = reset_peak_rss();
     let bounded = CorpusOptions {
-        cache_snapshots: scale.months as usize + 1,
+        cache_snapshots: MONTHS as usize + 1,
         cache_bytes: Some(cache_bytes as usize),
     };
     let corpus = CorpusGroundTruth::open_with(&dir, &bounded).unwrap();
     let tb = Instant::now();
     let rb = CampaignPool::new(4).run_matrix(&corpus, &kinds, 7);
-    let bounded_secs = tb.elapsed().as_secs_f64();
-    assert_eq!(rb, r1, "the cache ceiling must not change results");
+    let bounded_replay = Stats::of(&[tb.elapsed().as_secs_f64()]);
+    assert_eq!(rb, serial, "the cache ceiling must not change results");
     let peak_rss = rss_field("VmHWM:");
-    let replay_rss_delta = peak_rss.saturating_sub(rss_before);
+    let replay_rss_delta = peak_rss.saturating_sub(rss_at_start);
     // The cost model the corpus layer promises: the month cache holds at
     // most `cache_bytes`, and each replay worker transiently pins up to
     // two snapshot buffers of its own (the file buffer plus the `Vec`
@@ -341,72 +365,26 @@ fn main() {
     // it is loading, both possibly already evicted from the cache). Everything else — rank vectors, selections, the memoised
     // t₀ index — is the slack.
     let max_snapshot_bytes = n_m0.max(scale.hosts_per_month + scale.hosts_per_month / 8) * 4 + 64;
-    let rss_bound = cache_bytes + 4 * 2 * max_snapshot_bytes + scale.rss_slack_bytes;
-    let rss_asserted = peak_reset;
+    let rss_bound = cache_bytes + 4 * 2 * max_snapshot_bytes + RSS_SLACK_BYTES;
     if peak_reset {
         assert!(
             replay_rss_delta <= rss_bound,
             "bounded replay RSS {replay_rss_delta} exceeds cache ceiling {cache_bytes} \
-             + 4 workers x 2 snapshots ({max_snapshot_bytes} each) + slack {}",
-            scale.rss_slack_bytes
+             + 4 workers x 2 snapshots ({max_snapshot_bytes} each) + slack {RSS_SLACK_BYTES}"
         );
     }
-    eprintln!(
-        "corpus_scale: bounded replay {bounded_secs:.2}s under {:.1} MiB ceiling, \
-         phase RSS +{:.1} MiB of {:.1} MiB budget (assert {})",
-        cache_bytes as f64 / (1 << 20) as f64,
-        replay_rss_delta as f64 / (1 << 20) as f64,
-        rss_bound as f64 / (1 << 20) as f64,
-        if rss_asserted {
-            "on"
-        } else {
-            "off: clear_refs denied"
-        },
+    bench.record(
+        "bounded_replay/x4",
+        "s",
+        bounded_replay,
+        &[
+            ("cache_bytes_ceiling", &cache_bytes),
+            ("rss_delta_bytes", &replay_rss_delta),
+            ("rss_bound_bytes", &rss_bound),
+            // false when the kernel denies clear_refs
+            ("rss_ceiling_asserted", &peak_reset),
+        ],
     );
-
-    let record = format!(
-        concat!(
-            "{{\"bench\":\"corpus_scale\",\"quick\":{},",
-            "\"announced_addresses\":{},\"table_prefixes\":{},\"scan_units\":{},",
-            "\"snapshots\":{},\"hosts_per_month\":{},\"snapshot_bytes_total\":{},",
-            "\"ingest_addrs_per_sec\":{:.0},\"migrate_secs\":{:.3},",
-            "\"before_cold_load_ms\":{:.2},\"after_cold_load_ms\":{:.2},",
-            "\"cold_load_speedup\":{:.2},",
-            "\"warm_replay_secs_w1\":{:.3},\"warm_replay_secs_w4\":{:.3},",
-            "\"warm_w1_over_w4\":{:.2},",
-            "\"cache_bytes_ceiling\":{},\"bounded_replay_secs\":{:.3},",
-            "\"bounded_replay_rss_delta_bytes\":{},\"rss_bound_bytes\":{},",
-            "\"rss_ceiling_asserted\":{},",
-            "\"note\":\"before = legacy cold load reconstructed inline (decode ",
-            "rebuilds every host Vec, then one trie walk per host); after = ",
-            "decode once + covered-count sweep, read-optimized month cache, ",
-            "byte-ceiling eviction. rss bound = ceiling + 4 workers x 2 ",
-            "transient snapshot buffers + slack. 1-core container: warm w1/w4 ",
-            "~ 1 means no cache plateau, not a parallel speedup.\"}}\n"
-        ),
-        quick,
-        announced,
-        synth.table.len(),
-        view.len(),
-        scale.months + 1,
-        scale.hosts_per_month,
-        snapshot_bytes_total,
-        ingest_aps,
-        migrate_secs,
-        before_cold_secs * 1e3,
-        after_cold_secs * 1e3,
-        cold_speedup,
-        warm_w1_secs,
-        warm_w4_secs,
-        warm_ratio,
-        cache_bytes,
-        bounded_secs,
-        replay_rss_delta,
-        rss_bound,
-        rss_asserted,
-    );
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_corpus_scale.json");
-    std::fs::write(&path, &record).expect("write BENCH_corpus_scale.json");
-    eprintln!("corpus_scale → {}", path.display());
     let _ = std::fs::remove_dir_all(&dir);
+    bench.finish();
 }

@@ -1,9 +1,9 @@
-//! One bench per paper exhibit: regenerates each table/figure at bench
+//! One record per paper exhibit: regenerates each table/figure at bench
 //! scale and measures the cost of doing so. The measured *values* land in
 //! `results/` when run through the `repro` binary; these benches guard the
 //! *cost* of every step of the reproduction pipeline, per DESIGN.md §4:
 //!
-//! | bench               | exhibit            |
+//! | case                | exhibit            |
 //! |---------------------|--------------------|
 //! | `fig1_scoping`      | Figure 1           |
 //! | `fig2_deagg`        | Figure 2           |
@@ -19,53 +19,57 @@
 //! | `scan_validation`   | engine-in-the-loop |
 //! | `universe_generation` | the seeding "full scan" itself |
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
-use tass_bench::scenario;
+use tass_bench::{scenario, time, Bench};
 use tass_experiments::exhibits;
 use tass_experiments::{Scenario, ScenarioConfig};
 
-fn bench_exhibit(c: &mut Criterion, bench_name: &str, id: &str) {
+/// (bench case, exhibit id) in the order of the table above.
+const EXHIBITS: &[(&str, &str)] = &[
+    ("fig1_scoping", "fig1"),
+    ("fig2_deagg", "fig2"),
+    ("fig3_lengths", "fig3"),
+    ("fig4_rank", "fig4"),
+    ("table1_selection", "table1"),
+    ("sec34_stats", "sec34"),
+    ("fig5_hitlist", "fig5"),
+    ("fig6_campaign", "fig6a"),
+    ("efficiency_claims", "efficiency"),
+    ("ablation_random", "ablation"),
+    ("adaptive_feedback", "adaptive"),
+    ("scan_validation", "scan_validation"),
+];
+
+fn main() {
+    let mut bench = Bench::new("exhibits");
     let s = scenario();
-    let f = exhibits::by_id(id).unwrap_or_else(|| panic!("exhibit {id} missing"));
-    c.bench_function(bench_name, |b| b.iter(|| f(black_box(s)).text.len()));
-}
-
-fn exhibits_benches(c: &mut Criterion) {
-    bench_exhibit(c, "fig1_scoping", "fig1");
-    bench_exhibit(c, "fig2_deagg", "fig2");
-    bench_exhibit(c, "fig3_lengths", "fig3");
-    bench_exhibit(c, "fig4_rank", "fig4");
-    bench_exhibit(c, "table1_selection", "table1");
-    bench_exhibit(c, "sec34_stats", "sec34");
-    bench_exhibit(c, "fig5_hitlist", "fig5");
-    bench_exhibit(c, "fig6_campaign", "fig6a");
-    bench_exhibit(c, "efficiency_claims", "efficiency");
-    bench_exhibit(c, "ablation_random", "ablation");
-    bench_exhibit(c, "adaptive_feedback", "adaptive");
-    bench_exhibit(c, "scan_validation", "scan_validation");
-}
-
-fn universe_generation(c: &mut Criterion) {
-    c.bench_function("universe_generation", |b| {
-        b.iter(|| {
-            let cfg = ScenarioConfig {
-                seed: 0x17EA,
-                l_prefix_count: 200,
-                host_scale: 1.0,
-                months: 6,
-            };
-            Scenario::build(black_box(&cfg))
-                .universe
-                .snapshot(6, tass_model::Protocol::Http)
-                .len()
-        })
+    for &(case, id) in EXHIBITS {
+        let f = exhibits::by_id(id).unwrap_or_else(|| panic!("exhibit {id} missing"));
+        let stats = time(bench.samples(), || f(black_box(s)).text.len());
+        bench.record(
+            case,
+            "ms",
+            stats.map(|secs| secs * 1e3),
+            &[("exhibit", &id.to_string())],
+        );
+    }
+    let cfg = ScenarioConfig {
+        seed: 0x17EA,
+        l_prefix_count: 200,
+        host_scale: 1.0,
+        months: 6,
+    };
+    let generation = time(bench.samples(), || {
+        Scenario::build(black_box(&cfg))
+            .universe
+            .snapshot(6, tass_model::Protocol::Http)
+            .len()
     });
+    bench.record(
+        "universe_generation",
+        "ms",
+        generation.map(|secs| secs * 1e3),
+        &[("l_prefix_count", &cfg.l_prefix_count)],
+    );
+    bench.finish();
 }
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10);
-    targets = exhibits_benches, universe_generation
-}
-criterion_main!(benches);

@@ -1,49 +1,29 @@
-//! `tassd` under load: what the HTTP control plane costs.
+//! `tassd` under load: what the HTTP control plane costs as connections
+//! grow.
 //!
-//! Two layers:
-//!
-//! * **criterion micro-benches** — per-request cost of the hand-rolled
-//!   HTTP path over real loopback TCP: a `/v1/healthz` roundtrip, a
-//!   status poll of a finished campaign, and a full `POST
-//!   /v1/campaigns` submit (workers drain the queue concurrently);
-//! * **a concurrent-connection sweep** — 16/64/256/1024 keep-alive
-//!   clients, each submitting a burst of campaigns and then polling
-//!   status under load, plus a row where slowloris-style connections
-//!   drip bytes alongside the pollers. Each row records submissions/s,
-//!   completion throughput, and p50/p99 status-poll latency to
-//!   `BENCH_service.json` at the repo root, after a pinned row holding
-//!   the thread-per-connection baseline this sweep replaced — the
-//!   perf-trajectory file CI and future PRs compare against.
-//!
-//! `SERVICE_BENCH_QUICK=1` shrinks the sweep for CI smoke runs.
+//! A concurrent-connection sweep: 16/64/256/1024 keep-alive clients,
+//! each submitting a burst of campaigns and then polling status under
+//! load, plus a row where slowloris-style connections drip bytes
+//! alongside the pollers. Each row is one record of its status-poll
+//! latencies (median, min, max and p99 over every poll), with
+//! submissions/s and completion throughput. Every row asserts zero
+//! reconnects and no dropped campaigns, so a quick run
+//! (`BENCH_QUICK=1`, a smaller sweep) is CI's check. Per-request
+//! latency of submit, status and healthz on one connection is traced by
+//! perfbench's `serve` workload.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use std::io::Write as _;
 use std::net::TcpStream;
-use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 use std::thread;
 use std::time::{Duration, Instant};
+use tass_bench::{quantile, Bench, Stats};
 use tass_model::registry::SourceRegistry;
 use tass_model::{Universe, UniverseConfig};
 use tass_service::{
     api, HttpClient, HttpServer, HttpdConfig, ServiceConfig, ShutdownMode, Tassd, TenantQuota,
 };
-
-/// The measured row the thread-per-connection server last recorded
-/// (PR 8, 8 clients × 4 campaigns) — pinned so the trajectory file
-/// always carries the before/after comparison.
-const PINNED_BEFORE: &str = concat!(
-    "{\"bench\":\"service_load\",\"row\":\"threaded-baseline\",",
-    "\"clients\":8,\"campaigns_per_client\":4,\"slow_clients\":0,",
-    "\"submissions_per_sec\":117.1,\"completions_per_sec\":421.1,",
-    "\"poll_p50_ms\":0.063,\"poll_p99_ms\":2.080,\"polls\":1883,\"wall_secs\":0.076}"
-);
-
-fn quick() -> bool {
-    std::env::var_os("SERVICE_BENCH_QUICK").is_some()
-}
 
 fn registry() -> Arc<SourceRegistry> {
     let mut reg = SourceRegistry::new();
@@ -56,11 +36,11 @@ fn registry() -> Arc<SourceRegistry> {
 }
 
 /// A daemon tuned for load: no artificial month delay, quotas wide open.
-fn start_daemon(workers: usize) -> (Tassd, HttpServer) {
+fn start_daemon() -> (Tassd, HttpServer) {
     let daemon = Tassd::start(
         registry(),
         ServiceConfig {
-            workers,
+            workers: 2,
             quota: TenantQuota {
                 max_pending: 10_000,
                 max_concurrent: 64,
@@ -115,78 +95,6 @@ fn wait_done(client: &mut HttpClient, tenant: &str, id: u64) {
     }
 }
 
-fn bench_control_plane(c: &mut Criterion) {
-    let (daemon, server) = start_daemon(2);
-    let mut client = HttpClient::connect(server.addr());
-    let mut group = c.benchmark_group("service_load");
-
-    group.bench_function("healthz_roundtrip", |b| {
-        b.iter(|| {
-            let (status, _) = client.get("/v1/healthz", None).expect("healthz");
-            assert_eq!(status, 200);
-        })
-    });
-
-    let done_id = submit(&mut client, "bench", 1);
-    wait_done(&mut client, "bench", done_id);
-    group.bench_function("status_poll_done", |b| {
-        b.iter(|| {
-            let (status, _) = client
-                .get(&format!("/v1/campaigns/{done_id}"), Some("bench"))
-                .expect("poll");
-            assert_eq!(status, 200);
-        })
-    });
-
-    let mut seed = 100;
-    group.bench_function("submit_campaign", |b| {
-        b.iter(|| {
-            seed += 1;
-            submit(&mut client, "bench", seed)
-        })
-    });
-
-    group.finish();
-    server.shutdown();
-    daemon.shutdown(ShutdownMode::Drain).expect("drain");
-}
-
-/// One sweep row's measurements.
-struct Row {
-    clients: usize,
-    campaigns_per_client: usize,
-    slow_clients: usize,
-    submissions_per_sec: f64,
-    completions_per_sec: f64,
-    poll_p50: Duration,
-    poll_p99: Duration,
-    polls: usize,
-    wall: Duration,
-}
-
-impl Row {
-    fn render(&self, label: &str) -> String {
-        format!(
-            concat!(
-                "{{\"bench\":\"service_load\",\"row\":\"{}\",",
-                "\"clients\":{},\"campaigns_per_client\":{},\"slow_clients\":{},",
-                "\"submissions_per_sec\":{:.1},\"completions_per_sec\":{:.1},",
-                "\"poll_p50_ms\":{:.3},\"poll_p99_ms\":{:.3},\"polls\":{},\"wall_secs\":{:.3}}}"
-            ),
-            label,
-            self.clients,
-            self.campaigns_per_client,
-            self.slow_clients,
-            self.submissions_per_sec,
-            self.completions_per_sec,
-            self.poll_p50.as_secs_f64() * 1e3,
-            self.poll_p99.as_secs_f64() * 1e3,
-            self.polls,
-            self.wall.as_secs_f64(),
-        )
-    }
-}
-
 /// Keep connections dripping request bytes (one byte per 20 ms) until
 /// told to stop — the slow-client mix the event loop must shrug off.
 fn slowloris(addr: std::net::SocketAddr, stop: Arc<AtomicBool>) {
@@ -216,12 +124,13 @@ fn slowloris(addr: std::net::SocketAddr, stop: Arc<AtomicBool>) {
 /// burst of campaigns, wait for them, then hammer status polls (with
 /// `slow_clients` slowloris connections dripping alongside).
 fn sweep_row(
+    bench: &mut Bench,
     clients: usize,
     campaigns_per_client: usize,
     polls_per_client: usize,
     slow_clients: usize,
-) -> Row {
-    let (daemon, server) = start_daemon(2);
+) {
+    let (daemon, server) = start_daemon();
     let addr = server.addr();
 
     let stop_slow = Arc::new(AtomicBool::new(false));
@@ -290,65 +199,58 @@ fn sweep_row(
         .map(|(_, d, _)| d.duration_since(t0))
         .max()
         .expect("clients > 0");
-    let mut polls: Vec<Duration> = results.into_iter().flat_map(|(_, _, l)| l).collect();
-    polls.sort_unstable();
-    Row {
-        clients,
-        campaigns_per_client,
-        slow_clients,
-        submissions_per_sec: total as f64 / submit_wall.as_secs_f64(),
-        completions_per_sec: total as f64 / done_wall.as_secs_f64(),
-        poll_p50: polls[polls.len() / 2],
-        poll_p99: polls[(polls.len() * 99 / 100).min(polls.len() - 1)],
-        polls: polls.len(),
-        wall,
-    }
+    let polls_ms: Vec<f64> = results
+        .into_iter()
+        .flat_map(|(_, _, l)| l)
+        .map(|d| d.as_secs_f64() * 1e3)
+        .collect();
+    let case = if slow_clients == 0 {
+        format!("{clients}_clients")
+    } else {
+        format!("{clients}_clients_{slow_clients}_slow")
+    };
+    bench.record(
+        &case,
+        "poll_ms",
+        Stats::of(&polls_ms),
+        &[
+            ("poll_p99_ms", &quantile(&polls_ms, 0.99)),
+            ("clients", &clients),
+            ("campaigns_per_client", &campaigns_per_client),
+            ("slow_clients", &slow_clients),
+            (
+                "submissions_per_sec",
+                &(total as f64 / submit_wall.as_secs_f64()),
+            ),
+            (
+                "completions_per_sec",
+                &(total as f64 / done_wall.as_secs_f64()),
+            ),
+            ("wall_secs", &wall.as_secs_f64()),
+        ],
+    );
 }
 
-/// The sweep: run every row, then write the pinned baseline plus one
-/// line per row to `BENCH_service.json`.
-fn connection_sweep() {
-    let (counts, polls): (&[usize], usize) = if quick() {
+fn main() {
+    let mut bench = Bench::new("service");
+    let (counts, polls): (&[usize], usize) = if bench.quick() {
         (&[16, 64], 10)
     } else {
         (&[16, 64, 256, 1024], 50)
     };
-    let mut lines = vec![PINNED_BEFORE.to_string()];
     for &clients in counts {
         // a roughly constant total campaign load across rows, so rows
         // differ in connection count, not campaign work
-        let per_client = (256 / clients).max(1);
-        let row = sweep_row(clients, per_client, polls, 0);
-        eprintln!("service_load sweep: {}", row.render("epoll"));
-        lines.push(row.render("epoll"));
+        sweep_row(&mut bench, clients, (256 / clients).max(1), polls, 0);
     }
     // the slow-client mix at the headline connection count
-    let mix_clients = if quick() { 64 } else { 256 };
-    let slow = if quick() { 4 } else { 32 };
-    let row = sweep_row(mix_clients, (256 / mix_clients).max(1), polls, slow);
-    eprintln!("service_load sweep: {}", row.render("epoll-slow-mix"));
-    lines.push(row.render("epoll-slow-mix"));
-
-    // quick mode exists for CI smoke coverage: the row assertions (zero
-    // reconnects, no dropped campaigns) are the check, and a truncated
-    // sweep must not clobber the checked-in full trajectory file
-    if quick() {
-        eprintln!("service_load sweep: quick mode, BENCH_service.json left untouched");
-        return;
-    }
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_service.json");
-    std::fs::write(&path, lines.join("\n") + "\n").expect("write BENCH_service.json");
-    eprintln!("service_load sweep → {}", path.display());
+    let (mix_clients, slow) = if bench.quick() { (64, 4) } else { (256, 32) };
+    sweep_row(
+        &mut bench,
+        mix_clients,
+        (256 / mix_clients).max(1),
+        polls,
+        slow,
+    );
+    bench.finish();
 }
-
-fn bench_fleet(c: &mut Criterion) {
-    // run once, outside criterion's sampling loop — the sweep is the
-    // measurement, criterion just hosts it
-    connection_sweep();
-    // keep criterion happy with a registered (cheap) benchmark so the
-    // group shows up in reports
-    c.bench_function("service_load/sweep_recorded", |b| b.iter(|| 1 + 1));
-}
-
-criterion_group!(benches, bench_control_plane, bench_fleet);
-criterion_main!(benches);

@@ -1,15 +1,21 @@
 //! Microbenches for the hot substrate paths: the trie, deaggregation, the
-//! cyclic permutation, the wire codecs, SipHash, set algebra, and the
-//! host-set merge that dominates strategy evaluation.
+//! cyclic permutation, SipHash, set algebra, and the host-set merge that
+//! dominates strategy evaluation. The wire codecs are measured by
+//! `wire_codec`.
+//!
+//! Each record is nanoseconds per element. An operation too short to time
+//! on its own runs `BATCH` times per sample.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
+use tass_bench::Bench;
 use tass_model::HostSet;
 use tass_net::{deagg, Cyclic, Prefix, PrefixSet, PrefixTrie};
 use tass_scan::siphash::SipHash24;
-use tass_scan::wire;
+
+/// Calls per sample for single-element operations.
+const BATCH: u64 = 10_000;
 
 fn random_prefixes(n: usize, seed: u64) -> Vec<Prefix> {
     let mut rng = SmallRng::seed_from_u64(seed);
@@ -21,8 +27,7 @@ fn random_prefixes(n: usize, seed: u64) -> Vec<Prefix> {
         .collect()
 }
 
-fn bench_trie(c: &mut Criterion) {
-    let mut group = c.benchmark_group("trie");
+fn bench_trie(bench: &mut Bench) {
     for n in [10_000usize, 100_000] {
         let prefixes = random_prefixes(n, 1);
         let trie: PrefixTrie<u32> = prefixes
@@ -32,146 +37,103 @@ fn bench_trie(c: &mut Criterion) {
             .collect();
         let mut rng = SmallRng::seed_from_u64(2);
         let addrs: Vec<u32> = (0..10_000).map(|_| rng.random()).collect();
-        group.throughput(Throughput::Elements(addrs.len() as u64));
-        group.bench_with_input(BenchmarkId::new("longest_match", n), &trie, |b, trie| {
-            b.iter(|| {
-                let mut hits = 0usize;
-                for &a in &addrs {
-                    if trie.longest_match(black_box(a)).is_some() {
-                        hits += 1;
-                    }
-                }
-                hits
-            })
+        let queries = addrs.len() as u64;
+        bench.ns_per_element(&format!("trie/longest_match/{n}"), queries, || {
+            addrs
+                .iter()
+                .filter(|&&a| trie.longest_match(black_box(a)).is_some())
+                .count()
         });
-        group.bench_with_input(BenchmarkId::new("shortest_match", n), &trie, |b, trie| {
-            b.iter(|| {
-                let mut hits = 0usize;
-                for &a in &addrs {
-                    if trie.shortest_match(black_box(a)).is_some() {
-                        hits += 1;
-                    }
-                }
-                hits
-            })
+        bench.ns_per_element(&format!("trie/shortest_match/{n}"), queries, || {
+            addrs
+                .iter()
+                .filter(|&&a| trie.shortest_match(black_box(a)).is_some())
+                .count()
         });
-        group.bench_with_input(BenchmarkId::new("build", n), &prefixes, |b, ps| {
-            b.iter(|| {
-                let t: PrefixTrie<()> = ps.iter().map(|&p| (p, ())).collect();
-                t.len()
-            })
+        bench.ns_per_element(&format!("trie/build/{n}"), n as u64, || {
+            let t: PrefixTrie<()> = prefixes.iter().map(|&p| (p, ())).collect();
+            t.len()
         });
     }
-    group.finish();
 }
 
-fn bench_deagg(c: &mut Criterion) {
-    let mut group = c.benchmark_group("deaggregation");
+fn bench_deagg(bench: &mut Bench) {
     let scen = tass_bench::scenario();
     let prefixes: Vec<Prefix> = scen.universe.topology().synth.table.prefixes().collect();
-    group.throughput(Throughput::Elements(prefixes.len() as u64));
-    group.bench_function(format!("table_{}_entries", prefixes.len()), |b| {
-        b.iter(|| deagg::deaggregate_table(prefixes.iter().copied()).len())
-    });
+    bench.ns_per_element(
+        &format!("deaggregation/table_{}_entries", prefixes.len()),
+        prefixes.len() as u64,
+        || deagg::deaggregate_table(prefixes.iter().copied()).len(),
+    );
     // the paper's Figure 2 case, isolated
     let root: Prefix = "100.0.0.0/8".parse().expect("static");
     let inner: Prefix = "100.0.0.0/24".parse().expect("static");
-    group.bench_function("single_deep_split", |b| {
-        b.iter(|| deagg::partition_preserving(black_box(root), &[black_box(inner)]).len())
+    bench.ns_per_element("deaggregation/single_deep_split", 1, || {
+        deagg::partition_preserving(black_box(root), &[black_box(inner)]).len()
     });
-    group.finish();
 }
 
-fn bench_cyclic(c: &mut Criterion) {
-    let mut group = c.benchmark_group("cyclic");
+fn bench_cyclic(bench: &mut Bench) {
     let mut rng = SmallRng::seed_from_u64(3);
     let cyc = Cyclic::ipv4(&mut rng);
-    group.throughput(Throughput::Elements(1_000_000));
-    group.bench_function("ipv4_walk_1M", |b| {
-        b.iter(|| {
-            let mut acc = 0u64;
-            for e in cyc.iter().take(1_000_000) {
-                acc ^= e;
-            }
-            acc
-        })
+    bench.ns_per_element("cyclic/ipv4_walk_1M", 1_000_000, || {
+        cyc.iter().take(1_000_000).fold(0u64, |acc, e| acc ^ e)
     });
-    group.bench_function("construct_random_generator", |b| {
-        b.iter(|| {
-            let mut rng = SmallRng::seed_from_u64(rng.random());
-            Cyclic::ipv4(&mut rng).generator()
-        })
+    bench.ns_per_element("cyclic/construct_random_generator", BATCH, || {
+        (0..BATCH)
+            .map(|_| {
+                let mut rng = SmallRng::seed_from_u64(rng.random());
+                Cyclic::ipv4(&mut rng).generator()
+            })
+            .fold(0u64, |acc, g| acc ^ g)
     });
-    group.finish();
 }
 
-fn bench_wire(c: &mut Criterion) {
-    let mut group = c.benchmark_group("wire");
-    group.throughput(Throughput::Elements(1));
-    group.bench_function("build_syn", |b| {
-        let mut dst = 0u32;
-        b.iter(|| {
-            dst = dst.wrapping_add(1);
-            wire::build_syn(0x0A000001, black_box(dst), 40000, 443, 7)
-        })
-    });
-    let frame = wire::build_syn(1, 2, 3, 4, 5);
-    group.bench_function("parse_and_validate", |b| {
-        b.iter(|| wire::parse_frame(black_box(&frame)).expect("valid frame"))
-    });
-    group.finish();
-}
-
-fn bench_siphash(c: &mut Criterion) {
+fn bench_siphash(bench: &mut Bench) {
     let h = SipHash24::new(0xA, 0xB);
-    let mut group = c.benchmark_group("siphash");
-    group.throughput(Throughput::Elements(1));
-    group.bench_function("probe_validation", |b| {
-        let mut a = 0u32;
-        b.iter(|| {
+    let mut a = 0u32;
+    bench.ns_per_element("siphash/probe_validation", BATCH, || {
+        for _ in 0..BATCH {
             a = a.wrapping_add(1);
-            h.probe_validation(black_box(a))
-        })
+            black_box(h.probe_validation(black_box(a)));
+        }
     });
-    group.finish();
 }
 
-fn bench_prefix_set(c: &mut Criterion) {
-    let mut group = c.benchmark_group("prefix_set");
+fn bench_prefix_set(bench: &mut Bench) {
     let prefixes = random_prefixes(10_000, 5);
-    group.throughput(Throughput::Elements(prefixes.len() as u64));
-    group.bench_function("from_prefixes_10k", |b| {
-        b.iter(|| PrefixSet::from_prefixes(prefixes.iter().copied()).num_addrs())
+    let n = prefixes.len() as u64;
+    bench.ns_per_element("prefix_set/from_prefixes_10k", n, || {
+        PrefixSet::from_prefixes(prefixes.iter().copied()).num_addrs()
     });
     let set = PrefixSet::from_prefixes(prefixes.iter().copied());
     let mut rng = SmallRng::seed_from_u64(6);
     let addrs: Vec<u32> = (0..10_000).map(|_| rng.random()).collect();
-    group.bench_function("contains_10k_queries", |b| {
-        b.iter(|| addrs.iter().filter(|&&a| set.contains_addr(a)).count())
+    bench.ns_per_element("prefix_set/contains_10k_queries", n, || {
+        addrs.iter().filter(|&&a| set.contains_addr(a)).count()
     });
-    group.finish();
 }
 
-fn bench_host_set(c: &mut Criterion) {
-    let mut group = c.benchmark_group("host_set");
+fn bench_host_set(bench: &mut Bench) {
     let mut rng = SmallRng::seed_from_u64(7);
     let a: HostSet = (0..500_000).map(|_| rng.random::<u32>()).collect();
-    let b_set: HostSet = (0..500_000).map(|_| rng.random::<u32>()).collect();
-    group.throughput(Throughput::Elements(500_000));
-    group.bench_function("intersection_500k", |bch| {
-        bch.iter(|| a.intersection_count(black_box(&b_set)))
+    let b: HostSet = (0..500_000).map(|_| rng.random::<u32>()).collect();
+    bench.ns_per_element("host_set/intersection_500k", 500_000, || {
+        a.intersection_count(black_box(&b))
     });
     let p: Prefix = "128.0.0.0/2".parse().expect("static");
-    group.bench_function("count_in_prefix", |bch| {
-        bch.iter(|| a.count_in_prefix(black_box(p)))
+    bench.ns_per_element("host_set/count_in_prefix", 1, || {
+        a.count_in_prefix(black_box(p))
     });
-    group.finish();
 }
 
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10);
-    targets = bench_trie, bench_deagg, bench_cyclic, bench_wire, bench_siphash,
-              bench_prefix_set, bench_host_set
+fn main() {
+    let mut bench = Bench::new("substrates");
+    bench_trie(&mut bench);
+    bench_deagg(&mut bench);
+    bench_cyclic(&mut bench);
+    bench_siphash(&mut bench);
+    bench_prefix_set(&mut bench);
+    bench_host_set(&mut bench);
+    bench.finish();
 }
-criterion_main!(benches);
