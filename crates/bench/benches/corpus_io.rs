@@ -12,7 +12,7 @@
 
 use std::hint::black_box;
 use tass_bench::{time, Bench, Stats};
-use tass_model::corpus::{export_universe, CorpusGroundTruth};
+use tass_model::corpus::{export_universe, CorpusGroundTruth, CorpusOptions};
 use tass_model::{GroundTruth, HostSet, Protocol, Snapshot, Universe, UniverseConfig};
 use tass_net::{V4, V6};
 
@@ -74,7 +74,14 @@ fn main() {
 
     // capacity 1 + alternating months ⇒ every load hits the disk path
     // (read + decode + topology check)
-    let cold = CorpusGroundTruth::with_cache_capacity(&dir, 1).expect("corpus open");
+    let cold = CorpusGroundTruth::open_with(
+        &dir,
+        &CorpusOptions {
+            cache_snapshots: 1,
+            ..Default::default()
+        },
+    )
+    .expect("corpus open");
     let mut month = 0u32;
     let cold_load = time(n, || {
         month = (month + 1) % 7;

@@ -42,9 +42,7 @@ use tass_bgp::synth::{generate, SynthConfig};
 use tass_bgp::{pfx2as, ScanUnit, SynthTable, ViewKind};
 use tass_core::campaign::CampaignPool;
 use tass_core::StrategyKind;
-use tass_model::corpus::{
-    migrate_corpus, CorpusBuilder, CorpusGroundTruth, CorpusOptions, IngestOptions,
-};
+use tass_model::corpus::{CorpusBuilder, CorpusGroundTruth, CorpusOptions, IngestOptions};
 use tass_model::{GroundTruth, HostSet, Protocol, Snapshot, Topology};
 
 /// The corpus sizing, quick (CI) or full.
@@ -195,7 +193,7 @@ fn main() {
 
     // ---- build the corpus: month 0 through the streamed text path
     // (that is the ingest-throughput measurement), months 1.. as direct
-    // snapshots; the migrate pass below downgrades and re-upgrades them.
+    // snapshots.
     let mut builder = CorpusBuilder::create(&dir, &synth.table).expect("create corpus");
     let m0 = month_hosts(view.units(), 0, scale.hosts_per_month, announced);
     let list_path = dir.join("month0.txt");
@@ -230,25 +228,6 @@ fn main() {
             ("snapshot_bytes_total", &snapshot_bytes_total),
         ],
     );
-
-    // ---- migrate months 1.. to the aligned layout. The builder writes
-    // v2 natively, so stage a legacy corpus first (untimed): downgrade
-    // months 1.. to the v1 layout, then time the in-place upgrade.
-    for m in 1..=MONTHS {
-        let path = dir.join(format!("snapshots/m{m}-http.snap"));
-        let v2 = std::fs::read(&path).expect("read snapshot");
-        let v1 = [&v2[..4], &[1], &v2[5..18], &v2[64..]].concat();
-        std::fs::write(&path, v1).expect("write legacy snapshot");
-    }
-    let t_migrate = Instant::now();
-    let rewritten = migrate_corpus(&dir).expect("migrate");
-    bench.record(
-        "migrate",
-        "s",
-        Stats::of(&[t_migrate.elapsed().as_secs_f64()]),
-        &[],
-    );
-    assert_eq!(rewritten as u32, MONTHS, "month 0 is already aligned");
 
     // ---- cold month-load latency: the legacy arm and the corpus arm,
     // sample by sample in turn after one warm-up pair

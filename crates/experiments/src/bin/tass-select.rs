@@ -17,6 +17,16 @@
 //!                       topology.pfx2as + snapshots/, e.g. written by
 //!                       tass_model::corpus::export_universe or by
 //!                       tass-select ingest from monthly scans)
+//!   --strategy SPEC     a strategy to replay; repeatable. Specs:
+//!                       full-scan | ip-hitlist | tass:VIEW:PHI |
+//!                       random-sample:F | block24:F |
+//!                       random-prefix:VIEW:F |
+//!                       reseeding-tass:VIEW:PHI:DT |
+//!                       adaptive-tass:VIEW:PHI:EXPLORE
+//!                       (VIEW = less|more; default set: ip-hitlist +
+//!                       tass:more:0.95 + full-scan)
+//!   --seed N            campaign seed (default 1)
+//!   --csv FILE          also write per-month rows as CSV
 //!   --cache-bytes N     hard month-cache memory ceiling (evicts by
 //!                       resident bytes; results are identical, only
 //!                       load latency and peak memory change)
@@ -35,21 +45,6 @@
 //!                       snapshot (DIR/v6-hitlist.snap)
 //!   --workers N         parse/sort worker threads (default 4)
 //!   --chunk-lines N     lines per streamed chunk (default 65536)
-//!
-//! tass-select migrate --corpus DIR
-//!
-//!   rewrites v1 snapshot files to the aligned v2 layout in place
-//!   (byte-identical replay results; safe to re-run)
-//!   --strategy SPEC     a strategy to replay; repeatable. Specs:
-//!                       full-scan | ip-hitlist | tass:VIEW:PHI |
-//!                       random-sample:F | block24:F |
-//!                       random-prefix:VIEW:F |
-//!                       reseeding-tass:VIEW:PHI:DT |
-//!                       adaptive-tass:VIEW:PHI:EXPLORE
-//!                       (VIEW = less|more; default set: ip-hitlist +
-//!                       tass:more:0.95 + full-scan)
-//!   --seed N            campaign seed (default 1)
-//!   --csv FILE          also write per-month rows as CSV
 //!
 //! tass-select serve [--addr HOST:PORT] [--source NAME=SPEC]...
 //!                   [--workers N] [--checkpoint-dir DIR] [--drain]
@@ -92,8 +87,8 @@ use std::path::PathBuf;
 use tass_bgp::ViewKind;
 use tass_core::strategy::StrategyKind;
 use tass_experiments::selectcli::{
-    parse_list_spec, parse_strategy, render_replay, replay_csv, run_ingest, run_migrate,
-    run_replay_with, run_select, to_whitelist,
+    parse_list_spec, parse_strategy, render_replay, replay_csv, run_ingest, run_replay_with,
+    run_select, to_whitelist,
 };
 use tass_model::corpus::{CorpusOptions, IngestOptions};
 use tass_model::registry::SourceRegistry;
@@ -107,7 +102,6 @@ fn main() {
         Some("replay") => replay_main(&args[1..]),
         Some("serve") => serve_main(&args[1..]),
         Some("ingest") => ingest_main(&args[1..]),
-        Some("migrate") => migrate_main(&args[1..]),
         _ => select_main(&args),
     }
 }
@@ -173,29 +167,6 @@ fn ingest_main(args: &[String]) {
             None => String::new(),
         },
     );
-}
-
-fn migrate_main(args: &[String]) {
-    let mut corpus: Option<PathBuf> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--corpus" => corpus = Some(PathBuf::from(need(it.next(), "--corpus", "a directory"))),
-            "--help" | "-h" => {
-                eprintln!("usage: tass-select migrate --corpus DIR");
-                return;
-            }
-            other => die(&format!("unknown migrate argument {other:?}")),
-        }
-    }
-    let corpus = corpus.unwrap_or_else(|| die("--corpus is required"));
-    match run_migrate(&corpus) {
-        Ok(n) => eprintln!(
-            "tass-select migrate: {n} snapshot{} rewritten to the aligned layout",
-            if n == 1 { "" } else { "s" }
-        ),
-        Err(e) => die(&e.to_string()),
-    }
 }
 
 fn serve_main(args: &[String]) {

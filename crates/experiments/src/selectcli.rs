@@ -15,7 +15,7 @@ use tass_core::plan::ProbePlan;
 use tass_core::select::{select_prefixes, Selection};
 use tass_core::strategy::StrategyKind;
 use tass_model::corpus::{
-    migrate_corpus, stream_address_list_to_snapshot, AddressListError, CorpusBuilder, CorpusError,
+    stream_address_list_to_snapshot, AddressListError, CorpusBuilder, CorpusError,
     CorpusGroundTruth, CorpusOptions, IngestOptions,
 };
 use tass_model::{HostSet, Protocol};
@@ -294,17 +294,10 @@ pub fn run_ingest(
     })
 }
 
-/// Upgrade a corpus directory's snapshots to the aligned v2 layout in
-/// place ([`migrate_corpus`]); returns how many files were
-/// rewritten. Safe to re-run — already-aligned files are skipped — and
-/// replay results are byte-identical across the migration.
-pub fn run_migrate(corpus_dir: &Path) -> Result<usize, CliError> {
-    migrate_corpus(corpus_dir).map_err(CliError::Corpus)
-}
-
 /// Render replayed campaign results as an aligned table: one row per
 /// `(protocol, strategy)` with probe cost and the hitrate at months
-/// 0/1/3/final.
+/// 0/1/3/final. A month the campaign never ran (past the corpus's
+/// horizon) prints `-`, not a hitrate of zero.
 pub fn render_replay(results: &[CampaignResult]) -> String {
     let mut t = crate::table::TextTable::new([
         "protocol",
@@ -316,13 +309,18 @@ pub fn render_replay(results: &[CampaignResult]) -> String {
         "hit@final",
     ]);
     for r in results {
+        let hit = |month: usize| {
+            r.months
+                .get(month)
+                .map_or("-".to_string(), |m| format!("{:.4}", m.eval.hitrate))
+        };
         t.row([
             r.protocol.name().to_string(),
             r.strategy.clone(),
             format!("{:.0}", r.avg_probes_per_cycle()),
-            format!("{:.4}", r.hitrate(0)),
-            format!("{:.4}", r.hitrate(1)),
-            format!("{:.4}", r.hitrate(3)),
+            hit(0),
+            hit(1),
+            hit(3),
             format!("{:.4}", r.final_hitrate()),
         ]);
     }
@@ -622,6 +620,11 @@ mod tests {
         // the ingested corpus opens, validates, and replays
         let replayed = run_replay(&out, &[StrategyKind::IpHitlist], 7).unwrap();
         assert!(!replayed.is_empty());
+        // a month past the 2-month horizon never ran: `-`, not 0.0000
+        let table = render_replay(&replayed);
+        let row = table.lines().find(|l| l.contains("ip-hitlist")).unwrap();
+        let cells: Vec<&str> = row.split_whitespace().rev().take(4).collect();
+        assert_eq!(cells, ["0.5000", "-", "0.5000", "1.0000"], "{table}");
         // the v6 snapshot is a decodable TSS6 file
         let bytes = std::fs::read(out.join("v6-hitlist.snap")).unwrap();
         let snap = tass_model::Snapshot::<V6>::decode(&bytes).unwrap();
@@ -645,31 +648,6 @@ mod tests {
             ),
             Err(CliError::NothingToIngest)
         ));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn migrate_preserves_replay_results() {
-        use tass_model::{export_universe, Universe, UniverseConfig};
-        let u = Universe::generate(&UniverseConfig::small(29));
-        let dir =
-            std::env::temp_dir().join(format!("tass-selectcli-migrate-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        export_universe(&u, &dir).unwrap();
-        // the export writes the aligned layout; stage a legacy corpus by
-        // downgrading every snapshot file to v1 so migrate has work to do
-        for entry in std::fs::read_dir(dir.join("snapshots")).unwrap() {
-            let path = entry.unwrap().path();
-            let v2 = std::fs::read(&path).unwrap();
-            std::fs::write(&path, [&v2[..4], &[1], &v2[5..18], &v2[64..]].concat()).unwrap();
-        }
-        let kinds = [parse_strategy("tass:more:0.95").unwrap()];
-        let before = run_replay(&dir, &kinds, 11).unwrap();
-        let rewritten = run_migrate(&dir).unwrap();
-        assert!(rewritten > 0, "v1 export has files to rewrite");
-        let after = run_replay(&dir, &kinds, 11).unwrap();
-        assert_eq!(before, after, "replay is byte-identical across migration");
-        assert_eq!(run_migrate(&dir).unwrap(), 0, "idempotent");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -71,9 +71,8 @@
 //!   spills sorted runs, and k-way merges them straight into the
 //!   aligned snapshot format — O(workers · chunk) peak memory however
 //!   large the input, with deterministic (lowest-line-wins) errors.
-//!   [`migrate_corpus`] upgrades a v1 corpus to the aligned layout in
-//!   place; [`Snapshot::decode`] reads both layouts, so replay works
-//!   before and after.
+//!   That is the one snapshot layout: [`Snapshot::decode`] reads it and
+//!   rejects any other version with a typed error naming the file.
 //!
 //! Put together, replay peak RSS is bounded by the cache ceiling plus a
 //! per-worker transient: `cache_bytes + workers × 2 × max_snapshot_bytes`
@@ -100,7 +99,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, RwLock};
 use tass_bgp::{pfx2as, RouteTable, SynthTable};
-use tass_net::{AddrFamily, NetError, V4, V6};
+use tass_net::{AddrFamily, NetError, V4};
 
 /// Manifest file name inside a corpus directory.
 pub const MANIFEST_FILE: &str = "corpus.manifest";
@@ -118,7 +117,7 @@ pub const CORPUS_VERSION: u32 = 1;
 /// no cache hit at all. The cache serves what is left: a pool of several
 /// workers, which runs one campaign per unit so its campaigns share
 /// months only through here, and repeated replays of a corpus that fits.
-/// Raise it with [`CorpusGroundTruth::with_cache_capacity`] when many
+/// Raise it with [`CorpusOptions::cache_snapshots`] when many
 /// workers replay different protocols at once.
 pub const DEFAULT_CACHE_SNAPSHOTS: usize = 8;
 
@@ -586,46 +585,6 @@ pub fn stream_address_list_to_snapshot<F: AddrFamily>(
     result
 }
 
-/// Upgrade every snapshot file of a corpus directory to the aligned
-/// layout ([`Snapshot::encode`]) in place, via a temp file and rename
-/// per snapshot. Already-aligned files are left untouched; returns how
-/// many were rewritten. Replay results are byte-identical across the
-/// migration — both layouts encode the same sorted address section,
-/// and [`Snapshot::decode`] reads either.
-pub fn migrate_corpus(dir: &Path) -> Result<usize, CorpusError> {
-    let manifest_path = dir.join(MANIFEST_FILE);
-    let text = fs::read_to_string(&manifest_path).map_err(|e| io_err(&manifest_path, e))?;
-    let manifest = CorpusManifest::parse(&text)?;
-    manifest.check_complete()?;
-    fn rewrite<F: AddrFamily>(path: &Path, bytes: &[u8]) -> Result<(), CorpusError> {
-        let snap = Snapshot::<F>::decode(bytes).map_err(|source| CorpusError::Decode {
-            path: path.to_path_buf(),
-            source,
-        })?;
-        let tmp = path.with_extension("snap-migrate.tmp");
-        fs::write(&tmp, snap.encode()).map_err(|e| io_err(&tmp, e))?;
-        fs::rename(&tmp, path).map_err(|e| io_err(path, e))?;
-        Ok(())
-    }
-    let mut rewritten = 0usize;
-    for rel in manifest.snapshots.values() {
-        let path = dir.join(rel);
-        let bytes = fs::read(&path).map_err(|e| io_err(&path, e))?;
-        if bytes.get(4) == Some(&crate::snapshot::VERSION) {
-            continue;
-        }
-        // The magic names the family; dispatch so each file decodes
-        // under the width it was written with.
-        if bytes.starts_with(b"TSS6") {
-            rewrite::<V6>(&path, &bytes)?;
-        } else {
-            rewrite::<V4>(&path, &bytes)?;
-        }
-        rewritten += 1;
-    }
-    Ok(rewritten)
-}
-
 // ------------------------------------------------------------ manifest
 
 /// The parsed corpus index: what months, protocols, and files a corpus
@@ -1056,21 +1015,6 @@ impl CorpusGroundTruth {
         CorpusGroundTruth::open_with(dir, &CorpusOptions::default())
     }
 
-    /// Open a corpus directory, retaining up to `capacity` decoded
-    /// months in memory (no byte ceiling).
-    pub fn with_cache_capacity(
-        dir: &Path,
-        capacity: usize,
-    ) -> Result<CorpusGroundTruth, CorpusError> {
-        CorpusGroundTruth::open_with(
-            dir,
-            &CorpusOptions {
-                cache_snapshots: capacity,
-                cache_bytes: None,
-            },
-        )
-    }
-
     /// Open a corpus directory with explicit cache bounds.
     pub fn open_with(dir: &Path, opts: &CorpusOptions) -> Result<CorpusGroundTruth, CorpusError> {
         let manifest_path = dir.join(MANIFEST_FILE);
@@ -1334,30 +1278,6 @@ mod tests {
             }
             other => panic!("expected AddressListFile, got {other:?}"),
         }
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn migrate_rewrites_v1_to_aligned_once() {
-        let u = Universe::generate(&UniverseConfig::small(13));
-        let dir = tmp("migrate");
-        export_universe(&u, &dir).unwrap();
-        // the export writes the aligned layout already; stage a legacy
-        // corpus by downgrading every snapshot file to v1
-        for entry in fs::read_dir(dir.join(SNAPSHOT_DIR)).unwrap() {
-            let path = entry.unwrap().path();
-            let v2 = fs::read(&path).unwrap();
-            fs::write(&path, [&v2[..4], &[1], &v2[5..18], &v2[64..]].concat()).unwrap();
-        }
-        let before = CorpusGroundTruth::open(&dir).unwrap();
-        let snap_before = before.load_snapshot(0, Protocol::Http).unwrap();
-        let n = migrate_corpus(&dir).unwrap();
-        assert_eq!(n, 28, "every v1 snapshot rewritten");
-        assert_eq!(migrate_corpus(&dir).unwrap(), 0, "second run is a no-op");
-        let after = CorpusGroundTruth::open(&dir).unwrap();
-        after.validate().unwrap();
-        let snap_after = after.load_snapshot(0, Protocol::Http).unwrap();
-        assert_eq!(&*snap_after, &*snap_before);
         let _ = fs::remove_dir_all(&dir);
     }
 

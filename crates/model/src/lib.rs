@@ -33,7 +33,7 @@ pub mod universe;
 
 pub use churn::{default_churn, ChurnTable, ClassChurn};
 pub use corpus::{
-    export_universe, migrate_corpus, parse_address_list, parse_address_list_family,
+    export_universe, parse_address_list, parse_address_list_family,
     stream_address_list_to_snapshot, AddressListError, CorpusBuilder, CorpusError,
     CorpusGroundTruth, CorpusManifest, CorpusOptions, IngestOptions,
 };

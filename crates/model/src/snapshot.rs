@@ -827,7 +827,7 @@ pub enum DecodeError {
     Truncated,
     /// Addresses not strictly ascending (corrupt payload).
     Unsorted,
-    /// A v2 header declares a section offset that cannot hold a header
+    /// The header declares a section offset that cannot hold a header
     /// (the offset must be at least the fixed header length).
     BadSection(u32),
 }
@@ -839,7 +839,11 @@ impl fmt::Display for DecodeError {
             DecodeError::WrongFamily { found, expected } => {
                 write!(f, "snapshot: {found} data, expected {expected}")
             }
-            DecodeError::BadVersion(v) => write!(f, "snapshot: unsupported version {v}"),
+            DecodeError::BadVersion(v) => write!(
+                f,
+                "snapshot: unsupported version {v}; this build reads version {VERSION} \
+                 (re-run `tass-select ingest` to rebuild the corpus)"
+            ),
             DecodeError::BadProtocol(p) => write!(f, "snapshot: unknown protocol tag {p}"),
             DecodeError::Truncated => write!(f, "snapshot: truncated input"),
             DecodeError::Unsorted => write!(f, "snapshot: addresses not sorted"),
@@ -854,19 +858,13 @@ impl std::error::Error for DecodeError {}
 
 const MAGIC_V4: &[u8; 4] = b"TSS1";
 const MAGIC_V6: &[u8; 4] = b"TSS6";
-/// The legacy format version: address section right after the 18-byte
-/// header. Still decoded, so `migrate_corpus` can upgrade old corpora.
-const VERSION_V1: u8 = 1;
-/// The format version [`Snapshot::encode`] writes: an explicit, aligned
-/// address-section offset in the header.
-pub(crate) const VERSION: u8 = 2;
-/// Byte length of the fixed v1 header (also the v1 address-section
-/// offset): magic(4) version(1) protocol(1) month(4) count(8).
-const HEADER_V1_LEN: usize = 18;
-/// Byte length of the v2 fixed header: the v1 fields plus the
-/// `section_off` u32.
-const HEADER_V2_LEN: usize = 22;
-/// Where v2 writers place the address section: the first 64-byte
+/// The one format version this build reads and [`Snapshot::encode`]
+/// writes: an explicit, aligned address-section offset in the header.
+const VERSION: u8 = 2;
+/// Byte length of the fixed header: magic(4) version(1) protocol(1)
+/// month(4) count(8) section_off(4).
+const HEADER_LEN: usize = 22;
+/// Where [`Snapshot::encode`] places the address section: the first 64-byte
 /// boundary after the header, so fixed-width reads never straddle a
 /// cache line more than the address width forces.
 const SECTION_ALIGN: usize = 64;
@@ -881,7 +879,7 @@ fn family_magic<F: AddrFamily>() -> &'static [u8; 4] {
     }
 }
 
-/// The fixed 64-byte v2 header, as [`Snapshot::encode`] writes
+/// The 64-byte header block, as [`Snapshot::encode`] writes
 /// it. Streaming writers emit this with a placeholder count and patch
 /// it once the merged address count is known.
 pub(crate) fn aligned_header<F: AddrFamily>(
@@ -904,20 +902,23 @@ struct SnapHeader {
     protocol: Protocol,
     month: u32,
     count: usize,
-    /// Byte offset of the first address (18 for v1; `section_off` for v2).
+    /// Byte offset of the first address.
     section_off: usize,
 }
 
-/// Parse and bounds-check a snapshot header, either version. On
-/// success the address section `[section_off, section_off + count·W)`
-/// is guaranteed in bounds — address *content* (strict ascent) is the
-/// caller's validation pass.
+/// Parse and bounds-check a snapshot header. Checks run in a fixed
+/// order — magic, version, then the full header length — so a file of
+/// another version is [`DecodeError::BadVersion`] however short it is.
+/// On success the address section `[section_off, section_off +
+/// count·W)` is guaranteed in bounds — address *content* (strict
+/// ascent) is the caller's validation pass.
 fn parse_header<F: AddrFamily>(data: &[u8]) -> Result<SnapHeader, DecodeError> {
     let width = usize::from(F::BITS / 8);
-    if data.len() < HEADER_V1_LEN {
-        return Err(DecodeError::Truncated);
-    }
-    let magic: &[u8; 4] = data[..4].try_into().expect("4-byte slice");
+    let magic: &[u8; 4] = data
+        .get(..4)
+        .ok_or(DecodeError::Truncated)?
+        .try_into()
+        .expect("4-byte slice");
     if magic != family_magic::<F>() {
         return Err(if magic == MAGIC_V4 {
             DecodeError::WrongFamily {
@@ -933,27 +934,23 @@ fn parse_header<F: AddrFamily>(data: &[u8]) -> Result<SnapHeader, DecodeError> {
             DecodeError::BadMagic
         });
     }
-    let version = data[4];
-    if version != VERSION_V1 && version != VERSION {
+    let version = *data.get(4).ok_or(DecodeError::Truncated)?;
+    if version != VERSION {
         return Err(DecodeError::BadVersion(version));
+    }
+    if data.len() < HEADER_LEN {
+        return Err(DecodeError::Truncated);
     }
     let ptag = data[5];
     let protocol = Protocol::from_index(ptag as usize).ok_or(DecodeError::BadProtocol(ptag))?;
     let month = u32::from_le_bytes(data[6..10].try_into().expect("4-byte slice"));
     let count64 = u64::from_le_bytes(data[10..18].try_into().expect("8-byte slice"));
     let count = usize::try_from(count64).map_err(|_| DecodeError::Truncated)?;
-    let section_off = if version == VERSION_V1 {
-        HEADER_V1_LEN
-    } else {
-        if data.len() < HEADER_V2_LEN {
-            return Err(DecodeError::Truncated);
-        }
-        let off = u32::from_le_bytes(data[18..22].try_into().expect("4-byte slice"));
-        if (off as usize) < HEADER_V2_LEN {
-            return Err(DecodeError::BadSection(off));
-        }
-        off as usize
-    };
+    let off = u32::from_le_bytes(data[18..22].try_into().expect("4-byte slice"));
+    if (off as usize) < HEADER_LEN {
+        return Err(DecodeError::BadSection(off));
+    }
+    let section_off = off as usize;
     let payload = count.checked_mul(width).ok_or(DecodeError::Truncated)?;
     if section_off > data.len() || data.len() - section_off < payload {
         return Err(DecodeError::Truncated);
@@ -987,11 +984,10 @@ impl<F: AddrFamily> Snapshot<F> {
         buf.freeze()
     }
 
-    /// Decode the binary format, either version: v2 as
-    /// [`Snapshot::encode`] writes it, or the legacy v1 layout whose
-    /// address section starts right after an 18-byte header. One fused
-    /// pass over the address section checks strict ascent and fills the
-    /// host set's `Vec`.
+    /// Decode the binary format as [`Snapshot::encode`] writes it. Any
+    /// other version byte is [`DecodeError::BadVersion`]. One fused pass
+    /// over the address section checks strict ascent and fills the host
+    /// set's `Vec`.
     ///
     /// The decoder is family-checked: handing v6 bytes to a v4 decode
     /// (or vice versa) fails with [`DecodeError::WrongFamily`] rather
@@ -1115,6 +1111,20 @@ mod tests {
             Snapshot::<V4>::decode(&bytes),
             Err(DecodeError::BadVersion(9))
         );
+        // the retired v1 layout: typed, and checked before the header
+        // length, so even a bare magic + version byte names it
+        bytes[4] = 1;
+        assert_eq!(
+            Snapshot::<V4>::decode(&bytes),
+            Err(DecodeError::BadVersion(1))
+        );
+        assert_eq!(
+            Snapshot::<V4>::decode(&bytes[..5]),
+            Err(DecodeError::BadVersion(1))
+        );
+        let msg = DecodeError::BadVersion(1).to_string();
+        assert!(msg.contains("version 2"), "{msg}");
+        assert!(msg.contains("tass-select ingest"), "{msg}");
         let mut bytes = snap.encode().to_vec();
         bytes[5] = 77; // protocol tag
         assert_eq!(
@@ -1154,14 +1164,8 @@ mod tests {
         }
     }
 
-    /// Legacy v1 bytes of the set `v2` encodes: version byte 1 and the
-    /// address section right after the 18-byte header.
-    fn v1_of(v2: &[u8]) -> Vec<u8> {
-        [&v2[..4], &[1], &v2[5..18], &v2[64..]].concat()
-    }
-
     #[test]
-    fn aligned_encode_roundtrips_both_decoders() {
+    fn encode_writes_the_aligned_layout() {
         let snap = Snapshot::new(
             Protocol::Http,
             2,
@@ -1170,29 +1174,18 @@ mod tests {
         let v2 = snap.encode();
         assert_eq!(v2[4], 2); // version byte
         assert_eq!(v2.len(), 64 + 4 * 4);
-        let v1 = v1_of(&v2);
-        assert_eq!(v1.len(), 18 + 4 * 4);
-        let from_v1 = Snapshot::<V4>::decode(&v1).unwrap();
         let from_v2 = Snapshot::<V4>::decode(&v2).unwrap();
-        assert_eq!(from_v1, snap);
         assert_eq!(from_v2, snap);
-        for cut in 0..v1.len() {
-            assert_eq!(
-                Snapshot::<V4>::decode(&v1[..cut]),
-                Err(DecodeError::Truncated),
-                "v1 cut at {cut}"
-            );
-        }
     }
 
     #[test]
-    fn mapped_decode_serves_v1_and_matches_owned_ops() {
+    fn decoded_snapshot_matches_owned_ops() {
         let snap = Snapshot::new(
             Protocol::Http,
             2,
             hs(&[0x0A00_0001, 0x0A00_0002, 0x0A00_0100, 0x0B00_0000]),
         );
-        let decoded = Snapshot::<V4>::decode(&v1_of(&snap.encode())).unwrap();
+        let decoded = Snapshot::<V4>::decode(&snap.encode()).unwrap();
         assert_eq!(decoded, snap);
         assert_eq!(decoded.hosts.to_vec(), snap.hosts.to_vec());
         assert!(decoded.hosts.contains(0x0A00_0100));
@@ -1211,7 +1204,7 @@ mod tests {
     }
 
     #[test]
-    fn mapped_resident_bytes_is_the_buffer() {
+    fn resident_bytes_is_the_address_section() {
         let snap = Snapshot::new(Protocol::Http, 0, hs(&[1, 2, 3]));
         assert_eq!(snap.resident_bytes(), 12);
         // a decoded month holds only the address section, len x width
@@ -1220,8 +1213,6 @@ mod tests {
         assert_eq!(section, 12);
         let from_v2 = Snapshot::<V4>::decode(&v2).unwrap();
         assert_eq!(from_v2.resident_bytes(), section);
-        let from_v1 = Snapshot::<V4>::decode(&v1_of(&v2)).unwrap();
-        assert_eq!(from_v1.resident_bytes(), section);
     }
 
     #[test]

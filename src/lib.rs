@@ -155,11 +155,7 @@
 //!     --list 1:http:scan-2024-02.txt \
 //!     --workers 4 --chunk-lines 65536
 //!
-//! # 2. (corpora written before the aligned layout) upgrade in place;
-//! #    replay results are byte-identical before and after
-//! $ tass-select migrate --corpus ./corpus
-//!
-//! # 3. replay: campaigns stream months from disk through a bounded
+//! # 2. replay: campaigns stream months from disk through a bounded
 //! #    cache — the ceiling caps resident snapshot memory however
 //! #    large the corpus is
 //! $ tass-select replay --corpus ./corpus --strategy tass:more:0.95 \

@@ -25,9 +25,8 @@ use tass::bgp::{pfx2as, ViewKind};
 use tass::core::campaign::{CampaignPool, CampaignResult};
 use tass::core::strategy::StrategyKind;
 use tass::model::corpus::{
-    export_universe, migrate_corpus, parse_address_list_family, stream_address_list_to_snapshot,
-    CorpusBuilder, CorpusError, CorpusGroundTruth, CorpusManifest, CorpusOptions, IngestOptions,
-    MANIFEST_FILE,
+    export_universe, parse_address_list_family, stream_address_list_to_snapshot, CorpusBuilder,
+    CorpusError, CorpusGroundTruth, CorpusManifest, CorpusOptions, IngestOptions, MANIFEST_FILE,
 };
 use tass::model::snapshot::DecodeError;
 use tass::model::{GroundTruth, HostSet, Protocol, Snapshot, Topology, Universe, UniverseConfig};
@@ -102,7 +101,14 @@ fn corpus_replays_with_a_tiny_cache_and_from_many_threads() {
     let u = universe();
     let dir = tmp("cache");
     export_universe(&u, &dir).unwrap();
-    let corpus = CorpusGroundTruth::with_cache_capacity(&dir, 1).unwrap();
+    let corpus = CorpusGroundTruth::open_with(
+        &dir,
+        &CorpusOptions {
+            cache_snapshots: 1,
+            ..Default::default()
+        },
+    )
+    .unwrap();
     let kinds = [
         StrategyKind::IpHitlist,
         StrategyKind::Tass {
@@ -514,60 +520,13 @@ fn matrix_loads_each_month_once_per_unit_not_once_per_campaign() {
 }
 
 #[test]
-fn migrated_corpus_replays_byte_identically_to_the_legacy_layout() {
-    // write the corpus, downgrade every snapshot file to the v1 layout,
-    // replay, migrate in place, replay again: both replays must be
-    // byte-identical to the direct run, and the migrated months must
-    // decode to the same content as the legacy ones
-    let u = universe();
-    let dir = tmp("migrate");
-    export_universe(&u, &dir).unwrap();
-    let snap_dir = dir.join("snapshots");
-    let mut files = 0usize;
-    for entry in fs::read_dir(&snap_dir).unwrap() {
-        let path = entry.unwrap().path();
-        let v2 = fs::read(&path).unwrap();
-        let legacy = [&v2[..4], &[1], &v2[5..18], &v2[64..]].concat();
-        assert_eq!(legacy[4], 1);
-        fs::write(&path, legacy).unwrap();
-        files += 1;
-    }
-    let kinds = [
-        StrategyKind::FullScan,
-        StrategyKind::Tass {
-            view: ViewKind::MoreSpecific,
-            phi: 0.95,
-        },
-    ];
-    let direct = CampaignPool::serial().run_matrix(&u, &kinds, 5);
-
-    let legacy = CorpusGroundTruth::open(&dir).unwrap();
-    let legacy_snap = legacy.load_snapshot(0, Protocol::Http).unwrap();
-    let legacy_run = CampaignPool::serial().run_matrix(&legacy, &kinds, 5);
-    assert_eq!(to_json(&direct), to_json(&legacy_run));
-
-    assert_eq!(migrate_corpus(&dir).unwrap(), files);
-    assert_eq!(migrate_corpus(&dir).unwrap(), 0, "second pass is a no-op");
-
-    for entry in fs::read_dir(&snap_dir).unwrap() {
-        let bytes = fs::read(entry.unwrap().path()).unwrap();
-        assert_eq!(bytes[4], 2, "migration rewrites to the aligned layout");
-    }
-    let migrated = CorpusGroundTruth::open(&dir).unwrap();
-    let snap = migrated.load_snapshot(0, Protocol::Http).unwrap();
-    assert_eq!(*snap, *legacy_snap, "same decoded content");
-    let migrated_run = CampaignPool::serial().run_matrix(&migrated, &kinds, 5);
-    assert_eq!(to_json(&direct), to_json(&migrated_run));
-    let _ = fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn truncated_mapped_section_is_a_typed_error_naming_the_file() {
-    // v2 aligned files fail decode with typed errors that carry the
+fn bad_snapshot_layout_is_a_typed_error_naming_the_file() {
+    // bad snapshot files fail decode with typed errors that carry the
     // offending path: truncation inside the address section, a section
-    // offset pointing into the header, and one past the end of the file
+    // offset pointing into the header, one past the end of the file, and
+    // a file in the retired v1 layout
     let u = universe();
-    let dir = tmp("mapped-corrupt");
+    let dir = tmp("bad-layout");
     export_universe(&u, &dir).unwrap();
     let path = dir.join("snapshots/m2-http.snap");
     let pristine = fs::read(&path).unwrap();
@@ -610,6 +569,21 @@ fn truncated_mapped_section_is_a_typed_error_naming_the_file() {
             ..
         })
     ));
+
+    // v1 layout: version byte 1, address section right after an
+    // 18-byte header
+    let v1 = [&pristine[..4], &[1], &pristine[5..18], &pristine[64..]].concat();
+    fs::write(&path, &v1).unwrap();
+    let err = corpus.load_snapshot(2, Protocol::Http).unwrap_err();
+    let CorpusError::Decode {
+        path: ref err_path,
+        source: DecodeError::BadVersion(1),
+    } = err
+    else {
+        panic!("expected Decode/BadVersion(1), got {err:?}");
+    };
+    assert_eq!(err_path, &path);
+    assert!(err.to_string().contains("m2-http.snap"), "{err}");
     let _ = fs::remove_dir_all(&dir);
 }
 
