@@ -341,8 +341,8 @@ fn main() {
     // most `cache_bytes`, and each replay worker transiently pins up to
     // two snapshot buffers of its own (the file buffer plus the `Vec`
     // being decoded from it, or the month it is evaluating plus the one
-    // it is loading, both possibly already evicted from the cache). Everything else — rank vectors, selections, the memoised
-    // t₀ index — is the slack.
+    // it is loading, both possibly already evicted from the cache). Everything else — rank vectors,
+    // selections — is the slack.
     let max_snapshot_bytes = n_m0.max(scale.hosts_per_month + scale.hosts_per_month / 8) * 4 + 64;
     let rss_bound = cache_bytes + 4 * 2 * max_snapshot_bytes + RSS_SLACK_BYTES;
     if peak_reset {

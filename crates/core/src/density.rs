@@ -104,8 +104,8 @@ pub struct DensityCounts<F: AddrFamily = V4> {
 
 impl DensityCounts {
     /// Count a view's units against anything that can answer per-prefix
-    /// host counts (a `HostSet` by binary search; a shared `Snapshot` or
-    /// full-snapshot `HostSetView` through the memoised index).
+    /// host counts (a `HostSet` or shared `Snapshot` over its sorted
+    /// hosts; a `HostSetView` by range arithmetic).
     pub fn units(view: &View, hosts: &impl PrefixCount) -> DensityCounts {
         // view units are sorted by prefix, so the bulk sweep counts the
         // whole view in one coordinated pass over the host storage

@@ -217,7 +217,7 @@ impl Strategy for StrategyKind {
         let (plan, selection) = match *self {
             StrategyKind::FullScan => (ProbePlan::All, None),
             StrategyKind::Tass { view, phi } => {
-                // count through the snapshot's memoised index, rank top-k only
+                // count by one bulk sweep, rank top-k only
                 let counts = DensityCounts::units(view_of(topo, view), t0);
                 let sel = select_prefixes_budgeted(counts, phi, 0);
                 (ProbePlan::Prefixes(sel.sorted_prefixes()), Some(sel))
@@ -600,10 +600,10 @@ impl Strategy<V6> for V6BlockTass {
         _seed: u64,
     ) -> Box<dyn PreparedStrategy<V6>> {
         let blocks = blocks_of(t0.hosts.iter(), self.block_len);
-        let counts: Vec<u64> = blocks
-            .iter()
-            .map(|b| t0.count_in_prefix(*b) as u64)
-            .collect();
+        // the blocks are sorted, so one bulk sweep counts them all
+        let mut counts = Vec::with_capacity(blocks.len());
+        t0.hosts
+            .count_prefixes_into(&mut blocks.iter().copied(), &mut counts);
         let mut prepared = V6BlockPrepared {
             phi: self.phi,
             block_len: self.block_len,

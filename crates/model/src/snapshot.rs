@@ -13,19 +13,15 @@
 //! Matrix campaigns touch the same `(month, protocol)` snapshot from
 //! every strategy, repetition, and worker, so per-cycle work must be
 //! proportional to what a cycle *produces*, not to the size of the
-//! universe. Two pieces enforce that:
+//! universe. Three pieces enforce that:
 //!
-//! * **The prefix-count index.** [`Snapshot::count_in_prefix`] memoises
-//!   per-prefix host counts in a lazily built, lock-guarded index that
-//!   lives inside the snapshot — and snapshots are shared as
-//!   [`Arc<Snapshot>`] by the `GroundTruth` sources — so scattered
-//!   point queries are paid for once per snapshot. The rankings
-//!   themselves take the bulk path instead:
-//!   [`PrefixCount::count_prefixes_into`] sweeps an ascending prefix
-//!   sequence (sorted view units, sorted plan prefixes) over the sorted
-//!   host list with a galloping cursor — O(Σ log gapᵢ) total, no
-//!   hashing, no lock. [`PrefixCount`] is the trait rankings are
-//!   generic over; a bare [`HostSet`] answers by binary search.
+//! * **Bulk prefix counting.** Rankings count hosts per prefix through
+//!   [`PrefixCount::count_prefixes_into`], which sweeps an ascending
+//!   prefix sequence (sorted view units, sorted plan prefixes) over the
+//!   sorted host list with a galloping cursor — O(Σ log gapᵢ) total, no
+//!   hashing, no lock, and no per-snapshot state beyond the hosts.
+//!   [`PrefixCount`] is the trait rankings are generic over; a scalar
+//!   [`PrefixCount::count_in_prefix`] query is one binary search.
 //! * **Copy-free feedback.** A [`HostSetView`] is an `Arc<Snapshot>`
 //!   plus sorted disjoint index ranges into its host list: the per-cycle
 //!   "responsive set" of a simulated scan without cloning, sorting, or
@@ -46,16 +42,15 @@
 
 use crate::protocol::Protocol;
 use bytes::{BufMut, Bytes, BytesMut};
-use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 use tass_net::{AddrFamily, Prefix, V4};
 
 /// Anything that can report how many of its member hosts a prefix
 /// covers. Density rankings are generic over this, so they can run
-/// against an owned [`HostSet`] (binary search), a shared
-/// [`Snapshot`] (memoised index), or a per-cycle [`HostSetView`]
-/// (range arithmetic) without materialising anything.
+/// against an owned [`HostSet`] or a shared [`Snapshot`] (binary
+/// search), or a per-cycle [`HostSetView`] (range arithmetic) without
+/// materialising anything.
 pub trait PrefixCount<F: AddrFamily = V4> {
     /// Count member hosts covered by `p`.
     fn count_in_prefix(&self, p: Prefix<F>) -> usize;
@@ -306,14 +301,11 @@ impl<F: AddrFamily> PrefixCount<F> for HostSet<F> {
     }
 }
 
-/// One protocol's ground truth for one month, generic over the family.
-///
-/// Carries a lazily built per-prefix host-count index so that repeated
-/// rankings against the same snapshot (every strategy × repetition ×
-/// worker of a matrix sweep shares the same `Arc<Snapshot>`) cost O(k)
-/// lookups instead of O(k log n) binary searches. The index assumes the
-/// snapshot is immutable once queried; mutating `hosts` through the
-/// public field after the first `count_in_prefix` call is a logic error.
+/// One protocol's ground truth for one month, generic over the family:
+/// the sorted responsive host set, shared as [`Arc<Snapshot>`] by the
+/// `GroundTruth` sources. It holds nothing beyond its hosts, so
+/// [`Snapshot::resident_bytes`] is its whole footprint.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Snapshot<F: AddrFamily = V4> {
     /// The protocol scanned.
     pub protocol: Protocol,
@@ -321,8 +313,6 @@ pub struct Snapshot<F: AddrFamily = V4> {
     pub month: u32,
     /// The responsive hosts.
     pub hosts: HostSet<F>,
-    /// Memoised per-prefix host counts (the unit-count index).
-    prefix_counts: RwLock<HashMap<Prefix<F>, u64>>,
 }
 
 impl<F: AddrFamily> Snapshot<F> {
@@ -332,7 +322,6 @@ impl<F: AddrFamily> Snapshot<F> {
             protocol,
             month,
             hosts,
-            prefix_counts: RwLock::new(HashMap::new()),
         }
     }
 
@@ -347,113 +336,15 @@ impl<F: AddrFamily> Snapshot<F> {
     }
 
     /// Bytes of memory this snapshot keeps resident: `len × width` of
-    /// the host `Vec` (the lazily built prefix-count memo is not
-    /// charged). This is what a byte-budgeted month cache accounts
+    /// the host `Vec`. This is what a byte-budgeted month cache accounts
     /// evictions in.
     pub fn resident_bytes(&self) -> usize {
         self.hosts.len() * usize::from(F::BITS / 8)
     }
 
-    /// Count responsive hosts covered by a prefix, memoised: the first
-    /// query per prefix pays the binary search, every later one — from
-    /// any strategy, repetition, or worker sharing this snapshot — is a
-    /// hash lookup.
+    /// Count responsive hosts covered by a prefix (binary search).
     pub fn count_in_prefix(&self, p: Prefix<F>) -> usize {
-        if let Some(&c) = self
-            .prefix_counts
-            .read()
-            .expect("prefix-count index poisoned")
-            .get(&p)
-        {
-            return c as usize;
-        }
-        let c = self.hosts.count_in_prefix(p);
-        self.prefix_counts
-            .write()
-            .expect("prefix-count index poisoned")
-            .insert(p, c as u64);
-        c
-    }
-
-    /// Bulk variant of [`Snapshot::count_in_prefix`]: one read pass over
-    /// the index for the whole prefix list, then a single write pass
-    /// filling whatever was missing — so a full ranking takes two lock
-    /// acquisitions, not two per unit.
-    pub fn prefix_counts(&self, prefixes: &[Prefix<F>]) -> Vec<u64> {
-        let mut out = Vec::with_capacity(prefixes.len());
-        let mut missing: Vec<(usize, Prefix<F>)> = Vec::new();
-        {
-            let index = self
-                .prefix_counts
-                .read()
-                .expect("prefix-count index poisoned");
-            for (i, &p) in prefixes.iter().enumerate() {
-                match index.get(&p) {
-                    Some(&c) => out.push(c),
-                    None => {
-                        missing.push((i, p));
-                        out.push(0);
-                    }
-                }
-            }
-        }
-        if !missing.is_empty() {
-            let mut index = self
-                .prefix_counts
-                .write()
-                .expect("prefix-count index poisoned");
-            for (i, p) in missing {
-                let c = self.hosts.count_in_prefix(p) as u64;
-                index.insert(p, c);
-                out[i] = c;
-            }
-        }
-        out
-    }
-}
-
-// Manual impls: the index is a cache keyed entirely by `hosts`, so it
-// takes no part in equality, cloning carries the already-warm entries
-// over, and `Debug` reports only its size.
-impl<F: AddrFamily> Clone for Snapshot<F> {
-    fn clone(&self) -> Self {
-        Snapshot {
-            protocol: self.protocol,
-            month: self.month,
-            hosts: self.hosts.clone(),
-            prefix_counts: RwLock::new(
-                self.prefix_counts
-                    .read()
-                    .expect("prefix-count index poisoned")
-                    .clone(),
-            ),
-        }
-    }
-}
-
-impl<F: AddrFamily> PartialEq for Snapshot<F> {
-    fn eq(&self, other: &Self) -> bool {
-        self.protocol == other.protocol && self.month == other.month && self.hosts == other.hosts
-    }
-}
-
-impl<F: AddrFamily> Eq for Snapshot<F> {}
-
-impl<F: AddrFamily> fmt::Debug for Snapshot<F> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Snapshot")
-            .field("protocol", &self.protocol)
-            .field("month", &self.month)
-            .field("hosts", &self.hosts)
-            .field(
-                "indexed_prefixes",
-                &self
-                    .prefix_counts
-                    .read()
-                    .expect("prefix-count index poisoned")
-                    .len(),
-            )
-            .finish()
+        self.hosts.count_in_prefix(p)
     }
 }
 
@@ -462,9 +353,6 @@ impl<F: AddrFamily> PrefixCount<F> for Snapshot<F> {
         Snapshot::count_in_prefix(self, p)
     }
 
-    // Bulk counting bypasses the memo: a monotone sweep over the sorted
-    // host array is cheaper than one hash probe per prefix, needs no
-    // lock, and computes the identical counts.
     fn count_prefixes_into(
         &self,
         prefixes: &mut dyn Iterator<Item = Prefix<F>>,
@@ -596,14 +484,6 @@ impl<F: AddrFamily> HostSetView<F> {
         self.len() == 0
     }
 
-    /// Does the view cover the whole underlying snapshot?
-    fn is_full_snapshot(&self) -> bool {
-        match &self.repr {
-            Repr::Ranges { snap, len, .. } => *len == snap.hosts.len(),
-            Repr::Owned(_) => false,
-        }
-    }
-
     /// Members of `ranges[..]` with host index < `idx` (a rank query).
     fn rank(ranges: &[(usize, usize)], cum: &[usize], idx: usize) -> usize {
         let i = ranges.partition_point(|&(s, _)| s < idx);
@@ -643,15 +523,8 @@ impl<F: AddrFamily> HostSetView<F> {
         }
     }
 
-    /// Count members covered by a prefix. A view over the full snapshot
-    /// delegates to the snapshot's memoised index, so full-scan feedback
-    /// cycles share ranking work across the whole matrix.
+    /// Count members covered by a prefix.
     pub fn count_in_prefix(&self, p: Prefix<F>) -> usize {
-        if self.is_full_snapshot() {
-            if let Repr::Ranges { snap, .. } = &self.repr {
-                return snap.count_in_prefix(p);
-            }
-        }
         self.count_in_range(p.first(), p.last())
     }
 
@@ -1276,45 +1149,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn snapshot_prefix_count_index_memoises() {
-        let snap = Snapshot::new(
-            Protocol::Http,
-            0,
-            hs(&[0x0A00_0001, 0x0A00_0002, 0x0A00_0100, 0x0B00_0000]),
-        );
-        let p24: tass_net::Prefix = "10.0.0.0/24".parse().unwrap();
-        assert_eq!(snap.prefix_counts.read().unwrap().len(), 0);
-        assert_eq!(snap.count_in_prefix(p24), 2);
-        assert_eq!(snap.prefix_counts.read().unwrap().len(), 1);
-        // warm hit returns the same answer without growing the index
-        assert_eq!(snap.count_in_prefix(p24), 2);
-        assert_eq!(snap.prefix_counts.read().unwrap().len(), 1);
-        // a clone carries the warm entries
-        assert_eq!(snap.clone().prefix_counts.read().unwrap().len(), 1);
-        // equality ignores the index
-        let cold = Snapshot::new(Protocol::Http, 0, snap.hosts.clone());
-        assert_eq!(cold, snap);
-    }
-
-    #[test]
-    fn snapshot_bulk_prefix_counts_match_scalar() {
-        let snap = Snapshot::new(
-            Protocol::Http,
-            0,
-            hs(&[0x0A00_0001, 0x0A00_0002, 0x0A00_0100, 0x0B00_0000]),
-        );
-        let ps: Vec<tass_net::Prefix> = ["10.0.0.0/24", "11.0.0.0/8", "12.0.0.0/8"]
-            .iter()
-            .map(|s| s.parse().unwrap())
-            .collect();
-        // half-warm index: mix of hits and misses in one bulk call
-        snap.count_in_prefix(ps[0]);
-        assert_eq!(snap.prefix_counts(&ps), vec![2, 1, 0]);
-        assert_eq!(snap.prefix_counts.read().unwrap().len(), 3);
-        assert_eq!(snap.prefix_counts(&ps), vec![2, 1, 0]);
-    }
-
     fn snap_of(v: &[u32]) -> Arc<Snapshot> {
         Arc::new(Snapshot::new(Protocol::Http, 0, hs(v)))
     }
@@ -1380,16 +1214,6 @@ mod tests {
             PrefixCount::count_in_prefix(&v, p8),
             PrefixCount::count_in_prefix(&m, p8)
         );
-    }
-
-    #[test]
-    fn full_view_prefix_count_hits_snapshot_index() {
-        let snap = snap_of(&[0x0A00_0001, 0x0B00_0000]);
-        let v = HostSetView::full(snap.clone());
-        let p8: tass_net::Prefix = "10.0.0.0/8".parse().unwrap();
-        assert_eq!(v.count_in_prefix(p8), 1);
-        // the lookup went through (and warmed) the shared memo
-        assert_eq!(snap.prefix_counts.read().unwrap().len(), 1);
     }
 
     #[test]

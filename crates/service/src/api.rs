@@ -16,14 +16,14 @@
 //! `404` exactly like jobs that never existed, so the job-id space leaks
 //! nothing across tenants.
 //!
-//! The results endpoint returns the stored `CampaignResult` JSON bytes
-//! verbatim — the daemon serializes a result once, when the campaign
-//! finishes, and never re-renders it, so the HTTP body is byte-identical
-//! to `serde_json::to_string(&run_campaign(…))` run locally. With
-//! `offset`/`limit` query parameters it returns the same envelope with
-//! the `months` array sliced to the requested page, spliced from byte
-//! ranges of the stored JSON (still never re-serialised); without them
-//! the body stays bit-for-bit what it always was.
+//! The daemon keeps each job's result as one set of parts: the envelope
+//! head, one rendered element per month, and the envelope tail. The
+//! campaign publishes a month's element as it completes the month, and a
+//! published part is never re-rendered. Every results endpoint cuts its
+//! body from these parts. The results endpoint joins all of them, so the
+//! HTTP body is byte-identical to `serde_json::to_string(&run_campaign(…))`
+//! run locally. With `offset`/`limit` query parameters it returns the
+//! same envelope with only the requested page of `months` elements.
 //!
 //! The `/results/stream` variant serves the same result as chunked
 //! transfer encoding **without waiting for the campaign to finish**:
@@ -162,10 +162,11 @@ fn submit_error(e: SubmitError) -> Response {
     }
 }
 
-/// The results page window: `offset`/`limit` query parameters, both
-/// optional. `None` means no paging was requested at all — the caller
-/// must return the stored bytes verbatim.
-fn page_window(req: &Request) -> Result<Option<(usize, Option<usize>)>, Response> {
+/// The results page window from the optional `offset`/`limit` query
+/// parameters: `offset` defaults to 0 and a missing `limit` means every
+/// month from `offset` on, so a request with neither is the whole
+/// result, `(0, None)`.
+fn page_window(req: &Request) -> Result<(usize, Option<usize>), Response> {
     let parse = |name: &str| -> Result<Option<usize>, Response> {
         match req.query_param(name) {
             None => Ok(None),
@@ -178,12 +179,7 @@ fn page_window(req: &Request) -> Result<Option<(usize, Option<usize>)>, Response
             }),
         }
     };
-    let offset = parse("offset")?;
-    let limit = parse("limit")?;
-    Ok(match (offset, limit) {
-        (None, None) => None,
-        (offset, limit) => Some((offset.unwrap_or(0), limit)),
-    })
+    Ok((parse("offset")?.unwrap_or(0), parse("limit")?))
 }
 
 fn job_id(params_id: Option<&str>) -> Result<u64, Response> {
@@ -252,12 +248,11 @@ pub fn router() -> Router<ServiceCore> {
                     Ok(id) => id,
                     Err(resp) => return resp,
                 };
-                let result = match page_window(req) {
-                    Ok(None) => core.job_result(&tenant, id),
-                    Ok(Some((offset, limit))) => core.job_result_page(&tenant, id, offset, limit),
+                let (offset, limit) = match page_window(req) {
+                    Ok(window) => window,
                     Err(resp) => return resp,
                 };
-                match result {
+                match core.job_result_page(&tenant, id, offset, limit) {
                     Ok(json) => Response::json(200, json),
                     Err(ResultError::NotFound) => err(
                         404,

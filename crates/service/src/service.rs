@@ -33,8 +33,8 @@ use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::thread;
 use std::time::{Duration, Instant};
 use tass_core::{
-    partial_result, run_campaign_checkpointed, CampaignCheckpoint, CampaignPool, CampaignRun,
-    CampaignStep, MonthEval, StrategyKind,
+    partial_result, run_campaign_checkpointed, CampaignCheckpoint, CampaignJob, CampaignPool,
+    CampaignRun, CampaignStep, MonthEval, StrategyKind,
 };
 use tass_model::corpus::CorpusError;
 use tass_model::registry::{SharedSource, SourceEntry, SourceRegistry};
@@ -280,89 +280,93 @@ struct Job {
     /// by the worker for the duration of the run.
     checkpoint: Option<CampaignCheckpoint>,
     months_done: u32,
-    /// The byte-stable `CampaignResult` JSON, exactly as
-    /// `serde_json::to_string` rendered it.
-    result_json: Option<String>,
-    /// Byte spans of the stored JSON's `"months"` array, computed once
-    /// when the result is stored so paged fetches splice substrings of
-    /// `result_json` instead of re-serialising anything.
-    result_spans: Option<ResultSpans>,
-    /// Result pieces published incrementally while the job runs (the
-    /// streaming endpoint's source until `result_json` lands); dropped
-    /// when the job finishes.
-    stream: Option<StreamParts>,
+    /// The result as published so far: the envelope plus one element
+    /// per completed month. Every results endpoint — full body, page,
+    /// stream — cuts its bytes from these parts; `None` until the first
+    /// month completes.
+    result: Option<ResultParts>,
     completion_index: Option<u64>,
 }
 
-/// The pieces of a running job's result published so far: rendered by
-/// the campaign control hook with the same serializer that renders the
-/// final stored result, so every streamed byte is identical to the byte
-/// the finished job will serve from `result_json`.
-struct StreamParts {
+/// A job's `CampaignResult` JSON, split where the results endpoints cut
+/// it. `head + months.concat() + tail` is exactly
+/// `serde_json::to_string` of the result covering those months.
+struct ResultParts {
     /// Envelope bytes through the months array's `[`.
-    prefix: String,
+    head: String,
     /// Serialized month elements, in month order; every element after
     /// the first carries its leading comma.
-    entries: Vec<String>,
+    months: Vec<String>,
+    /// The months array's `]` through the end of the envelope.
+    tail: String,
 }
 
-/// Where the months live inside a stored result's JSON bytes.
-#[derive(Debug, Clone)]
-struct ResultSpans {
-    /// Byte index of the months array's `[`.
-    open: usize,
-    /// Byte index of the months array's `]`.
-    close: usize,
-    /// Per-month element byte range `[start, end)` inside the JSON.
-    months: Vec<(usize, usize)>,
-}
-
-/// Scan a stored result's JSON for the byte spans of its top-level
-/// `"months"` array elements. One forward pass over bytes already in
-/// memory; the daemon never re-renders a result after storing it.
-fn month_spans(json: &str) -> Option<ResultSpans> {
-    let key = "\"months\":[";
-    let open = json.find(key)? + key.len() - 1;
-    let bytes = json.as_bytes();
-    let mut months = Vec::new();
-    let mut i = open + 1;
-    let mut start = i;
-    let mut depth = 0usize;
-    let mut in_str = false;
-    let mut esc = false;
-    loop {
-        let b = *bytes.get(i)?;
-        if in_str {
-            if esc {
-                esc = false;
-            } else if b == b'\\' {
-                esc = true;
-            } else if b == b'"' {
-                in_str = false;
-            }
-        } else {
-            match b {
-                b'"' => in_str = true,
-                b'{' | b'[' => depth += 1,
-                b']' if depth == 0 => {
-                    if start < i {
-                        months.push((start, i));
-                    }
-                    return Some(ResultSpans {
-                        open,
-                        close: i,
-                        months,
-                    });
-                }
-                b'}' | b']' => depth -= 1,
-                b',' if depth == 0 => {
-                    months.push((start, i));
-                    start = i + 1;
-                }
-                _ => {}
-            }
+impl ResultParts {
+    /// The result with its `months` array sliced to
+    /// `[offset, offset + limit)`; `(0, None)` is the whole result. The
+    /// first selected element drops its leading comma.
+    fn page(&self, offset: usize, limit: Option<usize>) -> String {
+        let start = offset.min(self.months.len());
+        let end = limit.map_or(self.months.len(), |l| {
+            offset.saturating_add(l).min(self.months.len())
+        });
+        let page = &self.months[start..end];
+        let len = page.iter().map(String::len).sum::<usize>();
+        let mut out = String::with_capacity(self.head.len() + len + self.tail.len());
+        out.push_str(&self.head);
+        for (i, element) in page.iter().enumerate() {
+            out.push_str(if i == 0 {
+                element.strip_prefix(',').unwrap_or(element)
+            } else {
+                element
+            });
         }
-        i += 1;
+        out.push_str(&self.tail);
+        out
+    }
+}
+
+/// Bring `parts` up to date with the months completed so far, rendering
+/// only the months it does not hold yet. The envelope comes from one
+/// render of the 1-month [`partial_result`] stamped with the job
+/// identity the checkpointed driver adds — the same constructor as the
+/// final result — so the parts concatenate to the finished result's
+/// exact bytes.
+fn publish_months(
+    parts: &mut Option<ResultParts>,
+    source: &Capped,
+    kind: &StrategyKind,
+    protocol: Protocol,
+    job: &CampaignJob,
+    done: &[MonthEval],
+) {
+    let Some(first) = done.first() else {
+        return;
+    };
+    let parts = parts.get_or_insert_with(|| {
+        let envelope = partial_result(source, kind, protocol, vec![*first])
+            .expect("one month is a result")
+            .with_job(job.clone());
+        let json = serde_json::to_string(&envelope).expect("campaign results always serialize");
+        let element = serde_json::to_string(first).expect("month evals always serialize");
+        let key = "\"months\":[";
+        let open = json.find(key).expect("results carry a months array") + key.len();
+        let tail = json[open..]
+            .strip_prefix(element.as_str())
+            .expect("the months array opens with the first month");
+        ResultParts {
+            head: json[..open].to_string(),
+            months: Vec::new(),
+            tail: tail.to_string(),
+        }
+    });
+    for (i, eval) in done.iter().enumerate().skip(parts.months.len()) {
+        let element = serde_json::to_string(eval).expect("month evals always serialize");
+        parts.months.push(if i == 0 {
+            element
+        } else {
+            format!(",{element}")
+        });
     }
 }
 
@@ -588,9 +592,7 @@ impl ServiceCore {
                 status: JobStatus::Queued,
                 checkpoint: Some(CampaignCheckpoint::new(req.kind, protocol, req.seed)),
                 months_done: 0,
-                result_json: None,
-                result_spans: None,
-                stream: None,
+                result: None,
                 completion_index: None,
             },
         );
@@ -624,27 +626,18 @@ impl ServiceCore {
         })
     }
 
-    /// The finished job's byte-stable result JSON.
+    /// The finished job's byte-stable result JSON: the unpaged
+    /// [`ServiceCore::job_result_page`].
     pub fn job_result(&self, tenant: &str, id: u64) -> Result<String, ResultError> {
-        let table = self.table.lock().expect("job table lock");
-        match table.jobs.get(&id).filter(|j| j.tenant == tenant) {
-            None => Err(ResultError::NotFound),
-            Some(job) => match &job.result_json {
-                Some(json) => Ok(json.clone()),
-                None => Err(ResultError::NotDone {
-                    status: job.status.tag().to_string(),
-                }),
-            },
-        }
+        self.job_result_page(tenant, id, 0, None)
     }
 
     /// A page of the finished job's result: the same envelope as
     /// [`ServiceCore::job_result`] with the `months` array sliced to
-    /// `[offset, offset + limit)`. The body is spliced from at most
-    /// three substrings of the stored JSON — prefix through `[`, the
-    /// contiguous byte range of the selected months, and `]` through the
-    /// end — so paging never re-serialises the result. An `offset` past
-    /// the end yields the envelope with an empty months array.
+    /// `[offset, offset + limit)`, cut from the job's published result
+    /// parts, so paging never re-serialises anything. `(0, None)` is the
+    /// whole result; an `offset` past the end yields the envelope with
+    /// an empty months array.
     pub fn job_result_page(
         &self,
         tenant: &str,
@@ -653,43 +646,27 @@ impl ServiceCore {
         limit: Option<usize>,
     ) -> Result<String, ResultError> {
         let table = self.table.lock().expect("job table lock");
-        let job = match table.jobs.get(&id).filter(|j| j.tenant == tenant) {
-            None => return Err(ResultError::NotFound),
-            Some(job) => job,
-        };
-        let (json, spans) = match (&job.result_json, &job.result_spans) {
-            (Some(json), Some(spans)) => (json, spans),
-            _ => {
-                return Err(ResultError::NotDone {
-                    status: job.status.tag().to_string(),
-                })
-            }
-        };
-        let end = match limit {
-            Some(l) => offset.saturating_add(l).min(spans.months.len()),
-            None => spans.months.len(),
-        };
-        let page = &spans.months[offset.min(spans.months.len())..end];
-        let mut out = String::with_capacity(json.len());
-        out.push_str(&json[..spans.open + 1]);
-        if let (Some(&(s, _)), Some(&(_, e))) = (page.first(), page.last()) {
-            out.push_str(&json[s..e]);
+        let job = table
+            .jobs
+            .get(&id)
+            .filter(|j| j.tenant == tenant)
+            .ok_or(ResultError::NotFound)?;
+        match (&job.result, job.status) {
+            (Some(parts), JobStatus::Done) => Ok(parts.page(offset, limit)),
+            _ => Err(ResultError::NotDone {
+                status: job.status.tag().to_string(),
+            }),
         }
-        out.push_str(&json[spans.close..]);
-        Ok(out)
     }
 
     /// Piece `piece` of job `id`'s result stream — the streaming
-    /// endpoint's pull source.
+    /// endpoint's pull source, cut from the same result parts as every
+    /// other results endpoint.
     ///
-    /// While the job runs, pieces come from the stream parts the
-    /// campaign control hook publishes at each month boundary (a piece
-    /// the campaign hasn't reached yet is [`StreamPiece::Pending`]).
-    /// Once the job finishes, pieces are spliced from the stored
-    /// `result_json` by the same spans that serve paged fetches. The two
-    /// sources are byte-identical piece for piece, so a stream that
-    /// starts against a running job and finishes against the stored
-    /// result still concatenates to exactly the unpaginated body.
+    /// Piece 0 is the envelope head; piece `p` is month element `p - 1`
+    /// once the campaign has completed that month (until then the piece
+    /// is [`StreamPiece::Pending`]); the tail follows once the job is
+    /// done, and then [`StreamPiece::End`].
     pub fn result_stream_piece(
         &self,
         tenant: &str,
@@ -702,36 +679,20 @@ impl ServiceCore {
             .get(&id)
             .filter(|j| j.tenant == tenant)
             .ok_or(ResultError::NotFound)?;
-        if let (Some(json), Some(spans)) = (&job.result_json, &job.result_spans) {
-            let elems = spans.months.len() as u64;
-            return Ok(match piece {
-                0 => StreamPiece::Data(json[..=spans.open].to_string()),
-                p if p <= elems => {
-                    let p = p as usize;
-                    // element p-1, plus its leading comma for p >= 2
-                    let start = if p == 1 {
-                        spans.months[0].0
-                    } else {
-                        spans.months[p - 2].1
-                    };
-                    StreamPiece::Data(json[start..spans.months[p - 1].1].to_string())
-                }
-                p if p == elems + 1 => StreamPiece::Data(json[spans.close..].to_string()),
-                _ => StreamPiece::End,
-            });
-        }
         if job.status == JobStatus::Failed {
             return Ok(StreamPiece::Gone);
         }
-        let Some(parts) = &job.stream else {
+        let Some(parts) = &job.result else {
             return Ok(StreamPiece::Pending);
         };
+        let months = parts.months.len() as u64;
+        let done = job.status == JobStatus::Done;
         Ok(match piece {
-            0 => StreamPiece::Data(parts.prefix.clone()),
-            p if (p as usize) <= parts.entries.len() => {
-                StreamPiece::Data(parts.entries[p as usize - 1].clone())
-            }
-            _ => StreamPiece::Pending,
+            0 => StreamPiece::Data(parts.head.clone()),
+            p if p <= months => StreamPiece::Data(parts.months[p as usize - 1].clone()),
+            _ if !done => StreamPiece::Pending,
+            p if p == months + 1 => StreamPiece::Data(parts.tail.clone()),
+            _ => StreamPiece::End,
         })
     }
 
@@ -782,7 +743,7 @@ impl ServiceCore {
         // resumed against a daemon missing the source
         let Some(inner) = self.registry.get_v4(&source_name) else {
             let mut table = self.table.lock().expect("job table lock");
-            self.finish(&mut table, id, None);
+            self.finish(&mut table, id, JobStatus::Failed);
             return;
         };
         let source = Capped {
@@ -796,36 +757,7 @@ impl ServiceCore {
                 let mut table = self.table.lock().expect("job table lock");
                 let job = table.jobs.get_mut(&id).expect("running ids resolve");
                 job.months_done = month;
-                if !done.is_empty() {
-                    if job.stream.is_none() {
-                        // One-time per job: render the envelope prefix
-                        // from the first completed month. partial_result
-                        // routes through the same constructor as the
-                        // final result, and the job stamp is the one the
-                        // checkpointed driver adds, so these bytes match
-                        // the stored result's prefix exactly.
-                        let partial = partial_result(&source, &kind, protocol, done[..1].to_vec())
-                            .expect("done is non-empty")
-                            .with_job(identity.clone());
-                        let json = serde_json::to_string(&partial)
-                            .expect("campaign results always serialize");
-                        let spans = month_spans(&json).expect("results carry a months array");
-                        job.stream = Some(StreamParts {
-                            prefix: json[..=spans.open].to_string(),
-                            entries: Vec::new(),
-                        });
-                    }
-                    let parts = job.stream.as_mut().expect("set above");
-                    for (i, eval) in done.iter().enumerate().skip(parts.entries.len()) {
-                        let element =
-                            serde_json::to_string(eval).expect("month evals always serialize");
-                        parts.entries.push(if i == 0 {
-                            element
-                        } else {
-                            format!(",{element}")
-                        });
-                    }
-                }
+                publish_months(&mut job.result, &source, &kind, protocol, &identity, done);
             }
             if self.stop.load(Ordering::Relaxed) && !self.drain.load(Ordering::Relaxed) {
                 return CampaignStep::Suspend;
@@ -837,10 +769,20 @@ impl ServiceCore {
         };
         match run_campaign_checkpointed(&source, checkpoint, &mut control) {
             CampaignRun::Done(result) => {
-                let json =
-                    serde_json::to_string(&result).expect("campaign results always serialize");
                 let mut table = self.table.lock().expect("job table lock");
-                self.finish(&mut table, id, Some(json));
+                let job = table.jobs.get_mut(&id).expect("running ids resolve");
+                // the hook never sees the last month (nor any month of a
+                // `months: 0` job), so the parts are completed here
+                publish_months(
+                    &mut job.result,
+                    &source,
+                    &kind,
+                    protocol,
+                    &identity,
+                    &result.months,
+                );
+                job.months_done = job.months_total + 1;
+                self.finish(&mut table, id, JobStatus::Done);
                 drop(table);
                 // the job is finished; its resume file (if any) is stale
                 if let Some(path) = self.checkpoint_path(id) {
@@ -866,21 +808,13 @@ impl ServiceCore {
         }
     }
 
-    /// Mark `id` done (with its result JSON) or failed (without).
-    fn finish(&self, table: &mut JobTable, id: u64, result_json: Option<String>) {
+    /// Mark `id` finished with `status` (done or failed), stamping its
+    /// completion index. A failed job keeps the months it completed.
+    fn finish(&self, table: &mut JobTable, id: u64, status: JobStatus) {
         let index = table.completions;
         table.completions += 1;
         let job = table.jobs.get_mut(&id).expect("finished ids resolve");
-        job.status = if result_json.is_some() {
-            JobStatus::Done
-        } else {
-            JobStatus::Failed
-        };
-        job.months_done = job.months_total + 1;
-        job.result_spans = result_json.as_deref().and_then(month_spans);
-        job.result_json = result_json;
-        // in-flight streams switch to splicing the stored bytes
-        job.stream = None;
+        job.status = status;
         job.completion_index = Some(index);
         let tenant = job.tenant.clone();
         table
@@ -947,9 +881,7 @@ impl Tassd {
                         status: JobStatus::Queued,
                         months_done: file.checkpoint.months_done(),
                         checkpoint: Some(file.checkpoint),
-                        result_json: None,
-                        result_spans: None,
-                        stream: None,
+                        result: None,
                         completion_index: None,
                     },
                 );
@@ -1161,27 +1093,6 @@ mod tests {
     }
 
     #[test]
-    fn month_span_scanner_handles_tricky_json() {
-        // nested arrays/objects and strings containing brackets, commas,
-        // and escaped quotes must not derail the element scan
-        let json = r#"{"strategy":"x","months":[{"a":[1,2],"s":"y,]\"z"},{"b":{"c":[3]}},{"d":4}],"job":{"id":1}}"#;
-        let spans = month_spans(json).unwrap();
-        assert_eq!(spans.months.len(), 3);
-        let elems: Vec<&str> = spans.months.iter().map(|&(s, e)| &json[s..e]).collect();
-        assert_eq!(elems[0], r#"{"a":[1,2],"s":"y,]\"z"}"#);
-        assert_eq!(elems[1], r#"{"b":{"c":[3]}}"#);
-        assert_eq!(elems[2], r#"{"d":4}"#);
-        assert_eq!(&json[spans.open..=spans.open], "[");
-        assert_eq!(&json[spans.close..=spans.close], "]");
-        // an empty months array has a span but no elements
-        let empty = month_spans(r#"{"months":[],"job":null}"#).unwrap();
-        assert!(empty.months.is_empty());
-        assert_eq!(empty.close, empty.open + 1);
-        // a result with no months array is not paged
-        assert!(month_spans(r#"{"strategy":"x"}"#).is_none());
-    }
-
-    #[test]
     fn quotas_and_rates_reject_at_submit() {
         let daemon = Tassd::start(
             demo_registry(),
@@ -1245,26 +1156,49 @@ mod tests {
         let registry = demo_registry();
         let daemon = Tassd::start(Arc::clone(&registry), ServiceConfig::default()).unwrap();
         let core = daemon.core();
-        let id = core
-            .submit(
-                "alice",
-                SubmitRequest {
-                    months: Some(2),
-                    ..submit(StrategyKind::FullScan, 9)
-                },
-            )
-            .unwrap();
-        let view = wait_done(&core, "alice", id);
-        assert_eq!((view.months_total, view.months_done), (2, 3));
-        let got = core.job_result("alice", id).unwrap();
-        // identical to a direct run over the capped source
-        let capped = Capped {
-            inner: registry.get_v4("demo").unwrap(),
-            months: 2,
-        };
-        let oracle = run_campaign(&capped, StrategyKind::FullScan, Protocol::Http, 9)
-            .with_job(CampaignJob::new(StrategyKind::FullScan, Protocol::Http, 9));
-        assert_eq!(got, serde_json::to_string(&oracle).unwrap());
+        // `months: 0` publishes no month before the campaign is done, and
+        // no job's hook sees its last month: both complete their parts
+        // at finish
+        for months in [0, 2] {
+            let id = core
+                .submit(
+                    "alice",
+                    SubmitRequest {
+                        months: Some(months),
+                        ..submit(StrategyKind::FullScan, 9)
+                    },
+                )
+                .unwrap();
+            let view = wait_done(&core, "alice", id);
+            assert_eq!((view.months_total, view.months_done), (months, months + 1));
+            let got = core.job_result("alice", id).unwrap();
+            // identical to a direct run over the capped source
+            let capped = Capped {
+                inner: registry.get_v4("demo").unwrap(),
+                months,
+            };
+            let oracle = run_campaign(&capped, StrategyKind::FullScan, Protocol::Http, 9)
+                .with_job(CampaignJob::new(StrategyKind::FullScan, Protocol::Http, 9));
+            let want = serde_json::to_string(&oracle).unwrap();
+            assert_eq!(got, want);
+            // so are the stream pieces, concatenated, and a page
+            let mut streamed = String::new();
+            for piece in 0.. {
+                match core.result_stream_piece("alice", id, piece).unwrap() {
+                    StreamPiece::Data(data) => streamed.push_str(&data),
+                    StreamPiece::End => break,
+                    other => panic!("months {months} piece {piece}: {other:?}"),
+                }
+            }
+            assert_eq!(streamed, want, "months {months}");
+            let mut page = oracle.clone();
+            page.months = oracle.months.iter().skip(1).take(1).copied().collect();
+            assert_eq!(
+                core.job_result_page("alice", id, 1, Some(1)).unwrap(),
+                serde_json::to_string(&page).unwrap(),
+                "months {months}"
+            );
+        }
         daemon.shutdown(ShutdownMode::Drain).unwrap();
     }
 }

@@ -3,6 +3,7 @@
 //! checkpointed kill-then-resume.
 
 use std::collections::BTreeMap;
+use std::path::PathBuf;
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -380,25 +381,17 @@ fn stress_many_tenants_fair_completion_zero_drops() {
     assert_eq!(report.completed as usize, total);
 }
 
-/// Kill the daemon mid-campaign, restart it over the same checkpoint
-/// directory, and prove the resumed job finishes with results
-/// byte-identical to a never-interrupted run.
-#[test]
-fn kill_then_resume_is_byte_identical() {
-    let spec = "reseeding-tass:more:0.95:3";
-    let seed = 13;
-    let dir = std::env::temp_dir().join(format!("tassd-resume-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let reg = registry();
-    let cfg = || ServiceConfig {
-        workers: 1,
-        quota: TenantQuota::default(),
-        month_delay: Duration::from_millis(40),
-        checkpoint_dir: Some(dir.clone()),
-    };
-
-    // first daemon: submit, let it get partway, checkpoint-shutdown
-    let daemon = Tassd::start(Arc::clone(&reg), cfg()).unwrap();
+/// Submit `spec` to a daemon over `cfg`, let the campaign complete at
+/// least two months, checkpoint-shutdown the daemon, and return the job
+/// id and its checkpoint file.
+fn checkpoint_mid_campaign(
+    reg: &Arc<SourceRegistry>,
+    cfg: ServiceConfig,
+    spec: &str,
+    seed: u64,
+) -> (u64, PathBuf) {
+    let dir = cfg.checkpoint_dir.clone().expect("a checkpoint directory");
+    let daemon = Tassd::start(Arc::clone(reg), cfg).unwrap();
     let server = HttpServer::bind("127.0.0.1:0", daemon.core(), api::router()).unwrap();
     let mut client = HttpClient::connect(server.addr());
     let id = submit(&mut client, "alice", spec, seed);
@@ -422,6 +415,29 @@ fn kill_then_resume_is_byte_identical() {
     assert_eq!(report.checkpointed, 1, "the in-flight job must persist");
     let file = dir.join(format!("job-{id:08}.json"));
     assert!(file.exists(), "checkpoint file {} missing", file.display());
+    (id, file)
+}
+
+/// Kill the daemon mid-campaign, restart it over the same checkpoint
+/// directory, and prove the resumed job finishes with results
+/// byte-identical to a never-interrupted run — in full, streamed, and
+/// paged.
+#[test]
+fn kill_then_resume_is_byte_identical() {
+    let spec = "reseeding-tass:more:0.95:3";
+    let seed = 13;
+    let dir = std::env::temp_dir().join(format!("tassd-resume-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let reg = registry();
+    let cfg = || ServiceConfig {
+        workers: 1,
+        quota: TenantQuota::default(),
+        month_delay: Duration::from_millis(40),
+        checkpoint_dir: Some(dir.clone()),
+    };
+
+    // first daemon: submit, let it get partway, checkpoint-shutdown
+    let (id, file) = checkpoint_mid_campaign(&reg, cfg(), spec, seed);
 
     // second daemon over the same directory: the job resumes under its
     // original id and completes
@@ -434,15 +450,92 @@ fn kill_then_resume_is_byte_identical() {
         .get(&format!("/v1/campaigns/{id}/results"), Some("alice"))
         .unwrap();
     assert_eq!(status, 200);
+    let want = oracle(&reg, spec, seed);
     assert_eq!(
-        got,
-        oracle(&reg, spec, seed),
+        got, want,
         "suspend/restart/resume must not change a single byte"
     );
     assert!(
         !file.exists(),
         "stale checkpoint file must be removed on completion"
     );
+    // the resumed job's stream and pages are cut from the same bytes
+    let (status, streamed) = client
+        .get_stream(
+            &format!("/v1/campaigns/{id}/results/stream"),
+            Some("alice"),
+            |_| {},
+        )
+        .unwrap();
+    assert_eq!(status, 200);
+    assert_eq!(String::from_utf8(streamed).unwrap(), want);
+    let (status, page) = client
+        .get(
+            &format!("/v1/campaigns/{id}/results?offset=1&limit=2"),
+            Some("alice"),
+        )
+        .unwrap();
+    assert_eq!(status, 200);
+    let mut sliced: tass::core::CampaignResult = serde_json::from_str(&want).unwrap();
+    sliced.months = sliced.months[1..3].to_vec();
+    assert_eq!(page, serde_json::to_string(&sliced).unwrap());
+
+    server.shutdown();
+    daemon.shutdown(ShutdownMode::Drain).unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A checkpointed job resumed against a daemon that lacks its source
+/// fails, keeps the months it actually completed, and answers every
+/// results endpoint with a typed `409`.
+#[test]
+fn failed_resume_keeps_the_checkpointed_months() {
+    let dir = std::env::temp_dir().join(format!("tassd-failed-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = || ServiceConfig {
+        workers: 1,
+        quota: TenantQuota::default(),
+        month_delay: Duration::from_millis(40),
+        checkpoint_dir: Some(dir.clone()),
+    };
+    let (id, file) = checkpoint_mid_campaign(&registry(), cfg(), "full-scan", 3);
+    // one `"month":` key per completed month evaluation
+    let checkpointed = std::fs::read_to_string(&file)
+        .unwrap()
+        .matches(r#""month":"#)
+        .count() as u64;
+    assert!(checkpointed >= 2, "{checkpointed} months checkpointed");
+
+    // restart over the same directory without the job's source
+    let daemon = Tassd::start(Arc::new(SourceRegistry::new()), cfg()).unwrap();
+    let server = HttpServer::bind("127.0.0.1:0", daemon.core(), api::router()).unwrap();
+    let mut client = HttpClient::connect(server.addr());
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let body = loop {
+        let (status, body) = client
+            .get(&format!("/v1/campaigns/{id}"), Some("alice"))
+            .unwrap();
+        assert_eq!(status, 200, "{body}");
+        if parse_field_str(&body, "status") == "failed" {
+            break body;
+        }
+        assert!(Instant::now() < deadline, "job {id} never failed: {body}");
+        thread::sleep(Duration::from_millis(5));
+    };
+    assert_eq!(
+        parse_field_u64(&body, "months_done"),
+        checkpointed,
+        "{body}"
+    );
+    for path in ["results", "results/stream"] {
+        let (status, body) = client
+            .get(&format!("/v1/campaigns/{id}/{path}"), Some("alice"))
+            .unwrap();
+        assert_eq!(status, 409, "{path}: {body}");
+        assert!(body.contains(r#""code":"not_done""#), "{path}: {body}");
+    }
+    let (_, health) = client.get("/v1/healthz", None).unwrap();
+    assert_eq!(parse_field_u64(&health, "failed"), 1, "{health}");
 
     server.shutdown();
     daemon.shutdown(ShutdownMode::Drain).unwrap();

@@ -139,9 +139,9 @@ fn live_stream_concatenates_to_the_unpaginated_body() {
     daemon.shutdown(ShutdownMode::Drain).unwrap();
 }
 
-/// Streaming a finished campaign serves the stored bytes immediately,
-/// spliced into the same pieces, and typed errors cover the
-/// non-streamable cases.
+/// Streaming a finished campaign serves every piece immediately — the
+/// same result parts the unpaged fetch joins — and typed errors cover
+/// the non-streamable cases.
 #[test]
 fn finished_job_streams_the_stored_bytes() {
     let (spec, seed) = ("ip-hitlist", 7);
