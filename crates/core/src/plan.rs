@@ -287,11 +287,13 @@ impl<F: AddrFamily> ProbePlan<F> {
     ///
     /// `announced` matters only for `All` (the list it would walk).
     ///
-    /// The bound is about *enumerability*, not practicality: per-prefix
-    /// permutation setup factors a prime just above the prefix size by
-    /// trial division, so it (like the walk itself) grows steeply toward
-    /// the 2⁶⁴ edge — real plans stream dense sub-prefixes orders of
-    /// magnitude below the bound.
+    /// The bound is about *enumerability*, not practicality: a stream
+    /// finds the prime just above each prefix size and factors its group
+    /// order by trial division once per distinct size (memoised, so a
+    /// plan of many equal-sized prefixes pays it once), and that setup,
+    /// like the walk itself, grows steeply toward the 2⁶⁴ edge — real
+    /// plans stream dense sub-prefixes orders of magnitude below the
+    /// bound.
     pub fn check_streamable(&self, announced: &[Prefix<F>]) -> Result<(), StreamError> {
         let walked: &[Prefix<F>] = match self {
             ProbePlan::All => announced,
@@ -487,16 +489,46 @@ impl<F: AddrFamily> Iterator for PlanStream<'_, F> {
     }
 }
 
+/// The cyclic group of one prefix size: the smallest prime above the
+/// size and the distinct prime factors of its group order.
+#[derive(Debug, Clone)]
+struct SizeGroup {
+    size: u128,
+    p: u128,
+    factors: Vec<u128>,
+}
+
+/// The group of prefix size `size`, found (primality search plus
+/// factoring) on first use and memoised in `groups`. A plan has few
+/// distinct prefix sizes, so a linear scan beats hashing.
+fn size_group(groups: &mut Vec<SizeGroup>, size: u128) -> &SizeGroup {
+    let i = match groups.iter().position(|g| g.size == size) {
+        Some(i) => i,
+        None => {
+            let mut p = size + 1;
+            while !cyclic::is_prime_u128(p) {
+                p += 1;
+            }
+            let factors = cyclic::prime_factors_u128(p - 1);
+            groups.push(SizeGroup { size, p, factors });
+            groups.len() - 1
+        }
+    };
+    &groups[i]
+}
+
 /// The deterministic per-prefix permutation walk shared by every shard of
 /// a stream: a cyclic group over the smallest prime exceeding the prefix
 /// size, generated from `perm_seed` and the prefix identity only (never
 /// the shard), so shards of the same prefix walk the same permutation and
-/// partition it by exponent residue.
+/// partition it by exponent residue. `groups` memoises the group of each
+/// prefix size across the stream's prefixes.
 fn prefix_walk<F: AddrFamily>(
     prefix: Prefix<F>,
     perm_seed: u64,
     shard: u64,
     total: u64,
+    groups: &mut Vec<SizeGroup>,
 ) -> Option<Walk<F>> {
     let size = prefix.size_u128();
     // Invariant: every stream constructor runs `check_streamable` first
@@ -523,11 +555,8 @@ fn prefix_walk<F: AddrFamily>(
             .wrapping_add(addr_mix)
             .rotate_left(u32::from(prefix.len())),
     );
-    let mut p = size + 1;
-    while !cyclic::is_prime_u128(p) {
-        p += 1;
-    }
-    let group: Cyclic<F> = Cyclic::new(p, &mut rng).expect("p is prime");
+    let group = size_group(groups, size);
+    let group: Cyclic<F> = Cyclic::with_factors(group.p, &group.factors, &mut rng);
     Some(Walk::Cyclic {
         base: prefix.first(),
         offsets: group.addresses(shard, total, size),
@@ -569,6 +598,8 @@ struct PrefixStream<'a, F: AddrFamily> {
     /// Ordinal of the next prefix to open.
     next: usize,
     walk: Option<Walk<F>>,
+    /// Memoised group of each prefix size opened so far.
+    groups: Vec<SizeGroup>,
     perm_seed: u64,
     shard: u64,
     total: u64,
@@ -585,6 +616,7 @@ impl<'a, F: AddrFamily> PrefixStream<'a, F> {
             prefixes,
             next: 0,
             walk: None,
+            groups: Vec::new(),
             perm_seed,
             shard,
             total,
@@ -610,7 +642,7 @@ impl<F: AddrFamily> Iterator for PrefixStream<'_, F> {
             // prefixes (below `total` addresses) spread over all shards
             // instead of piling onto shard 0
             let s = (self.shard + ordinal as u64) % self.total;
-            self.walk = prefix_walk(prefix, self.perm_seed, s, self.total);
+            self.walk = prefix_walk(prefix, self.perm_seed, s, self.total, &mut self.groups);
         }
     }
 }

@@ -12,13 +12,19 @@
 //!
 //! The group is generic over the [`AddrFamily`]: for [`V4`] the modulus
 //! lives in `u64` (the pre-generic API, bit for bit); for
-//! [`V6`](crate::V6) it lives in `u128`, with modular
-//! multiplication falling back to a 256-bit limb product only when the
-//! modulus exceeds 64 bits. In practice v6 walks permute *prefix-sized*
-//! sub-spaces (a seeded /116 block, say) whose moduli are far below
-//! 2⁶⁴ — the u128 path exists so the arithmetic is correct at any width,
-//! not because whole-space v6 enumeration is sensible (it is not; that is
-//! the point of topology-aware selection).
+//! [`V6`](crate::V6) it lives in `u128`. Modular multiplication
+//! ([`mulmod_u128`]) has three width tiers, picked by the modulus:
+//!
+//! - **native** (m ≤ 2³²): operands already below `m` — every walk step —
+//!   skip reduction, and the product and its remainder stay in `u64`.
+//!   Every v4 prefix walk and every realistic v6 sub-prefix walk (a
+//!   seeded /116 block, say) runs here;
+//! - **wide** (m ≤ 2⁶⁴): a `u128` product reduced by `u128 %` — ZMap's
+//!   full-space prime `2³² + 15` lands here;
+//! - **limb** (m > 2⁶⁴): a double-and-add over 128-bit limbs, so the
+//!   arithmetic is correct at any width. Whole-space v6 enumeration is
+//!   not sensible (that is the point of topology-aware selection); the
+//!   tier exists for correctness, not speed.
 //!
 //! The modulus is configurable so small groups can be tested exhaustively;
 //! [`Cyclic::ipv4`] uses ZMap's prime.
@@ -50,12 +56,39 @@ pub fn powmod(mut base: u64, mut exp: u64, m: u64) -> u64 {
     acc
 }
 
-/// `(a * b) mod m` at u128 width. Takes the single-multiply u64 path
-/// whenever the modulus allows (the overwhelmingly common case, and the
-/// one the v4 permutation exercises); otherwise reduces a 256-bit limb
-/// product.
+/// Widest modulus of the native tier: two operands below 2³² multiply
+/// to below 2⁶⁴, so the product and its remainder stay in `u64`.
+const NATIVE_MODULUS_MAX: u128 = 1 << 32;
+
+/// `(a * b) mod m` at u128 width, in the narrowest tier the modulus
+/// allows (see the module docs): native `u64` arithmetic up to 2³², a
+/// `u128` product up to 2⁶⁴, a limb product above.
 #[inline]
 pub fn mulmod_u128(a: u128, b: u128, m: u128) -> u128 {
+    if m <= NATIVE_MODULUS_MAX {
+        return u128::from(mulmod_native(a, b, m as u64));
+    }
+    mulmod_wide(a, b, m)
+}
+
+/// The native tier (`m ≤ 2³²`): operands already below `m` are used as
+/// they are, so a walk step is one `u64` multiply and one `u64` remainder.
+#[inline]
+fn mulmod_native(a: u128, b: u128, m: u64) -> u64 {
+    debug_assert!(u128::from(m) <= NATIVE_MODULUS_MAX);
+    let reduce = |x: u128| {
+        if x < u128::from(m) {
+            x as u64
+        } else {
+            (x % u128::from(m)) as u64
+        }
+    };
+    reduce(a) * reduce(b) % m
+}
+
+/// The wide and limb tiers: a `u128` product when the modulus fits in
+/// `u64`, otherwise a 256-bit-safe double-and-add.
+fn mulmod_wide(a: u128, b: u128, m: u128) -> u128 {
     if let (Ok(a64), Ok(b64), Ok(m64)) =
         (u64::try_from(a % m), u64::try_from(b % m), u64::try_from(m))
     {
@@ -243,23 +276,51 @@ impl<F: AddrFamily> Cyclic<F> {
         if !is_prime_u128(p) {
             return Err(CyclicError::NotPrime(p));
         }
+        Ok(Cyclic::with_factors(p, &prime_factors_u128(p - 1), rng))
+    }
+
+    /// Build over ℤ*_p from a prime `p` and the distinct prime factors of
+    /// the group order `p − 1`, drawing the primitive root exactly as
+    /// [`Cyclic::new`] does — the same RNG draws in the same order — so
+    /// equal seeds give equal walks. A caller that builds many groups
+    /// over one prime tests and factors it once and passes the factors
+    /// here.
+    ///
+    /// The caller vouches for `p` and `factors_of_order`; debug builds
+    /// check that `p` is prime and that the factors divide out `p − 1`.
+    pub fn with_factors<R: Rng + ?Sized>(
+        p: u128,
+        factors_of_order: &[u128],
+        rng: &mut R,
+    ) -> Cyclic<F> {
+        debug_assert!(is_prime_u128(p), "{p} is not prime");
+        debug_assert_eq!(
+            factors_of_order.iter().fold(p - 1, |mut n, &q| {
+                while q > 1 && n.is_multiple_of(q) {
+                    n /= q;
+                }
+                n
+            }),
+            1,
+            "{factors_of_order:?} are not the prime factors of {}",
+            p - 1
+        );
         if p == 2 {
             // ℤ*_2 is the trivial group {1}; 1 generates it
-            return Ok(Cyclic {
+            return Cyclic {
                 p,
                 generator: 1,
                 _family: PhantomData,
-            });
+            };
         }
-        let factors = prime_factors_u128(p - 1);
         loop {
             let g = random_range_u128(rng, 2, p);
-            if is_primitive_root(g, p, &factors) {
-                return Ok(Cyclic {
+            if is_primitive_root(g, p, factors_of_order) {
+                return Cyclic {
                     p,
                     generator: g,
                     _family: PhantomData,
-                });
+                };
             }
         }
     }
@@ -486,6 +547,56 @@ mod tests {
         let m2 = u128::MAX - 56;
         assert_eq!(mulmod_u128(big, 1, m2), big);
         assert_eq!(mulmod_u128(1, big, m2), big);
+    }
+
+    #[test]
+    fn native_tier_equals_wide_tier() {
+        for m in [2u128, 3, 257, 4_294_967_291, 1 << 32] {
+            assert!(m <= NATIVE_MODULUS_MAX, "{m} takes the native tier");
+            // reduced operands at both ends of the range, plus unreduced
+            // ones that need the native tier's own reduction
+            let edge = [0, 1, 2, m / 2, m - 2, m - 1, m, m + 1, 3 * m + 7, u128::MAX];
+            for &a in &edge {
+                for &b in &edge {
+                    assert_eq!(
+                        u128::from(mulmod_native(a, b, m as u64)),
+                        mulmod_wide(a, b, m),
+                        "{a} * {b} mod {m}"
+                    );
+                }
+            }
+            let mut rng = SmallRng::seed_from_u64(m as u64);
+            for _ in 0..1000 {
+                let (a, b) = (rng.random_range(0..m), rng.random_range(0..m));
+                assert_eq!(
+                    mulmod_u128(a, b, m),
+                    mulmod_wide(a, b, m),
+                    "{a} * {b} mod {m}"
+                );
+            }
+        }
+        assert!(
+            u128::from(ZMAP_PRIME) > NATIVE_MODULUS_MAX,
+            "ZMap's prime takes the wide tier"
+        );
+    }
+
+    #[test]
+    fn with_factors_walk_equals_new_walk_at_every_v4_prefix_length() {
+        for len in 0..=32u32 {
+            let size = 1u128 << (32 - len);
+            let p = (size + 1..).find(|&p| is_prime_u128(p)).unwrap();
+            let factors = prime_factors_u128(p - 1);
+            let mut rng_new = SmallRng::seed_from_u64(0x5EED ^ u64::from(len));
+            let mut rng_memo = rng_new.clone();
+            let built: Cyclic = Cyclic::new(p, &mut rng_new).unwrap();
+            let memo: Cyclic = Cyclic::with_factors(p, &factors, &mut rng_memo);
+            assert_eq!(built, memo, "/{len}");
+            let walk = |c: &Cyclic| c.addresses(0, 1, size).take(256).collect::<Vec<u32>>();
+            assert_eq!(walk(&built), walk(&memo), "/{len}");
+            // both consumed the same draws
+            assert_eq!(rng_new.random::<u64>(), rng_memo.random::<u64>(), "/{len}");
+        }
     }
 
     #[test]

@@ -31,18 +31,22 @@
 //! ([`AtomicTokenBucket::take_n`] — a single `fetch_add`), then probes
 //! each address. One bucket serves every worker, so the aggregate send
 //! rate is `rate_pps` no matter how unevenly the plan shards: an idle
-//! worker's unused rate flows to the busy ones. On the wire path every probe reuses one
-//! [`wire::SynTemplate`] — only the destination, source port, and
-//! sequence number are re-encoded, with incremental checksums — and
-//! replies come back in the network's inline [`Replies`]
-//! storage. The worker transmits the whole 64-probe batch first
-//! (replies park in their inline buffers) and then validates the batch
-//! in send order. Fault injection is a deterministic per-address hash (see
-//! [`SimNetwork`]), and network counters are relaxed atomics, so the
-//! report — including lossy, duplicating runs — is **byte-identical at
-//! any thread count**: the shards partition the plan, and nothing about
-//! a probe's outcome depends on interleaving. Results are folded once
-//! per worker over an mpsc channel at the end.
+//! worker's unused rate flows to the busy ones. On the wire path every
+//! probe reuses one [`wire::SynTemplate`] — only the destination, source
+//! port, and sequence number are re-encoded, with incremental checksums.
+//! The worker owns a ring of 64 [`Replies`] slots for its whole life; the
+//! network writes each probe's replies straight into its slot
+//! ([`SimNetwork::transmit`]), so no reply storage is initialised or
+//! copied per probe. The worker transmits the whole 64-probe batch first
+//! and then validates the batch in send order. Fault injection is a
+//! deterministic per-address hash (see [`SimNetwork`]), and network
+//! counters are relaxed atomics, so the report — including lossy,
+//! duplicating runs — is **byte-identical at any thread count**: the
+//! shards partition the plan, and nothing about a probe's outcome
+//! depends on interleaving. Results are folded once per worker over an
+//! mpsc channel at the end; sample banners are taken after the fold,
+//! from the lowest responsive addresses, so they too are independent of
+//! the thread count and of which worker finishes first.
 //!
 //! `ScanReport::duration_secs` is the token-bucket virtual time of the
 //! slowest shard **plus one round trip of the network's configured
@@ -190,23 +194,26 @@ pub trait ScanFamily: WireFamily {
     /// Send phase of a wire-level probe: retarget the worker's reusable
     /// SYN template (incremental checksums — no per-probe encode of the
     /// constant bytes, no allocation) and transmit it through the
-    /// simulated network (which parses and validates it). Returns the
-    /// raw inline reply frames plus the (source port, expected sequence)
-    /// pair [`ScanFamily::wire_drain`] needs to validate them, or `None`
-    /// when the network rejected the frame.
+    /// simulated network (which parses and validates it), which writes
+    /// the reply frames into `replies`. Returns the (source port,
+    /// expected sequence) pair [`ScanFamily::wire_drain`] needs to
+    /// validate them.
     fn wire_send(
         network: &SimNetwork<Self>,
         key: SipHash24,
         addr: Self::Addr,
         tmpl: &mut wire::SynTemplate<Self>,
-    ) -> Option<(Replies, u16, u32)> {
+        replies: &mut Replies,
+    ) -> (u16, u32) {
         let expected_seq = key.probe_validation_addr::<Self>(addr);
         // for v4, `addr_hash64` is the address itself — the pre-generic
         // source-port derivation bit for bit
         let src_port = 32768 + (key.hash_u64(addr_hash64::<Self>(addr)) % 28232) as u16;
         tmpl.set_target(addr, src_port, expected_seq);
-        let replies = network.transmit(tmpl.frame()).ok()?;
-        Some((replies, src_port, expected_seq))
+        // a rejected frame is counted by the network as malformed and
+        // leaves `replies` empty, so draining it counts nothing
+        let _ = network.transmit(tmpl.frame(), replies);
+        (src_port, expected_seq)
     }
 
     /// Drain phase of a wire-level probe: statelessly validate the reply
@@ -381,7 +388,6 @@ struct WorkerResult<F: AddrFamily> {
     validation_failures: u64,
     responsive: Vec<F::Addr>,
     banners_grabbed: u64,
-    sample_banners: Vec<(F::Addr, String)>,
     duration_secs: f64,
 }
 
@@ -466,10 +472,6 @@ impl<F: ScanFamily> ScanEngine<F> {
                 report.rst_responses += r.rst_responses;
                 report.validation_failures += r.validation_failures;
                 report.banners_grabbed += r.banners_grabbed;
-                if report.sample_banners.len() < 16 {
-                    report.sample_banners.extend(r.sample_banners);
-                    report.sample_banners.truncate(16);
-                }
                 report.duration_secs = report.duration_secs.max(r.duration_secs);
                 responsive.extend(r.responsive);
             }
@@ -480,6 +482,15 @@ impl<F: ScanFamily> ScanEngine<F> {
                 report.duration_secs += 2.0 * self.network.latency_ms() / 1000.0;
             }
             report.responsive = HostSet::from_addrs(responsive);
+            if cfg.banner_grab {
+                let responder = self.network.responder();
+                report.sample_banners = report
+                    .responsive
+                    .iter()
+                    .filter_map(|addr| Some((addr, responder.banner(addr, cfg.port)?.to_string())))
+                    .take(SAMPLE_BANNERS)
+                    .collect();
+            }
             report.hitrate = if report.probes_sent > 0 {
                 report.responsive.len() as f64 / report.probes_sent as f64
             } else {
@@ -489,6 +500,9 @@ impl<F: ScanFamily> ScanEngine<F> {
         }))
     }
 }
+
+/// Banners a report samples: those of its lowest responsive addresses.
+const SAMPLE_BANNERS: usize = 16;
 
 /// Probes per token-bucket update: the worker fills a stack array of
 /// this many unblocked targets, charges them to the bucket in one O(1)
@@ -514,7 +528,6 @@ fn scan_worker<F: ScanFamily>(
         validation_failures: 0,
         responsive: Vec::new(),
         banners_grabbed: 0,
-        sample_banners: Vec::new(),
         duration_secs: 0.0,
     };
     let mut seen = std::collections::HashSet::new();
@@ -526,10 +539,12 @@ fn scan_worker<F: ScanFamily>(
     });
 
     let mut batch = [F::Addr::default(); PROBE_BATCH];
-    // in-flight ring for the batched wire drain, allocated once per
-    // worker: each batch writes entries [0..n] before reading them, so
-    // no per-batch re-initialisation is needed
-    let mut pending: [(u16, u32, Option<Replies>); PROBE_BATCH] = [(0, 0, None); PROBE_BATCH];
+    // in-flight ring for the batched wire drain, set up once per worker:
+    // each batch writes slots [0..n] before reading them (transmit
+    // overwrites a slot in place), so no per-batch or per-probe
+    // re-initialisation is needed
+    let mut pending = [(0u16, 0u32); PROBE_BATCH];
+    let mut replies = [Replies::default(); PROBE_BATCH];
     loop {
         // fill a batch from the shard, filtering the blocklist
         let mut n = 0;
@@ -554,22 +569,16 @@ fn scan_worker<F: ScanFamily>(
         if cfg.wire_level {
             // wire path: every probe is an encoded, checksum-validated
             // frame of the family's codec; counters come from the frames.
-            // Send the whole batch first — replies park in their inline
-            // stack buffers, like a ring of in-flight probes — then
-            // drain it in send order. Reply outcomes are deterministic
-            // per address, so the split changes nothing observable.
+            // Send the whole batch first — replies land in the ring's
+            // slots, like in-flight probes — then drain it in send
+            // order. Reply outcomes are deterministic per address, so
+            // the split changes nothing observable.
             for (i, &addr) in batch[..n].iter().enumerate() {
-                pending[i] = match F::wire_send(network, key, addr, &mut tmpl) {
-                    Some((replies, src_port, seq)) => (src_port, seq, Some(replies)),
-                    // malformed frame / transmit error: no replies
-                    None => (0, 0, None),
-                };
+                pending[i] = F::wire_send(network, key, addr, &mut tmpl, &mut replies[i]);
             }
             for (i, &addr) in batch[..n].iter().enumerate() {
-                let (src_port, seq, Some(replies)) = &pending[i] else {
-                    continue;
-                };
-                let counted = F::wire_drain(cfg, addr, *src_port, *seq, replies);
+                let (src_port, seq) = pending[i];
+                let counted = F::wire_drain(cfg, addr, src_port, seq, &replies[i]);
                 out.validation_failures += counted.validation_failures;
                 out.rst_responses += counted.rsts;
                 if counted.syn_acks > 0 {
@@ -602,14 +611,11 @@ fn scan_worker<F: ScanFamily>(
     // the last batch's virtual send time otherwise
 
     if cfg.banner_grab {
-        for &addr in &out.responsive {
-            if let Some(b) = responder.banner(addr, cfg.port) {
-                out.banners_grabbed += 1;
-                if out.sample_banners.len() < 4 {
-                    out.sample_banners.push((addr, b.to_string()));
-                }
-            }
-        }
+        out.banners_grabbed = out
+            .responsive
+            .iter()
+            .filter(|&&addr| responder.banner(addr, cfg.port).is_some())
+            .count() as u64;
     }
     out
 }
@@ -818,6 +824,38 @@ mod tests {
         assert_eq!(report.banners_grabbed, 32);
         assert!(!report.sample_banners.is_empty());
         assert!(report.sample_banners[0].1.contains("HTTP/1.1"));
+    }
+
+    #[test]
+    fn banner_report_is_independent_of_threads_and_finish_order() {
+        // a /20 with every third host live: every worker grabs banners
+        let base = 0x0A00_0000u32;
+        let hosts: Vec<u32> = (0..4096u32)
+            .filter(|i| i % 3 == 0)
+            .map(|i| base + i)
+            .collect();
+        let responder = Responder::new().with_service(Protocol::Http, HostSet::from_addrs(hosts));
+        let engine = ScanEngine::new(Arc::new(SimNetwork::new(
+            responder,
+            FaultConfig::lossy(),
+            7,
+        )));
+        let json = |threads: usize| {
+            let cfg = base_cfg().threads(threads).banner_grab(true);
+            serde_json::to_string(&scan(&engine, &["10.0.0.0/20"], &cfg)).unwrap()
+        };
+        let want = json(1);
+        for threads in [2, 3, 8] {
+            assert_eq!(json(threads), want, "threads({threads})");
+        }
+        for run in 0..5 {
+            assert_eq!(json(4), want, "threads(4), run {run}");
+        }
+        let report = scan(&engine, &["10.0.0.0/20"], &base_cfg().banner_grab(true));
+        assert_eq!(report.sample_banners.len(), SAMPLE_BANNERS);
+        let lowest: Vec<u32> = report.responsive.iter().take(SAMPLE_BANNERS).collect();
+        let sampled: Vec<u32> = report.sample_banners.iter().map(|(a, _)| *a).collect();
+        assert_eq!(sampled, lowest, "the lowest responsive addresses");
     }
 
     #[test]

@@ -23,10 +23,14 @@
 //! ## Lock-free accounting
 //!
 //! [`NetStats`] counters are relaxed-ordering atomics, each padded to its
-//! own cache line; the probe hot path performs no mutex acquisition and
-//! no heap allocation (replies travel in fixed-capacity [`Replies`]
-//! storage — a response plus at most one duplicate). [`SimNetwork::stats`]
-//! folds the counters into a plain snapshot.
+//! own cache line; the probe hot path takes no lock and performs no heap
+//! allocation. [`SimNetwork::transmit`] writes a probe's replies into a
+//! caller-owned [`Replies`] slot — a response plus at most one duplicate,
+//! inline — so the scan engine reuses one ring of slots for a worker's
+//! whole life and nothing is copied out by value. Each probe costs one
+//! membership lookup per registered port at most: the probed port's host
+//! set first, then only the others for liveness.
+//! [`SimNetwork::stats`] folds the counters into a plain snapshot.
 
 use crate::responder::Responder;
 use crate::siphash::SipHash24;
@@ -150,22 +154,26 @@ pub struct LogicalReply {
 }
 
 /// The response frames one transmitted probe produced: at most a
-/// response plus its duplicate, held inline on the stack (`Deref`s to
-/// `[FrameBuf]`). No per-probe heap allocation.
+/// response plus its duplicate, held inline (`Deref`s to `[FrameBuf]`).
+/// A caller keeps one and hands it to every [`SimNetwork::transmit`],
+/// which overwrites it in place: clearing it resets the count and leaves
+/// the frame bytes, so no probe zeroes or copies a whole `Replies`.
 #[derive(Debug, Clone, Copy)]
 pub struct Replies {
     frames: [FrameBuf; 2],
     n: u8,
 }
 
-impl Replies {
-    fn empty() -> Replies {
+impl Default for Replies {
+    fn default() -> Replies {
         Replies {
             frames: [FrameBuf::from_slice(&[]); 2],
             n: 0,
         }
     }
+}
 
+impl Replies {
     fn push(&mut self, frame: FrameBuf) {
         self.frames[usize::from(self.n)] = frame;
         self.n += 1;
@@ -263,13 +271,7 @@ impl<F: AddrFamily> SimNetwork<F> {
             self.stats.probes_lost.add(1);
             return None;
         }
-        let open = if self.responder.is_open(addr, port) {
-            true
-        } else if self.responder.is_live(addr) {
-            false
-        } else {
-            return None;
-        };
+        let open = self.responder.syn_answer(addr, port)?;
         self.stats.responses.add(1);
         if self.fault_fires(addr, DIR_RESPONSE, self.faults.response_loss) {
             self.stats.responses_lost.add(1);
@@ -285,12 +287,13 @@ impl<F: AddrFamily> SimNetwork<F> {
 }
 
 impl<F: WireFamily> SimNetwork<F> {
-    /// Transmit one frame; returns the response frames that arrive back
-    /// (possibly none, possibly duplicated) in inline [`Replies`]
-    /// storage. The frame is parsed and checksum-validated by the
-    /// family's wire codec; malformed frames are dropped and reported in
-    /// the error.
-    pub fn transmit(&self, frame: &[u8]) -> Result<Replies, WireError> {
+    /// Transmit one frame and write the response frames that arrive back
+    /// (possibly none, possibly duplicated) into `replies`, replacing
+    /// what it held. The frame is parsed and checksum-validated by the
+    /// family's wire codec; a malformed frame is dropped, counted, and
+    /// reported in the error, and leaves `replies` empty.
+    pub fn transmit(&self, frame: &[u8], replies: &mut Replies) -> Result<(), WireError> {
+        replies.n = 0;
         self.stats.frames_in.add(1);
         let parsed = match wire::parse_frame_for::<F>(frame) {
             Ok(p) => p,
@@ -299,29 +302,28 @@ impl<F: WireFamily> SimNetwork<F> {
                 return Err(e);
             }
         };
-        Ok(self.deliver(&parsed))
+        self.deliver(&parsed, replies);
+        Ok(())
     }
 
-    fn deliver(&self, probe: &TcpFrame<F>) -> Replies {
-        let mut out = Replies::empty();
+    fn deliver(&self, probe: &TcpFrame<F>, out: &mut Replies) {
         if self.fault_fires(probe.dst_ip, DIR_PROBE, self.faults.probe_loss) {
             self.stats.probes_lost.add(1);
-            return out;
+            return;
         }
         let Some(resp) = self.responder.respond_frame(probe) else {
-            return out;
+            return;
         };
         self.stats.responses.add(1);
         if self.fault_fires(probe.dst_ip, DIR_RESPONSE, self.faults.response_loss) {
             self.stats.responses_lost.add(1);
-            return out;
+            return;
         }
         out.push(resp);
         if self.fault_fires(probe.dst_ip, DIR_DUPLICATE, self.faults.duplicate) {
             self.stats.duplicated.add(1);
             out.push(resp);
         }
-        out
     }
 }
 
@@ -340,10 +342,11 @@ mod tests {
     #[test]
     fn perfect_network_delivers_everything() {
         let net = network(FaultConfig::default());
-        let mut got = 0;
+        let (mut got, mut replies) = (0, Replies::default());
         for a in 0..1000u32 {
             let syn = build_syn(7, a, 40000, 80, 1);
-            got += net.transmit(&syn).unwrap().len();
+            net.transmit(&syn, &mut replies).unwrap();
+            got += replies.len();
         }
         assert_eq!(got, 1000);
         let s = net.stats();
@@ -357,7 +360,9 @@ mod tests {
     fn dead_space_is_silent() {
         let net = network(FaultConfig::default());
         let syn = build_syn(7, 5000, 40000, 80, 1);
-        assert!(net.transmit(&syn).unwrap().is_empty());
+        let mut replies = Replies::default();
+        net.transmit(&syn, &mut replies).unwrap();
+        assert!(replies.is_empty());
     }
 
     #[test]
@@ -368,10 +373,11 @@ mod tests {
             duplicate: 0.0,
             latency_ms: 1.0,
         });
-        let mut got = 0usize;
+        let (mut got, mut replies) = (0usize, Replies::default());
         for a in 0..1000u32 {
             let syn = build_syn(7, a, 40000, 80, 1);
-            got += net.transmit(&syn).unwrap().len();
+            net.transmit(&syn, &mut replies).unwrap();
+            got += replies.len();
         }
         assert!(
             (600..800).contains(&got),
@@ -388,10 +394,11 @@ mod tests {
             duplicate: 0.5,
             latency_ms: 1.0,
         });
-        let mut got = 0usize;
+        let (mut got, mut replies) = (0usize, Replies::default());
         for a in 0..500u32 {
             let syn = build_syn(7, a, 40000, 80, 1);
-            got += net.transmit(&syn).unwrap().len();
+            net.transmit(&syn, &mut replies).unwrap();
+            got += replies.len();
         }
         assert!(
             got > 600,
@@ -405,8 +412,14 @@ mod tests {
         let net = network(FaultConfig::default());
         let mut bad = build_syn(7, 1, 40000, 80, 1).to_vec();
         bad[20] ^= 0xFF;
-        assert!(net.transmit(&bad).is_err());
-        assert!(net.transmit(&bad[..30]).is_err());
+        // a rejected frame leaves the slot empty, whatever it held
+        let mut replies = Replies::default();
+        net.transmit(&build_syn(7, 1, 40000, 80, 1), &mut replies)
+            .unwrap();
+        assert_eq!(replies.len(), 1);
+        assert!(net.transmit(&bad, &mut replies).is_err());
+        assert!(replies.is_empty());
+        assert!(net.transmit(&bad[..30], &mut replies).is_err());
         assert_eq!(net.stats().malformed, 2);
     }
 
@@ -420,10 +433,10 @@ mod tests {
             Responder::new().with_service(Protocol::Http, HostSet::from_addrs(hosts));
         let net: SimNetwork<V6> = SimNetwork::new(r, FaultConfig::default(), 99);
         // every live host answers with a parseable v6 frame
-        let mut got = 0;
+        let (mut got, mut replies) = (0, Replies::default());
         for i in 0..500u128 {
             let syn = build_syn_v6(7, base + i, 40000, 80, 1);
-            let replies = net.transmit(&syn).unwrap();
+            net.transmit(&syn, &mut replies).unwrap();
             for reply in &replies {
                 wire::parse_frame_v6(reply).expect("responder frames are valid");
             }
@@ -431,14 +444,13 @@ mod tests {
         }
         assert_eq!(got, 500);
         // dead space is silent
-        assert!(net
-            .transmit(&build_syn_v6(7, 1, 40000, 80, 1))
-            .unwrap()
-            .is_empty());
+        net.transmit(&build_syn_v6(7, 1, 40000, 80, 1), &mut replies)
+            .unwrap();
+        assert!(replies.is_empty());
         // checksum-corrupted frames are rejected and counted
         let mut bad = build_syn_v6(7, base, 40000, 80, 1).to_vec();
         bad[40] ^= 0xFF;
-        assert!(net.transmit(&bad).is_err());
+        assert!(net.transmit(&bad, &mut replies).is_err());
         assert_eq!(net.stats().malformed, 1);
         // and the fault injector drops v6 probes like v4 ones
         let r: Responder<V6> = Responder::new().with_service(
@@ -457,10 +469,10 @@ mod tests {
         );
         let mut got = 0usize;
         for i in 0..1000u128 {
-            got += lossy
-                .transmit(&build_syn_v6(7, base + i, 40000, 80, 1))
-                .unwrap()
-                .len();
+            lossy
+                .transmit(&build_syn_v6(7, base + i, 40000, 80, 1), &mut replies)
+                .unwrap();
+            got += replies.len();
         }
         assert!(
             (600..800).contains(&got),
@@ -475,10 +487,11 @@ mod tests {
         for t in 0..4u32 {
             let net = net.clone();
             handles.push(std::thread::spawn(move || {
-                let mut got = 0usize;
+                let (mut got, mut replies) = (0usize, Replies::default());
                 for a in (t * 250)..(t * 250 + 250) {
                     let syn = build_syn(7, a, 40000, 80, 1);
-                    got += net.transmit(&syn).unwrap().len();
+                    net.transmit(&syn, &mut replies).unwrap();
+                    got += replies.len();
                 }
                 got
             }));
@@ -499,8 +512,13 @@ mod tests {
             let r: Responder = Responder::new()
                 .with_service(Protocol::Http, HostSet::from_addrs((0..200).collect()));
             let net = SimNetwork::new(r, faults, seed);
+            let mut replies = Replies::default();
             (0..200u32)
-                .map(|a| net.transmit(&build_syn(7, a, 40000, 80, 1)).unwrap().len())
+                .map(|a| {
+                    net.transmit(&build_syn(7, a, 40000, 80, 1), &mut replies)
+                        .unwrap();
+                    replies.len()
+                })
                 .collect()
         };
         let a = probe(42);
@@ -510,11 +528,14 @@ mod tests {
         let r: Responder =
             Responder::new().with_service(Protocol::Http, HostSet::from_addrs((0..200).collect()));
         let net = SimNetwork::new(r, faults, 42);
+        let mut replies = Replies::default();
         for a in 0..200u32 {
             let syn = build_syn(7, a, 40000, 80, 1);
-            let first = net.transmit(&syn).unwrap().len();
+            net.transmit(&syn, &mut replies).unwrap();
+            let first = replies.len();
             for _ in 0..3 {
-                assert_eq!(net.transmit(&syn).unwrap().len(), first);
+                net.transmit(&syn, &mut replies).unwrap();
+                assert_eq!(replies.len(), first);
             }
         }
     }
@@ -535,8 +556,11 @@ mod tests {
         };
         let wire_net = SimNetwork::new(mk(), faults, 7);
         let logical_net = SimNetwork::new(mk(), faults, 7);
+        let mut replies = Replies::default();
         for a in 0..600u32 {
-            let replies = wire_net.transmit(&build_syn(9, a, 40000, 80, 1)).unwrap();
+            wire_net
+                .transmit(&build_syn(9, a, 40000, 80, 1), &mut replies)
+                .unwrap();
             let logical = logical_net.probe_logical(a, 80);
             match logical {
                 None => assert!(replies.is_empty(), "addr {a}: wire answered, logical not"),

@@ -75,6 +75,20 @@ impl<F: AddrFamily> Responder<F> {
         self.services.values().any(|h| h.contains(addr))
     }
 
+    /// How `addr` answers a SYN to `port`: `Some(true)` open (SYN-ACK),
+    /// `Some(false)` a live host with the port closed (RST), `None`
+    /// silence. Each port's host set is searched at most once: after the
+    /// probed port's set misses, liveness checks only the other ports'.
+    pub(crate) fn syn_answer(&self, addr: F::Addr, port: u16) -> Option<bool> {
+        if self.is_open(addr, port) {
+            return Some(true);
+        }
+        self.services
+            .iter()
+            .any(|(&p, hosts)| p != port && hosts.contains(addr))
+            .then_some(false)
+    }
+
     /// The banner an open service would present, `None` if closed. The
     /// variant is a deterministic function of the address, so repeated
     /// grabs are stable.
@@ -99,7 +113,7 @@ impl<F: WireFamily> Responder<F> {
         if probe.flags & tcp_flags::SYN == 0 || probe.flags & tcp_flags::ACK != 0 {
             return None;
         }
-        if self.is_open(probe.dst_ip, probe.dst_port) {
+        if self.syn_answer(probe.dst_ip, probe.dst_port)? {
             // deterministic per-(host, port) initial sequence number,
             // hashed over addr-LE ++ port-LE in a stack buffer (the v4
             // input is the pre-generic 4-byte form exactly)
@@ -111,10 +125,8 @@ impl<F: WireFamily> Responder<F> {
                 .copy_from_slice(&u32::from(probe.dst_port).to_le_bytes());
             let isn = (self.hash().hash(&input[..addr_le.len() + 4]) & 0xFFFF_FFFF) as u32;
             Some(FrameBuf::encode(&wire::syn_ack_spec(probe, isn)))
-        } else if self.is_live(probe.dst_ip) {
-            Some(FrameBuf::encode(&wire::rst_spec(probe)))
         } else {
-            None
+            Some(FrameBuf::encode(&wire::rst_spec(probe)))
         }
     }
 
@@ -146,6 +158,21 @@ mod tests {
         assert!(r.is_live(200));
         assert!(!r.is_live(300));
         assert_eq!(r.num_endpoints(), 3);
+    }
+
+    #[test]
+    fn syn_answer_is_open_then_live() {
+        let r = responder().with_port(22, HostSet::from_addrs(vec![300]));
+        for addr in [100, 200, 300, 400] {
+            for port in [21, 22, 80, 443] {
+                let want = if r.is_open(addr, port) {
+                    Some(true)
+                } else {
+                    r.is_live(addr).then_some(false)
+                };
+                assert_eq!(r.syn_answer(addr, port), want, "{addr}:{port}");
+            }
+        }
     }
 
     #[test]

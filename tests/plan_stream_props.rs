@@ -228,3 +228,57 @@ proptest! {
         }
     }
 }
+
+/// FNV-1a 64 over the 16 little-endian bytes of each address, in order:
+/// a digest of a stream's exact permutation, not only of its coverage.
+fn order_digest(addrs: impl Iterator<Item = u128>) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for a in addrs {
+        for b in a.to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
+}
+
+#[test]
+fn stream_order_is_pinned() {
+    let plan = ProbePlan::Prefixes(
+        [
+            "10.0.0.0/22",
+            "10.0.4.0/23",
+            "10.0.6.0/24",
+            "10.0.7.0/26",
+            "10.0.7.64/32",
+        ]
+        .iter()
+        .map(|p| p.parse::<Prefix>().expect("valid prefix"))
+        .collect(),
+    );
+    assert_eq!(
+        order_digest(plan.stream(0, &[], 7).map(u128::from)),
+        0x33A8_F67A_80BC_67AE,
+        "v4 stream order"
+    );
+    assert_eq!(
+        order_digest(
+            (0..3)
+                .flat_map(|s| plan.stream_shard(0, &[], 7, s, 3))
+                .map(u128::from)
+        ),
+        0xB159_4209_A21B_6B46,
+        "v4 shard orders, concatenated"
+    );
+    let v6 = ProbePlan::<V6>::Prefixes(
+        ["2600::/120", "2600::200/119"]
+            .iter()
+            .map(|p| p.parse::<Prefix<V6>>().expect("valid prefix"))
+            .collect(),
+    );
+    assert_eq!(
+        order_digest(v6.stream(0, &[], 7)),
+        0xB9A3_0ACA_0D49_7AE9,
+        "v6 stream order"
+    );
+}
