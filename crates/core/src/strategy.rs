@@ -218,9 +218,9 @@ impl Strategy for StrategyKind {
             StrategyKind::FullScan => (ProbePlan::All, None),
             StrategyKind::Tass { view, phi } => {
                 // count by one bulk sweep, rank top-k only
-                let counts = DensityCounts::units(view_of(topo, view), t0);
-                let sel = select_prefixes_budgeted(counts, phi, 0);
-                (ProbePlan::Prefixes(sel.sorted_prefixes()), Some(sel))
+                let v = view_of(topo, view);
+                let (sel, units) = select_prefixes_budgeted(DensityCounts::units(v, t0), phi, 0);
+                (ProbePlan::Prefixes(address_order(v, units)), Some(sel))
             }
             StrategyKind::IpHitlist => (ProbePlan::Addrs(t0.hosts.clone()), None),
             StrategyKind::RandomSample { fraction } => {
@@ -245,13 +245,11 @@ impl Strategy for StrategyKind {
                 while space < budget && tried.len() < n {
                     let i = rng.random_range(0..n);
                     if tried.insert(i) {
-                        let p = v.units()[i].prefix;
-                        picked.push(p);
-                        space += p.size();
+                        picked.push(i as u32);
+                        space += v.units()[i].prefix.size();
                     }
                 }
-                picked.sort_unstable();
-                (ProbePlan::Prefixes(picked), None)
+                (ProbePlan::Prefixes(address_order(v, picked)), None)
             }
             StrategyKind::ReseedingTass { view, phi, delta_t } => {
                 return ReseedingTass { view, phi, delta_t }.prepare(topo, t0, seed)
@@ -305,10 +303,22 @@ fn view_of(topo: &Topology, kind: ViewKind) -> &View {
     }
 }
 
+/// The prefixes of `units` (indices into `view`) in address order. View
+/// units are sorted by prefix, so sorting the indices sorts the prefixes.
+fn address_order(view: &View, mut units: Vec<u32>) -> Vec<Prefix> {
+    units.sort_unstable();
+    let all = view.units();
+    units.iter().map(|&u| all[u as usize].prefix).collect()
+}
+
 /// The paper's §3.1 step 5, taken literally: "scan prefixes 1…k
 /// repeatedly until t₀ + Δt, then start over at step 1". Every `delta_t`
 /// cycles the strategy plans a full re-scan; its observed responses
 /// become the new seeding scan and the selection is re-ranked from them.
+///
+/// Each selection comes back with its unit indices, and the cycle plan is
+/// built from them once per re-seed: the indices sorted are the
+/// selection in address order.
 ///
 /// With `delta_t == `[`ReseedingTass::NEVER`] it never re-seeds and is
 /// exactly the static [`StrategyKind::Tass`] evaluated in §4.
@@ -341,9 +351,9 @@ impl Strategy for ReseedingTass {
 
     fn prepare(&self, topo: &Topology, t0: &Snapshot, _seed: u64) -> Box<dyn PreparedStrategy> {
         let view = view_of(topo, self.view).clone();
-        let counts = DensityCounts::units(&view, t0);
-        let selection = select_prefixes_budgeted(counts, self.phi, 0);
-        let sorted_plan = selection.sorted_prefixes();
+        let (selection, units) =
+            select_prefixes_budgeted(DensityCounts::units(&view, t0), self.phi, 0);
+        let sorted_plan = address_order(&view, units);
         Box::new(ReseedingPrepared {
             view,
             phi: self.phi,
@@ -390,8 +400,9 @@ impl PreparedStrategy for ReseedingPrepared {
             // counts in one bulk sweep over the shared snapshot, and only
             // the ~k densest units get sorted (last cycle's k as the hint)
             let counts = DensityCounts::units(&self.view, &outcome.responsive);
-            self.selection = select_prefixes_budgeted(counts, self.phi, self.selection.k);
-            self.sorted_plan = self.selection.sorted_prefixes();
+            let (selection, units) = select_prefixes_budgeted(counts, self.phi, self.selection.k);
+            self.selection = selection;
+            self.sorted_plan = address_order(&self.view, units);
         }
     }
 
@@ -407,6 +418,13 @@ impl PreparedStrategy for ReseedingPrepared {
 /// by exploration and pulled into the selection — so accuracy decays more
 /// slowly than the t₀-frozen [`StrategyKind::Tass`] at a small, bounded
 /// probe overhead.
+///
+/// The whole loop runs in unit-index space. A re-selection marks its
+/// units in a per-unit bitmap, a plan walks the indices in ascending
+/// order (which is address order, as view units are sorted by prefix)
+/// and emits the selected and explored ones, and the next re-count
+/// sweeps exactly those units. No prefix is searched back to its unit,
+/// and nothing is sorted outside the top-k ranking.
 #[derive(Debug, Clone, Copy)]
 pub struct AdaptiveTass {
     /// l-prefixes or the deaggregated m-partition.
@@ -440,7 +458,7 @@ impl Strategy for AdaptiveTass {
             explore: self.explore,
             counts,
             selection: Selection::default(),
-            selected: Vec::new(),
+            selected: vec![false; view.len()],
             explore_cursor: 0,
             last_planned: Vec::new(),
             view,
@@ -458,68 +476,58 @@ struct AdaptivePrepared {
     /// Last observed responsive count per scan unit (seeded from t₀).
     counts: Vec<u64>,
     selection: Selection,
-    /// Unit indices currently selected, for membership tests.
-    selected: Vec<u32>,
+    /// Per unit: is it in the current selection?
+    selected: Vec<bool>,
     /// Rotating cursor over unit indices for exploration.
     explore_cursor: usize,
-    /// Unit indices probed by the most recent plan (selection + explored).
+    /// Unit indices probed by the most recent plan (selection + explored),
+    /// ascending.
     last_planned: Vec<u32>,
 }
 
 impl AdaptivePrepared {
     /// Re-run TASS steps 2–4 over the current per-unit count estimates
-    /// (top-k ranking, hinted by the current selection size).
+    /// (top-k ranking, hinted by the current selection size) and mark
+    /// the selected units.
     fn reselect(&mut self) {
         let counts = DensityCounts::from_unit_counts(&self.view, &self.counts);
-        self.selection = select_prefixes_budgeted(counts, self.phi, self.selection.k);
-        // map each selected prefix back to its unit index by binary
-        // search over the address-sorted unit array — selected prefixes
-        // *are* unit prefixes, so no longest-match trie walk is needed
-        let units = self.view.units();
-        self.selected = self
-            .selection
-            .prefixes
-            .iter()
-            .map(|p| {
-                units
-                    .binary_search_by_key(p, |vu| vu.prefix)
-                    .expect("selected prefixes come from the view") as u32
-            })
-            .collect();
-        self.selected.sort_unstable();
-    }
-
-    fn is_selected(&self, unit: u32) -> bool {
-        self.selected.binary_search(&unit).is_ok()
+        let (selection, units) = select_prefixes_budgeted(counts, self.phi, self.selection.k);
+        self.selection = selection;
+        self.selected.fill(false);
+        for u in units {
+            self.selected[u as usize] = true;
+        }
     }
 }
 
 impl PreparedStrategy for AdaptivePrepared {
     fn plan(&mut self, _cycle: u32) -> ProbePlan {
-        let mut planned: Vec<u32> = self.selected.clone();
-        // rotate an exploration budget through the unselected units
+        let units = self.view.units();
+        let n = units.len();
+        // rotate an exploration budget through the unselected units: the
+        // explored window is the cyclic index range [start, start + visited)
         let budget = (self.view.total_space() as f64 * self.explore) as u64;
-        let n = self.view.len();
+        let start = self.explore_cursor;
         let mut spent = 0u64;
         let mut visited = 0usize;
         while spent < budget && visited < n {
-            let idx = ((self.explore_cursor + visited) % n) as u32;
+            let idx = (start + visited) % n;
             visited += 1;
-            if self.is_selected(idx) {
-                continue;
+            if !self.selected[idx] {
+                spent += units[idx].prefix.size();
             }
-            planned.push(idx);
-            spent += self.view.units()[idx as usize].prefix.size();
         }
-        self.explore_cursor = (self.explore_cursor + visited) % n.max(1);
-        planned.sort_unstable();
-        planned.dedup();
-        self.last_planned = planned.clone();
-        let mut prefixes: Vec<Prefix> = planned
-            .iter()
-            .map(|&i| self.view.units()[i as usize].prefix)
-            .collect();
-        prefixes.sort_unstable();
+        self.explore_cursor = (start + visited) % n.max(1);
+        // selected ∪ explored, in ascending index (= address) order
+        let (end, wrapped) = (start + visited, (start + visited).saturating_sub(n));
+        self.last_planned.clear();
+        let mut prefixes = Vec::with_capacity(self.selection.k + visited);
+        for (i, (unit, &selected)) in units.iter().zip(&self.selected).enumerate() {
+            if selected || (start..end).contains(&i) || i < wrapped {
+                self.last_planned.push(i as u32);
+                prefixes.push(unit.prefix);
+            }
+        }
         ProbePlan::Prefixes(prefixes)
     }
 
@@ -610,6 +618,7 @@ impl Strategy<V6> for V6BlockTass {
             blocks,
             counts,
             selection: Selection::default(),
+            planned: Vec::new(),
         };
         prepared.reselect();
         Box::new(prepared)
@@ -638,6 +647,8 @@ struct V6BlockPrepared {
     /// known table, so the selection never compounds its own cutoff.
     counts: Vec<u64>,
     selection: Selection<V6>,
+    /// Indices into `blocks` of the selection, ascending (= address order).
+    planned: Vec<u32>,
 }
 
 impl V6BlockPrepared {
@@ -645,23 +656,26 @@ impl V6BlockPrepared {
     /// hinted by the current selection size).
     fn reselect(&mut self) {
         let counts = DensityCounts::prefix_counts(&self.blocks, &self.counts);
-        self.selection = select_prefixes_budgeted(counts, self.phi, self.selection.k);
+        let (selection, mut units) = select_prefixes_budgeted(counts, self.phi, self.selection.k);
+        units.sort_unstable();
+        self.selection = selection;
+        self.planned = units;
     }
 }
 
 impl PreparedStrategy<V6> for V6BlockPrepared {
     fn plan(&mut self, _cycle: u32) -> ProbePlan<V6> {
-        ProbePlan::Prefixes(self.selection.sorted_prefixes())
+        let blocks = &self.blocks;
+        ProbePlan::Prefixes(self.planned.iter().map(|&u| blocks[u as usize]).collect())
     }
 
     fn observe(&mut self, _cycle: u32, outcome: &CycleOutcome<V6>) {
         // update the counts of every block this cycle probed from its own
         // responses (blocks persist even as hosts renumber inside them),
         // and adopt any newly discovered blocks
-        for block in &self.selection.prefixes {
-            if let Ok(i) = self.blocks.binary_search(block) {
-                self.counts[i] = outcome.responsive.count_in_prefix(*block) as u64;
-            }
+        for &u in &self.planned {
+            let block = self.blocks[u as usize];
+            self.counts[u as usize] = outcome.responsive.count_in_prefix(block) as u64;
         }
         for block in blocks_of(outcome.responsive.iter(), self.block_len) {
             if let Err(i) = self.blocks.binary_search(&block) {

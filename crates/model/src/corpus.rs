@@ -1085,8 +1085,13 @@ impl CorpusGroundTruth {
         // partition announced space into sorted disjoint prefixes, so
         // hosts covered == hosts total ⇔ every host is attributable —
         // O(units · log gap) for the common all-good case instead of a
-        // trie walk per host. Only a mismatch pays a naming pass.
-        let units = self.topology.m_view.units();
+        // trie walk per host. Only a mismatch pays a naming pass. Both
+        // views partition the same announced space (the m-view
+        // deaggregates each l-prefix into blocks that tile it exactly),
+        // so sweeping the l-view proves what an m-view sweep would over
+        // fewer units: each l-prefix is one unit, which deaggregation
+        // splits into one or more.
+        let units = self.topology.l_view.units();
         let covered =
             PrefixCount::count_prefixes_total(&snap.hosts, &mut units.iter().map(|u| u.prefix));
         if covered as usize != snap.hosts.len() {

@@ -259,11 +259,6 @@ impl Cyclic {
     pub fn ipv4<R: Rng + ?Sized>(rng: &mut R) -> Cyclic {
         Cyclic::new(ZMAP_PRIME, rng).expect("ZMAP_PRIME is prime")
     }
-
-    /// Address iterator over the full IPv4 space.
-    pub fn ipv4_addresses(&self) -> AddressIter {
-        self.addresses(0, 1, 1u64 << 32)
-    }
 }
 
 impl<F: AddrFamily> Cyclic<F> {

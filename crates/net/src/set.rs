@@ -68,15 +68,6 @@ impl<F: AddrFamily> PrefixSet<F> {
         s
     }
 
-    /// Build from raw ranges.
-    pub fn from_ranges<I: IntoIterator<Item = AddrRange<F>>>(iter: I) -> Self {
-        let mut s = PrefixSet::new();
-        for r in iter {
-            s.insert_range(r);
-        }
-        s
-    }
-
     /// Number of distinct addresses in the set (saturating only for sets
     /// covering the full v6 space, like every count in the workspace).
     pub fn num_addrs(&self) -> F::Wide {

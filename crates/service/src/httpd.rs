@@ -227,11 +227,6 @@ impl Request {
             .map(|(_, v)| v.as_str())
     }
 
-    /// The request body as UTF-8 (`None` if it is not valid UTF-8).
-    pub fn body_utf8(&self) -> Option<&str> {
-        std::str::from_utf8(&self.body).ok()
-    }
-
     /// First value of a `key=value` query parameter, by exact name.
     /// A bare `key` with no `=` yields the empty string.
     pub fn query_param(&self, name: &str) -> Option<&str> {

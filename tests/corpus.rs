@@ -350,6 +350,69 @@ fn builder_finish_requires_a_full_matrix() {
 }
 
 #[test]
+fn topology_check_holds_at_the_edges_of_an_l_prefix_with_a_more_specific() {
+    // one l-prefix (the /22) that the m-view splits around its /24
+    // more-specific, so the two views have different units over the
+    // same space; the load-time check sweeps the l-view
+    let dir = tmp("edges");
+    let table =
+        pfx2as::read_table("10.0.0.0\t22\t64500\n10.0.1.0\t24\t64501\n".as_bytes()).unwrap();
+    let mut b = CorpusBuilder::create(&dir, &table).unwrap();
+    // the /22's first and last address, then one address past each edge
+    b.add_address_list(0, Protocol::Http, "10.0.0.0\n10.0.3.255\n")
+        .unwrap();
+    b.add_address_list(1, Protocol::Http, "10.0.0.0\n10.0.3.255\n10.0.4.0\n")
+        .unwrap();
+    b.add_address_list(2, Protocol::Http, "9.255.255.255\n10.0.0.0\n")
+        .unwrap();
+    b.finish().unwrap();
+
+    let corpus = CorpusGroundTruth::open(&dir).unwrap();
+    let topo = corpus.topology();
+    assert_eq!(topo.l_view.len(), 1);
+    assert_eq!(
+        topo.m_view.len(),
+        3,
+        "10.0.0.0/24, 10.0.1.0/24, 10.0.2.0/23"
+    );
+    let t0 = corpus.load_snapshot(0, Protocol::Http).unwrap();
+    assert_eq!(t0.hosts.to_vec(), vec![0x0A00_0000, 0x0A00_03FF]);
+    for (month, addr) in [(1, "10.0.4.0"), (2, "9.255.255.255")] {
+        match corpus.load_snapshot(month, Protocol::Http).unwrap_err() {
+            CorpusError::TopologyMismatch {
+                month: m,
+                protocol: Protocol::Http,
+                addr: named,
+            } => assert_eq!((m, named.as_str()), (month, addr)),
+            err => panic!("month {month}: got {err:?}"),
+        }
+    }
+    assert!(corpus.validate().is_err());
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn both_views_cover_the_same_announced_space() {
+    // the l-view sweep is a valid topology check only because the two
+    // views partition the same space
+    let u = universe();
+    let synthetic = u.topology();
+    assert!(synthetic.m_view.len() > synthetic.l_view.len());
+    assert_eq!(
+        synthetic.l_view.total_space(),
+        synthetic.m_view.total_space()
+    );
+
+    let dir = tmp("views");
+    export_universe(&u, &dir).unwrap();
+    let corpus = CorpusGroundTruth::open(&dir).unwrap();
+    let built = corpus.topology();
+    assert_eq!(built.l_view.total_space(), built.m_view.total_space());
+    assert_eq!(built.l_view.total_space(), synthetic.l_view.total_space());
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn address_list_ingestion_round_trips() {
     let dir = tmp("ingest");
     let table = pfx2as::read_table("10.0.0.0\t8\t64500\n".as_bytes()).unwrap();

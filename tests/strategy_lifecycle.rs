@@ -14,13 +14,18 @@
 //!    lifecycle (plan → packet-level scan → observe) runs against the
 //!    simulated network with real `ScanReport` feedback, no ground-truth
 //!    shortcuts.
+//! 4. **The plan contract** — every registry strategy's prefix plans are
+//!    strictly ascending and pairwise disjoint in every cycle, and a
+//!    selection's unit indices name exactly its prefixes.
 
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::sync::Arc;
 use tass::bgp::ViewKind;
 use tass::core::campaign::{run_campaign, run_campaign_strategy};
 use tass::core::plan::{CycleOutcome, ProbePlan};
 use tass::core::strategy::{PreparedStrategy, ReseedingTass, Strategy, StrategyKind};
-use tass::core::Selection;
+use tass::core::{rank_units, select_prefixes_budgeted, DensityCounts, Selection};
 use tass::model::{HostSet, Protocol, Snapshot, Topology, Universe, UniverseConfig};
 use tass::scan::{Blocklist, Responder, ScanConfig, ScanEngine, SimNetwork};
 
@@ -239,4 +244,149 @@ fn lifecycle_drives_packet_engine_with_real_feedback() {
     // months 0..=2 — every member still answered at cycle 2
     let survivors = prepared.plan(3);
     assert_eq!(survivors.probe_count(0), last_responsive as u64);
+}
+
+/// Every registry kind, each view-parameterised one on both views.
+fn registry_kinds() -> Vec<StrategyKind> {
+    let mut kinds = vec![
+        StrategyKind::FullScan,
+        StrategyKind::IpHitlist,
+        StrategyKind::RandomSample { fraction: 0.05 },
+        StrategyKind::Block24Sample { fraction: 0.01 },
+    ];
+    for view in [ViewKind::LessSpecific, ViewKind::MoreSpecific] {
+        kinds.extend([
+            StrategyKind::Tass { view, phi: 0.95 },
+            StrategyKind::RandomPrefix {
+                view,
+                space_fraction: 0.2,
+            },
+            StrategyKind::ReseedingTass {
+                view,
+                phi: 0.95,
+                delta_t: 3,
+            },
+            StrategyKind::AdaptiveTass {
+                view,
+                phi: 0.95,
+                explore: 0.02,
+            },
+            StrategyKind::AdaptiveTass {
+                view,
+                phi: 0.5,
+                explore: 0.3,
+            },
+        ]);
+    }
+    kinds
+}
+
+/// A registry kind whose prepared lifecycle records every plan it emits.
+#[derive(Debug)]
+struct Recorded {
+    kind: StrategyKind,
+    plans: Rc<RefCell<Vec<ProbePlan>>>,
+}
+
+#[derive(Debug)]
+struct RecordedPrepared {
+    inner: Box<dyn PreparedStrategy>,
+    plans: Rc<RefCell<Vec<ProbePlan>>>,
+}
+
+impl Strategy for Recorded {
+    fn label(&self) -> String {
+        self.kind.label()
+    }
+
+    fn prepare(&self, topo: &Topology, t0: &Snapshot, seed: u64) -> Box<dyn PreparedStrategy> {
+        Box::new(RecordedPrepared {
+            inner: self.kind.prepare(topo, t0, seed),
+            plans: Rc::clone(&self.plans),
+        })
+    }
+}
+
+impl PreparedStrategy for RecordedPrepared {
+    fn plan(&mut self, cycle: u32) -> ProbePlan {
+        let plan = self.inner.plan(cycle);
+        self.plans.borrow_mut().push(plan.clone());
+        plan
+    }
+
+    fn observe(&mut self, cycle: u32, outcome: &CycleOutcome) {
+        self.inner.observe(cycle, outcome);
+    }
+
+    fn wants_feedback(&self) -> bool {
+        self.inner.wants_feedback()
+    }
+
+    fn selection(&self) -> Option<&Selection> {
+        self.inner.selection()
+    }
+}
+
+#[test]
+fn every_prefix_plan_is_ascending_and_disjoint_in_every_cycle() {
+    let u = universe();
+    for kind in registry_kinds() {
+        for proto in [Protocol::Http, Protocol::Cwmp] {
+            let plans = Rc::new(RefCell::new(Vec::new()));
+            let recorded = Recorded {
+                kind,
+                plans: Rc::clone(&plans),
+            };
+            let r = run_campaign_strategy(&u, &recorded, proto, 7);
+            // the recording wrapper changes nothing the campaign reports
+            assert_eq!(r, run_campaign(&u, kind, proto, 7), "{kind:?}/{proto}");
+            let plans = plans.borrow();
+            assert_eq!(plans.len(), u.months() as usize + 1);
+            for (cycle, plan) in plans.iter().enumerate() {
+                let ProbePlan::Prefixes(prefixes) = plan else {
+                    continue;
+                };
+                for w in prefixes.windows(2) {
+                    assert!(
+                        w[0].last() < w[1].first(),
+                        "{kind:?}/{proto} cycle {cycle}: {} then {}",
+                        w[0],
+                        w[1]
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn selected_unit_indices_name_the_selected_prefixes_on_both_views() {
+    let u = universe();
+    let topo = u.topology();
+    for view in [&topo.l_view, &topo.m_view] {
+        for proto in [Protocol::Http, Protocol::Cwmp] {
+            let hosts = &u.snapshot(3, proto).hosts;
+            let full = rank_units(view, hosts);
+            for phi in [0.0, 0.5, 0.95, 1.0] {
+                for k_hint in [0, 1, 10, 100, 10_000] {
+                    let counts = DensityCounts::units(view, hosts);
+                    let (sel, units) = select_prefixes_budgeted(counts, phi, k_hint);
+                    let ctx = format!("{:?} {proto} phi={phi} hint={k_hint}", view.kind());
+                    assert_eq!(units.len(), sel.k, "{ctx}");
+                    assert_eq!(sel.prefixes.len(), sel.k, "{ctx}");
+                    // one-to-one: each index names its prefix, none twice
+                    for (&unit, prefix) in units.iter().zip(&sel.prefixes) {
+                        assert_eq!(view.units()[unit as usize].prefix, *prefix, "{ctx}");
+                    }
+                    let mut distinct = units.clone();
+                    distinct.sort_unstable();
+                    distinct.dedup();
+                    assert_eq!(distinct.len(), units.len(), "{ctx}");
+                    // the top-k path picks the full ranking's first k units
+                    let want: Vec<u32> = full.stats[..sel.k].iter().map(|s| s.unit).collect();
+                    assert_eq!(units, want, "{ctx}");
+                }
+            }
+        }
+    }
 }
