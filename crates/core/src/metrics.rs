@@ -60,46 +60,31 @@ pub fn monthly_decay(series: &[MonthEval]) -> f64 {
 mod tests {
     use super::*;
 
-    fn eval(found: u64, total: u64, probes: u64) -> Eval {
-        Eval {
-            found,
-            total,
-            hitrate: if total > 0 {
-                found as f64 / total as f64
-            } else {
-                0.0
-            },
-            probes,
-            efficiency: if probes > 0 {
-                found as f64 / probes as f64
-            } else {
-                0.0
-            },
-        }
-    }
-
     #[test]
     fn efficiency_ratio_basics() {
         // strategy: 90 hosts with 100 probes; baseline: 100 hosts with 1000
         // probes → ratio = 0.9 / 0.1 = 9
-        let r = efficiency_ratio(&eval(90, 100, 100), &eval(100, 100, 1000));
+        let r = efficiency_ratio(&Eval::new(90, 100, 100), &Eval::new(100, 100, 1000));
         assert!((r - 9.0).abs() < 1e-12);
         // identical → 1
-        let e = eval(50, 100, 500);
+        let e = Eval::new(50, 100, 500);
         assert!((efficiency_ratio(&e, &e) - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn efficiency_ratio_degenerate() {
-        assert!(efficiency_ratio(&eval(1, 1, 0), &eval(1, 1, 1)).is_nan());
-        assert!(efficiency_ratio(&eval(1, 1, 1), &eval(0, 1, 1)).is_nan());
+        assert!(efficiency_ratio(&Eval::new(1, 1, 0), &Eval::new(1, 1, 1)).is_nan());
+        assert!(efficiency_ratio(&Eval::new(1, 1, 1), &Eval::new(0, 1, 1)).is_nan());
     }
 
     #[test]
     fn traffic_reduction_basics() {
-        let r = traffic_reduction(&eval(0, 0, 250), &eval(0, 0, 1000));
+        let r = traffic_reduction(&Eval::new(0, 0, 250), &Eval::new(0, 0, 1000));
         assert!((r - 0.75).abs() < 1e-12);
-        assert_eq!(traffic_reduction(&eval(0, 0, 1), &eval(0, 0, 0)), 0.0);
+        assert_eq!(
+            traffic_reduction(&Eval::new(0, 0, 1), &Eval::new(0, 0, 0)),
+            0.0
+        );
     }
 
     #[test]
@@ -107,15 +92,15 @@ mod tests {
         let series = vec![
             MonthEval {
                 month: 0,
-                eval: eval(100, 100, 10),
+                eval: Eval::new(100, 100, 10),
             },
             MonthEval {
                 month: 3,
-                eval: eval(97, 100, 10),
+                eval: Eval::new(97, 100, 10),
             },
             MonthEval {
                 month: 6,
-                eval: eval(94, 100, 10),
+                eval: Eval::new(94, 100, 10),
             },
         ];
         let d = monthly_decay(&series);

@@ -139,6 +139,12 @@ impl<F: AddrFamily> ProbePlan<F> {
         F::wide_to_u128(self.probe_count(announced_space)) as f64 / space as f64
     }
 
+    /// [`ProbePlan::probe_count`] as [`Eval::probes`] counts it:
+    /// saturated at `u64::MAX`.
+    fn probes_u64(&self, announced_space: F::Wide) -> u64 {
+        u64::try_from(F::wide_to_u128(self.probe_count(announced_space))).unwrap_or(u64::MAX)
+    }
+
     /// Evaluate the plan against one cycle's ground truth.
     ///
     /// `cycle` feeds the fresh-sample RNG so repeated samples differ
@@ -174,23 +180,7 @@ impl<F: AddrFamily> ProbePlan<F> {
                 }
             }
         };
-        let probes =
-            u64::try_from(F::wide_to_u128(self.probe_count(announced_space))).unwrap_or(u64::MAX);
-        Eval {
-            found,
-            total,
-            hitrate: if total > 0 {
-                found as f64 / total as f64
-            } else {
-                0.0
-            },
-            probes,
-            efficiency: if probes > 0 {
-                found as f64 / probes as f64
-            } else {
-                0.0
-            },
-        }
+        Eval::new(found, total, self.probes_u64(announced_space))
     }
 
     /// [`ProbePlan::evaluate`] when the cycle's observed view is already
@@ -215,23 +205,7 @@ impl<F: AddrFamily> ProbePlan<F> {
         }
         let total = truth.hosts.len() as u64;
         let found = observed.len() as u64;
-        let probes =
-            u64::try_from(F::wide_to_u128(self.probe_count(announced_space))).unwrap_or(u64::MAX);
-        Eval {
-            found,
-            total,
-            hitrate: if total > 0 {
-                found as f64 / total as f64
-            } else {
-                0.0
-            },
-            probes,
-            efficiency: if probes > 0 {
-                found as f64 / probes as f64
-            } else {
-                0.0
-            },
-        }
+        Eval::new(found, total, self.probes_u64(announced_space))
     }
 
     /// The concrete responsive hosts this plan would have observed against
@@ -725,6 +699,28 @@ pub struct Eval {
     pub probes: u64,
     /// found / probes — raw scan efficiency.
     pub efficiency: f64,
+}
+
+impl Eval {
+    /// The evaluation of `found` hosts out of `total` with `probes`
+    /// probes; a zero denominator makes its ratio 0.
+    pub fn new(found: u64, total: u64, probes: u64) -> Eval {
+        Eval {
+            found,
+            total,
+            hitrate: if total > 0 {
+                found as f64 / total as f64
+            } else {
+                0.0
+            },
+            probes,
+            efficiency: if probes > 0 {
+                found as f64 / probes as f64
+            } else {
+                0.0
+            },
+        }
+    }
 }
 
 /// What one completed scan cycle reported back to its strategy.

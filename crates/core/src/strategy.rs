@@ -50,6 +50,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 use tass_bgp::{View, ViewKind};
 use tass_model::{PrefixCount, Snapshot, Topology, V6Space};
 use tass_net::{AddrFamily, Prefix, V4, V6};
@@ -296,7 +297,7 @@ impl<F: AddrFamily> PreparedStrategy<F> for StaticPrepared<F> {
 
 // ---------------------------------------------------------------- feedback
 
-fn view_of(topo: &Topology, kind: ViewKind) -> &View {
+fn view_of(topo: &Topology, kind: ViewKind) -> &Arc<View> {
     match kind {
         ViewKind::LessSpecific => &topo.l_view,
         ViewKind::MoreSpecific => &topo.m_view,
@@ -350,7 +351,7 @@ impl Strategy for ReseedingTass {
     }
 
     fn prepare(&self, topo: &Topology, t0: &Snapshot, _seed: u64) -> Box<dyn PreparedStrategy> {
-        let view = view_of(topo, self.view).clone();
+        let view = Arc::clone(view_of(topo, self.view));
         let (selection, units) =
             select_prefixes_budgeted(DensityCounts::units(&view, t0), self.phi, 0);
         let sorted_plan = address_order(&view, units);
@@ -366,7 +367,7 @@ impl Strategy for ReseedingTass {
 
 #[derive(Debug, Clone)]
 struct ReseedingPrepared {
-    view: View,
+    view: Arc<View>,
     phi: f64,
     delta_t: u32,
     selection: Selection,
@@ -445,7 +446,7 @@ impl Strategy for AdaptiveTass {
     }
 
     fn prepare(&self, topo: &Topology, t0: &Snapshot, _seed: u64) -> Box<dyn PreparedStrategy> {
-        let view = view_of(topo, self.view).clone();
+        let view = Arc::clone(view_of(topo, self.view));
         // one bulk sweep over the sorted t₀ hosts — identical counts to
         // attributing every host through the trie (view units are
         // disjoint, so containment and longest-match agree), at
@@ -470,7 +471,7 @@ impl Strategy for AdaptiveTass {
 
 #[derive(Debug, Clone)]
 struct AdaptivePrepared {
-    view: View,
+    view: Arc<View>,
     phi: f64,
     explore: f64,
     /// Last observed responsive count per scan unit (seeded from t₀).

@@ -41,7 +41,6 @@
 //!   plain slice search.
 
 use crate::protocol::Protocol;
-use bytes::{BufMut, Bytes, BytesMut};
 use std::fmt;
 use std::sync::Arc;
 use tass_net::{AddrFamily, Prefix, V4};
@@ -842,19 +841,19 @@ impl<F: AddrFamily> Snapshot<F> {
     /// section_off(4 LE) pad` with the sorted fixed-width LE address
     /// section starting at `section_off`, the first 64-byte boundary.
     /// The address width is 4 bytes under the `TSS1` magic and 16 under
-    /// `TSS6`.
-    pub fn encode(&self) -> Bytes {
+    /// `TSS6`. The whole file is returned as one exactly-sized `Vec`.
+    pub fn encode(&self) -> Vec<u8> {
         let width = usize::from(F::BITS / 8);
-        let mut buf = BytesMut::with_capacity(SECTION_ALIGN + width * self.hosts.len());
-        buf.put_slice(&aligned_header::<F>(
+        let mut buf = Vec::with_capacity(SECTION_ALIGN + width * self.hosts.len());
+        buf.extend_from_slice(&aligned_header::<F>(
             self.protocol,
             self.month,
             self.hosts.len() as u64,
         ));
         for &a in self.hosts.as_slice() {
-            buf.put_slice(&F::addr_to_u128(a).to_le_bytes()[..width]);
+            buf.extend_from_slice(&F::addr_to_u128(a).to_le_bytes()[..width]);
         }
-        buf.freeze()
+        buf
     }
 
     /// Decode the binary format as [`Snapshot::encode`] writes it. Any

@@ -6,6 +6,7 @@
 //! behavioural [`AsClass`] that governs which services live there and how
 //! they churn.
 
+use std::sync::Arc;
 use tass_bgp::{AsClass, SynthTable, View};
 use tass_net::Prefix;
 
@@ -26,14 +27,16 @@ pub struct BlockMeta {
 }
 
 /// The static structure: routing table + views + per-block metadata.
+/// The views are shared: a strategy that keeps one for a campaign holds
+/// an `Arc` clone, not a copy of its units and trie.
 #[derive(Debug, Clone)]
 pub struct Topology {
     /// The generated table and its AS metadata.
     pub synth: SynthTable,
     /// Less-specific view (units = l-prefixes).
-    pub l_view: View,
+    pub l_view: Arc<View>,
     /// More-specific view (units = deaggregated blocks).
-    pub m_view: View,
+    pub m_view: Arc<View>,
     blocks: Vec<BlockMeta>,
     blocks_by_root: Vec<Vec<u32>>,
 }
@@ -74,8 +77,8 @@ impl Topology {
         }
         Topology {
             synth,
-            l_view,
-            m_view,
+            l_view: Arc::new(l_view),
+            m_view: Arc::new(m_view),
             blocks,
             blocks_by_root,
         }

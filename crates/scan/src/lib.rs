@@ -10,9 +10,9 @@
 //!   validation state from the destination address so the scanner stays
 //!   stateless;
 //! * [`wire`] — family-parameterised Ethernet/IP/TCP codecs with real
-//!   header checksums (54-byte v4 and 74-byte v6 TCP-SYN frames, plus
-//!   ICMPv6 echo); the simulated network parses and validates actual
-//!   frames;
+//!   header checksums (54-byte v4 and 74-byte v6 TCP-SYN frames, built
+//!   in stack storage); the simulated network parses and validates
+//!   actual frames;
 //! * [`rate`] — token-bucket rate limiting on a virtual clock, so scan
 //!   duration is simulated (packets / rate), not wall-clock;
 //! * [`blocklist`] — CIDR exclusion lists per family (the IANA

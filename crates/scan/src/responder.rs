@@ -8,7 +8,6 @@
 
 use crate::siphash::SipHash24;
 use crate::wire::{self, tcp_flags, FrameBuf, TcpFrame, WireFamily};
-use bytes::Bytes;
 use std::collections::BTreeMap;
 use tass_model::{HostSet, Protocol};
 use tass_net::{AddrFamily, V4};
@@ -23,7 +22,7 @@ pub(crate) fn addr_hash64<F: AddrFamily>(addr: F::Addr) -> u64 {
 
 /// Answers probes from ground-truth host sets, generic over the address
 /// family. Both probe paths are family-generic: the wire-level
-/// [`Responder::respond`] answers parsed frames of any [`WireFamily`]
+/// [`Responder::respond_frame`] answers parsed frames of any [`WireFamily`]
 /// (IPv4 and IPv6 alike), and the logical path — open/live/banner —
 /// needs only the [`AddrFamily`].
 #[derive(Debug, Default)]
@@ -107,8 +106,8 @@ impl<F: WireFamily> Responder<F> {
     /// RST+ACK from a live host with the port closed, silence otherwise.
     /// Non-SYN segments are ignored (the simulated hosts are stateless).
     /// The answer is built by the probe's own wire codec, so a v6
-    /// responder emits genuine 74-byte v6 frames. This is the hot-path
-    /// form: nothing here touches the heap.
+    /// responder emits genuine 74-byte v6 frames. Nothing here touches
+    /// the heap.
     pub fn respond_frame(&self, probe: &TcpFrame<F>) -> Option<FrameBuf> {
         if probe.flags & tcp_flags::SYN == 0 || probe.flags & tcp_flags::ACK != 0 {
             return None;
@@ -128,13 +127,6 @@ impl<F: WireFamily> Responder<F> {
         } else {
             Some(FrameBuf::encode(&wire::rst_spec(probe)))
         }
-    }
-
-    /// [`Responder::respond_frame`], copied into freshly allocated
-    /// [`Bytes`] — convenience for tests and exhibits off the hot path.
-    pub fn respond(&self, probe: &TcpFrame<F>) -> Option<Bytes> {
-        self.respond_frame(probe)
-            .map(|f| Bytes::copy_from_slice(&f))
     }
 }
 
@@ -179,7 +171,7 @@ mod tests {
     fn syn_to_open_port_gets_syn_ack() {
         let r = responder();
         let probe = parse_frame(&build_syn(1, 100, 40000, 80, 777)).unwrap();
-        let resp = r.respond(&probe).unwrap();
+        let resp = r.respond_frame(&probe).unwrap();
         let f = parse_frame(&resp).unwrap();
         assert_eq!(f.flags, tcp_flags::SYN | tcp_flags::ACK);
         assert_eq!(f.ack, 778);
@@ -191,7 +183,7 @@ mod tests {
     fn syn_to_closed_port_on_live_host_gets_rst() {
         let r = responder();
         let probe = parse_frame(&build_syn(1, 200, 40000, 21, 5)).unwrap();
-        let resp = r.respond(&probe).unwrap();
+        let resp = r.respond_frame(&probe).unwrap();
         let f = parse_frame(&resp).unwrap();
         assert_eq!(f.flags & tcp_flags::RST, tcp_flags::RST);
     }
@@ -200,7 +192,7 @@ mod tests {
     fn syn_to_dead_address_gets_silence() {
         let r = responder();
         let probe = parse_frame(&build_syn(1, 999, 40000, 80, 5)).unwrap();
-        assert!(r.respond(&probe).is_none());
+        assert!(r.respond_frame(&probe).is_none());
     }
 
     #[test]
@@ -213,20 +205,20 @@ mod tests {
             ..Default::default()
         };
         spec.src_ip = 1;
-        let frame = crate::wire::build_frame(&spec);
+        let frame = FrameBuf::encode(&spec);
         let probe = parse_frame(&frame).unwrap();
-        assert!(r.respond(&probe).is_none());
+        assert!(r.respond_frame(&probe).is_none());
     }
 
     #[test]
     fn isn_deterministic_per_host() {
         let r = responder();
         let probe = parse_frame(&build_syn(1, 100, 40000, 80, 9)).unwrap();
-        let a = parse_frame(&r.respond(&probe).unwrap()).unwrap().seq;
-        let b = parse_frame(&r.respond(&probe).unwrap()).unwrap().seq;
+        let a = parse_frame(&r.respond_frame(&probe).unwrap()).unwrap().seq;
+        let b = parse_frame(&r.respond_frame(&probe).unwrap()).unwrap().seq;
         assert_eq!(a, b);
         let probe2 = parse_frame(&build_syn(1, 200, 40000, 80, 9)).unwrap();
-        let c = parse_frame(&r.respond(&probe2).unwrap()).unwrap().seq;
+        let c = parse_frame(&r.respond_frame(&probe2).unwrap()).unwrap().seq;
         assert_ne!(a, c, "different hosts, different ISNs");
     }
 
@@ -253,22 +245,22 @@ mod tests {
             .with_port(22, HostSet::from_addrs(vec![live]));
         // open port answers with a checksummed v6 SYN-ACK
         let probe = parse_frame_v6(&build_syn_v6(1, host, 40000, 80, 777)).unwrap();
-        let f = parse_frame_v6(&r.respond(&probe).unwrap()).unwrap();
+        let f = parse_frame_v6(&r.respond_frame(&probe).unwrap()).unwrap();
         assert_eq!(f.flags, tcp_flags::SYN | tcp_flags::ACK);
         assert_eq!(f.ack, 778);
         assert_eq!(f.src_ip, host);
         assert_eq!(f.dst_ip, 1);
         // closed port on a live host answers RST
         let probe = parse_frame_v6(&build_syn_v6(1, live, 40000, 80, 5)).unwrap();
-        let f = parse_frame_v6(&r.respond(&probe).unwrap()).unwrap();
+        let f = parse_frame_v6(&r.respond_frame(&probe).unwrap()).unwrap();
         assert_eq!(f.flags & tcp_flags::RST, tcp_flags::RST);
         // dead space is silent
         let probe = parse_frame_v6(&build_syn_v6(1, 999, 40000, 80, 5)).unwrap();
-        assert!(r.respond(&probe).is_none());
+        assert!(r.respond_frame(&probe).is_none());
         // ISNs are deterministic and distinct per host
         let pa = parse_frame_v6(&build_syn_v6(1, host, 40000, 80, 9)).unwrap();
-        let a = parse_frame_v6(&r.respond(&pa).unwrap()).unwrap().seq;
-        let b = parse_frame_v6(&r.respond(&pa).unwrap()).unwrap().seq;
+        let a = parse_frame_v6(&r.respond_frame(&pa).unwrap()).unwrap().seq;
+        let b = parse_frame_v6(&r.respond_frame(&pa).unwrap()).unwrap().seq;
         assert_eq!(a, b);
     }
 

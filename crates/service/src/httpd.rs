@@ -710,6 +710,9 @@ struct EventLoop<S> {
     keep_alive: Duration,
     conns: HashMap<u64, Conn>,
     next_token: u64,
+    /// The listener is out of this loop's interest set after an accept
+    /// error (until the next sweep).
+    listener_paused: bool,
 }
 
 /// Listener token (every loop registers the shared listener under it).
@@ -761,7 +764,11 @@ impl<S: Send + Sync + 'static> EventLoop<S> {
     }
 
     /// Accept every pending connection (level-triggered: loops race for
-    /// them; the loser reads `WouldBlock` and moves on).
+    /// them; the loser reads `WouldBlock` and moves on). Any other error
+    /// (EMFILE/ENFILE when descriptors run out) leaves the connection
+    /// pending, so the level-triggered listener would wake this loop
+    /// again at once, forever: it leaves the interest set instead, and
+    /// the next sweep puts it back.
     fn accept_ready(&mut self) {
         loop {
             match self.listener.accept() {
@@ -781,7 +788,11 @@ impl<S: Send + Sync + 'static> EventLoop<S> {
                     }
                 }
                 Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => return,
-                Err(_) => return,
+                Err(_) => {
+                    self.epoll.delete(self.listener.as_raw_fd());
+                    self.listener_paused = true;
+                    return;
+                }
             }
         }
     }
@@ -803,9 +814,18 @@ impl<S: Send + Sync + 'static> EventLoop<S> {
         }
     }
 
-    /// Periodic work: reap idle connections and poll streaming bodies
-    /// whose source had nothing to send on the last pass.
+    /// Periodic work: re-add a paused listener, reap idle connections
+    /// and poll streaming bodies whose source had nothing to send on the
+    /// last pass.
     fn sweep(&mut self, now: Instant) {
+        if self.listener_paused
+            && self
+                .epoll
+                .add(self.listener.as_raw_fd(), sys::EPOLLIN, LISTENER)
+                .is_ok()
+        {
+            self.listener_paused = false;
+        }
         let keep_alive = self.keep_alive;
         let mut closed: Vec<u64> = Vec::with_capacity(0);
         let mut stream_tokens: Vec<u64> = Vec::with_capacity(0);
@@ -1084,6 +1104,7 @@ impl HttpServer {
                 keep_alive: cfg.keep_alive,
                 conns: HashMap::with_capacity(64),
                 next_token: 1,
+                listener_paused: false,
             };
             loops.push(
                 thread::Builder::new()

@@ -18,7 +18,8 @@
 //!
 //! Run with: `cargo run --release --example adaptive_strategy`
 
-use tass::bgp::ViewKind;
+use std::sync::Arc;
+use tass::bgp::{View, ViewKind};
 use tass::core::campaign::run_campaign_strategy;
 use tass::core::plan::{CycleOutcome, ProbePlan};
 use tass::core::strategy::{PreparedStrategy, Strategy, StrategyKind};
@@ -37,7 +38,7 @@ struct EwmaTass {
 
 #[derive(Debug)]
 struct EwmaTassPrepared {
-    view: tass::bgp::View,
+    view: Arc<View>,
     phi: f64,
     alpha: f64,
     /// Exponentially-weighted responsive-count estimate per scan unit.
@@ -53,7 +54,8 @@ impl Strategy for EwmaTass {
 
     fn prepare(&self, topo: &Topology, t0: &Snapshot, _seed: u64) -> Box<dyn PreparedStrategy> {
         // seed the estimates from the t₀ full scan (steps 1–2 of §3.1)
-        let view = topo.m_view.clone();
+        // the topology's view is shared, not copied
+        let view = Arc::clone(&topo.m_view);
         let (counts, _) = view.attribute_all(&t0.hosts.to_vec());
         let estimates: Vec<f64> = counts.iter().map(|&c| c as f64).collect();
         let rank = rank_units(&view, &t0.hosts);

@@ -15,8 +15,8 @@
 use proptest::prelude::*;
 use tass::net::V6;
 use tass::scan::wire::{
-    self, build_frame, parse_frame, parse_frame_for, FrameSpec, ETH_HDR_LEN, FRAME_LEN,
-    FRAME_LEN_V6, IPV6_HDR_LEN,
+    self, parse_frame, parse_frame_for, FrameBuf, FrameSpec, ETH_HDR_LEN, FRAME_LEN, FRAME_LEN_V6,
+    IPV6_HDR_LEN,
 };
 
 fn arb_spec() -> impl Strategy<Value = FrameSpec> {
@@ -80,7 +80,7 @@ fn arb_spec_v6() -> impl Strategy<Value = FrameSpec<V6>> {
 proptest! {
     #[test]
     fn prop_roundtrip(spec in arb_spec()) {
-        let frame = build_frame(&spec);
+        let frame = FrameBuf::encode(&spec);
         prop_assert_eq!(frame.len(), FRAME_LEN);
         let parsed = parse_frame(&frame).expect("self-built frames parse");
         prop_assert_eq!(parsed.src_ip, spec.src_ip);
@@ -96,7 +96,7 @@ proptest! {
 
     #[test]
     fn prop_v6_roundtrip(spec in arb_spec_v6()) {
-        let frame = build_frame(&spec);
+        let frame = FrameBuf::encode(&spec);
         prop_assert_eq!(frame.len(), FRAME_LEN_V6);
         let parsed = parse_frame_for::<V6>(&frame).expect("self-built v6 frames parse");
         prop_assert_eq!(parsed.src_ip, spec.src_ip);
@@ -112,7 +112,7 @@ proptest! {
 
     #[test]
     fn prop_checksums_self_verify(spec in arb_spec()) {
-        let frame = build_frame(&spec);
+        let frame = FrameBuf::encode(&spec);
         let ip = &frame[ETH_HDR_LEN..ETH_HDR_LEN + 20];
         prop_assert_eq!(wire::internet_checksum(ip), 0);
         let tcp = &frame[ETH_HDR_LEN + 20..];
@@ -121,7 +121,7 @@ proptest! {
 
     #[test]
     fn prop_v6_checksum_self_verifies_over_pseudo_header(spec in arb_spec_v6()) {
-        let frame = build_frame(&spec);
+        let frame = FrameBuf::encode(&spec);
         let tcp = &frame[ETH_HDR_LEN + IPV6_HDR_LEN..];
         prop_assert_eq!(wire::tcp_checksum_v6(spec.src_ip, spec.dst_ip, tcp), 0);
         // the pseudo-header binds the addresses: a different address pair
@@ -139,7 +139,7 @@ proptest! {
         byte in 0usize..FRAME_LEN,
         bit in 0u8..8,
     ) {
-        let frame = build_frame(&spec);
+        let frame = FrameBuf::encode(&spec);
         let mut bad = frame.to_vec();
         bad[byte] ^= 1 << bit;
         match parse_frame(&bad) {
@@ -166,7 +166,7 @@ proptest! {
         byte in 0usize..FRAME_LEN_V6,
         bit in 0u8..8,
     ) {
-        let frame = build_frame(&spec);
+        let frame = FrameBuf::encode(&spec);
         let mut bad = frame.to_vec();
         bad[byte] ^= 1 << bit;
         match parse_frame_for::<V6>(&bad) {
@@ -198,14 +198,14 @@ proptest! {
 
     #[test]
     fn prop_truncation_never_panics(spec in arb_spec(), cut in 0usize..FRAME_LEN) {
-        let frame = build_frame(&spec);
+        let frame = FrameBuf::encode(&spec);
         // any truncation parses to an error, never a panic
         prop_assert!(parse_frame(&frame[..cut]).is_err());
     }
 
     #[test]
     fn prop_v6_truncation_never_panics(spec in arb_spec_v6(), cut in 0usize..FRAME_LEN_V6) {
-        let frame = build_frame(&spec);
+        let frame = FrameBuf::encode(&spec);
         prop_assert!(parse_frame_for::<V6>(&frame[..cut]).is_err());
     }
 
@@ -213,8 +213,8 @@ proptest! {
     fn prop_cross_family_parse_rejected(spec4 in arb_spec(), spec6 in arb_spec_v6()) {
         // a v4 frame never parses as v6 and vice versa, even padded or
         // truncated to the other family's length
-        let f4 = build_frame(&spec4);
-        let f6 = build_frame(&spec6);
+        let f4 = FrameBuf::encode(&spec4);
+        let f6 = FrameBuf::encode(&spec6);
         let mut f4_padded = f4.to_vec();
         f4_padded.resize(FRAME_LEN_V6, 0);
         prop_assert_eq!(
