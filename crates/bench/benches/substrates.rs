@@ -11,7 +11,7 @@ use rand::{Rng, SeedableRng};
 use std::hint::black_box;
 use tass_bench::Bench;
 use tass_model::HostSet;
-use tass_net::{deagg, Cyclic, Prefix, PrefixSet, PrefixTrie};
+use tass_net::{deagg, Cyclic, Prefix, PrefixSet, PrefixTrie, V4};
 use tass_scan::siphash::SipHash24;
 
 /// Calls per sample for single-element operations.
@@ -95,7 +95,7 @@ fn bench_siphash(bench: &mut Bench) {
     bench.ns_per_element("siphash/probe_validation", BATCH, || {
         for _ in 0..BATCH {
             a = a.wrapping_add(1);
-            black_box(h.probe_validation(black_box(a)));
+            black_box(h.probe_validation::<V4>(black_box(a)));
         }
     });
 }

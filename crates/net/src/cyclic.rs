@@ -18,7 +18,10 @@
 //! - **native** (m ≤ 2³²): operands already below `m` — every walk step —
 //!   skip reduction, and the product and its remainder stay in `u64`.
 //!   Every v4 prefix walk and every realistic v6 sub-prefix walk (a
-//!   seeded /116 block, say) runs here;
+//!   seeded /116 block, say) runs here. A walk in this tier
+//!   ([`CyclicIter`], [`AddressIter`]) divides once, when it starts:
+//!   each step reduces its product by a Barrett multiply against the
+//!   precomputed `u64::MAX / m` instead of a hardware `%`;
 //! - **wide** (m ≤ 2⁶⁴): a `u128` product reduced by `u128 %` — ZMap's
 //!   full-space prime `2³² + 15` lands here;
 //! - **limb** (m > 2⁶⁴): a double-and-add over 128-bit limbs, so the
@@ -84,6 +87,23 @@ fn mulmod_native(a: u128, b: u128, m: u64) -> u64 {
         }
     };
     reduce(a) * reduce(b) % m
+}
+
+/// Barrett reduction of a native-tier walk step: `(a * b) mod m` for
+/// `a, b < m ≤ 2³²`, given `mu = u64::MAX / m`. Because `a·b < 2⁶⁴` and
+/// `mu ≥ (2⁶⁴ − m) / m`, the quotient estimate `⌊a·b·mu / 2⁶⁴⌋` falls
+/// short of `⌊a·b / m⌋` by at most one, so the correction loop subtracts
+/// `m` at most once.
+#[inline]
+fn mulmod_barrett(a: u64, b: u64, m: u64, mu: u64) -> u64 {
+    debug_assert!(a < m && b < m && u128::from(m) <= NATIVE_MODULUS_MAX);
+    let x = a * b;
+    let q = ((u128::from(x) * u128::from(mu)) >> 64) as u64;
+    let mut r = x - q * m;
+    while r >= m {
+        r -= m;
+    }
+    r
 }
 
 /// The wide and limb tiers: a `u128` product when the modulus fits in
@@ -386,6 +406,7 @@ impl<F: AddrFamily> Cyclic<F> {
             cur: powmod_u128(self.generator, first_exp, self.p),
             step: powmod_u128(self.generator, u128::from(total), self.p),
             p: self.p,
+            barrett_mu: barrett_mu(self.p),
             remaining,
             _family: PhantomData,
         }
@@ -411,27 +432,52 @@ fn is_primitive_root(g: u128, p: u128, factors_of_order: &[u128]) -> bool {
         .all(|&q| powmod_u128(g, (p - 1) / q, p) != 1)
 }
 
+/// The Barrett constant `u64::MAX / p` of a native-tier modulus, `None`
+/// for the wide and limb tiers.
+fn barrett_mu(p: u128) -> Option<u64> {
+    (p <= NATIVE_MODULUS_MAX).then(|| u64::MAX / p as u64)
+}
+
 /// Iterator over group elements (see [`Cyclic::iter_shard`]).
 #[derive(Debug, Clone)]
 pub struct CyclicIter<F: AddrFamily = V4> {
     cur: u128,
     step: u128,
     p: u128,
+    /// `Some(u64::MAX / p)` in the native tier: steps reduce by
+    /// [`mulmod_barrett`] instead of dividing
+    barrett_mu: Option<u64>,
     remaining: u128,
     _family: PhantomData<F>,
+}
+
+impl<F: AddrFamily> CyclicIter<F> {
+    /// The next group element of the walk, or `None` once it is done.
+    #[inline]
+    fn advance(&mut self) -> Option<u128> {
+        if self.remaining == 0 {
+            return None;
+        }
+        self.remaining -= 1;
+        let out = self.cur;
+        self.cur = match self.barrett_mu {
+            Some(mu) => u128::from(mulmod_barrett(
+                self.cur as u64,
+                self.step as u64,
+                self.p as u64,
+                mu,
+            )),
+            None => mulmod_u128(self.cur, self.step, self.p),
+        };
+        Some(out)
+    }
 }
 
 impl<F: AddrFamily> Iterator for CyclicIter<F> {
     type Item = F::Wide;
 
     fn next(&mut self) -> Option<F::Wide> {
-        if self.remaining == 0 {
-            return None;
-        }
-        self.remaining -= 1;
-        let out = self.cur;
-        self.cur = mulmod_u128(self.cur, self.step, self.p);
-        Some(F::wide_from_u128(out))
+        self.advance().map(F::wide_from_u128)
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -456,6 +502,7 @@ impl<F: AddrFamily> AddressIter<F> {
                 cur: 0,
                 step: 0,
                 p: 1,
+                barrett_mu: None,
                 remaining: 0,
                 _family: PhantomData,
             },
@@ -468,10 +515,7 @@ impl<F: AddrFamily> Iterator for AddressIter<F> {
     type Item = F::Addr;
 
     fn next(&mut self) -> Option<F::Addr> {
-        while self.inner.remaining > 0 {
-            self.inner.remaining -= 1;
-            let e = self.inner.cur;
-            self.inner.cur = mulmod_u128(self.inner.cur, self.inner.step, self.inner.p);
+        while let Some(e) = self.inner.advance() {
             if e <= self.limit {
                 return Some(F::addr_from_u128(e - 1));
             }
@@ -574,6 +618,76 @@ mod tests {
             u128::from(ZMAP_PRIME) > NATIVE_MODULUS_MAX,
             "ZMap's prime takes the wide tier"
         );
+    }
+
+    #[test]
+    fn barrett_step_equals_mulmod_at_the_tier_edges() {
+        for m in [2u64, 3, 257, 65_537, 4_294_967_291, 1 << 32] {
+            let mu = u64::MAX / m;
+            let edge = [0, 1, 2, m / 2, m - 2, m - 1].map(|x| x.min(m - 1));
+            for &a in &edge {
+                for &b in &edge {
+                    assert_eq!(
+                        mulmod_barrett(a, b, m, mu),
+                        mulmod(a, b, m),
+                        "{a} * {b} mod {m}"
+                    );
+                }
+            }
+            let mut rng = SmallRng::seed_from_u64(m);
+            for _ in 0..10_000 {
+                let (a, b) = (rng.random_range(0..m), rng.random_range(0..m));
+                assert_eq!(mulmod_barrett(a, b, m, mu), mulmod(a, b, m));
+            }
+        }
+    }
+
+    #[test]
+    fn division_free_walk_is_the_mulmod_walk() {
+        // primes at the native tier's edges; every shard of several
+        // shardings walks the same elements, in the same order, as the
+        // `mulmod_u128` recurrence
+        for p in [3u64, 257, 65_537, 4_294_967_291] {
+            let c: Cyclic = Cyclic::new(p, &mut SmallRng::seed_from_u64(p)).unwrap();
+            let g = u128::from(c.generator());
+            for total in [1u64, 2, 3, 7] {
+                for shard in 0..total {
+                    // exponents shard+1, shard+1+total, … up to p − 1
+                    let len = (p - 1).saturating_sub(shard).div_ceil(total);
+                    let n = usize::try_from(len).unwrap().min(50_000);
+                    let step = powmod_u128(g, u128::from(total), u128::from(p));
+                    let want: Vec<u64> = std::iter::successors(
+                        Some(powmod_u128(g, u128::from(shard) + 1, u128::from(p))),
+                        |&e| Some(mulmod_u128(e, step, u128::from(p))),
+                    )
+                    .take(n)
+                    .map(|e| e as u64)
+                    .collect();
+                    let got: Vec<u64> = c.iter_shard(shard, total).take(n).collect();
+                    assert_eq!(got, want, "p {p}, shard {shard}/{total}");
+                    // the address walk shares the step, skipping elements
+                    // above its limit
+                    let limit = p / 2;
+                    let want_addrs: Vec<u32> = want
+                        .iter()
+                        .filter(|&&e| e <= limit)
+                        .map(|&e| (e - 1) as u32)
+                        .collect();
+                    let addrs: Vec<u32> = c
+                        .addresses(shard, total, limit)
+                        .take(want_addrs.len())
+                        .collect();
+                    assert_eq!(addrs, want_addrs, "p {p}, shard {shard}/{total}");
+                }
+                // the whole walk of a small group
+                if p <= 65_537 {
+                    let mut all: Vec<u64> =
+                        (0..total).flat_map(|s| c.iter_shard(s, total)).collect();
+                    all.sort_unstable();
+                    assert_eq!(all, (1..p).collect::<Vec<u64>>(), "p {p}, {total} shards");
+                }
+            }
+        }
     }
 
     #[test]

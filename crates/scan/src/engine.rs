@@ -23,30 +23,40 @@
 //!
 //! ## The lock-free hot path
 //!
-//! A worker thread's per-probe loop touches **no shared locks and
-//! performs no heap allocation**. Targets are consumed in batches: the
-//! worker fills a small stack array from its shard (filtering the
-//! blocklist as it goes), charges the whole batch to the scan's
-//! **shared** token bucket in one lock-free O(1) update
+//! A worker thread's per-probe loop touches **no shared locks, writes
+//! no shared memory and performs no heap allocation**. Targets are
+//! consumed in batches: the worker fills a small stack array from its
+//! shard (filtering the blocklist as it goes), charges the whole batch
+//! to the scan's **shared** token bucket in one lock-free O(1) update
 //! ([`AtomicTokenBucket::take_n`] — a single `fetch_add`), then probes
 //! each address. One bucket serves every worker, so the aggregate send
 //! rate is `rate_pps` no matter how unevenly the plan shards: an idle
-//! worker's unused rate flows to the busy ones. On the wire path every
-//! probe reuses one [`wire::SynTemplate`] — only the destination, source
-//! port, and sequence number are re-encoded, with incremental checksums.
+//! worker's unused rate flows to the busy ones. Per probe, on the wire
+//! path:
+//!
+//! * one SipHash of the destination gives both the source port and the
+//!   sequence number ([`SipHash24::probe_validation`]), as in ZMap;
+//! * one [`wire::SynTemplate`] is reused — only the destination, source
+//!   port, and sequence number are re-encoded, with incremental
+//!   checksums;
+//! * the worker's own [`NetLink`] carries the frame, counting what the
+//!   network sees into worker-local [`NetStats`](crate::NetStats) that
+//!   are folded into the shared counters once, when the worker ends.
+//!
 //! The worker owns a ring of 64 [`Replies`] slots for its whole life; the
 //! network writes each probe's replies straight into its slot
-//! ([`SimNetwork::transmit`]), so no reply storage is initialised or
-//! copied per probe. The worker transmits the whole 64-probe batch first
-//! and then validates the batch in send order. Fault injection is a
-//! deterministic per-address hash (see [`SimNetwork`]), and network
-//! counters are relaxed atomics, so the report — including lossy,
-//! duplicating runs — is **byte-identical at any thread count**: the
-//! shards partition the plan, and nothing about a probe's outcome
-//! depends on interleaving. Results are folded once per worker over an
-//! mpsc channel at the end; sample banners are taken after the fold,
-//! from the lowest responsive addresses, so they too are independent of
-//! the thread count and of which worker finishes first.
+//! ([`NetLink::transmit`]), so no reply storage is initialised or copied
+//! per probe. The worker transmits the whole 64-probe batch first and
+//! then validates the batch in send order. Fault injection is a
+//! deterministic per-address hash (see [`SimNetwork`]) and counter sums
+//! do not depend on the order they are added in, so the report and the
+//! network's counters — including lossy, duplicating runs — are
+//! **identical at any thread count**: the shards partition the plan, and
+//! nothing about a probe's outcome depends on interleaving. Results are
+//! folded once per worker over an mpsc channel at the end; sample
+//! banners are taken after the fold, from the lowest responsive
+//! addresses, so they too are independent of the thread count and of
+//! which worker finishes first.
 //!
 //! `ScanReport::duration_secs` is the token-bucket virtual time of the
 //! slowest shard **plus one round trip of the network's configured
@@ -54,9 +64,8 @@
 //! 35 ms network reports 70 ms, not 0.
 
 use crate::blocklist::Blocklist;
-use crate::net::{Replies, SimNetwork};
+use crate::net::{NetLink, Replies, SimNetwork};
 use crate::rate::AtomicTokenBucket;
-use crate::responder::addr_hash64;
 use crate::siphash::SipHash24;
 use crate::wire::{self, tcp_flags, WireFamily};
 use std::sync::mpsc;
@@ -191,28 +200,26 @@ pub trait ScanFamily: WireFamily {
     /// 198.51.100.1 / 2001:db8::1).
     fn default_source_ip() -> Self::Addr;
 
-    /// Send phase of a wire-level probe: retarget the worker's reusable
+    /// Send phase of a wire-level probe: derive the probe's source port
+    /// and sequence number from one keyed hash of the destination
+    /// ([`SipHash24::probe_validation`]), retarget the worker's reusable
     /// SYN template (incremental checksums — no per-probe encode of the
-    /// constant bytes, no allocation) and transmit it through the
-    /// simulated network (which parses and validates it), which writes
-    /// the reply frames into `replies`. Returns the (source port,
-    /// expected sequence) pair [`ScanFamily::wire_drain`] needs to
-    /// validate them.
+    /// constant bytes, no allocation) and transmit it over the worker's
+    /// network link (which parses and validates it), which writes the
+    /// reply frames into `replies`. Returns the (source port, expected
+    /// sequence) pair [`ScanFamily::wire_drain`] needs to validate them.
     fn wire_send(
-        network: &SimNetwork<Self>,
+        link: &mut NetLink<'_, Self>,
         key: SipHash24,
         addr: Self::Addr,
         tmpl: &mut wire::SynTemplate<Self>,
         replies: &mut Replies,
     ) -> (u16, u32) {
-        let expected_seq = key.probe_validation_addr::<Self>(addr);
-        // for v4, `addr_hash64` is the address itself — the pre-generic
-        // source-port derivation bit for bit
-        let src_port = 32768 + (key.hash_u64(addr_hash64::<Self>(addr)) % 28232) as u16;
+        let (src_port, expected_seq) = key.probe_validation::<Self>(addr);
         tmpl.set_target(addr, src_port, expected_seq);
         // a rejected frame is counted by the network as malformed and
         // leaves `replies` empty, so draining it counts nothing
-        let _ = network.transmit(tmpl.frame(), replies);
+        let _ = link.transmit(tmpl.frame(), replies);
         (src_port, expected_seq)
     }
 
@@ -439,7 +446,7 @@ impl<F: ScanFamily> ScanEngine<F> {
         plan.check_streamable(announced)?;
         let threads = cfg.threads.max(1);
         let (tx, rx) = mpsc::channel::<WorkerResult<F>>();
-        let key = SipHash24::new(cfg.seed, cfg.seed.rotate_left(17) ^ 0xA5A5_A5A5);
+        let key = validation_key(cfg.seed);
         // One bucket for the whole scan: every worker fetch_adds into it,
         // so the aggregate rate is cfg.rate_pps regardless of how the
         // plan's targets distribute over shards.
@@ -501,6 +508,11 @@ impl<F: ScanFamily> ScanEngine<F> {
     }
 }
 
+/// The scan's probe-validation key, derived from its seed.
+fn validation_key(seed: u64) -> SipHash24 {
+    SipHash24::new(seed, seed.rotate_left(17) ^ 0xA5A5_A5A5)
+}
+
 /// Banners a report samples: those of its lowest responsive addresses.
 const SAMPLE_BANNERS: usize = 16;
 
@@ -532,6 +544,8 @@ fn scan_worker<F: ScanFamily>(
     };
     let mut seen = std::collections::HashSet::new();
     let responder = network.responder();
+    // counts locally; folds into the network's counters when the worker ends
+    let mut link = network.link();
     let mut tmpl = wire::SynTemplate::<F>::new(&wire::FrameSpec {
         src_ip: cfg.source_ip,
         dst_port: cfg.port,
@@ -574,7 +588,7 @@ fn scan_worker<F: ScanFamily>(
             // order. Reply outcomes are deterministic per address, so
             // the split changes nothing observable.
             for (i, &addr) in batch[..n].iter().enumerate() {
-                pending[i] = F::wire_send(network, key, addr, &mut tmpl, &mut replies[i]);
+                pending[i] = F::wire_send(&mut link, key, addr, &mut tmpl, &mut replies[i]);
             }
             for (i, &addr) in batch[..n].iter().enumerate() {
                 let (src_port, seq) = pending[i];
@@ -593,7 +607,7 @@ fn scan_worker<F: ScanFamily>(
             // deterministic per address, the same fault outcomes — as
             // the wire path, without the codec
             for &addr in &batch[..n] {
-                match network.probe_logical(addr, cfg.port) {
+                match link.probe_logical(addr, cfg.port) {
                     Some(reply) if reply.open => {
                         out.responses += u64::from(reply.copies);
                         if seen.insert(addr) {
@@ -1089,6 +1103,109 @@ mod tests {
             .unwrap();
         assert_eq!(report.banners_grabbed, 16);
         assert!(report.sample_banners[0].1.contains("HTTP/1.1"));
+    }
+
+    /// The key `run_plan` derives from `ScanConfig::default().seed`.
+    fn default_key() -> SipHash24 {
+        validation_key(ScanConfig::<V4>::default().seed)
+    }
+
+    #[test]
+    fn probe_validation_state_is_pinned() {
+        let key = default_key();
+        let v4: [(u32, u16, u32); 3] = [
+            (0x0100_0000, 37628, 1_802_394_618),
+            (0x0A2A_0001, 40267, 4_137_216_125),
+            (u32::MAX, 53176, 2_215_371_180),
+        ];
+        for (addr, src_port, seq) in v4 {
+            assert_eq!(
+                key.probe_validation::<V4>(addr),
+                (src_port, seq),
+                "{addr:#x}"
+            );
+            // the sequence number is the 4-byte validation digest's low
+            // half, as the engine has always sent it
+            assert_eq!(seq, key.hash(&addr.to_le_bytes()) as u32, "{addr:#x}");
+        }
+        let v6: [(u128, u16, u32); 2] = [
+            ((0x2600u128 << 112) | 0x42, 39488, 2_732_591_111),
+            (1, 37757, 3_487_360_017),
+        ];
+        for (addr, src_port, seq) in v6 {
+            assert_eq!(
+                key.probe_validation::<V6>(addr),
+                (src_port, seq),
+                "{addr:#x}"
+            );
+        }
+    }
+
+    #[test]
+    fn wire_drain_rejects_forged_replies() {
+        let cfg = base_cfg();
+        let key = default_key();
+        let addr = 0x0100_0008u32;
+        let (src_port, seq) = key.probe_validation::<V4>(addr);
+        // the SYN-ACK an honest host sends back to the probe
+        let honest = wire::FrameSpec::<V4> {
+            src_ip: addr,
+            dst_ip: cfg.source_ip,
+            src_port: cfg.port,
+            dst_port: src_port,
+            seq: 77,
+            ack: seq.wrapping_add(1),
+            flags: tcp_flags::SYN | tcp_flags::ACK,
+            ..wire::FrameSpec::default()
+        };
+        let drain = |spec: wire::FrameSpec<V4>| {
+            let mut replies = Replies::default();
+            replies.push(wire::FrameBuf::encode(&spec));
+            V4::wire_drain(&cfg, addr, src_port, seq, &replies)
+        };
+        let counted = drain(honest);
+        assert_eq!((counted.syn_acks, counted.validation_failures), (1, 0));
+        let forged = [
+            ("wrong ack", wire::FrameSpec { ack: seq, ..honest }),
+            (
+                "wrong destination port",
+                wire::FrameSpec {
+                    dst_port: src_port ^ 1,
+                    ..honest
+                },
+            ),
+            (
+                "wrong source address",
+                wire::FrameSpec {
+                    src_ip: addr + 1,
+                    ..honest
+                },
+            ),
+            (
+                "wrong destination address",
+                wire::FrameSpec {
+                    dst_ip: cfg.source_ip + 1,
+                    ..honest
+                },
+            ),
+            (
+                "wrong source port",
+                wire::FrameSpec {
+                    src_port: 81,
+                    ..honest
+                },
+            ),
+        ];
+        for (what, spec) in forged {
+            let counted = drain(spec);
+            assert_eq!(counted.validation_failures, 1, "{what}");
+            assert_eq!((counted.syn_acks, counted.rsts), (0, 0), "{what}");
+        }
+        // an unparseable reply fails validation too
+        let mut replies = Replies::default();
+        replies.push(wire::FrameBuf::from_slice(&[0u8; 20]));
+        let counted = V4::wire_drain(&cfg, addr, src_port, seq, &replies);
+        assert_eq!(counted.validation_failures, 1);
     }
 
     #[test]

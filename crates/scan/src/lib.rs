@@ -48,6 +48,6 @@ pub mod wire;
 
 pub use blocklist::{Blocklist, BlocklistParseError};
 pub use engine::{ScanConfig, ScanEngine, ScanFamily, ScanReport, WireReplies};
-pub use net::{FaultConfig, LogicalReply, NetStats, Replies, SimNetwork};
+pub use net::{FaultConfig, LogicalReply, NetLink, NetStats, Replies, SimNetwork};
 pub use responder::Responder;
 pub use wire::{FrameBuf, SynTemplate, WireFamily};

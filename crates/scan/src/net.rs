@@ -20,17 +20,22 @@
 //! properties: under contention the draw order depended on scheduling,
 //! so lossy campaigns were unreproducible.
 //!
-//! ## Lock-free accounting
+//! ## Worker-local accounting
 //!
-//! [`NetStats`] counters are relaxed-ordering atomics, each padded to its
-//! own cache line; the probe hot path takes no lock and performs no heap
-//! allocation. [`SimNetwork::transmit`] writes a probe's replies into a
-//! caller-owned [`Replies`] slot — a response plus at most one duplicate,
-//! inline — so the scan engine reuses one ring of slots for a worker's
-//! whole life and nothing is copied out by value. Each probe costs one
-//! membership lookup per registered port at most: the probed port's host
-//! set first, then only the others for liveness.
-//! [`SimNetwork::stats`] folds the counters into a plain snapshot.
+//! The probe hot path takes no lock, performs no heap allocation and
+//! writes no shared memory. A scan worker sends through its own
+//! [`NetLink`]: the link counts into a plain local [`NetStats`] and
+//! folds it into the network's shared counters — relaxed atomics, each
+//! on its own cache line — once, when the link is dropped at the end of
+//! the worker. [`SimNetwork::transmit`] and [`SimNetwork::probe_logical`]
+//! are one-probe links over the same counted code. A link writes a
+//! probe's replies into a caller-owned [`Replies`] slot — a response
+//! plus at most one duplicate, inline — so the scan engine reuses one
+//! ring of slots for a worker's whole life and nothing is copied out by
+//! value. Each probe costs one membership lookup per registered port at
+//! most: the probed port's host set first, then only the others for
+//! liveness. [`SimNetwork::stats`] reads the shared counters; they are
+//! exact once every link has been dropped.
 
 use crate::responder::Responder;
 use crate::siphash::SipHash24;
@@ -133,6 +138,22 @@ impl AtomicNetStats {
             duplicated: self.duplicated.get(),
         }
     }
+
+    /// Fold a link's local counts into the shared counters.
+    fn fold(&self, s: &NetStats) {
+        for (counter, n) in [
+            (&self.frames_in, s.frames_in),
+            (&self.malformed, s.malformed),
+            (&self.probes_lost, s.probes_lost),
+            (&self.responses, s.responses),
+            (&self.responses_lost, s.responses_lost),
+            (&self.duplicated, s.duplicated),
+        ] {
+            if n != 0 {
+                counter.add(n);
+            }
+        }
+    }
 }
 
 /// Fault directions — the third input to the per-probe fault hash, so
@@ -174,7 +195,7 @@ impl Default for Replies {
 }
 
 impl Replies {
-    fn push(&mut self, frame: FrameBuf) {
+    pub(crate) fn push(&mut self, frame: FrameBuf) {
         self.frames[usize::from(self.n)] = frame;
         self.n += 1;
     }
@@ -239,7 +260,12 @@ impl<F: AddrFamily> SimNetwork<F> {
         self.faults.latency_ms
     }
 
-    /// Counters so far (a relaxed snapshot of the atomic counters).
+    /// Counters of every probe sent through a link that has been
+    /// dropped. Scan workers fold their counts in when they finish, so
+    /// the counters are exact once a scan's workers have finished —
+    /// after [`ScanEngine::run_plan`](crate::ScanEngine::run_plan)
+    /// returns — and, like the report, independent of the thread count.
+    /// A read during a scan sees only the workers that have finished.
     pub fn stats(&self) -> NetStats {
         self.stats.snapshot()
     }
@@ -260,29 +286,24 @@ impl<F: AddrFamily> SimNetwork<F> {
         ((h >> 11) as f64) * (1.0 / (1u64 << 53) as f64) < p
     }
 
+    /// A link for sending many probes: it counts into local
+    /// [`NetStats`] and folds them into [`SimNetwork::stats`] once, when
+    /// dropped (see the module docs).
+    pub fn link(&self) -> NetLink<'_, F> {
+        NetLink {
+            network: self,
+            counted: NetStats::default(),
+        }
+    }
+
     /// Logical-probe path: identical fault and response semantics to
     /// [`SimNetwork::transmit`] — the same deterministic draws, keyed by
     /// the same address — without building frames. Returns `None` for
     /// silence or loss; otherwise the open/closed verdict and how many
     /// copies arrived (duplication applies here exactly as on the wire).
+    /// A one-probe [`NetLink::probe_logical`].
     pub fn probe_logical(&self, addr: F::Addr, port: u16) -> Option<LogicalReply> {
-        self.stats.frames_in.add(1);
-        if self.fault_fires(addr, DIR_PROBE, self.faults.probe_loss) {
-            self.stats.probes_lost.add(1);
-            return None;
-        }
-        let open = self.responder.syn_answer(addr, port)?;
-        self.stats.responses.add(1);
-        if self.fault_fires(addr, DIR_RESPONSE, self.faults.response_loss) {
-            self.stats.responses_lost.add(1);
-            return None;
-        }
-        let mut copies = 1;
-        if self.fault_fires(addr, DIR_DUPLICATE, self.faults.duplicate) {
-            self.stats.duplicated.add(1);
-            copies = 2;
-        }
-        Some(LogicalReply { open, copies })
+        self.link().probe_logical(addr, port)
     }
 }
 
@@ -291,14 +312,56 @@ impl<F: WireFamily> SimNetwork<F> {
     /// (possibly none, possibly duplicated) into `replies`, replacing
     /// what it held. The frame is parsed and checksum-validated by the
     /// family's wire codec; a malformed frame is dropped, counted, and
-    /// reported in the error, and leaves `replies` empty.
+    /// reported in the error, and leaves `replies` empty. A one-probe
+    /// [`NetLink::transmit`].
     pub fn transmit(&self, frame: &[u8], replies: &mut Replies) -> Result<(), WireError> {
+        self.link().transmit(frame, replies)
+    }
+}
+
+/// A worker's link onto a [`SimNetwork`]: the one delivery path of both
+/// probe kinds. It counts what the network sees into a local
+/// [`NetStats`] and folds that into the network's shared counters once,
+/// when dropped — so a scan worker's probes touch no shared counter.
+#[derive(Debug)]
+pub struct NetLink<'a, F: AddrFamily = V4> {
+    network: &'a SimNetwork<F>,
+    counted: NetStats,
+}
+
+impl<F: AddrFamily> NetLink<'_, F> {
+    /// Send a logical probe (see [`SimNetwork::probe_logical`]).
+    pub fn probe_logical(&mut self, addr: F::Addr, port: u16) -> Option<LogicalReply> {
+        let net = self.network;
+        self.counted.frames_in += 1;
+        if net.fault_fires(addr, DIR_PROBE, net.faults.probe_loss) {
+            self.counted.probes_lost += 1;
+            return None;
+        }
+        let open = net.responder.syn_answer(addr, port)?;
+        self.counted.responses += 1;
+        if net.fault_fires(addr, DIR_RESPONSE, net.faults.response_loss) {
+            self.counted.responses_lost += 1;
+            return None;
+        }
+        let mut copies = 1;
+        if net.fault_fires(addr, DIR_DUPLICATE, net.faults.duplicate) {
+            self.counted.duplicated += 1;
+            copies = 2;
+        }
+        Some(LogicalReply { open, copies })
+    }
+}
+
+impl<F: WireFamily> NetLink<'_, F> {
+    /// Transmit one frame (see [`SimNetwork::transmit`]).
+    pub fn transmit(&mut self, frame: &[u8], replies: &mut Replies) -> Result<(), WireError> {
         replies.n = 0;
-        self.stats.frames_in.add(1);
+        self.counted.frames_in += 1;
         let parsed = match wire::parse_frame_for::<F>(frame) {
             Ok(p) => p,
             Err(e) => {
-                self.stats.malformed.add(1);
+                self.counted.malformed += 1;
                 return Err(e);
             }
         };
@@ -306,24 +369,31 @@ impl<F: WireFamily> SimNetwork<F> {
         Ok(())
     }
 
-    fn deliver(&self, probe: &TcpFrame<F>, out: &mut Replies) {
-        if self.fault_fires(probe.dst_ip, DIR_PROBE, self.faults.probe_loss) {
-            self.stats.probes_lost.add(1);
+    fn deliver(&mut self, probe: &TcpFrame<F>, out: &mut Replies) {
+        let net = self.network;
+        if net.fault_fires(probe.dst_ip, DIR_PROBE, net.faults.probe_loss) {
+            self.counted.probes_lost += 1;
             return;
         }
-        let Some(resp) = self.responder.respond_frame(probe) else {
+        let Some(resp) = net.responder.respond_frame(probe) else {
             return;
         };
-        self.stats.responses.add(1);
-        if self.fault_fires(probe.dst_ip, DIR_RESPONSE, self.faults.response_loss) {
-            self.stats.responses_lost.add(1);
+        self.counted.responses += 1;
+        if net.fault_fires(probe.dst_ip, DIR_RESPONSE, net.faults.response_loss) {
+            self.counted.responses_lost += 1;
             return;
         }
         out.push(resp);
-        if self.fault_fires(probe.dst_ip, DIR_DUPLICATE, self.faults.duplicate) {
-            self.stats.duplicated.add(1);
+        if net.fault_fires(probe.dst_ip, DIR_DUPLICATE, net.faults.duplicate) {
+            self.counted.duplicated += 1;
             out.push(resp);
         }
+    }
+}
+
+impl<F: AddrFamily> Drop for NetLink<'_, F> {
+    fn drop(&mut self) {
+        self.network.stats.fold(&self.counted);
     }
 }
 

@@ -8,7 +8,6 @@
 
 use crate::siphash::SipHash24;
 use crate::wire::{self, tcp_flags, FrameBuf, TcpFrame, WireFamily};
-use std::collections::BTreeMap;
 use tass_model::{HostSet, Protocol};
 use tass_net::{AddrFamily, V4};
 
@@ -27,12 +26,20 @@ pub(crate) fn addr_hash64<F: AddrFamily>(addr: F::Addr) -> u64 {
 /// needs only the [`AddrFamily`].
 #[derive(Debug, Default)]
 pub struct Responder<F: AddrFamily = V4> {
-    /// port -> responsive addresses
-    services: BTreeMap<u16, HostSet<F>>,
-    /// port -> protocol (for banner synthesis)
-    protocols: BTreeMap<u16, Protocol>,
+    /// One entry per registered port, sorted by port: a flat table a
+    /// probe scans without walking a map (responders hold a few ports)
+    ports: Vec<PortEntry<F>>,
     /// ISN/banner variation key
     key: Option<SipHash24>,
+}
+
+/// The hosts answering on one port.
+#[derive(Debug)]
+struct PortEntry<F: AddrFamily> {
+    port: u16,
+    hosts: HostSet<F>,
+    /// The service protocol, for banner synthesis (`None` for a bare port)
+    protocol: Option<Protocol>,
 }
 
 impl<F: AddrFamily> Responder<F> {
@@ -43,20 +50,44 @@ impl<F: AddrFamily> Responder<F> {
 
     /// Register a protocol's responsive host set on its well-known port.
     pub fn with_service(mut self, protocol: Protocol, hosts: HostSet<F>) -> Responder<F> {
-        self.services.insert(protocol.port(), hosts);
-        self.protocols.insert(protocol.port(), protocol);
+        self.entry(protocol.port(), hosts).protocol = Some(protocol);
         self
     }
 
     /// Register hosts on an arbitrary port (no banner synthesis).
     pub fn with_port(mut self, port: u16, hosts: HostSet<F>) -> Responder<F> {
-        self.services.insert(port, hosts);
+        self.entry(port, hosts);
         self
+    }
+
+    /// Set `port`'s host set, keeping the port's protocol if it has one.
+    fn entry(&mut self, port: u16, hosts: HostSet<F>) -> &mut PortEntry<F> {
+        let i = match self.ports.binary_search_by_key(&port, |e| e.port) {
+            Ok(i) => {
+                self.ports[i].hosts = hosts;
+                i
+            }
+            Err(i) => {
+                let entry = PortEntry {
+                    port,
+                    hosts,
+                    protocol: None,
+                };
+                self.ports.insert(i, entry);
+                i
+            }
+        };
+        &mut self.ports[i]
+    }
+
+    /// The entry of `port`, if any hosts are registered on it.
+    fn port(&self, port: u16) -> Option<&PortEntry<F>> {
+        self.ports.iter().find(|e| e.port == port)
     }
 
     /// Total number of (port, host) service endpoints.
     pub fn num_endpoints(&self) -> usize {
-        self.services.values().map(|h| h.len()).sum()
+        self.ports.iter().map(|e| e.hosts.len()).sum()
     }
 
     fn hash(&self) -> SipHash24 {
@@ -66,12 +97,12 @@ impl<F: AddrFamily> Responder<F> {
 
     /// Does `addr` answer on `port`?
     pub fn is_open(&self, addr: F::Addr, port: u16) -> bool {
-        self.services.get(&port).is_some_and(|h| h.contains(addr))
+        self.port(port).is_some_and(|e| e.hosts.contains(addr))
     }
 
     /// Is `addr` a live host on any registered port?
     pub fn is_live(&self, addr: F::Addr) -> bool {
-        self.services.values().any(|h| h.contains(addr))
+        self.ports.iter().any(|e| e.hosts.contains(addr))
     }
 
     /// How `addr` answers a SYN to `port`: `Some(true)` open (SYN-ACK),
@@ -82,9 +113,9 @@ impl<F: AddrFamily> Responder<F> {
         if self.is_open(addr, port) {
             return Some(true);
         }
-        self.services
+        self.ports
             .iter()
-            .any(|(&p, hosts)| p != port && hosts.contains(addr))
+            .any(|e| e.port != port && e.hosts.contains(addr))
             .then_some(false)
     }
 
@@ -92,10 +123,11 @@ impl<F: AddrFamily> Responder<F> {
     /// variant is a deterministic function of the address, so repeated
     /// grabs are stable.
     pub fn banner(&self, addr: F::Addr, port: u16) -> Option<&'static str> {
-        if !self.is_open(addr, port) {
+        let entry = self.port(port)?;
+        if !entry.hosts.contains(addr) {
             return None;
         }
-        let proto = self.protocols.get(&port)?;
+        let proto = entry.protocol?;
         let variant = (self.hash().hash_u64(addr_hash64::<F>(addr)) & 0xFF) as u8;
         Some(proto.banner(variant))
     }

@@ -94,19 +94,24 @@ impl SipHash24 {
         self.hash(&x.to_le_bytes())
     }
 
-    /// Derive a 32-bit probe validation value for a destination address —
-    /// used as the TCP sequence number of the probe, as ZMap does.
-    pub fn probe_validation(&self, daddr: u32) -> u32 {
-        (self.hash(&daddr.to_le_bytes()) & 0xFFFF_FFFF) as u32
-    }
-
-    /// [`SipHash24::probe_validation`] for any wire family: hashes the
-    /// address's little-endian bytes (4 for v4 — bit-identical to the
-    /// concrete method — or 16 for v6).
-    pub fn probe_validation_addr<F: crate::wire::WireFamily>(&self, daddr: F::Addr) -> u32 {
-        (self.hash(F::addr_bytes_le(daddr).as_ref()) & 0xFFFF_FFFF) as u32
+    /// Derive a probe's stateless validation state from its destination,
+    /// as ZMap does: one digest of the address's little-endian bytes (4
+    /// for v4, 16 for v6) gives the TCP sequence number (its low 32
+    /// bits) and the source port (its high 32 bits, mapped into the
+    /// ephemeral range 32768–60999). Returns `(src_port, seq)`.
+    #[inline]
+    pub fn probe_validation<F: crate::wire::WireFamily>(&self, daddr: F::Addr) -> (u16, u32) {
+        let h = self.hash(F::addr_bytes_le(daddr).as_ref());
+        let src_port = PROBE_PORT_BASE + ((h >> 32) % PROBE_PORT_SPAN) as u16;
+        (src_port, h as u32)
     }
 }
+
+/// First source port of a probe ([`SipHash24::probe_validation`]).
+const PROBE_PORT_BASE: u16 = 32768;
+/// Width of the probe source-port range: ports 32768–60999, Linux's
+/// default ephemeral range.
+const PROBE_PORT_SPAN: u64 = 28232;
 
 #[cfg(test)]
 mod tests {
@@ -167,14 +172,23 @@ mod tests {
 
     #[test]
     fn probe_validation_stable_and_spread() {
+        use tass_net::V4;
         let h = SipHash24::new(0xAA, 0xBB);
-        let v1 = h.probe_validation(0x0A000001);
-        assert_eq!(v1, h.probe_validation(0x0A000001), "must be deterministic");
+        let v1 = h.probe_validation::<V4>(0x0A000001);
+        assert_eq!(
+            v1,
+            h.probe_validation::<V4>(0x0A000001),
+            "must be deterministic"
+        );
         // neighbouring addresses should not collide (sanity, not security)
         let collisions = (0u32..1000)
-            .filter(|&i| h.probe_validation(i) == h.probe_validation(i + 1))
+            .filter(|&i| h.probe_validation::<V4>(i).1 == h.probe_validation::<V4>(i + 1).1)
             .count();
         assert_eq!(collisions, 0);
+        // every source port lies in the ephemeral range
+        assert!((0u32..1000)
+            .map(|i| h.probe_validation::<V4>(i).0)
+            .all(|port| (32768..=60999).contains(&port)));
     }
 
     #[test]
@@ -182,12 +196,14 @@ mod tests {
         use tass_net::{V4, V6};
         let h = SipHash24::new(0xAA, 0xBB);
         for a in [0u32, 1, 0x0A00_0001, u32::MAX] {
-            assert_eq!(h.probe_validation_addr::<V4>(a), h.probe_validation(a));
+            // the sequence number is the low half of the 4-byte digest
+            let digest = h.hash(&a.to_le_bytes());
+            assert_eq!(h.probe_validation::<V4>(a).1, digest as u32);
         }
         // v6 hashes 16 bytes — a widened v4 address hashes differently
         assert_ne!(
-            h.probe_validation_addr::<V6>(1u128),
-            h.probe_validation(1u32)
+            h.probe_validation::<V6>(1u128),
+            h.probe_validation::<V4>(1u32)
         );
     }
 

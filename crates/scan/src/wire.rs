@@ -161,6 +161,7 @@ pub trait WireFamily: AddrFamily {
     /// v4, RFC 2460 §8.1 for v6) followed by the segment. Computed
     /// word-wise from the parts — the pseudo-header is never
     /// materialised, so this allocates nothing.
+    #[inline]
     fn transport_checksum(src: Self::Addr, dst: Self::Addr, proto: u8, segment: &[u8]) -> u16 {
         checksum_finish(
             Self::addr_csum(src)
@@ -215,20 +216,35 @@ pub struct TcpFrame<F: WireFamily = V4> {
     pub window: u16,
 }
 
-/// One's-complement sum of big-endian 16-bit words (odd lengths padded),
-/// left unfolded. The sum is associative and commutative, so partial
-/// sums over disjoint (even-offset) parts can be precomputed and added —
-/// the foundation of [`SynTemplate`]'s incremental checksums.
+/// One's-complement sum of a byte string, congruent (mod 0xFFFF) to the
+/// RFC 1071 sum of its big-endian 16-bit words (odd lengths padded) and
+/// zero only when every byte is. The sum is associative and
+/// commutative, so partial sums over disjoint (even-offset) parts can be
+/// precomputed and added — the foundation of [`SynTemplate`]'s
+/// incremental checksums.
+///
+/// The bytes are added as big-endian 32-bit words into a `u64`, half as
+/// many additions as 16-bit words take: a 32-bit word `hi·2¹⁶ + lo` is
+/// congruent to `hi + lo` because `2¹⁶ ≡ 1 (mod 0xFFFF)`. The result is
+/// folded below 2¹⁷, so callers may add a few such sums in a `u32`, and
+/// [`checksum_finish`] folds every nonzero congruent sum to the same 16
+/// bits — every checksum byte is what 16-bit word sums give.
+#[inline]
 fn checksum_add(data: &[u8]) -> u32 {
-    let mut sum = 0u32;
-    let mut chunks = data.chunks_exact(2);
-    for c in &mut chunks {
-        sum += u32::from(u16::from_be_bytes([c[0], c[1]]));
+    let mut sum = 0u64;
+    let mut words = data.chunks_exact(4);
+    for w in &mut words {
+        sum += u64::from(u32::from_be_bytes(w.try_into().expect("4 bytes")));
     }
-    if let [last] = chunks.remainder() {
-        sum += u32::from(u16::from_be_bytes([*last, 0]));
+    // the last 1–3 bytes, zero-padded to a word
+    for (i, &b) in words.remainder().iter().enumerate() {
+        sum += u64::from(b) << (24 - 8 * i);
     }
-    sum
+    // fold 64 → 33 → 32 bits, then 32 → 17 bits; each fold keeps the
+    // sum's residue and keeps a nonzero sum nonzero
+    sum = (sum & 0xFFFF_FFFF) + (sum >> 32);
+    sum = (sum & 0xFFFF_FFFF) + (sum >> 32);
+    ((sum & 0xFFFF) + (sum >> 16)) as u32
 }
 
 /// Fold a one's-complement word sum to 16 bits and complement it.

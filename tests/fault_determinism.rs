@@ -13,7 +13,10 @@
 //!    `(seed, addr)` — probe order, interleaving and re-probing never
 //!    change it;
 //! 3. the wire-level and logical engine paths agree probe-for-probe,
-//!    down to identical [`NetStats`](tass::scan::NetStats).
+//!    down to identical [`NetStats`](tass::scan::NetStats);
+//! 4. the network's counters, which each worker keeps locally and folds
+//!    in when it finishes, are exact: the same pinned value at 1, 2 and
+//!    8 threads on both paths.
 
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -21,7 +24,7 @@ use tass::core::ProbePlan;
 use tass::model::{HostSet, Protocol};
 use tass::net::Prefix;
 use tass::scan::{
-    Blocklist, FaultConfig, Responder, ScanConfig, ScanEngine, ScanReport, SimNetwork,
+    Blocklist, FaultConfig, NetStats, Responder, ScanConfig, ScanEngine, ScanReport, SimNetwork,
 };
 
 /// Faults aggressive enough that every branch of the model fires.
@@ -110,6 +113,33 @@ fn wire_and_logical_engines_agree_with_identical_net_stats() {
         logical_net.stats(),
         "both paths must burn exactly the same fault draws"
     );
+}
+
+#[test]
+fn folded_net_stats_are_exact_at_any_thread_count() {
+    // Pinned: one scan of the /22 (1024 probes) on a fresh network. Every
+    // fault branch fires, and the counters must not depend on how the
+    // probes were split over workers or on which path sent them.
+    let want = NetStats {
+        frames_in: 1024,
+        malformed: 0,
+        probes_lost: 239,
+        responses: 341,
+        responses_lost: 43,
+        duplicated: 59,
+    };
+    for wire_level in [true, false] {
+        for threads in [1usize, 2, 8] {
+            let network = demo_network(lossy_faults());
+            let report = demo_scan(Arc::clone(&network), threads, wire_level);
+            assert_eq!(report.probes_sent, 1024);
+            assert_eq!(
+                network.stats(),
+                want,
+                "{threads} thread(s), wire_level {wire_level}"
+            );
+        }
+    }
 }
 
 proptest! {

@@ -3,7 +3,9 @@
 //! A scan's heap allocations may grow with what it *finds* (the
 //! responsive set) but not with what it merely *walks*. Adding 32 dead
 //! /24s to a plan adds 8 192 probes and 32 prefix walks; with per-size
-//! group memoisation and in-place replies, it must add no allocation.
+//! group memoisation, in-place replies and worker-local network
+//! counters, it must add no allocation — on the wire path and on the
+//! logical path, over a lossy, duplicating network.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
@@ -61,37 +63,49 @@ fn dead_prefixes_add_no_allocation() {
         .flat_map(|p| (p.first()..=p.last()).step_by(5))
         .collect();
     let responder = Responder::new().with_service(Protocol::Http, HostSet::from_addrs(hosts));
-    let engine = ScanEngine::new(Arc::new(SimNetwork::new(
-        responder,
-        FaultConfig::lossy(),
-        3,
-    )));
-    let cfg = ScanConfig::for_port(80)
-        .unlimited_rate()
-        .threads(1)
-        .blocklist(Blocklist::empty())
-        .wire_level(true);
+    let network = Arc::new(SimNetwork::new(responder, FaultConfig::lossy(), 3));
+    let engine = ScanEngine::new(Arc::clone(&network));
     let plan_a = ProbePlan::Prefixes(live.clone());
     let mut with_dead = live;
     with_dead.extend((0..32).map(|i| prefix(&format!("10.1.{i}.0/24"))));
     let plan_b = ProbePlan::Prefixes(with_dead);
 
-    let count = |plan: &ProbePlan| {
-        ALLOCS.store(0, Relaxed);
-        COUNTING.store(true, Relaxed);
-        let report = engine
-            .run_plan(plan, 0, &[], &cfg)
-            .expect("v4 plans stream");
-        COUNTING.store(false, Relaxed);
-        (ALLOCS.load(Relaxed), report)
-    };
-    count(&plan_a); // warm-up: one-time lazy initialisation
-    let (allocs_a, report_a) = count(&plan_a);
-    let (allocs_b, report_b) = count(&plan_b);
-    assert_eq!(report_b.probes_sent, report_a.probes_sent + 32 * 256);
-    assert_eq!(report_b.responsive, report_a.responsive);
-    assert_eq!(
-        allocs_b, allocs_a,
-        "32 dead /24s must add no allocation ({allocs_a} → {allocs_b})"
-    );
+    // both paths run in this one test: the allocation counter is global,
+    // so concurrently running tests would count each other's allocations
+    for wire_level in [true, false] {
+        let cfg = ScanConfig::for_port(80)
+            .unlimited_rate()
+            .threads(1)
+            .blocklist(Blocklist::empty())
+            .wire_level(wire_level);
+        let count = |plan: &ProbePlan| {
+            ALLOCS.store(0, Relaxed);
+            COUNTING.store(true, Relaxed);
+            let report = engine
+                .run_plan(plan, 0, &[], &cfg)
+                .expect("v4 plans stream");
+            COUNTING.store(false, Relaxed);
+            (ALLOCS.load(Relaxed), report)
+        };
+        count(&plan_a); // warm-up: one-time lazy initialisation
+        let (allocs_a, report_a) = count(&plan_a);
+        let before = network.stats();
+        let (allocs_b, report_b) = count(&plan_b);
+        let after = network.stats();
+        assert_eq!(report_b.probes_sent, report_a.probes_sent + 32 * 256);
+        assert_eq!(report_b.responsive, report_a.responsive);
+        // the network really lost and duplicated some of plan B's probes
+        assert!(
+            after.probes_lost > before.probes_lost,
+            "wire_level {wire_level}"
+        );
+        assert!(
+            after.duplicated > before.duplicated,
+            "wire_level {wire_level}"
+        );
+        assert_eq!(
+            allocs_b, allocs_a,
+            "wire_level {wire_level}: 32 dead /24s must add no allocation ({allocs_a} → {allocs_b})"
+        );
+    }
 }

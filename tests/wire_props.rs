@@ -2,7 +2,9 @@
 //! specs round-trip, checksums self-verify, every single-bit corruption
 //! of a frame is either detected by a checksum/structural check or
 //! confined to unprotected bytes, truncation at every boundary fails
-//! cleanly, and frames of one family never parse as the other.
+//! cleanly, frames of one family never parse as the other, and the
+//! word-wide Internet checksum equals the RFC 1071 16-bit-word sum at
+//! every length.
 //!
 //! The unprotected-byte sets differ by design, exactly as on real
 //! networks: IPv4 leaves only the Ethernet MACs unchecksummed (the IP
@@ -77,7 +79,64 @@ fn arb_spec_v6() -> impl Strategy<Value = FrameSpec<V6>> {
         )
 }
 
+/// RFC 1071 as written: big-endian 16-bit words (an odd last byte padded
+/// with zero), summed, folded to 16 bits and complemented.
+fn reference_checksum(data: &[u8]) -> u16 {
+    let mut sum: u64 = data
+        .chunks(2)
+        .map(|pair| {
+            u64::from(u16::from_be_bytes([
+                pair[0],
+                pair.get(1).copied().unwrap_or(0),
+            ]))
+        })
+        .sum();
+    while sum >> 16 != 0 {
+        sum = (sum & 0xFFFF) + (sum >> 16);
+    }
+    !(sum as u16)
+}
+
+#[test]
+fn checksum_equals_reference_on_fold_edges() {
+    // all-zero strings sum to 0 (checksum 0xFFFF); all-0xFF strings sum
+    // to multiples of 0xFFFF (checksum 0); the mixed patterns carry out
+    // of every 16- and 32-bit lane
+    let patterns: [&[u8]; 5] = [
+        &[0x00],
+        &[0xFF],
+        &[0xFF, 0xFF, 0x00, 0x01],
+        &[0x80, 0x00, 0x7F, 0xFF, 0xFF],
+        &[0x00, 0x00, 0x00, 0x01, 0xFF, 0xFE],
+    ];
+    for pattern in patterns {
+        let data: Vec<u8> = pattern.iter().copied().cycle().take(80).collect();
+        for len in 0..=data.len() {
+            assert_eq!(
+                wire::internet_checksum(&data[..len]),
+                reference_checksum(&data[..len]),
+                "pattern {pattern:02X?}, length {len}"
+            );
+        }
+    }
+}
+
 proptest! {
+    #[test]
+    fn prop_checksum_equals_16_bit_word_reference(
+        data in proptest::collection::vec(any::<u8>(), 80..81),
+    ) {
+        // every length 0..=80, odd lengths included, as a prefix of one
+        // random string per case
+        for len in 0..=data.len() {
+            prop_assert_eq!(
+                wire::internet_checksum(&data[..len]),
+                reference_checksum(&data[..len]),
+                "length {}", len
+            );
+        }
+    }
+
     #[test]
     fn prop_roundtrip(spec in arb_spec()) {
         let frame = FrameBuf::encode(&spec);
