@@ -1,7 +1,8 @@
 //! Microbenches for the hot substrate paths: the trie, deaggregation, the
-//! cyclic permutation, SipHash, set algebra, and the host-set merge that
-//! dominates strategy evaluation. The wire codecs are measured by
-//! `wire_codec`.
+//! cyclic permutation, SipHash, set algebra, the host-set merge that
+//! dominates strategy evaluation, and the two kernels of the TASS cycle
+//! loop (the view counting sweep and the density rank with its φ
+//! cutoff). The wire codecs are measured by `wire_codec`.
 //!
 //! Each record is nanoseconds per element. An operation too short to time
 //! on its own runs `BATCH` times per sample.
@@ -10,7 +11,8 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
 use tass_bench::Bench;
-use tass_model::HostSet;
+use tass_core::{select_prefixes_budgeted, DensityCounts};
+use tass_model::{HostSet, Protocol, Universe, UniverseConfig};
 use tass_net::{deagg, Cyclic, Prefix, PrefixSet, PrefixTrie, V4};
 use tass_scan::siphash::SipHash24;
 
@@ -127,6 +129,38 @@ fn bench_host_set(bench: &mut Bench) {
     });
 }
 
+/// The cycle-loop kernels on a universe of perfbench `replay`'s shape:
+/// 4 000 small (/22–/24) l-prefixes at host scale 150, counted over the
+/// HTTP m-view at t₀. `host_set/count_view` is the bulk sweep every
+/// `prepare`, re-seed and adaptive re-count runs; `density/rank_view`
+/// is what an adaptive re-selection runs on maintained counts (stats,
+/// linear rank, φ = 0.95 cutoff). Both are per view unit.
+fn bench_cycle_kernels(bench: &mut Bench) {
+    let mut cfg = UniverseConfig::small(5);
+    cfg.synth.l_prefix_count = 4_000;
+    for (_, class) in &mut cfg.synth.classes {
+        class.l_lengths = vec![(22, 1.0), (23, 2.0), (24, 4.0)];
+    }
+    cfg.host_scale = 150.0;
+    let universe = Universe::generate(&cfg);
+    let view = &universe.topology().m_view;
+    let hosts = &universe.snapshot(0, Protocol::Http).hosts;
+    let units = view.len() as u64;
+    let mut counts = Vec::with_capacity(view.len());
+    bench.ns_per_element("host_set/count_view", units, || {
+        counts.clear();
+        hosts.count_prefixes_into(view.units().iter().map(|u| u.prefix), &mut counts);
+        counts.len()
+    });
+    bench.ns_per_element("density/rank_view", units, || {
+        let stats = DensityCounts::from_unit_counts(view, black_box(&counts));
+        select_prefixes_budgeted(stats, 0.95).0.k
+    });
+    let (sel, _) = select_prefixes_budgeted(DensityCounts::from_unit_counts(view, &counts), 0.95);
+    assert_eq!(counts.len(), view.len(), "one count per view unit");
+    assert!(sel.k > 0 && sel.achieved_coverage > 0.95, "φ = 0.95 cutoff");
+}
+
 fn main() {
     let mut bench = Bench::new("substrates");
     bench_trie(&mut bench);
@@ -135,5 +169,6 @@ fn main() {
     bench_siphash(&mut bench);
     bench_prefix_set(&mut bench);
     bench_host_set(&mut bench);
+    bench_cycle_kernels(&mut bench);
     bench.finish();
 }

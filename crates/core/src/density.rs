@@ -15,19 +15,18 @@
 //! against a `HostSet`, a shared `Snapshot`, or a per-cycle
 //! `HostSetView` is one coordinated galloping pass over the sorted host
 //! storage — O(Σ log gapᵢ) comparisons total, no per-unit full-width
-//! binary search, no hashing, no locks. Ordering is split from counting:
-//! [`DensityCounts`] holds the unranked per-unit stats, and either
-//! [`DensityCounts::rank`] sorts all of them (the Figure 4 path) or
-//! [`DensityRank::top_k`] partitions out just the densest `k` via
-//! `select_nth_unstable` + a k-sized sort, so a budgeted strategy's
-//! re-ranking cost tracks its probe budget, not the unit count. The
-//! density comparator is a strict total order (descending density,
-//! ties broken by ascending prefix, and prefixes are unique within a
-//! view), so the top-k ranking is *byte-identical* to the first `k`
-//! entries of the full sort — selections cannot drift between paths.
-//! The sorts here are bounded by units-with-hosts (full path) or the
-//! requested `k` (top-k path); neither is per-cycle host-proportional
-//! work.
+//! binary search, no hashing, no locks, and (the sweep being generic
+//! over the prefix iterator and the count sink) no dynamic call per
+//! unit. Ordering is split from counting: [`DensityCounts`] holds the
+//! unranked per-unit stats and [`DensityCounts::rank`] orders all of
+//! them. Counted units arrive in ascending prefix order (view units and
+//! block lists are sorted), and then the rank is a stable LSD radix
+//! sort on the density bits — linear in the responsive unit count, with
+//! no comparator call at all. Stats in any other order fall back to a
+//! comparator sort. Both give the one canonical order (descending
+//! density, ties broken by ascending prefix), which is strictly total
+//! because prefixes are unique within a view. The sort is bounded by
+//! units-with-hosts, never by the host count.
 
 use serde::{Deserialize, Serialize};
 use tass_bgp::View;
@@ -76,8 +75,8 @@ pub struct RankPoint {
 
 /// The canonical step-3 order: descending density, ties broken by
 /// ascending prefix. Prefixes are unique within a view, so this is a
-/// *strict total* order — which is what makes the top-k path
-/// byte-identical to a prefix of the full sort.
+/// *strict total* order: the radix path and the comparator path cannot
+/// disagree.
 fn by_density<F: AddrFamily>(a: &PrefixStat<F>, b: &PrefixStat<F>) -> std::cmp::Ordering {
     b.density
         .partial_cmp(&a.density)
@@ -87,11 +86,9 @@ fn by_density<F: AddrFamily>(a: &PrefixStat<F>, b: &PrefixStat<F>) -> std::cmp::
 
 /// The unranked half of a density ranking: per-unit stats (only cᵢ > 0),
 /// N, and the view's total space, before any ordering is applied.
-///
-/// Splitting counting from ordering lets budgeted strategies rank only
-/// the top-k ([`DensityRank::top_k`]) while the Figure 4 exhibits keep
-/// the full sort ([`DensityCounts::rank`]) — both over the exact same
-/// counted stats.
+/// Feedback strategies build these from maintained per-unit counts
+/// ([`DensityCounts::from_unit_counts`]) and rank them with the same
+/// [`DensityCounts::rank`] the seeding scan uses.
 #[derive(Debug, Clone, Default)]
 pub struct DensityCounts<F: AddrFamily = V4> {
     /// Responsive units in **unit order** (not yet ranked).
@@ -110,7 +107,7 @@ impl DensityCounts {
         // view units are sorted by prefix, so the bulk sweep counts the
         // whole view in one coordinated pass over the host storage
         let mut counts = Vec::with_capacity(view.len());
-        hosts.count_prefixes_into(&mut view.units().iter().map(|u| u.prefix), &mut counts);
+        hosts.count_prefixes_into(view.units().iter().map(|u| u.prefix), &mut counts);
         DensityCounts::from_unit_counts(view, &counts)
     }
 
@@ -151,7 +148,7 @@ impl<F: AddrFamily> DensityCounts<F> {
     /// [`DensityCounts::units`]. Unit indices are positions in `units`.
     pub fn prefixes(units: &[Prefix<F>], hosts: &impl PrefixCount<F>) -> DensityCounts<F> {
         let mut counts = Vec::with_capacity(units.len());
-        hosts.count_prefixes_into(&mut units.iter().copied(), &mut counts);
+        hosts.count_prefixes_into(units.iter().copied(), &mut counts);
         DensityCounts::prefix_counts(units, &counts)
     }
 
@@ -196,57 +193,73 @@ impl<F: AddrFamily> DensityCounts<F> {
         self.stats.is_empty()
     }
 
-    /// Rank the densest `k` units **in place**: after this, `stats[..k]`
-    /// holds them in canonical order — byte-identical to the first `k`
-    /// entries of a full [`DensityCounts::rank`] — and `stats[k..]` is
-    /// an unspecified permutation of the rest. This is the allocation-
-    /// free core of [`DensityRank::top_k`]; budgeted selection calls it
-    /// repeatedly with a doubling `k` without ever cloning the stats.
-    pub fn rank_top_k_in_place(&mut self, k: usize) {
-        let n = self.stats.len();
-        // Fast path: stats in ascending-prefix order, which holds
-        // whenever the counted units were sorted (view units and block
-        // lists are). The canonical order — descending density, ties by
-        // ascending prefix — is then exactly ascending
-        // `(!density_bits, position)`: densities are positive finite
-        // floats, so their bit patterns order like their values, and
-        // position order *is* prefix order. Sorting 12-byte integer keys
-        // and gathering once is several times faster than comparator-
-        // sorting the 40-byte stats.
-        if n > 1 && self.stats.windows(2).all(|w| w[0].prefix < w[1].prefix) {
-            let mut keys: Vec<(u64, u32)> = self
-                .stats
-                .iter()
-                .enumerate()
-                .map(|(i, s)| (!s.density.to_bits(), i as u32))
-                .collect();
-            if k < n {
-                keys.select_nth_unstable(k);
-                keys[..k].sort_unstable();
-            } else {
-                keys.sort_unstable();
-            }
-            let stats = std::mem::take(&mut self.stats);
-            self.stats = keys.iter().map(|&(_, i)| stats[i as usize]).collect();
-        } else if k < n {
-            self.stats.select_nth_unstable_by(k, by_density);
-            self.stats[..k].sort_unstable_by(by_density);
+    /// Step 3: sort every responsive unit into the canonical
+    /// descending-density order.
+    pub fn rank(mut self) -> DensityRank<F> {
+        if self.stats.windows(2).all(|w| w[0].prefix < w[1].prefix) {
+            radix_rank(&mut self.stats);
         } else {
             self.stats.sort_unstable_by(by_density);
         }
-    }
-
-    /// Step 3, in full: sort every responsive unit into the canonical
-    /// descending-density order.
-    pub fn rank(mut self) -> DensityRank<F> {
-        let n = self.stats.len();
-        self.rank_top_k_in_place(n);
         DensityRank {
             stats: self.stats,
             total_hosts: self.total_hosts,
             total_space: self.total_space,
         }
     }
+}
+
+/// The canonical order for stats in ascending-prefix order (which holds
+/// whenever the counted units were sorted; view units and block lists
+/// are). Descending density is ascending `!density.to_bits()`:
+/// densities are positive finite floats, whose bit patterns order like
+/// their values. A stable sort on that key keeps equal densities in
+/// position order, which *is* ascending prefix order — so this is
+/// exactly the [`by_density`] order.
+///
+/// The sort is least-significant-digit radix over the key's eight
+/// bytes, carrying each stat's position. One histogram pass counts all
+/// eight digits; a digit that every key shares cannot reorder anything
+/// and is skipped (a count below 2²⁰ over a power-of-two unit size
+/// leaves the low four mantissa bytes zero, so typically half the
+/// passes go). One gather then moves the stats.
+fn radix_rank<F: AddrFamily>(stats: &mut Vec<PrefixStat<F>>) {
+    let n = stats.len();
+    if n < 2 {
+        return;
+    }
+    let mut keys: Vec<(u64, u32)> = stats
+        .iter()
+        .enumerate()
+        .map(|(i, s)| (!s.density.to_bits(), i as u32))
+        .collect();
+    let digit = |key: u64, d: usize| (key >> (8 * d)) as u8 as usize;
+    let mut hist = [[0u32; 256]; 8];
+    for &(key, _) in &keys {
+        for (d, h) in hist.iter_mut().enumerate() {
+            h[digit(key, d)] += 1;
+        }
+    }
+    let mut scratch = vec![(0u64, 0u32); n];
+    for (d, h) in hist.iter().enumerate() {
+        if h[digit(keys[0].0, d)] as usize == n {
+            continue;
+        }
+        let mut next = [0u32; 256];
+        let mut sum = 0u32;
+        for (slot, &c) in next.iter_mut().zip(h) {
+            *slot = sum;
+            sum += c;
+        }
+        for &(key, i) in &keys {
+            let slot = &mut next[digit(key, d)];
+            scratch[*slot as usize] = (key, i);
+            *slot += 1;
+        }
+        std::mem::swap(&mut keys, &mut scratch);
+    }
+    let unranked = std::mem::take(stats);
+    *stats = keys.iter().map(|&(_, i)| unranked[i as usize]).collect();
 }
 
 /// Build the density ranking for a view against a host set (the output of
@@ -287,23 +300,6 @@ pub fn rank_prefix_counts<F: AddrFamily>(units: &[Prefix<F>], counts: &[u64]) ->
 }
 
 impl<F: AddrFamily> DensityRank<F> {
-    /// Rank only the densest `k` units: `select_nth_unstable` partitions
-    /// them out in O(n), then only those `k` are sorted. `total_hosts` /
-    /// `total_space` still cover **all** counted units, so coverage
-    /// targets (φ·N) mean the same thing as on a full ranking — and
-    /// because the order is strictly total, `top_k(c, k).stats` is
-    /// byte-identical to `c.rank().stats[..k]`.
-    pub fn top_k(mut counts: DensityCounts<F>, k: usize) -> DensityRank<F> {
-        counts.rank_top_k_in_place(k);
-        let mut stats = counts.stats;
-        stats.truncate(k);
-        DensityRank {
-            stats,
-            total_hosts: counts.total_hosts,
-            total_space: counts.total_space,
-        }
-    }
-
     /// Number of responsive units.
     pub fn len(&self) -> usize {
         self.stats.len()
@@ -454,8 +450,8 @@ mod tests {
         assert_eq!(r.total_hosts, 1);
     }
 
-    /// Many units with distinct and with *tied* densities, so top-k must
-    /// exercise the prefix tie-break through the partition boundary.
+    /// Many units with distinct and with *tied* densities, so a rank
+    /// must exercise the prefix tie-break.
     fn tied_scenario() -> (View, HostSet) {
         let specs: Vec<String> = (0..32u32).map(|i| format!("{}.0.0.0/24", 10 + i)).collect();
         let view = view_of(&specs.iter().map(String::as_str).collect::<Vec<_>>());
@@ -468,21 +464,7 @@ mod tests {
         (view, HostSet::from_addrs(addrs))
     }
 
-    #[test]
-    fn top_k_is_a_prefix_of_the_full_ranking() {
-        let (view, hosts) = tied_scenario();
-        let full = rank_units(&view, &hosts);
-        for k in [0usize, 1, 3, 7, 8, 20, 31, 32, 40] {
-            let counts = DensityCounts::units(&view, &hosts);
-            let top = DensityRank::top_k(counts, k);
-            assert_eq!(top.len(), k.min(full.len()), "k={k}");
-            assert_eq!(&top.stats[..], &full.stats[..k.min(full.len())], "k={k}");
-            assert_eq!(top.total_hosts, full.total_hosts);
-            assert_eq!(top.total_space, full.total_space);
-        }
-    }
-
-    /// The key-sort fast path (ascending-prefix stats) and the
+    /// The radix fast path (ascending-prefix stats) and the
     /// comparator fallback (any other order) must produce the same
     /// canonical ranking — same prefixes, same counts, same ties.
     #[test]
@@ -492,13 +474,123 @@ mod tests {
         let mut shuffled = sorted_units.clone();
         shuffled.reverse();
         shuffled.swap(3, 17);
-        for k in [0usize, 5, 8, 20, 32] {
-            let fast = DensityRank::top_k(DensityCounts::prefixes(&sorted_units, &hosts), k);
-            let slow = DensityRank::top_k(DensityCounts::prefixes(&shuffled, &hosts), k);
-            let strip = |r: &DensityRank| -> Vec<(Prefix, u64)> {
-                r.stats.iter().map(|s| (s.prefix, s.count)).collect()
-            };
-            assert_eq!(strip(&fast), strip(&slow), "k={k}");
+        let fast = DensityCounts::prefixes(&sorted_units, &hosts).rank();
+        let slow = DensityCounts::prefixes(&shuffled, &hosts).rank();
+        let strip = |r: &DensityRank| -> Vec<(Prefix, u64)> {
+            r.stats.iter().map(|s| (s.prefix, s.count)).collect()
+        };
+        assert_eq!(strip(&fast), strip(&slow));
+        assert_eq!(fast.stats, rank_units(&view, &hosts).stats);
+    }
+
+    /// Rank `(addr, len, count)` specs both ways and compare: the
+    /// prefix-sorted stats through [`DensityCounts::rank`] (the radix
+    /// path) against `sort_unstable_by(by_density)`, and the same units
+    /// in shuffled order (the comparator path) against both. The
+    /// selection path must cut the radix rank where `select_prefixes`
+    /// cuts the comparator one.
+    fn assert_rank_is_canonical<F: AddrFamily>(specs: &[(F::Addr, u8, u64)], seed: u64) {
+        use crate::select::{select_prefixes, select_prefixes_budgeted};
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut units: Vec<(Prefix<F>, u64)> = specs
+            .iter()
+            .map(|&(a, len, c)| (Prefix::new_truncate(a, len).unwrap(), c))
+            .collect();
+        units.sort_unstable_by_key(|u| u.0);
+        units.dedup_by_key(|u| u.0);
+        let (prefixes, counts): (Vec<Prefix<F>>, Vec<u64>) = units.iter().copied().unzip();
+        let sorted = DensityCounts::prefix_counts(&prefixes, &counts);
+        let mut want = sorted.stats.clone();
+        want.sort_unstable_by(by_density);
+        // the selection path cuts off where the comparator ranking does
+        let comparator_rank = DensityRank {
+            stats: want.clone(),
+            total_hosts: sorted.total_hosts,
+            total_space: sorted.total_space,
+        };
+        for phi in [0.0, 0.3, 0.5, 0.9, 0.95, 0.999, 1.0, 2.0] {
+            let want_sel = select_prefixes(&comparator_rank, phi);
+            let (sel, units) = select_prefixes_budgeted(sorted.clone(), phi);
+            assert_eq!(sel.prefixes, want_sel.prefixes, "phi={phi}");
+            assert_eq!(
+                sel.achieved_coverage, want_sel.achieved_coverage,
+                "phi={phi}"
+            );
+            assert_eq!(sel.selected_space, want_sel.selected_space, "phi={phi}");
+            let want_units: Vec<u32> = want[..sel.k].iter().map(|s| s.unit).collect();
+            assert_eq!(units, want_units, "phi={phi}");
+        }
+        let got = sorted.rank();
+        assert_eq!(got.stats, want, "sorted stats");
+
+        let mut rng = SmallRng::seed_from_u64(seed);
+        for i in (1..units.len()).rev() {
+            units.swap(i, rng.random_range(0..=i));
+        }
+        let (prefixes, counts): (Vec<Prefix<F>>, Vec<u64>) = units.into_iter().unzip();
+        let shuffled = DensityCounts::prefix_counts(&prefixes, &counts).rank();
+        let strip = |stats: &[PrefixStat<F>]| -> Vec<(Prefix<F>, u64, f64)> {
+            stats
+                .iter()
+                .map(|s| (s.prefix, s.count, s.density))
+                .collect()
+        };
+        assert_eq!(strip(&shuffled.stats), strip(&want), "shuffled stats");
+    }
+
+    /// Counts span 0..=2³² (0 is not ranked), or, in tied mode, a few
+    /// small values over a narrow length band, so equal densities are
+    /// common and the prefix tie-break decides.
+    fn spec_count(tied: bool, len: u8, count: u64) -> (u8, u64) {
+        if tied {
+            (len - len % 8, count % 3 + 1)
+        } else {
+            (len, count)
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn prop_radix_rank_equals_comparator_sort_v4(
+            specs in proptest::collection::vec(
+                (proptest::prelude::any::<u32>(), 8u8..=32, 0u64..=(1 << 32)),
+                0..48,
+            ),
+            tied in proptest::prelude::any::<bool>(),
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let specs: Vec<(u32, u8, u64)> = specs
+                .into_iter()
+                .map(|(a, len, c)| {
+                    let (len, c) = spec_count(tied, len, c);
+                    (a, len, c)
+                })
+                .collect();
+            for n in [0, 1, specs.len()] {
+                assert_rank_is_canonical::<V4>(&specs[..n.min(specs.len())], seed);
+            }
+        }
+
+        #[test]
+        fn prop_radix_rank_equals_comparator_sort_v6(
+            specs in proptest::collection::vec(
+                (proptest::prelude::any::<u128>(), 48u8..=128, 0u64..=(1 << 32)),
+                0..48,
+            ),
+            tied in proptest::prelude::any::<bool>(),
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let specs: Vec<(u128, u8, u64)> = specs
+                .into_iter()
+                .map(|(a, len, c)| {
+                    let (len, c) = spec_count(tied, len, c);
+                    (a, len, c)
+                })
+                .collect();
+            for n in [0, 1, specs.len()] {
+                assert_rank_is_canonical::<tass_net::V6>(&specs[..n.min(specs.len())], seed);
+            }
         }
     }
 

@@ -160,7 +160,7 @@ impl<F: AddrFamily> ProbePlan<F> {
             // prefixes arrive in address order, so each is a short
             // forward gallop, not a full binary search or hash probe —
             // and only the sum is wanted, so no per-prefix vector
-            ProbePlan::Prefixes(ps) => truth.hosts.count_prefixes_total(&mut ps.iter().copied()),
+            ProbePlan::Prefixes(ps) => truth.hosts.count_prefixes_total(ps.iter().copied()),
             ProbePlan::Addrs(a) => a.intersection_count(&truth.hosts) as u64,
             ProbePlan::FreshSample { per_cycle, seed } => {
                 // A fresh uniform sample over announced space hits each

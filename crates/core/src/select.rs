@@ -6,14 +6,16 @@
 //! them — the numbers behind the paper's Table 1.
 //!
 //! The cutoff takes the first k entries of a density ranking, and every
-//! ranked [`PrefixStat`] carries the index of its unit in the view (or
-//! block list) it was counted over. [`select_prefixes_budgeted`], the
-//! path every strategy selects through, hands those indices back next to
+//! ranked [`PrefixStat`](crate::PrefixStat) carries the index of its unit
+//! in the view (or block list) it was counted over.
+//! [`select_prefixes_budgeted`], the path every strategy selects through,
+//! ranks all responsive units (a linear radix sort, see
+//! [`DensityCounts::rank`]) and hands the selected indices back next to
 //! the [`Selection`]. View units are sorted by address, so ascending unit
 //! index *is* address order: a strategy builds its probe plan, its
 //! membership bitmap and its next re-count from the indices alone.
 
-use crate::density::{DensityCounts, DensityRank, PrefixStat};
+use crate::density::{DensityCounts, DensityRank};
 use serde::{Deserialize, Serialize};
 use tass_net::{AddrFamily, Prefix, V4};
 
@@ -45,29 +47,18 @@ pub struct Selection<F: AddrFamily = V4> {
 ///
 /// Panics if `phi` is negative or NaN — a programming error.
 pub fn select_prefixes<F: AddrFamily>(rank: &DensityRank<F>, phi: f64) -> Selection<F> {
-    select_from_stats(&rank.stats, rank.total_hosts, rank.total_space, phi)
-}
-
-/// The cutoff itself, over a ranked stats slice — shared by
-/// [`select_prefixes`] and the budgeted path, which runs it against an
-/// in-place partial ranking without ever materialising a `DensityRank`.
-fn select_from_stats<F: AddrFamily>(
-    stats: &[PrefixStat<F>],
-    total_hosts: u64,
-    total_space: F::Wide,
-    phi: f64,
-) -> Selection<F> {
     assert!(
         phi >= 0.0 && phi.is_finite(),
         "phi must be a finite non-negative fraction"
     );
-    let total_space = F::wide_to_u128(total_space);
+    let total_hosts = rank.total_hosts;
+    let total_space = F::wide_to_u128(rank.total_space);
     let mut prefixes = Vec::new();
     let mut cum_hosts = 0u64;
     let mut space = 0u128;
     // integer-exact cutoff: stop once cum_hosts > phi * N
     let target = phi * total_hosts as f64;
-    for s in stats {
+    for s in &rank.stats {
         if phi < 1.0 && cum_hosts as f64 > target {
             break;
         }
@@ -97,70 +88,24 @@ fn select_from_stats<F: AddrFamily>(
     }
 }
 
-/// [`select_prefixes`] over a **top-k** ranking, returning the
-/// selection together with the **unit indices** of its prefixes (in
-/// rank order: `units[i]` is the unit of `selection.prefixes[i]`). The
-/// cutoff selects exactly the ranked `stats[..k]`, so the indices are
-/// their `unit` fields; feedback strategies plan and re-count in unit
-/// index space from them, and never search a prefix back to its unit.
+/// Rank, then cut off: [`select_prefixes`] over
+/// `counts.rank()`, returning the selection together with the **unit
+/// indices** of its prefixes (in rank order: `units[i]` is the unit of
+/// `selection.prefixes[i]`). The cutoff selects exactly the ranked
+/// `stats[..k]`, so the indices are their `unit` fields; feedback
+/// strategies plan and re-count in unit index space from them, and
+/// never search a prefix back to its unit.
 ///
-/// Only the densest units are ranked, in place
-/// ([`DensityCounts::rank_top_k_in_place`] — no clone, no allocation
-/// beyond the output), and `k` escalates (doubling) in the rare case the
-/// cutoff was not reached inside the partial ranking. The result is the
-/// *identical* selection to ranking everything — the density order is
-/// strictly total, so a top-k ranking is byte-for-byte a prefix of the
-/// full one, and a cutoff that fires before rank `k` cannot see the
-/// difference. `k_hint` is the caller's guess (last cycle's k for a
-/// feedback strategy); re-ranking cost then tracks the probe budget, not
-/// the unit count.
-///
-/// `phi >= 1.0` selects every responsive unit, so it ranks fully.
+/// The rank is linear in the responsive unit count, so every selection
+/// ranks everything: there is no partial ranking whose size would have
+/// to be guessed.
 pub fn select_prefixes_budgeted<F: AddrFamily>(
-    mut counts: DensityCounts<F>,
+    counts: DensityCounts<F>,
     phi: f64,
-    k_hint: usize,
 ) -> (Selection<F>, Vec<u32>) {
-    let n = counts.len();
-    // A zero hint means the caller has no estimate at all (the first
-    // selection of a campaign). Coverage-level phi typically selects a
-    // large fraction of the units, so doubling up from nothing would
-    // re-rank the buffer log(n) times before reaching the cutoff — one
-    // full sort is strictly cheaper. Escalation is for *refining* a
-    // known k, not discovering one.
-    //
-    // Slack above the hint matters: a stable feedback loop re-selects
-    // with last cycle's k as the hint, and termination needs the cutoff
-    // *strictly inside* the partial ranking — an exact hint would
-    // escalate (and re-rank) every single cycle at the fixpoint.
-    let mut k = if phi >= 1.0 || k_hint == 0 {
-        n
-    } else {
-        (k_hint + k_hint / 8 + 8).min(n)
-    };
-    let selection = loop {
-        if 2 * k >= n {
-            // this close to n, one full sort beats partial-rank passes
-            counts.rank_top_k_in_place(n);
-            break select_from_stats(&counts.stats, counts.total_hosts, counts.total_space, phi);
-        }
-        // partial ranking in place: no clone, no allocation — escalation
-        // re-partitions the same buffer
-        counts.rank_top_k_in_place(k);
-        let sel = select_from_stats(
-            &counts.stats[..k],
-            counts.total_hosts,
-            counts.total_space,
-            phi,
-        );
-        // the cutoff fired strictly inside the partial ranking: the full
-        // sort would agree
-        if sel.k < k {
-            break sel;
-        }
-        k *= 2;
-    };
-    let units = counts.stats[..selection.k].iter().map(|s| s.unit).collect();
+    let rank = counts.rank();
+    let selection = select_prefixes(&rank, phi);
+    let units = rank.stats[..selection.k].iter().map(|s| s.unit).collect();
     (selection, units)
 }
 
@@ -258,8 +203,8 @@ mod tests {
     #[test]
     fn budgeted_selection_equals_full_selection() {
         use crate::density::DensityCounts;
-        // 64 units, mixed distinct and tied densities, so escalation and
-        // tie-breaks through the partition boundary are both exercised
+        // 64 units, mixed distinct and tied densities, so the prefix
+        // tie-break decides some of the cutoffs
         let mut t = RouteTable::new();
         let mut addrs = Vec::new();
         for i in 0..64u32 {
@@ -272,31 +217,20 @@ mod tests {
         let full_rank = rank_units(&view, &hosts);
         for phi in [0.0, 0.3, 0.5, 0.9, 0.95, 0.999, 1.0, 2.0] {
             let want = select_prefixes(&full_rank, phi);
-            // hints below, at, and above the true k — all must agree
-            for k_hint in [
-                0usize,
-                1,
-                want.k.saturating_sub(1),
-                want.k,
-                want.k + 5,
-                1000,
-            ] {
-                let counts = DensityCounts::units(&view, &hosts);
-                let (got, units) = select_prefixes_budgeted(counts, phi, k_hint);
-                let want_units: Vec<u32> =
-                    full_rank.stats[..want.k].iter().map(|s| s.unit).collect();
-                assert_eq!(units, want_units, "phi={phi} hint={k_hint}");
-                assert_eq!(got.k, want.k, "phi={phi} hint={k_hint}");
-                assert_eq!(got.prefixes, want.prefixes, "phi={phi} hint={k_hint}");
-                assert_eq!(got.achieved_coverage, want.achieved_coverage);
-                assert_eq!(got.selected_space, want.selected_space);
-                assert_eq!(got.space_fraction, want.space_fraction);
-                assert_eq!(got.total_hosts, want.total_hosts);
-            }
+            let counts = DensityCounts::units(&view, &hosts);
+            let (got, units) = select_prefixes_budgeted(counts, phi);
+            let want_units: Vec<u32> = full_rank.stats[..want.k].iter().map(|s| s.unit).collect();
+            assert_eq!(units, want_units, "phi={phi}");
+            assert_eq!(got.k, want.k, "phi={phi}");
+            assert_eq!(got.prefixes, want.prefixes, "phi={phi}");
+            assert_eq!(got.achieved_coverage, want.achieved_coverage);
+            assert_eq!(got.selected_space, want.selected_space);
+            assert_eq!(got.space_fraction, want.space_fraction);
+            assert_eq!(got.total_hosts, want.total_hosts);
         }
         // an empty ranking selects no unit
         let (empty, units): (Selection, _) =
-            select_prefixes_budgeted(DensityCounts::default(), 0.9, 4);
+            select_prefixes_budgeted(DensityCounts::default(), 0.9);
         assert_eq!(empty.k, 0);
         assert!(units.is_empty());
     }

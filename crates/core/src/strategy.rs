@@ -218,9 +218,9 @@ impl Strategy for StrategyKind {
         let (plan, selection) = match *self {
             StrategyKind::FullScan => (ProbePlan::All, None),
             StrategyKind::Tass { view, phi } => {
-                // count by one bulk sweep, rank top-k only
+                // count by one bulk sweep, rank by one radix sort
                 let v = view_of(topo, view);
-                let (sel, units) = select_prefixes_budgeted(DensityCounts::units(v, t0), phi, 0);
+                let (sel, units) = select_prefixes_budgeted(DensityCounts::units(v, t0), phi);
                 (ProbePlan::Prefixes(address_order(v, units)), Some(sel))
             }
             StrategyKind::IpHitlist => (ProbePlan::Addrs(t0.hosts.clone()), None),
@@ -353,7 +353,7 @@ impl Strategy for ReseedingTass {
     fn prepare(&self, topo: &Topology, t0: &Snapshot, _seed: u64) -> Box<dyn PreparedStrategy> {
         let view = Arc::clone(view_of(topo, self.view));
         let (selection, units) =
-            select_prefixes_budgeted(DensityCounts::units(&view, t0), self.phi, 0);
+            select_prefixes_budgeted(DensityCounts::units(&view, t0), self.phi);
         let sorted_plan = address_order(&view, units);
         Box::new(ReseedingPrepared {
             view,
@@ -398,10 +398,9 @@ impl PreparedStrategy for ReseedingPrepared {
     fn observe(&mut self, cycle: u32, outcome: &CycleOutcome) {
         if self.is_reseed_cycle(cycle) {
             // steps 2–4 from the fresh scan's responses: the whole view
-            // counts in one bulk sweep over the shared snapshot, and only
-            // the ~k densest units get sorted (last cycle's k as the hint)
+            // counts in one bulk sweep over the shared snapshot
             let counts = DensityCounts::units(&self.view, &outcome.responsive);
-            let (selection, units) = select_prefixes_budgeted(counts, self.phi, self.selection.k);
+            let (selection, units) = select_prefixes_budgeted(counts, self.phi);
             self.selection = selection;
             self.sorted_plan = address_order(&self.view, units);
         }
@@ -421,11 +420,11 @@ impl PreparedStrategy for ReseedingPrepared {
 /// probe overhead.
 ///
 /// The whole loop runs in unit-index space. A re-selection marks its
-/// units in a per-unit bitmap, a plan walks the indices in ascending
-/// order (which is address order, as view units are sorted by prefix)
-/// and emits the selected and explored ones, and the next re-count
-/// sweeps exactly those units. No prefix is searched back to its unit,
-/// and nothing is sorted outside the top-k ranking.
+/// units in a per-unit bitset, a plan ORs the exploration window into a
+/// copy of it and emits the set bits in ascending index order (which is
+/// address order, as view units are sorted by prefix), and the next
+/// re-count sweeps exactly those units. No prefix is searched back to
+/// its unit, and nothing is sorted outside the density rank.
 #[derive(Debug, Clone, Copy)]
 pub struct AdaptiveTass {
     /// l-prefixes or the deaggregated m-partition.
@@ -453,13 +452,15 @@ impl Strategy for AdaptiveTass {
         // O(units log hosts) instead of a trie walk per host
         let mut counts = Vec::with_capacity(view.len());
         t0.hosts
-            .count_prefixes_into(&mut view.units().iter().map(|vu| vu.prefix), &mut counts);
+            .count_prefixes_into(view.units().iter().map(|vu| vu.prefix), &mut counts);
+        let words = view.len().div_ceil(64);
         let mut prepared = AdaptivePrepared {
             phi: self.phi,
             explore: self.explore,
             counts,
             selection: Selection::default(),
-            selected: vec![false; view.len()],
+            selected: vec![0; words],
+            planned: vec![0; words],
             explore_cursor: 0,
             last_planned: Vec::new(),
             view,
@@ -477,8 +478,10 @@ struct AdaptivePrepared {
     /// Last observed responsive count per scan unit (seeded from t₀).
     counts: Vec<u64>,
     selection: Selection,
-    /// Per unit: is it in the current selection?
-    selected: Vec<bool>,
+    /// Bitset over unit indices: is the unit in the current selection?
+    selected: Vec<u64>,
+    /// Scratch bitset a plan builds: `selected` ∪ the exploration window.
+    planned: Vec<u64>,
     /// Rotating cursor over unit indices for exploration.
     explore_cursor: usize,
     /// Unit indices probed by the most recent plan (selection + explored),
@@ -486,17 +489,26 @@ struct AdaptivePrepared {
     last_planned: Vec<u32>,
 }
 
+/// Bit `i` of a `u64`-word bitset.
+fn bit(words: &[u64], i: usize) -> bool {
+    words[i / 64] & (1 << (i % 64)) != 0
+}
+
+/// Set bit `i` of a `u64`-word bitset.
+fn set_bit(words: &mut [u64], i: usize) {
+    words[i / 64] |= 1 << (i % 64);
+}
+
 impl AdaptivePrepared {
     /// Re-run TASS steps 2–4 over the current per-unit count estimates
-    /// (top-k ranking, hinted by the current selection size) and mark
-    /// the selected units.
+    /// and mark the selected units.
     fn reselect(&mut self) {
         let counts = DensityCounts::from_unit_counts(&self.view, &self.counts);
-        let (selection, units) = select_prefixes_budgeted(counts, self.phi, self.selection.k);
+        let (selection, units) = select_prefixes_budgeted(counts, self.phi);
         self.selection = selection;
-        self.selected.fill(false);
+        self.selected.fill(0);
         for u in units {
-            self.selected[u as usize] = true;
+            set_bit(&mut self.selected, u as usize);
         }
     }
 }
@@ -511,22 +523,26 @@ impl PreparedStrategy for AdaptivePrepared {
         let start = self.explore_cursor;
         let mut spent = 0u64;
         let mut visited = 0usize;
+        self.planned.copy_from_slice(&self.selected);
         while spent < budget && visited < n {
             let idx = (start + visited) % n;
             visited += 1;
-            if !self.selected[idx] {
+            if !bit(&self.selected, idx) {
                 spent += units[idx].prefix.size();
             }
+            set_bit(&mut self.planned, idx);
         }
         self.explore_cursor = (start + visited) % n.max(1);
         // selected ∪ explored, in ascending index (= address) order
-        let (end, wrapped) = (start + visited, (start + visited).saturating_sub(n));
         self.last_planned.clear();
         let mut prefixes = Vec::with_capacity(self.selection.k + visited);
-        for (i, (unit, &selected)) in units.iter().zip(&self.selected).enumerate() {
-            if selected || (start..end).contains(&i) || i < wrapped {
+        for (w, &word) in self.planned.iter().enumerate() {
+            let mut rest = word;
+            while rest != 0 {
+                let i = w * 64 + rest.trailing_zeros() as usize;
+                rest &= rest - 1;
                 self.last_planned.push(i as u32);
-                prefixes.push(unit.prefix);
+                prefixes.push(units[i].prefix);
             }
         }
         ProbePlan::Prefixes(prefixes)
@@ -540,7 +556,7 @@ impl PreparedStrategy for AdaptivePrepared {
         let units = self.view.units();
         let mut probed = Vec::with_capacity(self.last_planned.len());
         outcome.responsive.count_prefixes_into(
-            &mut self.last_planned.iter().map(|&u| units[u as usize].prefix),
+            self.last_planned.iter().map(|&u| units[u as usize].prefix),
             &mut probed,
         );
         for (&unit, &c) in self.last_planned.iter().zip(&probed) {
@@ -612,7 +628,7 @@ impl Strategy<V6> for V6BlockTass {
         // the blocks are sorted, so one bulk sweep counts them all
         let mut counts = Vec::with_capacity(blocks.len());
         t0.hosts
-            .count_prefixes_into(&mut blocks.iter().copied(), &mut counts);
+            .count_prefixes_into(blocks.iter().copied(), &mut counts);
         let mut prepared = V6BlockPrepared {
             phi: self.phi,
             block_len: self.block_len,
@@ -653,11 +669,10 @@ struct V6BlockPrepared {
 }
 
 impl V6BlockPrepared {
-    /// Steps 2–4 over the maintained per-block counts (top-k ranking,
-    /// hinted by the current selection size).
+    /// Steps 2–4 over the maintained per-block counts.
     fn reselect(&mut self) {
         let counts = DensityCounts::prefix_counts(&self.blocks, &self.counts);
-        let (selection, mut units) = select_prefixes_budgeted(counts, self.phi, self.selection.k);
+        let (selection, mut units) = select_prefixes_budgeted(counts, self.phi);
         units.sort_unstable();
         self.selection = selection;
         self.planned = units;

@@ -1093,7 +1093,7 @@ impl CorpusGroundTruth {
         // splits into one or more.
         let units = self.topology.l_view.units();
         let covered =
-            PrefixCount::count_prefixes_total(&snap.hosts, &mut units.iter().map(|u| u.prefix));
+            PrefixCount::count_prefixes_total(&snap.hosts, units.iter().map(|u| u.prefix));
         if covered as usize != snap.hosts.len() {
             for addr in snap.hosts.iter() {
                 if self.topology.block_of_addr(addr).is_none() {

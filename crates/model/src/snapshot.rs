@@ -19,9 +19,11 @@
 //!   [`PrefixCount::count_prefixes_into`], which sweeps an ascending
 //!   prefix sequence (sorted view units, sorted plan prefixes) over the
 //!   sorted host list with a galloping cursor — O(Σ log gapᵢ) total, no
-//!   hashing, no lock, and no per-snapshot state beyond the hosts.
-//!   [`PrefixCount`] is the trait rankings are generic over; a scalar
-//!   [`PrefixCount::count_in_prefix`] query is one binary search.
+//!   hashing, no lock, and no per-snapshot state beyond the hosts. The
+//!   sweep is generic over its prefix iterator and its count sink, so
+//!   each caller's sweep compiles to one loop with no dynamic call per
+//!   prefix. [`PrefixCount`] is the trait rankings are generic over; a
+//!   scalar [`PrefixCount::count_in_prefix`] query is one binary search.
 //! * **Copy-free feedback.** A [`HostSetView`] is an `Arc<Snapshot>`
 //!   plus sorted disjoint index ranges into its host list: the per-cycle
 //!   "responsive set" of a simulated scan without cloning, sorting, or
@@ -62,11 +64,10 @@ pub trait PrefixCount<F: AddrFamily = V4> {
     /// gallops instead of one full-width binary search per prefix.
     /// Out-of-order prefixes stay correct everywhere; they just pay the
     /// full search again.
-    fn count_prefixes_into(
-        &self,
-        prefixes: &mut dyn Iterator<Item = Prefix<F>>,
-        out: &mut Vec<u64>,
-    ) {
+    fn count_prefixes_into(&self, prefixes: impl Iterator<Item = Prefix<F>>, out: &mut Vec<u64>)
+    where
+        Self: Sized,
+    {
         for p in prefixes {
             out.push(self.count_in_prefix(p) as u64);
         }
@@ -76,12 +77,11 @@ pub trait PrefixCount<F: AddrFamily = V4> {
     /// same monotone sweep as [`PrefixCount::count_prefixes_into`], but
     /// the sink is an accumulator. This is what a plan-evaluation loop
     /// wants — it only ever summed the vector anyway.
-    fn count_prefixes_total(&self, prefixes: &mut dyn Iterator<Item = Prefix<F>>) -> u64 {
-        let mut total = 0u64;
-        for p in prefixes {
-            total += self.count_in_prefix(p) as u64;
-        }
-        total
+    fn count_prefixes_total(&self, prefixes: impl Iterator<Item = Prefix<F>>) -> u64
+    where
+        Self: Sized,
+    {
+        prefixes.map(|p| self.count_in_prefix(p) as u64).sum()
     }
 }
 
@@ -214,8 +214,8 @@ impl<F: AddrFamily> HostSet<F> {
     /// ([`PrefixCount::count_prefixes_total`]) share one body.
     fn sweep_prefix_counts(
         &self,
-        prefixes: &mut dyn Iterator<Item = Prefix<F>>,
-        sink: &mut dyn FnMut(u64),
+        prefixes: impl Iterator<Item = Prefix<F>>,
+        mut sink: impl FnMut(u64),
     ) {
         let hosts = self.as_slice();
         // ranks `[..cursor]` are < the previous prefix's first address;
@@ -240,10 +240,10 @@ impl<F: AddrFamily> HostSet<F> {
     /// [`PrefixCount::count_prefixes_into`].
     pub fn count_prefixes_into(
         &self,
-        prefixes: &mut dyn Iterator<Item = Prefix<F>>,
+        prefixes: impl Iterator<Item = Prefix<F>>,
         out: &mut Vec<u64>,
     ) {
-        self.sweep_prefix_counts(prefixes, &mut |c| out.push(c));
+        self.sweep_prefix_counts(prefixes, |c| out.push(c));
     }
 
     /// Iterate members ascending.
@@ -285,17 +285,13 @@ impl<F: AddrFamily> PrefixCount<F> for HostSet<F> {
         HostSet::count_in_prefix(self, p)
     }
 
-    fn count_prefixes_into(
-        &self,
-        prefixes: &mut dyn Iterator<Item = Prefix<F>>,
-        out: &mut Vec<u64>,
-    ) {
+    fn count_prefixes_into(&self, prefixes: impl Iterator<Item = Prefix<F>>, out: &mut Vec<u64>) {
         HostSet::count_prefixes_into(self, prefixes, out)
     }
 
-    fn count_prefixes_total(&self, prefixes: &mut dyn Iterator<Item = Prefix<F>>) -> u64 {
+    fn count_prefixes_total(&self, prefixes: impl Iterator<Item = Prefix<F>>) -> u64 {
         let mut total = 0u64;
-        self.sweep_prefix_counts(prefixes, &mut |c| total += c);
+        self.sweep_prefix_counts(prefixes, |c| total += c);
         total
     }
 }
@@ -352,15 +348,11 @@ impl<F: AddrFamily> PrefixCount<F> for Snapshot<F> {
         Snapshot::count_in_prefix(self, p)
     }
 
-    fn count_prefixes_into(
-        &self,
-        prefixes: &mut dyn Iterator<Item = Prefix<F>>,
-        out: &mut Vec<u64>,
-    ) {
+    fn count_prefixes_into(&self, prefixes: impl Iterator<Item = Prefix<F>>, out: &mut Vec<u64>) {
         self.hosts.count_prefixes_into(prefixes, out)
     }
 
-    fn count_prefixes_total(&self, prefixes: &mut dyn Iterator<Item = Prefix<F>>) -> u64 {
+    fn count_prefixes_total(&self, prefixes: impl Iterator<Item = Prefix<F>>) -> u64 {
         PrefixCount::count_prefixes_total(&self.hosts, prefixes)
     }
 }
@@ -568,8 +560,8 @@ impl<F: AddrFamily> HostSetView<F> {
     /// allocation-free total paths.
     fn sweep_prefix_counts(
         &self,
-        prefixes: &mut dyn Iterator<Item = Prefix<F>>,
-        sink: &mut dyn FnMut(u64),
+        prefixes: impl Iterator<Item = Prefix<F>>,
+        mut sink: impl FnMut(u64),
     ) {
         match &self.repr {
             Repr::Owned(h) => h.sweep_prefix_counts(prefixes, sink),
@@ -619,17 +611,13 @@ impl<F: AddrFamily> PrefixCount<F> for HostSetView<F> {
         HostSetView::count_in_prefix(self, p)
     }
 
-    fn count_prefixes_into(
-        &self,
-        prefixes: &mut dyn Iterator<Item = Prefix<F>>,
-        out: &mut Vec<u64>,
-    ) {
-        self.sweep_prefix_counts(prefixes, &mut |c| out.push(c));
+    fn count_prefixes_into(&self, prefixes: impl Iterator<Item = Prefix<F>>, out: &mut Vec<u64>) {
+        self.sweep_prefix_counts(prefixes, |c| out.push(c));
     }
 
-    fn count_prefixes_total(&self, prefixes: &mut dyn Iterator<Item = Prefix<F>>) -> u64 {
+    fn count_prefixes_total(&self, prefixes: impl Iterator<Item = Prefix<F>>) -> u64 {
         let mut total = 0u64;
-        self.sweep_prefix_counts(prefixes, &mut |c| total += c);
+        self.sweep_prefix_counts(prefixes, |c| total += c);
         total
     }
 }
@@ -1279,6 +1267,23 @@ mod tests {
         }
     }
 
+    /// One `PrefixCount` impl's bulk sweep against its scalar queries:
+    /// `count_prefixes_into` per prefix, and `count_prefixes_total` as
+    /// their sum.
+    fn assert_bulk_counts_match_scalar(c: &impl PrefixCount, queries: &[tass_net::Prefix]) {
+        let mut bulk = Vec::new();
+        c.count_prefixes_into(queries.iter().copied(), &mut bulk);
+        let scalar: Vec<u64> = queries
+            .iter()
+            .map(|&p| c.count_in_prefix(p) as u64)
+            .collect();
+        assert_eq!(bulk, scalar);
+        assert_eq!(
+            c.count_prefixes_total(queries.iter().copied()),
+            scalar.iter().sum::<u64>()
+        );
+    }
+
     proptest::proptest! {
         /// The bulk counting sweep, pinned against the scalar oracle for
         /// every `PrefixCount` impl: arbitrary prefix sequences (sorted
@@ -1302,14 +1307,10 @@ mod tests {
                 .collect();
             let ranges = HostSetView::from_prefixes(snap.clone(), &view_prefixes);
             let full = HostSetView::full(snap.clone());
-            let counters: [&dyn PrefixCount; 4] = [&snap.hosts, &*snap, &ranges, &full];
-            for c in counters {
-                let mut bulk = Vec::new();
-                c.count_prefixes_into(&mut queries.iter().copied(), &mut bulk);
-                let scalar: Vec<u64> =
-                    queries.iter().map(|&p| c.count_in_prefix(p) as u64).collect();
-                proptest::prop_assert_eq!(&bulk, &scalar);
-            }
+            assert_bulk_counts_match_scalar(&snap.hosts, &queries);
+            assert_bulk_counts_match_scalar(&*snap, &queries);
+            assert_bulk_counts_match_scalar(&ranges, &queries);
+            assert_bulk_counts_match_scalar(&full, &queries);
         }
     }
 
