@@ -5,8 +5,10 @@
 //! `CampaignPool::run_matrix` over the standard 4-protocol matrix for
 //! the feedback strategies (`Tass`, `ReseedingTass`, `AdaptiveTass`) at
 //! 1/2/4 workers, plus the bytes allocated per cycle (a counting global
-//! allocator: the copy-free feedback claim is an allocation claim, so it
-//! is measured, not asserted).
+//! allocator). The copy-free feedback claim itself — a cycle allocates
+//! the same at N and 4N hosts — is asserted by
+//! `campaign_cycle_allocation_does_not_grow_with_hosts` in
+//! `tests/scan_alloc.rs`; this sweep reports the totals.
 //!
 //! Every timed run asserts the same cycle count, so a quick run
 //! (`BENCH_QUICK=1`) is CI's check; throughput varies with the machine,

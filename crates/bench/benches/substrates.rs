@@ -12,7 +12,7 @@ use rand::{Rng, SeedableRng};
 use std::hint::black_box;
 use tass_bench::Bench;
 use tass_core::{select_prefixes_budgeted, DensityCounts};
-use tass_model::{HostSet, Protocol, Universe, UniverseConfig};
+use tass_model::{HostSet, PrefixCount, Protocol, Universe, UniverseConfig};
 use tass_net::{deagg, Cyclic, Prefix, PrefixSet, PrefixTrie, V4};
 use tass_scan::siphash::SipHash24;
 

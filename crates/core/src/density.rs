@@ -12,7 +12,7 @@
 //!
 //! Counting is generic over [`PrefixCount`] and goes through its bulk
 //! sweep: view units are sorted by prefix, so counting a whole view
-//! against a `HostSet`, a shared `Snapshot`, or a per-cycle
+//! against a `HostSet` or a per-cycle
 //! `HostSetView` is one coordinated galloping pass over the sorted host
 //! storage — O(Σ log gapᵢ) comparisons total, no per-unit full-width
 //! binary search, no hashing, no locks, and (the sweep being generic
@@ -101,8 +101,8 @@ pub struct DensityCounts<F: AddrFamily = V4> {
 
 impl DensityCounts {
     /// Count a view's units against anything that can answer per-prefix
-    /// host counts (a `HostSet` or shared `Snapshot` over its sorted
-    /// hosts; a `HostSetView` by range arithmetic).
+    /// host counts (a `HostSet` over its sorted hosts; a `HostSetView`
+    /// by range arithmetic).
     pub fn units(view: &View, hosts: &impl PrefixCount) -> DensityCounts {
         // view units are sorted by prefix, so the bulk sweep counts the
         // whole view in one coordinated pass over the host storage
@@ -114,32 +114,11 @@ impl DensityCounts {
     /// Count from maintained per-unit counts (index-aligned with
     /// `view.units()`).
     pub fn from_unit_counts(view: &View, counts: &[u64]) -> DensityCounts {
-        assert_eq!(counts.len(), view.len(), "one count per view unit");
-        let total: u64 = counts.iter().sum();
-        // exact-size the stats: growth-doubling here allocates ~4x the
-        // final size and lands in every campaign's prepare
-        let responsive = counts.iter().filter(|&&c| c > 0).count();
-        let mut stats = Vec::with_capacity(responsive);
-        for (i, (&c, unit)) in counts.iter().zip(view.units()).enumerate() {
-            if c > 0 {
-                stats.push(PrefixStat {
-                    prefix: unit.prefix,
-                    unit: i as u32,
-                    count: c,
-                    density: c as f64 / unit.prefix.size() as f64,
-                    coverage: if total > 0 {
-                        c as f64 / total as f64
-                    } else {
-                        0.0
-                    },
-                });
-            }
-        }
-        DensityCounts {
-            stats,
-            total_hosts: total,
-            total_space: view.total_space(),
-        }
+        DensityCounts::stats(
+            view.units().iter().map(|u| u.prefix),
+            counts,
+            view.total_space(),
+        )
     }
 }
 
@@ -155,19 +134,36 @@ impl<F: AddrFamily> DensityCounts<F> {
     /// Count from a prefix list and maintained per-unit counts
     /// (index-aligned with `units`).
     pub fn prefix_counts(units: &[Prefix<F>], counts: &[u64]) -> DensityCounts<F> {
+        let total_space = units
+            .iter()
+            .fold(0u128, |acc, p| acc.saturating_add(p.size_u128()));
+        DensityCounts::stats(
+            units.iter().copied(),
+            counts,
+            F::wide_from_u128(total_space),
+        )
+    }
+
+    /// The one stats loop every density count goes through: per-unit
+    /// stats for the units with hosts, given the units' total space.
+    fn stats(
+        units: impl ExactSizeIterator<Item = Prefix<F>>,
+        counts: &[u64],
+        total_space: F::Wide,
+    ) -> DensityCounts<F> {
         assert_eq!(counts.len(), units.len(), "one count per unit");
         let total: u64 = counts.iter().sum();
-        let mut total_space = 0u128;
+        // exact-size the stats: growth-doubling here allocates ~4x the
+        // final size and lands in every campaign's prepare
         let responsive = counts.iter().filter(|&&c| c > 0).count();
         let mut stats = Vec::with_capacity(responsive);
-        for (i, (&c, &prefix)) in counts.iter().zip(units).enumerate() {
-            total_space = total_space.saturating_add(prefix.size_u128());
+        for (i, (&c, prefix)) in counts.iter().zip(units).enumerate() {
             if c > 0 {
                 stats.push(PrefixStat {
                     prefix,
                     unit: i as u32,
                     count: c,
-                    density: c as f64 / prefix.size_u128() as f64,
+                    density: c as f64 / size_f64(prefix),
                     coverage: if total > 0 {
                         c as f64 / total as f64
                     } else {
@@ -179,7 +175,7 @@ impl<F: AddrFamily> DensityCounts<F> {
         DensityCounts {
             stats,
             total_hosts: total,
-            total_space: F::wide_from_u128(total_space),
+            total_space,
         }
     }
 
@@ -207,6 +203,14 @@ impl<F: AddrFamily> DensityCounts<F> {
             total_space: self.total_space,
         }
     }
+}
+
+/// A unit's size `2^(BITS − len)` as `f64`, built from its exponent.
+/// Exact, as the size is a power of two (the full v6 space, which
+/// `Prefix::size_u128` saturates, is 2¹²⁸ here as in any rounding of
+/// it), and with no `u128 → f64` conversion call per unit.
+fn size_f64<F: AddrFamily>(p: Prefix<F>) -> f64 {
+    f64::from_bits((1023 + u64::from(F::BITS - p.len())) << 52)
 }
 
 /// The canonical order for stats in ascending-prefix order (which holds
@@ -277,26 +281,6 @@ pub fn rank_units(view: &View, hosts: &impl PrefixCount) -> DensityRank {
 /// steps 2–4 cannot drift from the seeding scan's.
 pub fn rank_from_counts(view: &View, counts: &[u64]) -> DensityRank {
     DensityCounts::from_unit_counts(view, counts).rank()
-}
-
-/// Build a density ranking directly from a prefix list and a host set —
-/// the family-generic core of [`rank_units`], and the seeding path for
-/// address families that have no BGP view object (an IPv6 campaign ranks
-/// the dense blocks its hitlist discovered). Unit indices are positions
-/// in `units`.
-pub fn rank_prefixes<F: AddrFamily>(
-    units: &[Prefix<F>],
-    hosts: &impl PrefixCount<F>,
-) -> DensityRank<F> {
-    DensityCounts::prefixes(units, hosts).rank()
-}
-
-/// Build a density ranking from a prefix list and **maintained per-unit
-/// counts** (index-aligned with `units`) — the generic counterpart of
-/// [`rank_from_counts`], used by feedback strategies that track their own
-/// count estimates instead of re-deriving them from a host set.
-pub fn rank_prefix_counts<F: AddrFamily>(units: &[Prefix<F>], counts: &[u64]) -> DensityRank<F> {
-    DensityCounts::prefix_counts(units, counts).rank()
 }
 
 impl<F: AddrFamily> DensityRank<F> {
@@ -501,6 +485,9 @@ mod tests {
         units.dedup_by_key(|u| u.0);
         let (prefixes, counts): (Vec<Prefix<F>>, Vec<u64>) = units.iter().copied().unzip();
         let sorted = DensityCounts::prefix_counts(&prefixes, &counts);
+        for st in &sorted.stats {
+            assert_eq!(st.density, st.count as f64 / st.prefix.size_u128() as f64);
+        }
         let mut want = sorted.stats.clone();
         want.sort_unstable_by(by_density);
         // the selection path cuts off where the comparator ranking does
@@ -570,6 +557,7 @@ mod tests {
             for n in [0, 1, specs.len()] {
                 assert_rank_is_canonical::<V4>(&specs[..n.min(specs.len())], seed);
             }
+            assert_rank_is_canonical::<V4>(&[(0, 0, 1)], seed);
         }
 
         #[test]
@@ -591,21 +579,17 @@ mod tests {
             for n in [0, 1, specs.len()] {
                 assert_rank_is_canonical::<tass_net::V6>(&specs[..n.min(specs.len())], seed);
             }
+            assert_rank_is_canonical::<tass_net::V6>(&[(0, 0, 1)], seed);
         }
     }
 
     #[test]
     fn rank_reads_the_snapshot_index_identically_to_the_host_set() {
-        use std::sync::Arc;
         let (view, set) = tied_scenario();
-        let snap = Arc::new(tass_model::Snapshot::new(
-            tass_model::Protocol::Http,
-            0,
-            set.clone(),
-        ));
+        let snap = tass_model::Snapshot::new(tass_model::Protocol::Http, 0, set.clone());
         let via_set = rank_units(&view, &set);
-        let via_snap = rank_units(&view, &*snap);
-        let via_view = rank_units(&view, &tass_model::HostSetView::full(snap));
+        let via_snap = rank_units(&view, &snap.hosts);
+        let via_view = rank_units(&view, &tass_model::HostSetView::full(snap.hosts));
         assert_eq!(via_set.stats, via_snap.stats);
         assert_eq!(via_set.stats, via_view.stats);
     }

@@ -60,10 +60,7 @@ pub use campaign::{
     CampaignCheckpoint, CampaignJob, CampaignPool, CampaignResult, CampaignRun, CampaignStep,
 };
 pub use cluster::{cluster_units, Cluster, ClusterConfig};
-pub use density::{
-    rank_from_counts, rank_prefix_counts, rank_prefixes, rank_units, DensityCounts, DensityRank,
-    PrefixStat,
-};
+pub use density::{rank_from_counts, rank_units, DensityCounts, DensityRank, PrefixStat};
 pub use metrics::{efficiency_ratio, MonthEval};
 pub use plan::{CycleOutcome, Eval, PlanStream, ProbePlan, StreamError};
 pub use select::{select_prefixes, select_prefixes_budgeted, Selection};

@@ -32,12 +32,11 @@
 //! # The O(output) feedback path
 //!
 //! Feedback is **copy-free**: [`ProbePlan::observed`] returns a
-//! [`HostSetView`] — an `Arc` of the shared snapshot plus index ranges —
-//! not an owned `HostSet`. An `All` cycle's responsive set is one `Arc`
-//! clone (zero host-proportional allocation); a `Prefixes` cycle is the
-//! interval union of per-prefix slices, O(prefixes log hosts) with
-//! explicit set-union semantics for overlapping prefixes (the old eager
-//! path buffered duplicates and relied on a final sort+dedup).
+//! [`HostSetView`] — the snapshot's shared host set plus index ranges —
+//! not a fresh copy of the hosts. An `All` cycle's responsive set is one
+//! `Arc` clone (zero host-proportional allocation); a `Prefixes` cycle is
+//! the interval union of per-prefix slices, O(prefixes log hosts) with
+//! explicit set-union semantics for overlapping prefixes.
 //! Likewise [`ProbePlan::evaluate`] answers `Prefixes` plans with one
 //! monotone bulk sweep over the snapshot's sorted hosts (plan prefixes
 //! arrive in address order, so each count is a short forward gallop),
@@ -60,7 +59,6 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 use tass_model::{HostSet, HostSetView, PrefixCount, Snapshot};
 use tass_net::cyclic::{self, AddressIter, Cyclic};
 use tass_net::{AddrFamily, Prefix, V4};
@@ -216,24 +214,24 @@ impl<F: AddrFamily> ProbePlan<F> {
     /// cycle), so its *size* approximates the binomial draw used by
     /// [`ProbePlan::evaluate`] without being forced to match it.
     ///
-    /// The result is a copy-free [`HostSetView`] over the shared
-    /// snapshot: `All` is a single `Arc` clone, `Prefixes` is the
+    /// The result is a copy-free [`HostSetView`] over the snapshot's
+    /// shared host set: `All` is a single `Arc` clone, `Prefixes` is the
     /// interval union of the per-prefix slices (overlapping prefixes
-    /// contribute their set union, never a double count). Only the
-    /// `Addrs`/`FreshSample` variants — whose outputs are not snapshot
-    /// sub-ranges — own their (output-sized) member list.
+    /// contribute their set union, never a double count). The
+    /// `Addrs`/`FreshSample` outputs are not ranges of the snapshot, so
+    /// each is a new (output-sized) set, viewed whole.
     pub fn observed(
         &self,
-        truth: &Arc<Snapshot<F>>,
+        truth: &Snapshot<F>,
         cycle: u32,
         announced_space: F::Wide,
     ) -> HostSetView<F> {
         match self {
-            ProbePlan::All => HostSetView::full(truth.clone()),
-            ProbePlan::Prefixes(ps) => HostSetView::from_prefixes(truth.clone(), ps),
+            ProbePlan::All => HostSetView::full(truth.hosts.clone()),
+            ProbePlan::Prefixes(ps) => HostSetView::from_prefixes(truth.hosts.clone(), ps),
             ProbePlan::Addrs(a) => {
                 let addrs: Vec<F::Addr> = a.iter().filter(|&x| truth.hosts.contains(x)).collect();
-                HostSetView::owned(HostSet::from_sorted_unique(addrs))
+                HostSetView::full(HostSet::from_sorted_unique(addrs))
             }
             ProbePlan::FreshSample { per_cycle, seed } => {
                 let mut rng =
@@ -244,7 +242,7 @@ impl<F: AddrFamily> ProbePlan<F> {
                     .iter()
                     .filter(|_| rng.random::<f64>() < p)
                     .collect();
-                HostSetView::owned(HostSet::from_sorted_unique(addrs))
+                HostSetView::full(HostSet::from_sorted_unique(addrs))
             }
         }
     }
@@ -736,9 +734,9 @@ pub struct CycleOutcome<F: AddrFamily = V4> {
     /// Addresses probed during the cycle.
     pub probes: u64,
     /// The responsive hosts the cycle's probes found — a copy-free view
-    /// over the shared snapshot ([`HostSetView::materialize`] recovers
-    /// an owned set; `HostSet::into()` wraps one for engine-driven
-    /// campaigns whose responsive sets are not snapshot sub-ranges).
+    /// over the snapshot's shared host set ([`HostSetView::materialize`]
+    /// recovers a `HostSet`; `HostSet::into()` wraps a whole set, as for
+    /// engine-driven campaigns whose responsive sets are scan reports).
     pub responsive: HostSetView<F>,
 }
 
@@ -748,8 +746,8 @@ mod tests {
     use tass_model::Protocol;
     use tass_net::V6;
 
-    fn truth(addrs: Vec<u32>) -> Arc<Snapshot> {
-        Arc::new(Snapshot::new(Protocol::Http, 0, HostSet::from_addrs(addrs)))
+    fn truth(addrs: Vec<u32>) -> Snapshot {
+        Snapshot::new(Protocol::Http, 0, HostSet::from_addrs(addrs))
     }
 
     #[test]

@@ -220,7 +220,8 @@ impl Strategy for StrategyKind {
             StrategyKind::Tass { view, phi } => {
                 // count by one bulk sweep, rank by one radix sort
                 let v = view_of(topo, view);
-                let (sel, units) = select_prefixes_budgeted(DensityCounts::units(v, t0), phi);
+                let (sel, units) =
+                    select_prefixes_budgeted(DensityCounts::units(v, &t0.hosts), phi);
                 (ProbePlan::Prefixes(address_order(v, units)), Some(sel))
             }
             StrategyKind::IpHitlist => (ProbePlan::Addrs(t0.hosts.clone()), None),
@@ -353,7 +354,7 @@ impl Strategy for ReseedingTass {
     fn prepare(&self, topo: &Topology, t0: &Snapshot, _seed: u64) -> Box<dyn PreparedStrategy> {
         let view = Arc::clone(view_of(topo, self.view));
         let (selection, units) =
-            select_prefixes_budgeted(DensityCounts::units(&view, t0), self.phi);
+            select_prefixes_budgeted(DensityCounts::units(&view, &t0.hosts), self.phi);
         let sorted_plan = address_order(&view, units);
         Box::new(ReseedingPrepared {
             view,
@@ -643,8 +644,7 @@ impl Strategy<V6> for V6BlockTass {
 }
 
 /// The distinct `/len` blocks an ascending host iteration occupies
-/// (sorted) — works on owned `HostSet`s and copy-free `HostSetView`s
-/// alike.
+/// (sorted) — works on `HostSet`s and `HostSetView`s alike.
 fn blocks_of(hosts: impl Iterator<Item = u128>, block_len: u8) -> Vec<Prefix<V6>> {
     let mut blocks: Vec<Prefix<V6>> = hosts
         .map(|a| Prefix::<V6>::new_truncate(a, block_len).expect("block_len <= 128"))

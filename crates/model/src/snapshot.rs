@@ -13,32 +13,38 @@
 //! Matrix campaigns touch the same `(month, protocol)` snapshot from
 //! every strategy, repetition, and worker, so per-cycle work must be
 //! proportional to what a cycle *produces*, not to the size of the
-//! universe. Three pieces enforce that:
+//! universe. Four pieces enforce that:
 //!
+//! * **Shared storage.** A [`HostSet`] is immutable: an `Arc` around the
+//!   one sorted `Vec` its constructor (or [`Snapshot::decode`]) built.
+//!   Cloning one — into an address-hitlist plan, a view, a responder —
+//!   is a reference-count bump, never a copy of the hosts.
 //! * **Bulk prefix counting.** Rankings count hosts per prefix through
 //!   [`PrefixCount::count_prefixes_into`], which sweeps an ascending
 //!   prefix sequence (sorted view units, sorted plan prefixes) over the
 //!   sorted host list with a galloping cursor — O(Σ log gapᵢ) total, no
-//!   hashing, no lock, and no per-snapshot state beyond the hosts. The
-//!   sweep is generic over its prefix iterator and its count sink, so
-//!   each caller's sweep compiles to one loop with no dynamic call per
-//!   prefix. [`PrefixCount`] is the trait rankings are generic over; a
-//!   scalar [`PrefixCount::count_in_prefix`] query is one binary search.
-//! * **Copy-free feedback.** A [`HostSetView`] is an `Arc<Snapshot>`
-//!   plus sorted disjoint index ranges into its host list: the per-cycle
+//!   hashing, no lock, and no per-snapshot state beyond the hosts. One
+//!   private span sweep on [`HostSet`] serves every bulk count and
+//!   [`HostSetView::from_prefixes`]; it is generic over its prefix
+//!   iterator and its sink, so each caller's sweep compiles to one loop
+//!   with no dynamic call per prefix. [`PrefixCount`] is the trait
+//!   rankings are generic over; a scalar [`PrefixCount::count_in_prefix`]
+//!   query is one binary search.
+//! * **Copy-free feedback.** A [`HostSetView`] is a shared [`HostSet`]
+//!   plus sorted disjoint index ranges into it: the per-cycle
 //!   "responsive set" of a simulated scan without cloning, sorting, or
-//!   allocating anything proportional to the host count. A full-scan
-//!   cycle is a single `(0, n)` range; a prefix-plan cycle is the
-//!   interval union of the per-prefix slices (so overlapping prefixes
-//!   have explicit set-union semantics). [`HostSetView::materialize`] is
-//!   the escape hatch back to an owned [`HostSet`], and the serde form
-//!   is byte-identical to the eager set's, so downstream digests cannot
-//!   tell the difference.
+//!   allocating anything proportional to the host count. A whole set
+//!   (a full-scan cycle, a hitlist cycle's hits, an engine report) is a
+//!   single `(0, n)` range; a prefix-plan cycle is the interval union of
+//!   the per-prefix slices (so overlapping prefixes have explicit
+//!   set-union semantics). [`HostSetView::materialize`] is the escape
+//!   hatch back to a [`HostSet`], and the serde form is byte-identical
+//!   to the set's, so downstream digests cannot tell the difference.
 //! * **Decode once.** [`Snapshot::decode`] parses the header and then
 //!   makes one fused pass over the fixed-width LE address section,
 //!   checking strict ascent while it fills the sorted `Vec` the
-//!   [`HostSet`] owns. A month load therefore costs one sequential scan
-//!   of the file, its resident memory is `len × width`
+//!   [`HostSet`] shares. A month load therefore costs one sequential
+//!   scan of the file, its resident memory is `len × width`
 //!   ([`Snapshot::resident_bytes`]), and every later set operation is a
 //!   plain slice search.
 
@@ -49,39 +55,42 @@ use tass_net::{AddrFamily, Prefix, V4};
 
 /// Anything that can report how many of its member hosts a prefix
 /// covers. Density rankings are generic over this, so they can run
-/// against an owned [`HostSet`] or a shared [`Snapshot`] (binary
-/// search), or a per-cycle [`HostSetView`] (range arithmetic) without
-/// materialising anything.
+/// against a [`HostSet`] (binary search) or a per-cycle [`HostSetView`]
+/// (range arithmetic) without materialising anything.
 pub trait PrefixCount<F: AddrFamily = V4> {
     /// Count member hosts covered by `p`.
     fn count_in_prefix(&self, p: Prefix<F>) -> usize;
 
+    /// The bulk sweep both bulk counts go through: one count per prefix
+    /// to `sink`, in input order. A cursor remembers where the previous
+    /// prefix began, so an ascending prefix sequence (sorted view units,
+    /// sorted plan prefixes: the hot feedback-cycle case) costs short
+    /// forward gallops instead of one full-width binary search per
+    /// prefix. Out-of-order prefixes stay correct; they just gallop from
+    /// the front again.
+    fn sweep_prefix_counts(&self, prefixes: impl Iterator<Item = Prefix<F>>, sink: impl FnMut(u64))
+    where
+        Self: Sized;
+
     /// Bulk counting: append one count per prefix to `out`, in input
-    /// order. Implementations over sorted storage override this with a
-    /// monotone sweep — a cursor remembers where the previous prefix
-    /// began, so an ascending prefix sequence (sorted view units, sorted
-    /// plan prefixes: the hot feedback-cycle case) costs short forward
-    /// gallops instead of one full-width binary search per prefix.
-    /// Out-of-order prefixes stay correct everywhere; they just pay the
-    /// full search again.
+    /// order.
     fn count_prefixes_into(&self, prefixes: impl Iterator<Item = Prefix<F>>, out: &mut Vec<u64>)
     where
         Self: Sized,
     {
-        for p in prefixes {
-            out.push(self.count_in_prefix(p) as u64);
-        }
+        self.sweep_prefix_counts(prefixes, |c| out.push(c));
     }
 
-    /// Sum of the per-prefix counts, with no output allocation: the
-    /// same monotone sweep as [`PrefixCount::count_prefixes_into`], but
-    /// the sink is an accumulator. This is what a plan-evaluation loop
-    /// wants — it only ever summed the vector anyway.
+    /// Sum of the per-prefix counts, with no output allocation. This is
+    /// what a plan-evaluation loop wants — it only ever summed the
+    /// vector anyway.
     fn count_prefixes_total(&self, prefixes: impl Iterator<Item = Prefix<F>>) -> u64
     where
         Self: Sized,
     {
-        prefixes.map(|p| self.count_in_prefix(p) as u64).sum()
+        let mut total = 0u64;
+        self.sweep_prefix_counts(prefixes, |c| total += c);
+        total
     }
 }
 
@@ -106,13 +115,15 @@ fn gallop<T>(s: &[T], mut pred: impl FnMut(&T) -> bool) -> usize {
 /// This is the "host set" unit of the whole evaluation: hitrates are
 /// ratios of intersections of these sets.
 ///
-/// The storage is one owned ascending `Vec`; a corpus month is decoded
-/// into it once per load ([`Snapshot::decode`]). Every set operation is
-/// a binary search, `partition_point` or gallop over
-/// [`HostSet::as_slice`].
+/// The storage is immutable and shared: one ascending `Vec` behind an
+/// `Arc`, built once by [`HostSet::from_addrs`],
+/// [`HostSet::from_sorted_unique`] or [`Snapshot::decode`] (a corpus
+/// month is decoded into it once per load). A clone is a reference-count
+/// bump. Every set operation is a binary search, `partition_point` or
+/// gallop over [`HostSet::as_slice`].
 #[derive(Clone, Default, PartialEq, Eq)]
 pub struct HostSet<F: AddrFamily = V4> {
-    addrs: Vec<F::Addr>,
+    addrs: Arc<Vec<F::Addr>>,
 }
 
 impl<F: AddrFamily> HostSet<F> {
@@ -120,10 +131,11 @@ impl<F: AddrFamily> HostSet<F> {
     pub fn from_addrs(mut addrs: Vec<F::Addr>) -> Self {
         addrs.sort_unstable();
         addrs.dedup();
-        HostSet { addrs }
+        HostSet::from_sorted_unique(addrs)
     }
 
-    /// Build from a list that is already sorted and unique.
+    /// Build from a list that is already sorted and unique. The `Vec`
+    /// becomes the shared storage; nothing is copied.
     ///
     /// Panics in debug builds if the precondition is violated.
     pub fn from_sorted_unique(addrs: Vec<F::Addr>) -> Self {
@@ -131,7 +143,9 @@ impl<F: AddrFamily> HostSet<F> {
             addrs.windows(2).all(|w| w[0] < w[1]),
             "addrs not sorted/unique"
         );
-        HostSet { addrs }
+        HostSet {
+            addrs: Arc::new(addrs),
+        }
     }
 
     /// The members, ascending.
@@ -141,10 +155,10 @@ impl<F: AddrFamily> HostSet<F> {
 
     /// Copy the members out into a fresh ascending `Vec`.
     pub fn to_vec(&self) -> Vec<F::Addr> {
-        self.addrs.clone()
+        self.addrs.to_vec()
     }
 
-    /// Always `false`: a host set is one owned `Vec`, never a view into
+    /// Always `false`: a host set is one heap `Vec`, never a view into
     /// a snapshot file buffer. Kept so callers that report the share of
     /// mapped months keep compiling; that share is now 0.
     pub fn is_mapped(&self) -> bool {
@@ -205,17 +219,18 @@ impl<F: AddrFamily> HostSet<F> {
         self.count_in_range(p.first(), p.last())
     }
 
-    /// The shared monotone counting sweep: ascending prefixes advance a
-    /// cursor by galloping, so counting a whole sorted view costs
-    /// O(Σ log gapᵢ) comparisons total — not `k` full binary searches,
-    /// and no hashing or locking. Each prefix's count goes to `sink`,
-    /// so bulk counting ([`PrefixCount::count_prefixes_into`]) and
-    /// allocation-free totalling
-    /// ([`PrefixCount::count_prefixes_total`]) share one body.
-    fn sweep_prefix_counts(
+    /// The one galloping span sweep: each prefix's members are the
+    /// ranks `lo..hi`, and `sink(lo, hi)` receives them in input order.
+    /// Ascending prefixes advance a cursor by galloping, so a whole
+    /// sorted view costs O(Σ log gapᵢ) comparisons — not `k` full
+    /// binary searches. A prefix that starts below its predecessor
+    /// resets the cursor to the front. Bulk counts (here and, through
+    /// range ranks, on a [`HostSetView`]) and
+    /// [`HostSetView::from_prefixes`] are all this one loop.
+    fn sweep_spans(
         &self,
         prefixes: impl Iterator<Item = Prefix<F>>,
-        mut sink: impl FnMut(u64),
+        mut sink: impl FnMut(usize, usize),
     ) {
         let hosts = self.as_slice();
         // ranks `[..cursor]` are < the previous prefix's first address;
@@ -230,20 +245,10 @@ impl<F: AddrFamily> HostSet<F> {
             }
             let lo = cursor + gallop(&hosts[cursor..], |&a| a < first);
             let hi = lo + gallop(&hosts[lo..], |&a| a <= last);
-            sink((hi - lo) as u64);
+            sink(lo, hi);
             cursor = lo;
             prev_first = Some(first);
         }
-    }
-
-    /// Bulk counting into an output vector; see
-    /// [`PrefixCount::count_prefixes_into`].
-    pub fn count_prefixes_into(
-        &self,
-        prefixes: impl Iterator<Item = Prefix<F>>,
-        out: &mut Vec<u64>,
-    ) {
-        self.sweep_prefix_counts(prefixes, |c| out.push(c));
     }
 
     /// Iterate members ascending.
@@ -285,14 +290,12 @@ impl<F: AddrFamily> PrefixCount<F> for HostSet<F> {
         HostSet::count_in_prefix(self, p)
     }
 
-    fn count_prefixes_into(&self, prefixes: impl Iterator<Item = Prefix<F>>, out: &mut Vec<u64>) {
-        HostSet::count_prefixes_into(self, prefixes, out)
-    }
-
-    fn count_prefixes_total(&self, prefixes: impl Iterator<Item = Prefix<F>>) -> u64 {
-        let mut total = 0u64;
-        self.sweep_prefix_counts(prefixes, |c| total += c);
-        total
+    fn sweep_prefix_counts(
+        &self,
+        prefixes: impl Iterator<Item = Prefix<F>>,
+        mut sink: impl FnMut(u64),
+    ) {
+        self.sweep_spans(prefixes, |lo, hi| sink((hi - lo) as u64));
     }
 }
 
@@ -336,71 +339,41 @@ impl<F: AddrFamily> Snapshot<F> {
     pub fn resident_bytes(&self) -> usize {
         self.hosts.len() * usize::from(F::BITS / 8)
     }
-
-    /// Count responsive hosts covered by a prefix (binary search).
-    pub fn count_in_prefix(&self, p: Prefix<F>) -> usize {
-        self.hosts.count_in_prefix(p)
-    }
 }
 
-impl<F: AddrFamily> PrefixCount<F> for Snapshot<F> {
-    fn count_in_prefix(&self, p: Prefix<F>) -> usize {
-        Snapshot::count_in_prefix(self, p)
-    }
-
-    fn count_prefixes_into(&self, prefixes: impl Iterator<Item = Prefix<F>>, out: &mut Vec<u64>) {
-        self.hosts.count_prefixes_into(prefixes, out)
-    }
-
-    fn count_prefixes_total(&self, prefixes: impl Iterator<Item = Prefix<F>>) -> u64 {
-        PrefixCount::count_prefixes_total(&self.hosts, prefixes)
-    }
-}
-
-/// A copy-free view of a subset of one snapshot's hosts: the
-/// `Arc<Snapshot>` plus sorted, disjoint, half-open index ranges into
-/// its (sorted, deduplicated) host list.
+/// A copy-free view of a subset of one [`HostSet`]: the shared set plus
+/// sorted, disjoint, non-empty half-open index ranges into it.
 ///
 /// This is what a feedback cycle hands back as its responsive set.
 /// Building one costs O(prefixes log n) — never O(hosts) — and all the
 /// set operations the strategies use (`len`, `contains`,
-/// `count_in_prefix`, ordered iteration) work directly on the ranges.
-/// Overlapping prefixes are resolved by interval union, i.e. genuine
-/// set-union semantics. The serde form is the bare sorted address
-/// sequence, byte-identical to the eager [`HostSet`] encoding.
+/// `count_in_prefix`, ordered iteration) work directly on the ranges. A
+/// whole set ([`HostSetView::full`], `From<HostSet>`) is the single
+/// range `(0, n)`. Overlapping prefixes are resolved by interval union,
+/// i.e. genuine set-union semantics. The serde form is the bare sorted
+/// address sequence, byte-identical to the [`HostSet`] encoding.
 #[derive(Clone)]
 pub struct HostSetView<F: AddrFamily = V4> {
-    repr: Repr<F>,
-}
-
-#[derive(Clone)]
-enum Repr<F: AddrFamily> {
-    /// Sorted, disjoint, non-empty half-open ranges into `snap.hosts`.
+    hosts: HostSet<F>,
+    /// Sorted, disjoint, non-empty half-open ranges into `hosts`.
+    ranges: Vec<(usize, usize)>,
     /// `cum[i]` is the total number of members in `ranges[..i]`.
-    Ranges {
-        snap: Arc<Snapshot<F>>,
-        ranges: Vec<(usize, usize)>,
-        cum: Vec<usize>,
-        len: usize,
-    },
-    /// An owned set, for views that do not subset a snapshot (address
-    /// hitlists, per-cycle samples, deserialised feedback).
-    Owned(HostSet<F>),
+    cum: Vec<usize>,
+    len: usize,
 }
 
 impl<F: AddrFamily> HostSetView<F> {
-    /// The full snapshot as a view — an `All`-plan cycle's responsive
-    /// set. One `Arc` clone; no host-proportional allocation.
-    pub fn full(snap: Arc<Snapshot<F>>) -> Self {
-        let n = snap.hosts.len();
+    /// A whole host set as a view — an `All`-plan cycle's responsive set,
+    /// or any set a cycle produced outright. One `Arc` clone; no
+    /// host-proportional allocation.
+    pub fn full(hosts: HostSet<F>) -> Self {
+        let n = hosts.len();
         let ranges = if n > 0 { vec![(0, n)] } else { Vec::new() };
         HostSetView {
-            repr: Repr::Ranges {
-                snap,
-                cum: vec![0; ranges.len()],
-                len: n,
-                ranges,
-            },
+            hosts,
+            cum: vec![0; ranges.len()],
+            len: n,
+            ranges,
         }
     }
 
@@ -408,27 +381,17 @@ impl<F: AddrFamily> HostSetView<F> {
     /// per-prefix slices: overlapping prefixes contribute their union,
     /// never a double count. O(prefixes log hosts) to build; no
     /// host-proportional allocation.
-    pub fn from_prefixes(snap: Arc<Snapshot<F>>, prefixes: &[Prefix<F>]) -> Self {
-        let hosts = snap.hosts.as_slice();
-        // Plan prefixes arrive sorted on the hot path (strategies plan in
-        // address order), so the spans fall out of a galloping sweep
-        // already ordered by start and the sort below is skipped.
-        let sorted = prefixes.windows(2).all(|w| w[0] <= w[1]);
+    pub fn from_prefixes(hosts: HostSet<F>, prefixes: &[Prefix<F>]) -> Self {
         let mut spans: Vec<(usize, usize)> = Vec::with_capacity(prefixes.len());
-        let mut cursor = 0usize;
-        for &p in prefixes {
-            let lo = if sorted {
-                cursor + gallop(&hosts[cursor..], |&a| a < p.first())
-            } else {
-                hosts.partition_point(|&a| a < p.first())
-            };
-            let hi = lo + gallop(&hosts[lo..], |&a| a <= p.last());
-            cursor = lo;
+        hosts.sweep_spans(prefixes.iter().copied(), |lo, hi| {
             if lo < hi {
                 spans.push((lo, hi));
             }
-        }
-        if !sorted {
+        });
+        // Plan prefixes arrive sorted on the hot path (strategies plan in
+        // address order), so the spans come out ordered by start and the
+        // sort is skipped.
+        if !spans.is_sorted_by_key(|&(s, _)| s) {
             spans.sort_unstable();
         }
         // Interval union: merge overlapping or adjacent spans.
@@ -446,72 +409,59 @@ impl<F: AddrFamily> HostSetView<F> {
             len += e - s;
         }
         HostSetView {
-            repr: Repr::Ranges {
-                snap,
-                ranges,
-                cum,
-                len,
-            },
-        }
-    }
-
-    /// Wrap an owned host set (hitlist plans, per-cycle samples).
-    pub fn owned(hosts: HostSet<F>) -> Self {
-        HostSetView {
-            repr: Repr::Owned(hosts),
+            hosts,
+            ranges,
+            cum,
+            len,
         }
     }
 
     /// Number of hosts in the view.
     pub fn len(&self) -> usize {
-        match &self.repr {
-            Repr::Ranges { len, .. } => *len,
-            Repr::Owned(h) => h.len(),
-        }
+        self.len
     }
 
     /// Is the view empty?
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.len == 0
     }
 
-    /// Members of `ranges[..]` with host index < `idx` (a rank query).
-    fn rank(ranges: &[(usize, usize)], cum: &[usize], idx: usize) -> usize {
-        let i = ranges.partition_point(|&(s, _)| s < idx);
-        if i == 0 {
+    /// Does the view hold its whole host set? Then every count is a
+    /// plain count on the set — the range arithmetic would be a no-op.
+    fn is_full(&self) -> bool {
+        self.len == self.hosts.len()
+    }
+
+    /// Members with host index < `idx`, given the partition index `r`
+    /// (the first range whose start is >= `idx`).
+    fn rank_at(&self, r: usize, idx: usize) -> usize {
+        if r == 0 {
             return 0;
         }
-        let (s, e) = ranges[i - 1];
-        cum[i - 1] + idx.min(e) - s
+        let (s, e) = self.ranges[r - 1];
+        self.cum[r - 1] + idx.min(e) - s
+    }
+
+    /// Members with host index < `idx` (a rank query).
+    fn rank(&self, idx: usize) -> usize {
+        self.rank_at(self.ranges.partition_point(|&(s, _)| s < idx), idx)
     }
 
     /// Membership test (binary search, then a range lookup).
     pub fn contains(&self, addr: F::Addr) -> bool {
-        match &self.repr {
-            Repr::Ranges { snap, ranges, .. } => {
-                let Ok(idx) = snap.hosts.as_slice().binary_search(&addr) else {
-                    return false;
-                };
-                let i = ranges.partition_point(|&(s, _)| s <= idx);
-                i > 0 && idx < ranges[i - 1].1
-            }
-            Repr::Owned(h) => h.contains(addr),
-        }
+        let Ok(idx) = self.hosts.as_slice().binary_search(&addr) else {
+            return false;
+        };
+        let i = self.ranges.partition_point(|&(s, _)| s <= idx);
+        i > 0 && idx < self.ranges[i - 1].1
     }
 
     /// Count how many members fall within `[first, last]` (inclusive) —
     /// two binary searches plus two rank queries.
     pub fn count_in_range(&self, first: F::Addr, last: F::Addr) -> usize {
-        match &self.repr {
-            Repr::Ranges {
-                snap, ranges, cum, ..
-            } => {
-                let lo = snap.hosts.lower_bound(first);
-                let hi = snap.hosts.upper_bound(last);
-                Self::rank(ranges, cum, hi) - Self::rank(ranges, cum, lo)
-            }
-            Repr::Owned(h) => h.count_in_range(first, last),
-        }
+        let lo = self.hosts.lower_bound(first);
+        let hi = self.hosts.upper_bound(last);
+        self.rank(hi) - self.rank(lo)
     }
 
     /// Count members covered by a prefix.
@@ -519,90 +469,30 @@ impl<F: AddrFamily> HostSetView<F> {
         self.count_in_range(p.first(), p.last())
     }
 
-    /// Iterate members ascending: an owned set's slice, or each range's
-    /// sub-slice of the snapshot's hosts in turn.
+    /// Iterate members ascending: each range's sub-slice of the hosts in
+    /// turn.
     pub fn iter(&self) -> impl Iterator<Item = F::Addr> + '_ {
-        let (owned, hosts, ranges) = match &self.repr {
-            Repr::Ranges { snap, ranges, .. } => (&[][..], snap.hosts.as_slice(), &ranges[..]),
-            Repr::Owned(h) => (h.as_slice(), &[][..], &[][..]),
-        };
-        let ranged = ranges.iter().flat_map(move |&(s, e)| &hosts[s..e]);
-        owned.iter().chain(ranged).copied()
+        let hosts = self.hosts.as_slice();
+        self.ranges
+            .iter()
+            .flat_map(move |&(s, e)| &hosts[s..e])
+            .copied()
     }
 
-    /// The escape hatch: copy the view out into an owned, eagerly
-    /// materialised [`HostSet`]. O(hosts in the view) — the only
-    /// operation here that is.
+    /// The escape hatch: the view as a [`HostSet`]. A whole set is
+    /// shared (an `Arc` clone); any other view copies its members out,
+    /// O(hosts in the view) — the only operation here that is.
     pub fn materialize(&self) -> HostSet<F> {
-        match &self.repr {
-            Repr::Ranges {
-                snap, ranges, len, ..
-            } => {
-                let hosts = snap.hosts.as_slice();
-                let mut out = Vec::with_capacity(*len);
-                for &(s, e) in ranges {
-                    out.extend_from_slice(&hosts[s..e]);
-                }
-                // Disjoint ascending ranges over a sorted unique list.
-                HostSet::from_sorted_unique(out)
-            }
-            Repr::Owned(h) => h.clone(),
+        if self.is_full() {
+            return self.hosts.clone();
         }
-    }
-}
-
-impl<F: AddrFamily> HostSetView<F> {
-    /// The range-repr sweep: two galloping cursors, one over the host
-    /// ranks and one over the view's ranges, so counting a sorted view's
-    /// units against a feedback cycle's responsive view is a single
-    /// coordinated pass — not two binary searches plus two rank queries
-    /// per unit. Counts go to `sink`, shared by the bulk and the
-    /// allocation-free total paths.
-    fn sweep_prefix_counts(
-        &self,
-        prefixes: impl Iterator<Item = Prefix<F>>,
-        mut sink: impl FnMut(u64),
-    ) {
-        match &self.repr {
-            Repr::Owned(h) => h.sweep_prefix_counts(prefixes, sink),
-            // a full-snapshot view (an `All`-plan cycle) sweeps the host
-            // array directly — the rank arithmetic would be a no-op
-            Repr::Ranges { snap, len, .. } if *len == snap.hosts.len() => {
-                snap.hosts.sweep_prefix_counts(prefixes, sink)
-            }
-            Repr::Ranges {
-                snap, ranges, cum, ..
-            } => {
-                let hosts = snap.hosts.as_slice();
-                // count of range members with host index < `idx`, given
-                // the partition index `r` (first range with start >= idx)
-                let rank_at = |r: usize, idx: usize| -> usize {
-                    if r == 0 {
-                        return 0;
-                    }
-                    let (s, e) = ranges[r - 1];
-                    cum[r - 1] + idx.min(e) - s
-                };
-                let mut cursor = 0usize; // into host ranks, as in the HostSet sweep
-                let mut rcursor = 0usize; // into ranges: starts before it are < prev lo
-                let mut prev_first: Option<F::Addr> = None;
-                for p in prefixes {
-                    let (first, last) = (p.first(), p.last());
-                    if prev_first.is_some_and(|pf| first < pf) {
-                        cursor = 0;
-                        rcursor = 0;
-                    }
-                    let lo = cursor + gallop(&hosts[cursor..], |&a| a < first);
-                    let hi = lo + gallop(&hosts[lo..], |&a| a <= last);
-                    let rlo = rcursor + gallop(&ranges[rcursor..], |&(s, _)| s < lo);
-                    let rhi = rlo + gallop(&ranges[rlo..], |&(s, _)| s < hi);
-                    sink((rank_at(rhi, hi) - rank_at(rlo, lo)) as u64);
-                    cursor = lo;
-                    rcursor = rlo;
-                    prev_first = Some(first);
-                }
-            }
+        let hosts = self.hosts.as_slice();
+        let mut out = Vec::with_capacity(self.len);
+        for &(s, e) in &self.ranges {
+            out.extend_from_slice(&hosts[s..e]);
         }
+        // Disjoint ascending ranges over a sorted unique list.
+        HostSet::from_sorted_unique(out)
     }
 }
 
@@ -611,24 +501,42 @@ impl<F: AddrFamily> PrefixCount<F> for HostSetView<F> {
         HostSetView::count_in_prefix(self, p)
     }
 
-    fn count_prefixes_into(&self, prefixes: impl Iterator<Item = Prefix<F>>, out: &mut Vec<u64>) {
-        self.sweep_prefix_counts(prefixes, |c| out.push(c));
-    }
-
-    fn count_prefixes_total(&self, prefixes: impl Iterator<Item = Prefix<F>>) -> u64 {
-        let mut total = 0u64;
-        self.sweep_prefix_counts(prefixes, |c| total += c);
-        total
+    /// The host sweep, plus a second galloping cursor over the view's
+    /// ranges: counting a sorted view's units against a feedback cycle's
+    /// responsive view is a single coordinated pass — not two binary
+    /// searches plus two rank queries per unit.
+    fn sweep_prefix_counts(
+        &self,
+        prefixes: impl Iterator<Item = Prefix<F>>,
+        mut sink: impl FnMut(u64),
+    ) {
+        if self.is_full() {
+            return self.hosts.sweep_prefix_counts(prefixes, sink);
+        }
+        let ranges = &self.ranges[..];
+        // range starts in `[..rcursor]` are < the previous span's `lo`
+        let mut rcursor = 0usize;
+        let mut prev_lo = 0usize;
+        self.hosts.sweep_spans(prefixes, |lo, hi| {
+            if lo < prev_lo {
+                rcursor = 0;
+            }
+            let rlo = rcursor + gallop(&ranges[rcursor..], |&(s, _)| s < lo);
+            let rhi = rlo + gallop(&ranges[rlo..], |&(s, _)| s < hi);
+            sink((self.rank_at(rhi, hi) - self.rank_at(rlo, lo)) as u64);
+            rcursor = rlo;
+            prev_lo = lo;
+        });
     }
 }
 
 impl<F: AddrFamily> From<HostSet<F>> for HostSetView<F> {
     fn from(hosts: HostSet<F>) -> Self {
-        HostSetView::owned(hosts)
+        HostSetView::full(hosts)
     }
 }
 
-// Views compare as the sets they denote, independent of representation.
+// Views compare as the sets they denote, whatever they share.
 impl<F: AddrFamily> PartialEq for HostSetView<F> {
     fn eq(&self, other: &Self) -> bool {
         self.len() == other.len() && self.iter().eq(other.iter())
@@ -639,20 +547,16 @@ impl<F: AddrFamily> Eq for HostSetView<F> {}
 
 impl<F: AddrFamily> fmt::Debug for HostSetView<F> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let form = match &self.repr {
-            Repr::Ranges { ranges, .. } => format!("ranges[{}]", ranges.len()),
-            Repr::Owned(_) => "owned".to_string(),
-        };
         f.debug_struct("HostSetView")
             .field("len", &self.len())
-            .field("repr", &form)
+            .field("ranges", &self.ranges.len())
             .finish()
     }
 }
 
 // Byte-identical to `HostSet`'s serde form: the bare sorted address
-// sequence. A round trip comes back `Owned` — representation is not
-// part of the wire format.
+// sequence. A round trip comes back as a whole-set view of the members
+// — what the view shared is not part of the wire format.
 impl<F: AddrFamily> serde::Serialize for HostSetView<F> {
     fn to_value(&self) -> serde::Value {
         serde::Value::Seq(self.iter().map(|a| a.to_value()).collect())
@@ -661,7 +565,7 @@ impl<F: AddrFamily> serde::Serialize for HostSetView<F> {
 
 impl<F: AddrFamily> serde::Deserialize for HostSetView<F> {
     fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        Ok(HostSetView::owned(HostSet::from_value(v)?))
+        Ok(HostSetView::full(HostSet::from_value(v)?))
     }
 }
 
@@ -1057,8 +961,7 @@ mod tests {
             serde_json::to_string(&decoded.hosts).unwrap(),
             serde_json::to_string(&snap.hosts).unwrap()
         );
-        let arc = Arc::new(decoded);
-        let v = HostSetView::from_prefixes(arc.clone(), &[p24]);
+        let v = HostSetView::from_prefixes(decoded.hosts.clone(), &[p24]);
         assert_eq!(v.len(), 2);
         assert_eq!(v.iter().collect::<Vec<_>>(), vec![0x0A00_0001, 0x0A00_0002]);
     }
@@ -1136,27 +1039,29 @@ mod tests {
         );
     }
 
-    fn snap_of(v: &[u32]) -> Arc<Snapshot> {
-        Arc::new(Snapshot::new(Protocol::Http, 0, hs(v)))
-    }
-
     #[test]
     fn full_view_is_the_whole_snapshot_without_copying() {
-        let snap = snap_of(&[1, 5, 9, 0x0A00_0000]);
-        let v = HostSetView::full(snap.clone());
+        let hosts = hs(&[1, 5, 9, 0x0A00_0000]);
+        let v = HostSetView::full(hosts.clone());
         assert_eq!(v.len(), 4);
         assert!(!v.is_empty());
         assert_eq!(v.iter().collect::<Vec<_>>(), vec![1, 5, 9, 0x0A00_0000]);
-        assert_eq!(v.materialize(), snap.hosts);
+        assert_eq!(v.materialize(), hosts);
+        // a whole-set view shares the set's storage, and so does its
+        // materialisation
+        assert!(std::ptr::eq(
+            v.materialize().as_slice().as_ptr(),
+            hosts.as_slice().as_ptr()
+        ));
         assert!(v.contains(5) && !v.contains(6));
-        let empty = HostSetView::full(snap_of(&[]));
+        let empty = HostSetView::full(hs(&[]));
         assert!(empty.is_empty());
         assert_eq!(empty.iter().count(), 0);
     }
 
     #[test]
     fn prefix_view_unions_overlapping_prefixes() {
-        let snap = snap_of(&[
+        let hosts = hs(&[
             0x0A00_0001,
             0x0A00_0002,
             0x0A00_0100,
@@ -1168,25 +1073,25 @@ mod tests {
             .iter()
             .map(|s| s.parse().unwrap())
             .collect();
-        let v = HostSetView::from_prefixes(snap.clone(), &ps);
+        let v = HostSetView::from_prefixes(hosts.clone(), &ps);
         assert_eq!(v.len(), 4);
         assert_eq!(
             v.materialize(),
             hs(&[0x0A00_0001, 0x0A00_0002, 0x0A00_0100, 0x0B00_0000])
         );
         // identical overlapping prefixes collapse to one range
-        let twice = HostSetView::from_prefixes(snap, &[ps[0], ps[0]]);
+        let twice = HostSetView::from_prefixes(hosts, &[ps[0], ps[0]]);
         assert_eq!(twice.len(), 2);
     }
 
     #[test]
     fn view_range_and_prefix_counts_match_materialised() {
-        let snap = snap_of(&[0x0A00_0001, 0x0A00_0002, 0x0A00_0100, 0x0B00_0000]);
+        let hosts = hs(&[0x0A00_0001, 0x0A00_0002, 0x0A00_0100, 0x0B00_0000]);
         let ps: Vec<tass_net::Prefix> = ["10.0.0.0/24", "11.0.0.0/8"]
             .iter()
             .map(|s| s.parse().unwrap())
             .collect();
-        let v = HostSetView::from_prefixes(snap, &ps);
+        let v = HostSetView::from_prefixes(hosts, &ps);
         let m = v.materialize();
         for (first, last) in [
             (0u32, u32::MAX),
@@ -1205,21 +1110,21 @@ mod tests {
 
     #[test]
     fn view_serde_is_byte_identical_to_hostset() {
-        let snap = snap_of(&[0x0A00_0001, 0x0A00_0002, 0x0B00_0000]);
+        let hosts = hs(&[0x0A00_0001, 0x0A00_0002, 0x0B00_0000]);
         let ps: Vec<tass_net::Prefix> =
             ["10.0.0.0/24"].iter().map(|s| s.parse().unwrap()).collect();
         for v in [
-            HostSetView::full(snap.clone()),
-            HostSetView::from_prefixes(snap.clone(), &ps),
-            HostSetView::owned(hs(&[7, 9])),
-            HostSetView::full(snap_of(&[])),
+            HostSetView::full(hosts.clone()),
+            HostSetView::from_prefixes(hosts.clone(), &ps),
+            HostSetView::full(hs(&[7, 9])),
+            HostSetView::full(hs(&[])),
         ] {
             let eager = v.materialize();
             assert_eq!(
                 serde_json::to_string(&v).unwrap(),
                 serde_json::to_string(&eager).unwrap()
             );
-            // round trip preserves the set (as an owned view)
+            // round trip preserves the set (as a whole-set view)
             let back: HostSetView =
                 serde_json::from_str(&serde_json::to_string(&v).unwrap()).unwrap();
             assert_eq!(back, v);
@@ -1228,49 +1133,82 @@ mod tests {
 
     #[test]
     fn view_equality_is_set_equality_across_reprs() {
-        let snap = snap_of(&[1, 2, 3]);
-        let full = HostSetView::full(snap.clone());
-        let owned = HostSetView::owned(hs(&[1, 2, 3]));
-        assert_eq!(full, owned);
-        assert_ne!(full, HostSetView::owned(hs(&[1, 2])));
+        // the same members, once as a whole set and once as a prefix
+        // view over a larger set
+        let full = HostSetView::full(hs(&[1, 2, 3]));
+        let ps: Vec<tass_net::Prefix> = vec!["0.0.0.0/8".parse().unwrap()];
+        let sub = HostSetView::from_prefixes(hs(&[1, 2, 3, 0x0A00_0000]), &ps);
+        assert_eq!(full, sub);
+        assert_ne!(full, HostSetView::full(hs(&[1, 2])));
         let from: HostSetView = hs(&[1, 2, 3]).into();
         assert_eq!(from, full);
         assert!(!format!("{full:?}").is_empty());
     }
 
+    /// A v4 test address or prefix lifted into family `F`: v4 is
+    /// unchanged, v6 keeps the low 32 bits under `2001:db8::/32` with
+    /// prefix lengths shifted by 96, so the v6 run sees the v4 run's
+    /// nesting, overlap and order at 128 bits.
+    fn lift<F: AddrFamily>(a: u32) -> F::Addr {
+        let high = if F::BITS == 32 {
+            0
+        } else {
+            0x2001_0db8u128 << 96
+        };
+        F::addr_from_u128(high | u128::from(a))
+    }
+
+    fn lift_prefixes<F: AddrFamily>(specs: &[(u32, u8)]) -> Vec<Prefix<F>> {
+        specs
+            .iter()
+            .map(|&(a, len)| Prefix::new_truncate(lift::<F>(a), len + (F::BITS - 32)).unwrap())
+            .collect()
+    }
+
+    fn lift_hosts<F: AddrFamily>(hosts: &[u32]) -> HostSet<F> {
+        hosts.iter().map(|&a| lift::<F>(a)).collect()
+    }
+
+    /// The view of `specs` over `hosts` equals the oracle set union of
+    /// the per-prefix host subsets.
+    fn assert_view_is_oracle_union<F: AddrFamily>(hosts: &[u32], specs: &[(u32, u8)]) {
+        let hosts = lift_hosts::<F>(hosts);
+        let prefixes = lift_prefixes::<F>(specs);
+        let view = HostSetView::from_prefixes(hosts.clone(), &prefixes);
+        let oracle: HostSet<F> = hosts
+            .iter()
+            .filter(|&a| prefixes.iter().any(|p| p.first() <= a && a <= p.last()))
+            .collect();
+        assert_eq!(view.materialize(), oracle.clone());
+        assert_eq!(view.len(), oracle.len());
+        assert_eq!(
+            serde_json::to_string(&view).unwrap(),
+            serde_json::to_string(&oracle).unwrap()
+        );
+    }
+
     proptest::proptest! {
         /// Overlap semantics, pinned: for *arbitrary* prefix lists —
         /// nested, duplicated, adjacent — the view equals the oracle
-        /// set union of the per-prefix host subsets.
+        /// set union of the per-prefix host subsets, over v4 and over
+        /// the same inputs lifted to v6.
         #[test]
         fn prefix_view_equals_oracle_union(
             hosts in proptest::collection::vec(0u32..0x1000, 0..60),
             specs in proptest::collection::vec((0u32..0x1000, 20u8..=32), 0..8),
         ) {
-            let snap = Arc::new(Snapshot::new(Protocol::Http, 0, HostSet::from_addrs(hosts)));
-            let prefixes: Vec<tass_net::Prefix> = specs
-                .iter()
-                .map(|&(a, len)| tass_net::Prefix::new_truncate(a, len).unwrap())
-                .collect();
-            let view = HostSetView::from_prefixes(snap.clone(), &prefixes);
-            let oracle: HostSet = snap
-                .hosts
-                .iter()
-                .filter(|&a| prefixes.iter().any(|p| p.first() <= a && a <= p.last()))
-                .collect();
-            proptest::prop_assert_eq!(view.materialize(), oracle.clone());
-            proptest::prop_assert_eq!(view.len(), oracle.len());
-            proptest::prop_assert_eq!(
-                serde_json::to_string(&view).unwrap(),
-                serde_json::to_string(&oracle).unwrap()
-            );
+            assert_view_is_oracle_union::<V4>(&hosts, &specs);
+            assert_view_is_oracle_union::<tass_net::V6>(&hosts, &specs);
         }
     }
 
     /// One `PrefixCount` impl's bulk sweep against its scalar queries:
     /// `count_prefixes_into` per prefix, and `count_prefixes_total` as
     /// their sum.
-    fn assert_bulk_counts_match_scalar(c: &impl PrefixCount, queries: &[tass_net::Prefix]) {
+    fn assert_bulk_counts_match_scalar<F: AddrFamily>(
+        c: &impl PrefixCount<F>,
+        queries: &[Prefix<F>],
+    ) {
         let mut bulk = Vec::new();
         c.count_prefixes_into(queries.iter().copied(), &mut bulk);
         let scalar: Vec<u64> = queries
@@ -1284,33 +1222,37 @@ mod tests {
         );
     }
 
+    /// The bulk sweep of a host set, a prefix view over it and a
+    /// whole-set view, each against its scalar counts.
+    fn assert_sweeps_match_scalar<F: AddrFamily>(
+        hosts: &[u32],
+        view_specs: &[(u32, u8)],
+        query_specs: &[(u32, u8)],
+    ) {
+        let hosts = lift_hosts::<F>(hosts);
+        let queries = lift_prefixes::<F>(query_specs);
+        let ranges = HostSetView::from_prefixes(hosts.clone(), &lift_prefixes::<F>(view_specs));
+        let full = HostSetView::full(hosts.clone());
+        assert_bulk_counts_match_scalar(&hosts, &queries);
+        assert_bulk_counts_match_scalar(&ranges, &queries);
+        assert_bulk_counts_match_scalar(&full, &queries);
+    }
+
     proptest::proptest! {
         /// The bulk counting sweep, pinned against the scalar oracle for
         /// every `PrefixCount` impl: arbitrary prefix sequences (sorted
         /// or not, nested, duplicated) must count identically through
-        /// `count_prefixes_into` on a `HostSet`, a `Snapshot`, a
-        /// ranges-repr `HostSetView`, and a full-snapshot view.
+        /// `count_prefixes_into` on a `HostSet`, a prefix `HostSetView`
+        /// and a whole-set view, over v4 and over the same inputs lifted
+        /// to v6.
         #[test]
         fn bulk_count_sweep_matches_scalar_counts(
             hosts in proptest::collection::vec(0u32..0x1000, 0..60),
             view_specs in proptest::collection::vec((0u32..0x1000, 20u8..=32), 0..8),
             query_specs in proptest::collection::vec((0u32..0x1000, 18u8..=32), 0..24),
         ) {
-            let snap = Arc::new(Snapshot::new(Protocol::Http, 0, HostSet::from_addrs(hosts)));
-            let view_prefixes: Vec<tass_net::Prefix> = view_specs
-                .iter()
-                .map(|&(a, len)| tass_net::Prefix::new_truncate(a, len).unwrap())
-                .collect();
-            let queries: Vec<tass_net::Prefix> = query_specs
-                .iter()
-                .map(|&(a, len)| tass_net::Prefix::new_truncate(a, len).unwrap())
-                .collect();
-            let ranges = HostSetView::from_prefixes(snap.clone(), &view_prefixes);
-            let full = HostSetView::full(snap.clone());
-            assert_bulk_counts_match_scalar(&snap.hosts, &queries);
-            assert_bulk_counts_match_scalar(&*snap, &queries);
-            assert_bulk_counts_match_scalar(&ranges, &queries);
-            assert_bulk_counts_match_scalar(&full, &queries);
+            assert_sweeps_match_scalar::<V4>(&hosts, &view_specs, &query_specs);
+            assert_sweeps_match_scalar::<tass_net::V6>(&hosts, &view_specs, &query_specs);
         }
     }
 

@@ -1,33 +1,68 @@
-//! The probe hot path's allocation claim, tested as an allocation count.
+//! Allocation claims, tested as allocation counts.
 //!
-//! A scan's heap allocations may grow with what it *finds* (the
-//! responsive set) but not with what it merely *walks*. Adding 32 dead
-//! /24s to a plan adds 8 192 probes and 32 prefix walks; with per-size
-//! group memoisation, in-place replies and worker-local network
-//! counters, it must add no allocation — on the wire path and on the
-//! logical path, over a lossy, duplicating network.
+//! The probe hot path: a scan's heap allocations may grow with what it
+//! *finds* (the responsive set) but not with what it merely *walks*.
+//! Adding 32 dead /24s to a plan adds 8 192 probes and 32 prefix walks;
+//! with per-size group memoisation, in-place replies and worker-local
+//! network counters, it must add no allocation — on the wire path and on
+//! the logical path, over a lossy, duplicating network.
+//!
+//! The campaign cycle: a steady-state cycle's allocations may grow with
+//! the units it plans and ranks, but not with the host count. Host sets
+//! are shared, so a hitlist plan or a responsive view is a reference,
+//! not a copy of the hosts.
+//!
+//! The counting allocator is global, so the tests here take one lock and
+//! never count each other's allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
-use std::sync::Arc;
-use tass::core::ProbePlan;
-use tass::model::{HostSet, Protocol};
+use std::sync::{Arc, Mutex, MutexGuard};
+use tass::bgp::ViewKind;
+use tass::core::{CycleOutcome, PreparedStrategy, ProbePlan, Strategy, StrategyKind};
+use tass::model::{HostSet, PrefixCount, Protocol, Snapshot, Universe, UniverseConfig};
 use tass::net::Prefix;
 use tass::scan::{Blocklist, FaultConfig, Responder, ScanConfig, ScanEngine, SimNetwork};
 
-/// Counts allocations (and reallocations) while `COUNTING` is set.
+/// Counts allocations (and reallocations) and their requested bytes
+/// while `COUNTING` is set.
 struct CountingAlloc;
 
 static COUNTING: AtomicBool = AtomicBool::new(false);
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+static BYTES: AtomicU64 = AtomicU64::new(0);
+
+/// Held by each test for its whole body.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+fn record(size: usize) {
+    if COUNTING.load(Relaxed) {
+        ALLOCS.fetch_add(1, Relaxed);
+        BYTES.fetch_add(size as u64, Relaxed);
+    }
+}
+
+/// `(allocations, bytes)` made by `f`, and its result.
+fn counted<R>(f: impl FnOnce() -> R) -> ((u64, u64), R) {
+    ALLOCS.store(0, Relaxed);
+    BYTES.store(0, Relaxed);
+    COUNTING.store(true, Relaxed);
+    let r = f();
+    COUNTING.store(false, Relaxed);
+    ((ALLOCS.load(Relaxed), BYTES.load(Relaxed)), r)
+}
 
 // SAFETY: every method forwards to the system allocator unchanged; the
-// counter is a relaxed statistic that publishes no other data.
+// counters are relaxed statistics that publish no other data.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.load(Relaxed) {
-            ALLOCS.fetch_add(1, Relaxed);
-        }
+        record(layout.size());
         // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract
         unsafe { System.alloc(layout) }
     }
@@ -38,9 +73,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if COUNTING.load(Relaxed) {
-            ALLOCS.fetch_add(1, Relaxed);
-        }
+        record(new_size);
         // SAFETY: `ptr` came from `System` with this layout, and the
         // caller upholds `GlobalAlloc::realloc`'s contract
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -56,6 +89,7 @@ fn prefix(s: &str) -> Prefix {
 
 #[test]
 fn dead_prefixes_add_no_allocation() {
+    let _serial = serial();
     // plan A: four /24s, every 5th address live; plan B: A plus 32 dead /24s
     let live: Vec<Prefix> = (0..4).map(|i| prefix(&format!("10.0.{i}.0/24"))).collect();
     let hosts: Vec<u32> = live
@@ -79,13 +113,12 @@ fn dead_prefixes_add_no_allocation() {
             .blocklist(Blocklist::empty())
             .wire_level(wire_level);
         let count = |plan: &ProbePlan| {
-            ALLOCS.store(0, Relaxed);
-            COUNTING.store(true, Relaxed);
-            let report = engine
-                .run_plan(plan, 0, &[], &cfg)
-                .expect("v4 plans stream");
-            COUNTING.store(false, Relaxed);
-            (ALLOCS.load(Relaxed), report)
+            let ((allocs, _), report) = counted(|| {
+                engine
+                    .run_plan(plan, 0, &[], &cfg)
+                    .expect("v4 plans stream")
+            });
+            (allocs, report)
         };
         count(&plan_a); // warm-up: one-time lazy initialisation
         let (allocs_a, report_a) = count(&plan_a);
@@ -106,6 +139,92 @@ fn dead_prefixes_add_no_allocation() {
         assert_eq!(
             allocs_b, allocs_a,
             "wire_level {wire_level}: 32 dead /24s must add no allocation ({allocs_a} → {allocs_b})"
+        );
+    }
+}
+
+/// One campaign cycle as the campaign driver runs it: `plan → evaluate`
+/// for a static strategy, `plan → observed → evaluate_observed →
+/// observe` for a feedback one.
+fn drive_cycle(prepared: &mut dyn PreparedStrategy, truth: &Arc<Snapshot>, m: u32, space: u64) {
+    let plan = prepared.plan(m);
+    if !prepared.wants_feedback() {
+        let eval = plan.evaluate(truth, m, space);
+        assert!(eval.found <= eval.total);
+        return;
+    }
+    let responsive = plan.observed(truth, m, space);
+    let eval = plan.evaluate_observed(truth, &responsive, m, space);
+    let outcome = CycleOutcome {
+        cycle: m,
+        probes: eval.probes,
+        responsive,
+    };
+    prepared.observe(m, &outcome);
+}
+
+#[test]
+fn campaign_cycle_allocation_does_not_grow_with_hosts() {
+    let _serial = serial();
+    let universe = Universe::generate(&UniverseConfig::small(41));
+    let topo = universe.topology();
+    let space = topo.announced_space();
+    // N hosts at 4-aligned addresses, and the same with each one's three
+    // neighbours added: every unit of both views holds exactly 4× the
+    // hosts, so every density scales by 4 and the ranking and k stay
+    let t0 = universe.snapshot(0, Protocol::Http);
+    let base: HostSet = t0.hosts.iter().map(|a| a & !3).collect();
+    let quad: HostSet = base.iter().flat_map(|a| a..a + 4).collect();
+    assert_eq!(quad.len(), 4 * base.len());
+    for view in [&topo.l_view, &topo.m_view] {
+        let units = || view.units().iter().map(|u| u.prefix);
+        assert!(
+            units().all(|p| p.len() <= 30),
+            "4-aligned groups stay in one unit"
+        );
+        let (mut n, mut n4) = (Vec::new(), Vec::new());
+        base.count_prefixes_into(units(), &mut n);
+        quad.count_prefixes_into(units(), &mut n4);
+        assert!(n.iter().zip(&n4).all(|(&c, &c4)| c4 == 4 * c));
+    }
+    let truths = [base, quad].map(|hosts| Arc::new(Snapshot::new(Protocol::Http, 0, hosts)));
+
+    let view = ViewKind::MoreSpecific;
+    let cases: [(&str, StrategyKind, &[u32]); 4] = [
+        ("tass", StrategyKind::Tass { view, phi: 0.95 }, &[1]),
+        ("ip-hitlist", StrategyKind::IpHitlist, &[1]),
+        // cycle 1 scans the selection, cycle 2 re-seeds from a full scan
+        (
+            "reseeding-tass",
+            StrategyKind::ReseedingTass {
+                view,
+                phi: 0.95,
+                delta_t: 2,
+            },
+            &[1, 2],
+        ),
+        (
+            "adaptive-tass",
+            StrategyKind::AdaptiveTass {
+                view,
+                phi: 0.95,
+                explore: 0.1,
+            },
+            &[1],
+        ),
+    ];
+    for (name, kind, cycles) in cases {
+        let per_cycle = truths.clone().map(|truth| {
+            let mut prepared = kind.prepare(topo, &truth, 7);
+            drive_cycle(&mut *prepared, &truth, 0, space); // warm-up
+            cycles
+                .iter()
+                .map(|&m| counted(|| drive_cycle(&mut *prepared, &truth, m, space)).0)
+                .collect::<Vec<_>>()
+        });
+        assert_eq!(
+            per_cycle[0], per_cycle[1],
+            "{name}: (allocations, bytes) per cycle at N and 4N hosts"
         );
     }
 }
