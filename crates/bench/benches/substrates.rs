@@ -1,8 +1,10 @@
 //! Microbenches for the hot substrate paths: the trie, deaggregation, the
 //! cyclic permutation, SipHash, set algebra, the host-set merge that
-//! dominates strategy evaluation, and the two kernels of the TASS cycle
+//! dominates strategy evaluation, the two kernels of the TASS cycle
 //! loop (the view counting sweep and the density rank with its φ
-//! cutoff). The wire codecs are measured by `wire_codec`.
+//! cutoff), and the two per-probe kernels of the simulated network (the
+//! responder's membership test and the fault draw). The wire codecs are
+//! measured by `wire_codec`.
 //!
 //! Each record is nanoseconds per element. An operation too short to time
 //! on its own runs `BATCH` times per sample.
@@ -11,10 +13,11 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
 use tass_bench::Bench;
-use tass_core::{select_prefixes_budgeted, DensityCounts};
+use tass_core::{parse_spec, select_prefixes_budgeted, DensityCounts, Strategy};
 use tass_model::{HostSet, PrefixCount, Protocol, Universe, UniverseConfig};
 use tass_net::{deagg, Cyclic, Prefix, PrefixSet, PrefixTrie, V4};
 use tass_scan::siphash::SipHash24;
+use tass_scan::Responder;
 
 /// Calls per sample for single-element operations.
 const BATCH: u64 = 10_000;
@@ -136,13 +139,7 @@ fn bench_host_set(bench: &mut Bench) {
 /// is what an adaptive re-selection runs on maintained counts (stats,
 /// linear rank, φ = 0.95 cutoff). Both are per view unit.
 fn bench_cycle_kernels(bench: &mut Bench) {
-    let mut cfg = UniverseConfig::small(5);
-    cfg.synth.l_prefix_count = 4_000;
-    for (_, class) in &mut cfg.synth.classes {
-        class.l_lengths = vec![(22, 1.0), (23, 2.0), (24, 4.0)];
-    }
-    cfg.host_scale = 150.0;
-    let universe = Universe::generate(&cfg);
+    let universe = Universe::generate(&compact_universe(5, 4_000));
     let view = &universe.topology().m_view;
     let hosts = &universe.snapshot(0, Protocol::Http).hosts;
     let units = view.len() as u64;
@@ -161,6 +158,61 @@ fn bench_cycle_kernels(bench: &mut Bench) {
     assert!(sel.k > 0 && sel.achieved_coverage > 0.95, "φ = 0.95 cutoff");
 }
 
+/// A universe of `l_prefixes` small (/22–/24) l-prefixes at host scale
+/// 150, the shape of perfbench's `replay` and `scan` universes.
+fn compact_universe(seed: u64, l_prefixes: usize) -> UniverseConfig {
+    let mut cfg = UniverseConfig::small(seed);
+    cfg.synth.l_prefix_count = l_prefixes;
+    for (_, class) in &mut cfg.synth.classes {
+        class.l_lengths = vec![(22, 1.0), (23, 2.0), (24, 4.0)];
+    }
+    cfg.host_scale = 150.0;
+    cfg
+}
+
+/// The network's per-probe kernels on perfbench `scan`'s shape: 600
+/// l-prefixes, probed at the targets of one `adaptive-tass:more:0.95:0.02`
+/// plan at t₀, answered from t₀'s HTTP hosts. `responder/is_open` is
+/// the membership test every probe makes (most miss);
+/// `siphash/fault_draw` is the keyed hash of one fault draw's 17-byte
+/// input (the address widened to two words, then the direction). Both
+/// are per target.
+fn bench_probe_kernels(bench: &mut Bench) {
+    let universe = Universe::generate(&compact_universe(8, 600));
+    let t0 = universe.snapshot(0, Protocol::Http);
+    let kind = parse_spec("adaptive-tass:more:0.95:0.02").expect("static spec");
+    let plan = kind.prepare(universe.topology(), t0, 1).plan(0);
+    let announced: Vec<Prefix> = universe
+        .topology()
+        .m_view
+        .units()
+        .iter()
+        .map(|u| u.prefix)
+        .collect();
+    let targets: Vec<u32> = plan.stream(0, &announced, 1).collect();
+    let n = targets.len() as u64;
+    let responder = Responder::new().with_service(Protocol::Http, t0.hosts.clone());
+    bench.ns_per_element("responder/is_open", n, || {
+        targets
+            .iter()
+            .filter(|&&a| responder.is_open(black_box(a), 80))
+            .count()
+    });
+    let key = SipHash24::new(0xA, 0xB);
+    bench.ns_per_element("siphash/fault_draw", n, || {
+        targets.iter().fold(0u64, |acc, &a| {
+            acc ^ key.hash_words(&[u64::from(black_box(a)), 0], 17 << 56 | 1)
+        })
+    });
+    let hits = targets
+        .iter()
+        .filter(|&&a| responder.is_open(a, 80))
+        .count();
+    let want = targets.iter().filter(|&&a| t0.hosts.contains(a)).count();
+    assert_eq!(hits, want, "the index answers as the host set does");
+    assert!(hits > 0 && hits < targets.len() / 4, "most probes miss");
+}
+
 fn main() {
     let mut bench = Bench::new("substrates");
     bench_trie(&mut bench);
@@ -170,5 +222,6 @@ fn main() {
     bench_prefix_set(&mut bench);
     bench_host_set(&mut bench);
     bench_cycle_kernels(&mut bench);
+    bench_probe_kernels(&mut bench);
     bench.finish();
 }

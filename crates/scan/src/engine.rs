@@ -35,13 +35,21 @@
 //! path:
 //!
 //! * one SipHash of the destination gives both the source port and the
-//!   sequence number ([`SipHash24::probe_validation`]), as in ZMap;
+//!   sequence number ([`SipHash24::probe_validation`]), as in ZMap; it
+//!   and the network's fault draws are the one inlined word-level core
+//!   ([`SipHash24::hash_words`]), fed words built in registers;
 //! * one [`wire::SynTemplate`] is reused — only the destination, source
 //!   port, and sequence number are re-encoded, with incremental
 //!   checksums;
 //! * the worker's own [`NetLink`] carries the frame, counting what the
 //!   network sees into worker-local [`NetStats`](crate::NetStats) that
-//!   are folded into the shared counters once, when the worker ends.
+//!   are folded into the shared counters once, when the worker ends;
+//! * the responder answers from a per-port block index
+//!   ([`Responder`](crate::Responder)): a hash of the probe's 256-address
+//!   block, then a binary search of that block's hosts only;
+//! * an address that answers is pushed onto a worker-local list; the
+//!   merge into the report's `HostSet` sorts and deduplicates it once,
+//!   so no per-probe set is kept.
 //!
 //! The worker owns a ring of 64 [`Replies`] slots for its whole life; the
 //! network writes each probe's replies straight into its slot
@@ -53,10 +61,11 @@
 //! network's counters — including lossy, duplicating runs — are
 //! **identical at any thread count**: the shards partition the plan, and
 //! nothing about a probe's outcome depends on interleaving. Results are
-//! folded once per worker over an mpsc channel at the end; sample
-//! banners are taken after the fold, from the lowest responsive
-//! addresses, so they too are independent of the thread count and of
-//! which worker finishes first.
+//! folded once per worker over an mpsc channel at the end; banners are
+//! counted after the fold, one per distinct responsive host (a sample
+//! can draw one address in two shards), and sampled from the lowest
+//! responsive addresses, so they too are independent of the thread
+//! count and of which worker finishes first.
 //!
 //! `ScanReport::duration_secs` is the token-bucket virtual time of the
 //! slowest shard **plus one round trip of the network's configured
@@ -393,8 +402,10 @@ struct WorkerResult<F: AddrFamily> {
     responses: u64,
     rst_responses: u64,
     validation_failures: u64,
+    /// Each probe that drew a SYN-ACK, in send order: a sample that
+    /// draws an address twice lists it twice, and the merge into the
+    /// report's `HostSet` keeps it once
     responsive: Vec<F::Addr>,
-    banners_grabbed: u64,
     duration_secs: f64,
 }
 
@@ -478,7 +489,6 @@ impl<F: ScanFamily> ScanEngine<F> {
                 report.responses += r.responses;
                 report.rst_responses += r.rst_responses;
                 report.validation_failures += r.validation_failures;
-                report.banners_grabbed += r.banners_grabbed;
                 report.duration_secs = report.duration_secs.max(r.duration_secs);
                 responsive.extend(r.responsive);
             }
@@ -490,7 +500,14 @@ impl<F: ScanFamily> ScanEngine<F> {
             }
             report.responsive = HostSet::from_addrs(responsive);
             if cfg.banner_grab {
+                // over the merged set: one banner per distinct host, even
+                // when two shards' samples drew the same address
                 let responder = self.network.responder();
+                report.banners_grabbed = report
+                    .responsive
+                    .iter()
+                    .filter(|&addr| responder.banner(addr, cfg.port).is_some())
+                    .count() as u64;
                 report.sample_banners = report
                     .responsive
                     .iter()
@@ -539,11 +556,8 @@ fn scan_worker<F: ScanFamily>(
         rst_responses: 0,
         validation_failures: 0,
         responsive: Vec::new(),
-        banners_grabbed: 0,
         duration_secs: 0.0,
     };
-    let mut seen = std::collections::HashSet::new();
-    let responder = network.responder();
     // counts locally; folds into the network's counters when the worker ends
     let mut link = network.link();
     let mut tmpl = wire::SynTemplate::<F>::new(&wire::FrameSpec {
@@ -597,9 +611,7 @@ fn scan_worker<F: ScanFamily>(
                 out.rst_responses += counted.rsts;
                 if counted.syn_acks > 0 {
                     out.responses += counted.syn_acks;
-                    if seen.insert(addr) {
-                        out.responsive.push(addr);
-                    }
+                    out.responsive.push(addr);
                 }
             }
         } else {
@@ -610,9 +622,7 @@ fn scan_worker<F: ScanFamily>(
                 match link.probe_logical(addr, cfg.port) {
                     Some(reply) if reply.open => {
                         out.responses += u64::from(reply.copies);
-                        if seen.insert(addr) {
-                            out.responsive.push(addr);
-                        }
+                        out.responsive.push(addr);
                     }
                     Some(reply) => out.rst_responses += u64::from(reply.copies),
                     None => {}
@@ -623,14 +633,6 @@ fn scan_worker<F: ScanFamily>(
     // duration_secs is well-defined for every shard shape: 0.0 for an
     // empty or fully-blocklisted shard (no batch ever took a token) and
     // the last batch's virtual send time otherwise
-
-    if cfg.banner_grab {
-        out.banners_grabbed = out
-            .responsive
-            .iter()
-            .filter(|&&addr| responder.banner(addr, cfg.port).is_some())
-            .count() as u64;
-    }
     out
 }
 
@@ -963,6 +965,28 @@ mod tests {
         assert_ne!(a.responsive, c.responsive, "different cycle → fresh sample");
         // sample density ≈ host density: 1/8 of addresses are live
         assert!(a.responsive.len() <= 20);
+    }
+
+    #[test]
+    fn repeated_sample_draws_grab_one_banner_per_host() {
+        // 2 000 draws from a /24 with 32 live hosts: every live host is
+        // drawn many times over, by every shard
+        let engine = ScanEngine::new(demo_network(FaultConfig::default()));
+        let announced = vec![p("1.0.0.0/24")];
+        let plan = ProbePlan::FreshSample {
+            per_cycle: 2_000,
+            seed: 5,
+        };
+        for threads in [1, 3] {
+            let cfg = base_cfg().threads(threads).banner_grab(true);
+            let report = engine.run_plan(&plan, 0, &announced, &cfg).unwrap();
+            assert_eq!(report.responsive.len(), 32, "threads({threads})");
+            assert!(report.responses > 32, "threads({threads}): repeated draws");
+            assert_eq!(
+                report.banners_grabbed, 32,
+                "threads({threads}): one banner per distinct host"
+            );
+        }
     }
 
     #[test]

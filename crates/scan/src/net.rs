@@ -32,10 +32,12 @@
 //! probe's replies into a caller-owned [`Replies`] slot — a response
 //! plus at most one duplicate, inline — so the scan engine reuses one
 //! ring of slots for a worker's whole life and nothing is copied out by
-//! value. Each probe costs one membership lookup per registered port at
-//! most: the probed port's host set first, then only the others for
-//! liveness. [`SimNetwork::stats`] reads the shared counters; they are
-//! exact once every link has been dropped.
+//! value. Each probe costs at most one block-indexed membership lookup
+//! per registered port (see [`Responder`]): the probed port's index
+//! first, then only the others' for liveness. Each fault draw is one
+//! inlined SipHash over words built in registers. [`SimNetwork::stats`]
+//! reads the shared counters; they are exact once every link has been
+//! dropped.
 
 use crate::responder::Responder;
 use crate::siphash::SipHash24;
@@ -274,15 +276,19 @@ impl<F: AddrFamily> SimNetwork<F> {
     /// `(seed, addr, dir)`: the SipHash digest's top 53 bits become a
     /// uniform draw in `[0, 1)`, compared against the probability — so
     /// `p = 0` never fires and `p = 1` always does. The `p <= 0` early
-    /// return keeps perfect networks from hashing at all.
+    /// return keeps perfect networks from hashing at all. The hashed
+    /// input is 17 bytes, the address widened to 16 little-endian bytes
+    /// and then `dir`: two address words and a final block of
+    /// `17 << 56 | dir`.
+    #[inline]
     fn fault_fires(&self, addr: F::Addr, dir: u8, p: f64) -> bool {
         if p <= 0.0 {
             return false;
         }
-        let mut input = [0u8; 17];
-        input[..16].copy_from_slice(&F::addr_to_u128(addr).to_le_bytes());
-        input[16] = dir;
-        let h = self.fault_key.hash(&input);
+        let a = F::addr_to_u128(addr);
+        let h = self
+            .fault_key
+            .hash_words(&[a as u64, (a >> 64) as u64], 17 << 56 | u64::from(dir));
         ((h >> 11) as f64) * (1.0 / (1u64 << 53) as f64) < p
     }
 

@@ -5,6 +5,22 @@
 //! handshake (taken from a `tass-model` snapshot), answers SYNs with
 //! SYN-ACKs (open), RSTs (live host, closed port) or silence (no host),
 //! and serves protocol banners for the banner-grab phase.
+//!
+//! ## Block-indexed membership
+//!
+//! Every probe asks "is this address in the port's host set?", and most
+//! of the answers are no. Each port therefore keeps a small
+//! open-addressed index over its host set, built once when the port is
+//! registered: every occupied 256-address block (`addr >> 8`) maps to the
+//! range its hosts take up in the shared sorted [`HostSet`]. A
+//! membership test hashes the probe's block and answers `false` at an
+//! empty slot (a block with no hosts), or binary-searches only the
+//! block's hosts. A TASS plan probes dense prefixes, so most probes land
+//! in occupied blocks: the index cuts their search from `log2` of the
+//! whole set to `log2` of one block (about 13 steps to about 4 at
+//! perfbench `scan`'s shape). The host set itself is shared, not copied,
+//! and the index costs one 8-byte slot per occupied block at a load
+//! factor of at most 2/3.
 
 use crate::siphash::SipHash24;
 use crate::wire::{self, tcp_flags, FrameBuf, TcpFrame, WireFamily};
@@ -19,18 +35,20 @@ pub(crate) fn addr_hash64<F: AddrFamily>(addr: F::Addr) -> u64 {
     (a as u64) ^ ((a >> 64) as u64)
 }
 
+/// The key of the responder's ISNs and banner variants.
+const RESPONDER_KEY: SipHash24 = SipHash24::new(0x7E57_AB1E, 0x5EED);
+
 /// Answers probes from ground-truth host sets, generic over the address
 /// family. Both probe paths are family-generic: the wire-level
 /// [`Responder::respond_frame`] answers parsed frames of any [`WireFamily`]
 /// (IPv4 and IPv6 alike), and the logical path — open/live/banner —
-/// needs only the [`AddrFamily`].
+/// needs only the [`AddrFamily`]. Every membership test goes through the
+/// port's block index (see the module docs).
 #[derive(Debug, Default)]
 pub struct Responder<F: AddrFamily = V4> {
     /// One entry per registered port, sorted by port: a flat table a
     /// probe scans without walking a map (responders hold a few ports)
     ports: Vec<PortEntry<F>>,
-    /// ISN/banner variation key
-    key: Option<SipHash24>,
 }
 
 /// The hosts answering on one port.
@@ -38,8 +56,116 @@ pub struct Responder<F: AddrFamily = V4> {
 struct PortEntry<F: AddrFamily> {
     port: u16,
     hosts: HostSet<F>,
+    /// Where each occupied block's hosts sit in `hosts`
+    blocks: BlockIndex,
     /// The service protocol, for banner synthesis (`None` for a bare port)
     protocol: Option<Protocol>,
+}
+
+impl<F: AddrFamily> PortEntry<F> {
+    #[inline]
+    fn contains(&self, addr: F::Addr) -> bool {
+        self.blocks.contains::<F>(self.hosts.as_slice(), addr)
+    }
+}
+
+/// A block's hosts: the range `[lo, hi)` of the sorted host list. An
+/// empty range marks an empty slot.
+#[derive(Debug, Clone, Copy, Default)]
+struct Span {
+    lo: u32,
+    hi: u32,
+}
+
+/// An open-addressed (linear probing) map from each occupied
+/// 256-address block of a sorted host list to its [`Span`]. A slot does
+/// not store its block: the block of the span's first host is the key,
+/// and reading that host is the first step of the search anyway.
+#[derive(Debug)]
+struct BlockIndex {
+    /// A power-of-two table with at least one empty slot, so every
+    /// probe sequence ends
+    slots: Box<[Span]>,
+    /// `64 − log2(slots.len())`: the home slot is the top bits of a
+    /// Fibonacci hash of the block
+    shift: u32,
+}
+
+/// The 256-address block of an address.
+#[inline]
+fn block_of<F: AddrFamily>(addr: F::Addr) -> u128 {
+    F::addr_to_u128(addr) >> 8
+}
+
+/// A sorted host list cut into its blocks' runs.
+fn block_runs<F: AddrFamily>(hosts: &[F::Addr]) -> impl Iterator<Item = &[F::Addr]> {
+    hosts.chunk_by(|a, b| block_of::<F>(*a) == block_of::<F>(*b))
+}
+
+impl BlockIndex {
+    /// Index a sorted, duplicate-free host list at a load factor of at
+    /// most 2/3.
+    fn new<F: AddrFamily>(hosts: &[F::Addr]) -> BlockIndex {
+        let blocks = block_runs::<F>(hosts).count();
+        let bits = (blocks + blocks / 2 + 1)
+            .next_power_of_two()
+            .trailing_zeros();
+        BlockIndex::with_bits::<F>(hosts, bits.max(1))
+    }
+
+    /// Index `hosts` in a table of `2^bits` slots, more than there are
+    /// blocks.
+    fn with_bits<F: AddrFamily>(hosts: &[F::Addr], bits: u32) -> BlockIndex {
+        assert!(
+            u32::try_from(hosts.len()).is_ok(),
+            "a responder port holds fewer than 2^32 hosts"
+        );
+        let mut index = BlockIndex {
+            slots: vec![Span::default(); 1 << bits].into_boxed_slice(),
+            shift: 64 - bits,
+        };
+        let mask = index.slots.len() - 1;
+        let mut lo = 0;
+        for (placed, run) in block_runs::<F>(hosts).enumerate() {
+            assert!(placed < mask, "a block index keeps an empty slot");
+            let mut i = index.home(block_of::<F>(run[0]));
+            while index.slots[i].lo != index.slots[i].hi {
+                i = (i + 1) & mask;
+            }
+            let hi = lo + run.len();
+            index.slots[i] = Span {
+                lo: lo as u32,
+                hi: hi as u32,
+            };
+            lo = hi;
+        }
+        index
+    }
+
+    #[inline]
+    fn home(&self, block: u128) -> usize {
+        let folded = (block as u64) ^ ((block >> 64) as u64);
+        (folded.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
+    }
+
+    /// Is `addr` in `hosts`, the list this index was built over?
+    #[inline]
+    fn contains<F: AddrFamily>(&self, hosts: &[F::Addr], addr: F::Addr) -> bool {
+        let block = block_of::<F>(addr);
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(block);
+        loop {
+            let Span { lo, hi } = self.slots[i];
+            if lo == hi {
+                return false;
+            }
+            let run = &hosts[lo as usize..hi as usize];
+            if block_of::<F>(run[0]) == block {
+                return run.binary_search(&addr).is_ok();
+            }
+            i = (i + 1) & mask;
+        }
+    }
 }
 
 impl<F: AddrFamily> Responder<F> {
@@ -60,17 +186,21 @@ impl<F: AddrFamily> Responder<F> {
         self
     }
 
-    /// Set `port`'s host set, keeping the port's protocol if it has one.
+    /// Set `port`'s host set and build its block index, keeping the
+    /// port's protocol if it has one.
     fn entry(&mut self, port: u16, hosts: HostSet<F>) -> &mut PortEntry<F> {
+        let blocks = BlockIndex::new::<F>(hosts.as_slice());
         let i = match self.ports.binary_search_by_key(&port, |e| e.port) {
             Ok(i) => {
                 self.ports[i].hosts = hosts;
+                self.ports[i].blocks = blocks;
                 i
             }
             Err(i) => {
                 let entry = PortEntry {
                     port,
                     hosts,
+                    blocks,
                     protocol: None,
                 };
                 self.ports.insert(i, entry);
@@ -85,37 +215,24 @@ impl<F: AddrFamily> Responder<F> {
         self.ports.iter().find(|e| e.port == port)
     }
 
-    /// Total number of (port, host) service endpoints.
-    pub fn num_endpoints(&self) -> usize {
-        self.ports.iter().map(|e| e.hosts.len()).sum()
-    }
-
-    fn hash(&self) -> SipHash24 {
-        self.key
-            .unwrap_or_else(|| SipHash24::new(0x7E57_AB1E, 0x5EED))
-    }
-
     /// Does `addr` answer on `port`?
+    #[inline]
     pub fn is_open(&self, addr: F::Addr, port: u16) -> bool {
-        self.port(port).is_some_and(|e| e.hosts.contains(addr))
-    }
-
-    /// Is `addr` a live host on any registered port?
-    pub fn is_live(&self, addr: F::Addr) -> bool {
-        self.ports.iter().any(|e| e.hosts.contains(addr))
+        self.port(port).is_some_and(|e| e.contains(addr))
     }
 
     /// How `addr` answers a SYN to `port`: `Some(true)` open (SYN-ACK),
     /// `Some(false)` a live host with the port closed (RST), `None`
-    /// silence. Each port's host set is searched at most once: after the
-    /// probed port's set misses, liveness checks only the other ports'.
+    /// silence. Each port's index is searched at most once: after the
+    /// probed port's misses, liveness checks only the other ports'.
+    #[inline]
     pub(crate) fn syn_answer(&self, addr: F::Addr, port: u16) -> Option<bool> {
         if self.is_open(addr, port) {
             return Some(true);
         }
         self.ports
             .iter()
-            .any(|e| e.port != port && e.hosts.contains(addr))
+            .any(|e| e.port != port && e.contains(addr))
             .then_some(false)
     }
 
@@ -124,13 +241,29 @@ impl<F: AddrFamily> Responder<F> {
     /// grabs are stable.
     pub fn banner(&self, addr: F::Addr, port: u16) -> Option<&'static str> {
         let entry = self.port(port)?;
-        if !entry.hosts.contains(addr) {
+        if !entry.contains(addr) {
             return None;
         }
         let proto = entry.protocol?;
-        let variant = (self.hash().hash_u64(addr_hash64::<F>(addr)) & 0xFF) as u8;
+        let variant = (RESPONDER_KEY.hash_u64(addr_hash64::<F>(addr)) & 0xFF) as u8;
         Some(proto.banner(variant))
     }
+}
+
+/// The initial sequence number of an open `addr:port`: the digest of
+/// the address's little-endian bytes followed by the port as 4
+/// little-endian bytes (8 bytes for v4, one word; 20 for v6, two words
+/// and a 4-byte tail).
+#[inline]
+fn isn<F: AddrFamily>(addr: F::Addr, port: u16) -> u32 {
+    let a = F::addr_to_u128(addr);
+    let port = u64::from(port);
+    let h = if F::BITS == 32 {
+        RESPONDER_KEY.hash_words(&[a as u64 | port << 32], 8 << 56)
+    } else {
+        RESPONDER_KEY.hash_words(&[a as u64, (a >> 64) as u64], 20 << 56 | port)
+    };
+    h as u32
 }
 
 impl<F: WireFamily> Responder<F> {
@@ -145,16 +278,8 @@ impl<F: WireFamily> Responder<F> {
             return None;
         }
         if self.syn_answer(probe.dst_ip, probe.dst_port)? {
-            // deterministic per-(host, port) initial sequence number,
-            // hashed over addr-LE ++ port-LE in a stack buffer (the v4
-            // input is the pre-generic 4-byte form exactly)
-            let addr_le = F::addr_bytes_le(probe.dst_ip);
-            let addr_le = addr_le.as_ref();
-            let mut input = [0u8; 20]; // 16-byte address max + 4-byte port
-            input[..addr_le.len()].copy_from_slice(addr_le);
-            input[addr_le.len()..addr_le.len() + 4]
-                .copy_from_slice(&u32::from(probe.dst_port).to_le_bytes());
-            let isn = (self.hash().hash(&input[..addr_le.len() + 4]) & 0xFFFF_FFFF) as u32;
+            // deterministic per-(host, port) initial sequence number
+            let isn = isn::<F>(probe.dst_ip, probe.dst_port);
             Some(FrameBuf::encode(&wire::syn_ack_spec(probe, isn)))
         } else {
             Some(FrameBuf::encode(&wire::rst_spec(probe)))
@@ -173,30 +298,175 @@ mod tests {
             .with_service(Protocol::Ftp, HostSet::from_addrs(vec![100]))
     }
 
+    /// Is `addr` a live host on any registered port? Read from the host
+    /// sets themselves, bypassing the block indexes: the oracle of
+    /// [`Responder::syn_answer`].
+    fn is_live<F: AddrFamily>(r: &Responder<F>, addr: F::Addr) -> bool {
+        r.ports.iter().any(|e| e.hosts.contains(addr))
+    }
+
+    /// `syn_answer` and `is_open` agree with the host sets on `port`.
+    fn check_answers<F: AddrFamily>(r: &Responder<F>, addr: F::Addr, ports: &[u16]) {
+        for &port in ports {
+            let open = r.port(port).is_some_and(|e| e.hosts.contains(addr));
+            assert_eq!(r.is_open(addr, port), open, "{addr:?}:{port}");
+            let want = if open {
+                Some(true)
+            } else {
+                is_live(r, addr).then_some(false)
+            };
+            assert_eq!(r.syn_answer(addr, port), want, "{addr:?}:{port}");
+        }
+    }
+
     #[test]
     fn open_closed_dead() {
         let r = responder();
         assert!(r.is_open(100, 80));
         assert!(r.is_open(100, 21));
         assert!(!r.is_open(200, 21));
-        assert!(r.is_live(200));
-        assert!(!r.is_live(300));
-        assert_eq!(r.num_endpoints(), 3);
+        assert_eq!(r.syn_answer(200, 21), Some(false), "live, port closed");
+        assert_eq!(r.syn_answer(300, 21), None, "dead");
     }
 
     #[test]
     fn syn_answer_is_open_then_live() {
         let r = responder().with_port(22, HostSet::from_addrs(vec![300]));
         for addr in [100, 200, 300, 400] {
-            for port in [21, 22, 80, 443] {
-                let want = if r.is_open(addr, port) {
-                    Some(true)
-                } else {
-                    r.is_live(addr).then_some(false)
-                };
-                assert_eq!(r.syn_answer(addr, port), want, "{addr}:{port}");
+            check_answers(&r, addr, &[21, 22, 80, 443]);
+        }
+    }
+
+    /// A responder over `http` on port 80 and `ssh` on 22, probed at
+    /// every host, each host's neighbours and its address in the next
+    /// block, both ends of the space and `extra`.
+    fn check<F: AddrFamily>(http: Vec<F::Addr>, ssh: Vec<F::Addr>, extra: &[F::Addr]) {
+        let r: Responder<F> = Responder::new()
+            .with_service(Protocol::Http, HostSet::from_addrs(http.clone()))
+            .with_port(22, HostSet::from_addrs(ssh.clone()));
+        let max = u128::MAX >> (128 - u32::from(F::BITS));
+        let wrap = |a: u128| F::addr_from_u128(a & max);
+        let probes = http.iter().chain(&ssh).flat_map(|&a| {
+            let a = F::addr_to_u128(a);
+            [a.wrapping_sub(1), a, a.wrapping_add(1), a ^ 0x100].map(wrap)
+        });
+        for addr in probes
+            .chain([wrap(0), wrap(max)])
+            .chain(extra.iter().copied())
+        {
+            check_answers(&r, addr, &[22, 80, 443]);
+        }
+    }
+
+    #[test]
+    fn indexed_membership_edge_sets() {
+        use tass_net::V6;
+        // empty, a full block, the two ends of the space, adjacent blocks
+        check::<V4>(vec![], vec![], &[1, 0x0A00_0000]);
+        let full: Vec<u32> = (0..256).map(|i| 0x0A01_0200 + i).collect();
+        check::<V4>(full.clone(), vec![], &[0x0A01_0100, 0x0A01_0300]);
+        check::<V4>(vec![0, 255, 256, u32::MAX], vec![u32::MAX - 255], &[257]);
+        check::<V4>(full, (0..512).map(|i| 0x0A01_0100 + 3 * i).collect(), &[]);
+        let full: Vec<u128> = (0..256).map(|i| 0x2001_0db8 << 96 | i).collect();
+        check::<V6>(full, vec![], &[0x2001_0db8 << 96 | 0x100]);
+        check::<V6>(vec![0, 255, 256, u128::MAX], vec![u128::MAX - 255], &[257]);
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn indexed_membership_matches_host_sets_v4(
+            http in proptest::collection::vec(proptest::prelude::any::<u32>(), 0..200),
+            base in proptest::prelude::any::<u32>(),
+            dense in proptest::collection::vec(0u32..1024, 0..300),
+            ssh in proptest::collection::vec(0u32..2048, 0..50),
+        ) {
+            // scattered hosts plus a dense cluster, and a second port
+            // overlapping the cluster
+            let mut http = http;
+            http.extend(dense.iter().map(|&d| base.wrapping_add(d)));
+            let ssh = ssh.iter().map(|&d| base.wrapping_add(d)).collect();
+            check::<V4>(http, ssh, &[base]);
+        }
+
+        #[test]
+        fn indexed_membership_matches_host_sets_v6(
+            sparse in proptest::collection::vec(proptest::prelude::any::<u128>(), 0..100),
+            prefix in proptest::prelude::any::<u64>(),
+            iids in proptest::collection::vec(0u64..600, 0..100),
+            ssh in proptest::collection::vec(0u64..600, 0..30),
+        ) {
+            use tass_net::V6;
+            // sparse hosts over the whole space, and low interface ids
+            // under one /64: a few dense blocks
+            let under = |iid: u64| u128::from(prefix) << 64 | u128::from(iid);
+            let mut http = sparse;
+            http.extend(iids.iter().map(|&i| under(i)));
+            let ssh = ssh.iter().map(|&i| under(i)).collect();
+            check::<V6>(http, ssh, &[under(700)]);
+        }
+
+        #[test]
+        fn a_colliding_index_still_answers_exactly(
+            offsets in proptest::collection::vec(0u32..256, 1..40),
+            probes in proptest::collection::vec(0u32..(1 << 16), 0..300),
+        ) {
+            // up to ten blocks that all hash to the last slot of a
+            // 16-slot table: one probe run that wraps around its end
+            let home = |block: u32| BlockIndex::with_bits::<V4>(&[], 4).home(u128::from(block));
+            let blocks: Vec<u32> = (0u32..).filter(|&b| home(b) == 15).take(10).collect();
+            let hosts: Vec<u32> = offsets
+                .iter()
+                .enumerate()
+                .map(|(i, &o)| blocks[i % blocks.len()] << 8 | o)
+                .collect();
+            let hosts = HostSet::<V4>::from_addrs(hosts);
+            let hosts = hosts.as_slice();
+            let index = BlockIndex::with_bits::<V4>(hosts, 4);
+            let nearby = probes.iter().map(|&p| blocks[p as usize % blocks.len()] << 8 | p & 0xFF);
+            for addr in hosts.iter().copied().chain(nearby).chain(probes.iter().copied()) {
+                proptest::prop_assert_eq!(
+                    index.contains::<V4>(hosts, addr),
+                    hosts.binary_search(&addr).is_ok()
+                );
             }
         }
+    }
+
+    /// The index's bytes for a host list.
+    fn index_bytes<F: AddrFamily>(hosts: &HostSet<F>) -> usize {
+        std::mem::size_of_val(&*BlockIndex::new::<F>(hosts.as_slice()).slots)
+    }
+
+    #[test]
+    fn index_bytes_are_bounded_by_the_host_bytes() {
+        use tass_net::V6;
+        // at most 3 slots of 8 bytes a block, against 4 bytes a v4 host
+        // and 16 a v6 host; the worst case is one host a block
+        const BOUND: usize = 6;
+        let v4: [Vec<u32>; 3] = [
+            (0..4096).collect(),
+            (0..4096).map(|i| i << 8).collect(),
+            (0..5000u32).map(|i| i.wrapping_mul(2654435761)).collect(),
+        ];
+        for hosts in v4 {
+            let hosts = HostSet::<V4>::from_addrs(hosts);
+            let host_bytes = std::mem::size_of_val(hosts.as_slice());
+            assert!(
+                index_bytes(&hosts) <= BOUND * host_bytes,
+                "v4 {}",
+                hosts.len()
+            );
+        }
+        for n in [1u128, 100, 1000, 4097] {
+            let hosts = HostSet::<V6>::from_addrs((1..=n).map(|i| i << 64 | i).collect());
+            let host_bytes = std::mem::size_of_val(hosts.as_slice());
+            assert!(index_bytes(&hosts) <= BOUND * host_bytes, "v6 {n}");
+            // v6 hosts are sparse: a block each, so the index is at most
+            // 1.5× the host bytes
+            assert!(2 * index_bytes(&hosts) <= 3 * host_bytes, "v6 {n}");
+        }
+        // an empty set costs the two-slot minimum
+        assert_eq!(index_bytes(&HostSet::<V4>::from_addrs(vec![])), 16);
     }
 
     #[test]
@@ -252,6 +522,20 @@ mod tests {
         let probe2 = parse_frame(&build_syn(1, 200, 40000, 80, 9)).unwrap();
         let c = parse_frame(&r.respond_frame(&probe2).unwrap()).unwrap().seq;
         assert_ne!(a, c, "different hosts, different ISNs");
+    }
+
+    #[test]
+    fn isn_is_the_digest_of_address_then_port_bytes() {
+        use tass_net::V6;
+        let digest = |addr: &[u8], port: u16| {
+            let input = [addr, &u32::from(port).to_le_bytes()].concat();
+            RESPONDER_KEY.hash(&input) as u32
+        };
+        for (a, port) in [(0u32, 0u16), (0x0A00_0001, 80), (u32::MAX, u16::MAX)] {
+            assert_eq!(isn::<V4>(a, port), digest(&a.to_le_bytes(), port));
+            let a6 = u128::from(a) << 96 | 0x42;
+            assert_eq!(isn::<V6>(a6, port), digest(&a6.to_le_bytes(), port));
+        }
     }
 
     #[test]

@@ -26,7 +26,7 @@
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
-use std::io;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, Weak};
@@ -942,7 +942,7 @@ impl Tassd {
                         checkpoint: checkpoint.clone(),
                     };
                     let json = serde_json::to_string(&file).expect("job files always serialize");
-                    std::fs::write(dir.join(format!("job-{id:08}.json")), json)?;
+                    write_atomically(dir, &format!("job-{id:08}.json"), json.as_bytes())?;
                     checkpointed += 1;
                 }
             }
@@ -952,6 +952,20 @@ impl Tassd {
             checkpointed,
         })
     }
+}
+
+/// Write `bytes` to the file `name` in `dir` so that a crash leaves
+/// either the old file or the whole new one: write `<name>.tmp`, sync
+/// it, rename it over `name`, then sync `dir` so the rename itself is
+/// durable. A torn `.tmp` is ignored by [`load_checkpoint_files`], which
+/// reads only names ending in `.json`.
+fn write_atomically(dir: &Path, name: &str, bytes: &[u8]) -> io::Result<()> {
+    let tmp = dir.join(format!("{name}.tmp"));
+    let mut file = std::fs::File::create(&tmp)?;
+    file.write_all(bytes)?;
+    file.sync_all()?;
+    std::fs::rename(&tmp, dir.join(name))?;
+    std::fs::File::open(dir)?.sync_all()
 }
 
 fn load_checkpoint_files(dir: &Path) -> io::Result<Vec<JobFile>> {

@@ -485,6 +485,56 @@ fn kill_then_resume_is_byte_identical() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A checkpoint write torn by a crash leaves a partial `.json.tmp`
+/// beside the last good checkpoint. The restarted daemon ignores it and
+/// resumes from the good file, byte-identically.
+#[test]
+fn torn_checkpoint_temp_file_does_not_block_resume() {
+    let spec = "reseeding-tass:more:0.95:3";
+    let seed = 13;
+    let dir = std::env::temp_dir().join(format!("tassd-torn-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let reg = registry();
+    let cfg = || ServiceConfig {
+        workers: 1,
+        quota: TenantQuota::default(),
+        month_delay: Duration::from_millis(40),
+        checkpoint_dir: Some(dir.clone()),
+    };
+    let (id, file) = checkpoint_mid_campaign(&reg, cfg(), spec, seed);
+    let good = std::fs::read_to_string(&file).unwrap();
+    let leftovers: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name())
+        .filter(|name| name.to_string_lossy().ends_with(".tmp"))
+        .collect();
+    assert!(
+        leftovers.is_empty(),
+        "a finished write leaves {leftovers:?}"
+    );
+    // the next checkpoint of the same job, cut off mid-string
+    let torn = dir.join(format!("job-{id:08}.json.tmp"));
+    std::fs::write(&torn, &good[..good.len() / 2]).unwrap();
+
+    let daemon = Tassd::start(Arc::clone(&reg), cfg()).unwrap();
+    let server = HttpServer::bind("127.0.0.1:0", daemon.core(), api::router()).unwrap();
+    let mut client = HttpClient::connect(server.addr());
+    wait_done(&mut client, "alice", id);
+    let (status, got) = client
+        .get(&format!("/v1/campaigns/{id}/results"), Some("alice"))
+        .unwrap();
+    assert_eq!(status, 200);
+    assert_eq!(
+        got,
+        oracle(&reg, spec, seed),
+        "resume must not change a byte"
+    );
+
+    server.shutdown();
+    daemon.shutdown(ShutdownMode::Drain).unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A checkpointed job resumed against a daemon that lacks its source
 /// fails, keeps the months it actually completed, and answers every
 /// results endpoint with a typed `409`.
