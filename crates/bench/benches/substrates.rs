@@ -1,8 +1,8 @@
 //! Microbenches for the hot substrate paths: the trie, deaggregation, the
 //! cyclic permutation, SipHash, set algebra, the host-set merge that
-//! dominates strategy evaluation, the two kernels of the TASS cycle
-//! loop (the view counting sweep and the density rank with its φ
-//! cutoff), and the two per-probe kernels of the simulated network (the
+//! dominates strategy evaluation, the kernels of the TASS cycle loop
+//! (the view counting sweep, an adaptive re-count of an observed view,
+//! and the density rank with its φ cutoff), and the two per-probe kernels of the simulated network (the
 //! responder's membership test and the fault draw). The wire codecs are
 //! measured by `wire_codec`.
 //!
@@ -13,8 +13,8 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
 use tass_bench::Bench;
-use tass_core::{parse_spec, select_prefixes_budgeted, DensityCounts, Strategy};
-use tass_model::{HostSet, PrefixCount, Protocol, Universe, UniverseConfig};
+use tass_core::{parse_spec, select_prefixes_budgeted, DensityCounts, ProbePlan, Strategy};
+use tass_model::{HostSet, HostSetView, PrefixCount, Protocol, Universe, UniverseConfig};
 use tass_net::{deagg, Cyclic, Prefix, PrefixSet, PrefixTrie, V4};
 use tass_scan::siphash::SipHash24;
 use tass_scan::Responder;
@@ -135,13 +135,17 @@ fn bench_host_set(bench: &mut Bench) {
 /// The cycle-loop kernels on a universe of perfbench `replay`'s shape:
 /// 4 000 small (/22–/24) l-prefixes at host scale 150, counted over the
 /// HTTP m-view at t₀. `host_set/count_view` is the bulk sweep every
-/// `prepare`, re-seed and adaptive re-count runs; `density/rank_view`
-/// is what an adaptive re-selection runs on maintained counts (stats,
-/// linear rank, φ = 0.95 cutoff). Both are per view unit.
+/// `prepare` and re-seed runs; `density/rank_view` is what an adaptive
+/// re-selection runs on maintained counts (stats, linear rank, φ = 0.95
+/// cutoff). Both are per view unit. `host_set/recount_view` is an
+/// adaptive re-count: the observed view of one
+/// `adaptive-tass:more:0.95:0.02` plan at t₀, counted by its own planned
+/// prefixes, per planned unit.
 fn bench_cycle_kernels(bench: &mut Bench) {
     let universe = Universe::generate(&compact_universe(5, 4_000));
     let view = &universe.topology().m_view;
-    let hosts = &universe.snapshot(0, Protocol::Http).hosts;
+    let t0 = universe.snapshot(0, Protocol::Http);
+    let hosts = &t0.hosts;
     let units = view.len() as u64;
     let mut counts = Vec::with_capacity(view.len());
     bench.ns_per_element("host_set/count_view", units, || {
@@ -156,6 +160,24 @@ fn bench_cycle_kernels(bench: &mut Bench) {
     let (sel, _) = select_prefixes_budgeted(DensityCounts::from_unit_counts(view, &counts), 0.95);
     assert_eq!(counts.len(), view.len(), "one count per view unit");
     assert!(sel.k > 0 && sel.achieved_coverage > 0.95, "φ = 0.95 cutoff");
+
+    let kind = parse_spec("adaptive-tass:more:0.95:0.02").expect("valid spec");
+    let ProbePlan::Prefixes(planned) = kind.prepare(universe.topology(), t0, 1).plan(0) else {
+        panic!("an adaptive plan is a prefix list");
+    };
+    let observed = HostSetView::from_prefixes(hosts.clone(), &planned);
+    let mut recounts = Vec::with_capacity(planned.len());
+    bench.ns_per_element("host_set/recount_view", planned.len() as u64, || {
+        recounts.clear();
+        observed.count_prefixes_into(planned.iter().copied(), &mut recounts);
+        recounts.len()
+    });
+    let mut swept = Vec::new();
+    hosts.count_prefixes_into(planned.iter().copied(), &mut swept);
+    assert_eq!(
+        recounts, swept,
+        "a planned unit's count in its observed view"
+    );
 }
 
 /// A universe of `l_prefixes` small (/22–/24) l-prefixes at host scale

@@ -10,7 +10,8 @@
 //! its probes, the plan is evaluated against that month's ground truth,
 //! and the [`CycleOutcome`] is fed back through
 //! [`observe`](crate::strategy::PreparedStrategy::observe) so
-//! feedback-driven strategies (re-seeding, adaptive) can react.
+//! feedback-driven strategies (re-seeding, adaptive) can react. The last
+//! month is planned and evaluated but not observed: no plan follows it.
 //!
 //! One loop drives every campaign, and it drives them in *units*: one or
 //! more campaigns on the same protocol, run in lockstep. The unit loads
@@ -256,6 +257,14 @@ struct Lane<'s, F: FamilySpace> {
 /// are byte-identical to running its campaigns one by one; only the
 /// number of month loads drops (one per month, not one per lane).
 ///
+/// The last month runs `plan → evaluate` only. No plan follows it and
+/// the prepared strategies are dropped here, so its feedback would be
+/// read by nothing: the driver builds no observed view and calls no
+/// `observe` for it, live or replayed. Its
+/// [`evaluate`](crate::plan::ProbePlan::evaluate) equals the
+/// [`evaluate_observed`](crate::plan::ProbePlan::evaluate_observed) a
+/// feedback cycle uses, because prefix plans are disjoint.
+///
 /// On entry every lane holds the evaluations of the same months already
 /// completed by an earlier (interrupted) run: the driver rebuilds each
 /// strategy's state by replaying those cycles' plans and outcomes —
@@ -287,7 +296,8 @@ where
             lane.strategy.prepare(space, t0, lane.seed)
         })
         .collect();
-    for m in 0..=source.months() {
+    let last = source.months();
+    for m in 0..=last {
         let replay = (m as usize) < done;
         if !replay && control(m, lanes) == CampaignStep::Suspend {
             return false;
@@ -301,7 +311,9 @@ where
             // advances per-cycle state such as rotating exploration
             // windows
             let plan = prepared.plan(m);
-            let feedback = prepared.wants_feedback();
+            // no plan follows the last month, so nothing could read its
+            // feedback: it is evaluated as a static cycle
+            let feedback = m < last && prepared.wants_feedback();
             // fast-forward: the observe edge only matters to feedback
             // strategies, and the stored evaluations are trusted rather
             // than recomputed
@@ -711,9 +723,13 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::strategy::ReseedingTass;
+    use crate::plan::{Eval, ProbePlan};
+    use crate::strategy::{PreparedStrategy, ReseedingTass, V6BlockTass, V6FreshSample, V6Hitlist};
+    use std::cell::RefCell;
+    use std::rc::Rc;
     use tass_bgp::ViewKind;
-    use tass_model::{Universe, UniverseConfig};
+    use tass_model::{Snapshot, Topology, Universe, UniverseConfig, V6Universe, V6UniverseConfig};
+    use tass_net::V6;
 
     fn universe() -> Universe {
         Universe::generate(&UniverseConfig::small(31))
@@ -1092,6 +1108,202 @@ mod tests {
                 "{proto}: Δt=∞ must equal static TASS"
             );
             assert_eq!(stat.probes_per_cycle, never.probes_per_cycle);
+        }
+    }
+
+    /// A registry strategy that records the cycles it is asked to
+    /// observe.
+    #[derive(Debug)]
+    struct Counting {
+        kind: StrategyKind,
+        observed: Rc<RefCell<Vec<u32>>>,
+    }
+
+    #[derive(Debug)]
+    struct CountingPrepared {
+        inner: Box<dyn PreparedStrategy>,
+        observed: Rc<RefCell<Vec<u32>>>,
+    }
+
+    impl Strategy for Counting {
+        fn label(&self) -> String {
+            self.kind.label()
+        }
+
+        fn prepare(&self, topo: &Topology, t0: &Snapshot, seed: u64) -> Box<dyn PreparedStrategy> {
+            Box::new(CountingPrepared {
+                inner: self.kind.prepare(topo, t0, seed),
+                observed: Rc::clone(&self.observed),
+            })
+        }
+    }
+
+    impl PreparedStrategy for CountingPrepared {
+        fn plan(&mut self, cycle: u32) -> ProbePlan {
+            self.inner.plan(cycle)
+        }
+
+        fn observe(&mut self, cycle: u32, outcome: &CycleOutcome) {
+            self.observed.borrow_mut().push(cycle);
+            self.inner.observe(cycle, outcome);
+        }
+
+        fn wants_feedback(&self) -> bool {
+            self.inner.wants_feedback()
+        }
+    }
+
+    #[test]
+    fn the_driver_observes_every_month_but_the_last_live_and_resumed() {
+        let u = universe();
+        let observed_months: Vec<u32> = (0..u.months()).collect();
+        for kind in [
+            StrategyKind::ReseedingTass {
+                view: ViewKind::MoreSpecific,
+                phi: 0.95,
+                delta_t: 3,
+            },
+            StrategyKind::AdaptiveTass {
+                view: ViewKind::MoreSpecific,
+                phi: 0.95,
+                explore: 0.1,
+            },
+        ] {
+            let counting = Counting {
+                kind,
+                observed: Rc::default(),
+            };
+            let oracle = run_campaign(&u, kind, Protocol::Http, 5);
+            let live = run_campaign_strategy(&u, &counting, Protocol::Http, 5);
+            assert_eq!(live, oracle, "{kind:?}: the wrapper changes nothing");
+            assert_eq!(
+                *counting.observed.borrow(),
+                observed_months,
+                "{kind:?} live"
+            );
+            // resumed with 0 up to every month already done
+            for done in 0..=oracle.months.len() {
+                counting.observed.borrow_mut().clear();
+                let mut lane = [Lane {
+                    strategy: &counting,
+                    seed: 5,
+                    months: oracle.months[..done].to_vec(),
+                }];
+                let finished = drive_unit(&u, Protocol::Http, &mut lane, &mut |_, _| {
+                    CampaignStep::Continue
+                });
+                assert!(finished);
+                assert_eq!(lane[0].months, oracle.months, "{kind:?} resumed at {done}");
+                assert_eq!(
+                    *counting.observed.borrow(),
+                    observed_months,
+                    "{kind:?} resumed at {done}"
+                );
+            }
+        }
+    }
+
+    /// The last month's evaluation as a feedback cycle computes it: every
+    /// earlier cycle observed, then `evaluate_observed` over the last
+    /// plan's observed view.
+    fn observed_last_eval<F, G>(
+        source: &G,
+        strategy: &dyn Strategy<F>,
+        protocol: Protocol,
+        seed: u64,
+    ) -> Eval
+    where
+        F: FamilySpace,
+        G: GroundTruth<F>,
+    {
+        let announced = F::announced_space(source.topology());
+        let mut prepared = strategy.prepare(source.topology(), &source.snapshot(0, protocol), seed);
+        let mut m = 0;
+        loop {
+            let truth = source.snapshot(m, protocol);
+            let plan = prepared.plan(m);
+            let responsive = plan.observed(&truth, m, announced);
+            let eval = plan.evaluate_observed(&truth, &responsive, m, announced);
+            if m == source.months() {
+                return eval;
+            }
+            let outcome = CycleOutcome {
+                cycle: m,
+                probes: eval.probes,
+                responsive,
+            };
+            prepared.observe(m, &outcome);
+            m += 1;
+        }
+    }
+
+    #[test]
+    fn the_unobserved_last_month_evaluates_as_a_feedback_cycle() {
+        let u = universe();
+        let (l, more) = (ViewKind::LessSpecific, ViewKind::MoreSpecific);
+        let kinds = [
+            StrategyKind::FullScan,
+            StrategyKind::Tass { view: l, phi: 1.0 },
+            StrategyKind::Tass {
+                view: more,
+                phi: 0.95,
+            },
+            StrategyKind::IpHitlist,
+            StrategyKind::RandomSample { fraction: 0.05 },
+            StrategyKind::Block24Sample { fraction: 0.1 },
+            StrategyKind::RandomPrefix {
+                view: more,
+                space_fraction: 0.1,
+            },
+            StrategyKind::ReseedingTass {
+                view: more,
+                phi: 0.95,
+                delta_t: 3,
+            },
+            StrategyKind::ReseedingTass {
+                view: l,
+                phi: 0.9,
+                delta_t: 4,
+            },
+            StrategyKind::AdaptiveTass {
+                view: more,
+                phi: 0.95,
+                explore: 0.1,
+            },
+            StrategyKind::AdaptiveTass {
+                view: l,
+                phi: 0.9,
+                explore: 0.02,
+            },
+        ];
+        for kind in kinds {
+            for proto in [Protocol::Http, Protocol::Cwmp] {
+                let r = run_campaign(&u, kind, proto, 9);
+                let got = r.months.last().expect("months ran").eval;
+                assert_eq!(
+                    got,
+                    observed_last_eval(&u, &kind, proto, 9),
+                    "{kind:?} {proto}"
+                );
+            }
+        }
+        let v6 = V6Universe::generate(&V6UniverseConfig::small(0x1077));
+        let v6_strategies: [&dyn Strategy<V6>; 3] = [
+            &V6Hitlist,
+            &V6BlockTass {
+                phi: 0.95,
+                block_len: 116,
+            },
+            &V6FreshSample { per_cycle: 1 << 20 },
+        ];
+        for strategy in v6_strategies {
+            let r = run_campaign_strategy(&v6, strategy, Protocol::Http, 9);
+            let got = r.months.last().expect("months ran").eval;
+            assert_eq!(
+                got,
+                observed_last_eval(&v6, strategy, Protocol::Http, 9),
+                "{strategy:?}"
+            );
         }
     }
 }

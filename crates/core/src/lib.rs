@@ -47,7 +47,6 @@
 #![warn(missing_docs)]
 
 pub mod campaign;
-pub mod cluster;
 pub mod density;
 pub mod metrics;
 pub mod plan;
@@ -59,7 +58,6 @@ pub use campaign::{
     partial_result, run_campaign, run_campaign_checkpointed, run_campaign_strategy, run_matrix,
     CampaignCheckpoint, CampaignJob, CampaignPool, CampaignResult, CampaignRun, CampaignStep,
 };
-pub use cluster::{cluster_units, Cluster, ClusterConfig};
 pub use density::{rank_from_counts, rank_units, DensityCounts, DensityRank, PrefixStat};
 pub use metrics::{efficiency_ratio, MonthEval};
 pub use plan::{CycleOutcome, Eval, PlanStream, ProbePlan, StreamError};

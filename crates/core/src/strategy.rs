@@ -91,9 +91,12 @@ pub trait Strategy<F: FamilySpace = V4>: fmt::Debug {
 /// The per-campaign lifecycle of a prepared strategy, generic over the
 /// address family (default IPv4).
 ///
-/// Driven as `plan(0) → observe(0) → plan(1) → observe(1) → …` by
-/// [`crate::campaign::run_campaign_strategy`] (or by a real scanning
-/// loop feeding actual `ScanReport`s back in).
+/// Driven as `plan(0) → observe(0) → plan(1) → observe(1) → … →
+/// plan(last)` by [`crate::campaign::run_campaign_strategy`] (or by a
+/// real scanning loop feeding actual `ScanReport`s back in). The last
+/// cycle is planned but not observed: no plan follows it to read the
+/// feedback, so the campaign driver neither builds its observed view
+/// nor calls [`observe`](Self::observe) for it.
 pub trait PreparedStrategy<F: AddrFamily = V4>: fmt::Debug {
     /// Decide what to probe this cycle.
     fn plan(&mut self, cycle: u32) -> ProbePlan<F>;
@@ -552,8 +555,10 @@ impl PreparedStrategy for AdaptivePrepared {
     fn observe(&mut self, _cycle: u32, outcome: &CycleOutcome) {
         // update the density estimate of every unit this cycle probed,
         // from the cycle's own responses — no full scan anywhere. The
-        // planned units are ascending, so this is one bulk sweep over
-        // the responsive view, not a rank query per unit.
+        // driver built the responsive view from exactly these planned
+        // prefixes, so the bulk count reads back the counts the view
+        // kept; any other view (an engine report) is swept once, the
+        // planned units ascending, not a rank query per unit.
         let units = self.view.units();
         let mut probed = Vec::with_capacity(self.last_planned.len());
         outcome.responsive.count_prefixes_into(

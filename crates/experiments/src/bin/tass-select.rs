@@ -60,7 +60,8 @@
 //!   --workers N         campaign worker threads (default: the
 //!                       CAMPAIGN_WORKERS contract, i.e. all cores)
 //!   --checkpoint-dir D  persist unfinished jobs there on shutdown and
-//!                       resume them on the next start
+//!                       resume them on the next start (a job file that
+//!                       does not parse is renamed *.json.corrupt)
 //!   --drain             on shutdown, finish queued jobs instead of
 //!                       checkpointing them
 //!   --max-pending N     per-tenant queued+running ceiling (default 64)

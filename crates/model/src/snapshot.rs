@@ -37,9 +37,13 @@
 //!   (a full-scan cycle, a hitlist cycle's hits, an engine report) is a
 //!   single `(0, n)` range; a prefix-plan cycle is the interval union of
 //!   the per-prefix slices (so overlapping prefixes have explicit
-//!   set-union semantics). [`HostSetView::materialize`] is the escape
-//!   hatch back to a [`HostSet`], and the serde form is byte-identical
-//!   to the set's, so downstream digests cannot tell the difference.
+//!   set-union semantics). A prefix view also keeps each source prefix's
+//!   count, which its build sweep found anyway, so a strategy that
+//!   re-counts the units it just planned reads them back instead of
+//!   sweeping the view a second time. [`HostSetView::materialize`] is the
+//!   escape hatch back to a [`HostSet`], and the serde form is
+//!   byte-identical to the set's, so downstream digests cannot tell the
+//!   difference.
 //! * **Decode once.** [`Snapshot::decode`] parses the header and then
 //!   makes one fused pass over the fixed-width LE address section,
 //!   checking strict ascent while it fills the sorted `Vec` the
@@ -352,6 +356,12 @@ impl<F: AddrFamily> Snapshot<F> {
 /// range `(0, n)`. Overlapping prefixes are resolved by interval union,
 /// i.e. genuine set-union semantics. The serde form is the bare sorted
 /// address sequence, byte-identical to the [`HostSet`] encoding.
+///
+/// A view built by [`HostSetView::from_prefixes`] also keeps each source
+/// prefix with its member count, which its build sweep found anyway. A
+/// bulk count whose prefixes begin with that same list — an adaptive
+/// strategy re-counting the units it just planned — reads those counts
+/// instead of sweeping again (see [`PrefixCount::sweep_prefix_counts`]).
 #[derive(Clone)]
 pub struct HostSetView<F: AddrFamily = V4> {
     hosts: HostSet<F>,
@@ -360,6 +370,9 @@ pub struct HostSetView<F: AddrFamily = V4> {
     /// `cum[i]` is the total number of members in `ranges[..i]`.
     cum: Vec<usize>,
     len: usize,
+    /// The source prefixes of a prefix view, in input order, each with
+    /// its member count; empty for a whole-set view.
+    counted: Vec<(Prefix<F>, u64)>,
 }
 
 impl<F: AddrFamily> HostSetView<F> {
@@ -374,6 +387,7 @@ impl<F: AddrFamily> HostSetView<F> {
             cum: vec![0; ranges.len()],
             len: n,
             ranges,
+            counted: Vec::new(),
         }
     }
 
@@ -381,9 +395,17 @@ impl<F: AddrFamily> HostSetView<F> {
     /// per-prefix slices: overlapping prefixes contribute their union,
     /// never a double count. O(prefixes log hosts) to build; no
     /// host-proportional allocation.
+    ///
+    /// Each prefix's span `lo..hi` lies inside the union, so its count in
+    /// the view is `hi − lo` even under overlap; the view keeps those
+    /// counts for a later bulk count of the same prefixes.
     pub fn from_prefixes(hosts: HostSet<F>, prefixes: &[Prefix<F>]) -> Self {
         let mut spans: Vec<(usize, usize)> = Vec::with_capacity(prefixes.len());
+        let mut counted = Vec::with_capacity(prefixes.len());
+        let mut source = prefixes.iter();
         hosts.sweep_spans(prefixes.iter().copied(), |lo, hi| {
+            let p = *source.next().expect("one span per source prefix");
+            counted.push((p, (hi - lo) as u64));
             if lo < hi {
                 spans.push((lo, hi));
             }
@@ -413,6 +435,7 @@ impl<F: AddrFamily> HostSetView<F> {
             ranges,
             cum,
             len,
+            counted,
         }
     }
 
@@ -501,15 +524,28 @@ impl<F: AddrFamily> PrefixCount<F> for HostSetView<F> {
         HostSetView::count_in_prefix(self, p)
     }
 
-    /// The host sweep, plus a second galloping cursor over the view's
-    /// ranges: counting a sorted view's units against a feedback cycle's
-    /// responsive view is a single coordinated pass — not two binary
-    /// searches plus two rank queries per unit.
+    /// A leading run of prefixes equal to a prefix view's own source
+    /// prefixes is answered from the counts the view kept. The rest go
+    /// through the host sweep, plus a second galloping cursor over the
+    /// view's ranges: counting a sorted view's units against a feedback
+    /// cycle's responsive view is a single coordinated pass — not two
+    /// binary searches plus two rank queries per unit.
     fn sweep_prefix_counts(
         &self,
-        prefixes: impl Iterator<Item = Prefix<F>>,
+        mut prefixes: impl Iterator<Item = Prefix<F>>,
         mut sink: impl FnMut(u64),
     ) {
+        let mut stored = self.counted.iter();
+        let diverged = loop {
+            let Some(p) = prefixes.next() else {
+                return;
+            };
+            match stored.next() {
+                Some(&(q, c)) if q == p => sink(c),
+                _ => break p,
+            }
+        };
+        let prefixes = std::iter::once(diverged).chain(prefixes);
         if self.is_full() {
             return self.hosts.sweep_prefix_counts(prefixes, sink);
         }
@@ -1253,6 +1289,59 @@ mod tests {
         ) {
             assert_sweeps_match_scalar::<V4>(&hosts, &view_specs, &query_specs);
             assert_sweeps_match_scalar::<tass_net::V6>(&hosts, &view_specs, &query_specs);
+        }
+    }
+
+    /// A prefix view's bulk count of queries that begin with its own
+    /// source prefixes — the whole list, a leading part, a leading part
+    /// and then other prefixes, the whole list and then more — against
+    /// the galloping sweep of the view's materialized set and the view's
+    /// scalar counts.
+    fn assert_stored_counts_match_sweep<F: AddrFamily>(
+        hosts: &[u32],
+        source_specs: &[(u32, u8)],
+        cut: usize,
+        extra_specs: &[(u32, u8)],
+    ) {
+        let hosts = lift_hosts::<F>(hosts);
+        let source = lift_prefixes::<F>(source_specs);
+        let extra = lift_prefixes::<F>(extra_specs);
+        let view = HostSetView::from_prefixes(hosts, &source);
+        let set = view.materialize();
+        let lead = &source[..cut.min(source.len())];
+        for queries in [
+            source.clone(),
+            lead.to_vec(),
+            [lead, &extra].concat(),
+            [&source[..], &extra].concat(),
+        ] {
+            let mut stored = Vec::new();
+            view.count_prefixes_into(queries.iter().copied(), &mut stored);
+            let mut swept = Vec::new();
+            set.count_prefixes_into(queries.iter().copied(), &mut swept);
+            assert_eq!(stored, swept, "{source:?} then {queries:?}");
+            assert_bulk_counts_match_scalar(&view, &queries);
+        }
+    }
+
+    proptest::proptest! {
+        /// The counts a prefix view keeps answer a bulk count of its own
+        /// source prefixes exactly as the galloping sweep does, for
+        /// arbitrary source lists (unsorted, nested, overlapping,
+        /// duplicated, with empty spans) and every way a query list can
+        /// follow or leave them, over v4 and the same inputs lifted to
+        /// v6.
+        #[test]
+        fn prefix_view_stored_counts_match_the_sweep(
+            hosts in proptest::collection::vec(0u32..0x1000, 0..60),
+            source_specs in proptest::collection::vec((0u32..0x1000, 20u8..=32), 0..10),
+            cut in 0usize..10,
+            extra_specs in proptest::collection::vec((0u32..0x1000, 18u8..=32), 0..6),
+        ) {
+            assert_stored_counts_match_sweep::<V4>(&hosts, &source_specs, cut, &extra_specs);
+            assert_stored_counts_match_sweep::<tass_net::V6>(
+                &hosts, &source_specs, cut, &extra_specs,
+            );
         }
     }
 

@@ -852,7 +852,8 @@ pub struct Tassd {
 
 impl Tassd {
     /// Start the daemon: resume any checkpointed jobs found in
-    /// `cfg.checkpoint_dir`, then spawn the campaign workers.
+    /// `cfg.checkpoint_dir` (setting aside any job file that does not
+    /// parse), then spawn the campaign workers.
     pub fn start(registry: Arc<SourceRegistry>, cfg: ServiceConfig) -> io::Result<Tassd> {
         let pool = if cfg.workers == 0 {
             CampaignPool::from_env()
@@ -865,10 +866,11 @@ impl Tassd {
         };
         if let Some(dir) = &cfg.checkpoint_dir {
             std::fs::create_dir_all(dir)?;
-            for file in load_checkpoint_files(dir)? {
+            let (files, next_id) = load_checkpoint_files(dir)?;
+            table.next_id = next_id;
+            for file in files {
                 let tenant = table.tenant_mut(&file.tenant, &cfg.quota);
                 tenant.queue.push_back(file.id);
-                table.next_id = table.next_id.max(file.id + 1);
                 table.jobs.insert(
                     file.id,
                     Job {
@@ -968,26 +970,53 @@ fn write_atomically(dir: &Path, name: &str, bytes: &[u8]) -> io::Result<()> {
     std::fs::File::open(dir)?.sync_all()
 }
 
-fn load_checkpoint_files(dir: &Path) -> io::Result<Vec<JobFile>> {
+/// The job files to resume from `dir`, and the lowest id a new job may
+/// take.
+///
+/// A `job-XXXXXXXX.json` that does not parse (torn by a disk fault or a
+/// copy) does not stop the daemon: it is renamed to
+/// `job-XXXXXXXX.json.corrupt`, one stderr line names it, and the other
+/// jobs resume. The id in every `job-` file name stays taken, as does
+/// every resumed job's own id, so a new job never reuses the id of a
+/// file set aside now or at an earlier start.
+fn load_checkpoint_files(dir: &Path) -> io::Result<(Vec<JobFile>, u64)> {
     let mut files = Vec::new();
+    let mut next_id = 1u64;
     for entry in std::fs::read_dir(dir)? {
         let path = entry?.path();
         let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
-        if !name.starts_with("job-") || !name.ends_with(".json") {
+        let Some(rest) = name.strip_prefix("job-") else {
+            continue;
+        };
+        if let Some(id) = rest.split('.').next().and_then(|d| d.parse::<u64>().ok()) {
+            next_id = next_id.max(id.saturating_add(1));
+        }
+        if !name.ends_with(".json") {
             continue;
         }
-        let text = std::fs::read_to_string(&path)?;
-        let file: JobFile = serde_json::from_str(&text).map_err(|e| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("checkpoint file {}: {e}", path.display()),
-            )
-        })?;
-        files.push(file);
+        let bytes = std::fs::read(&path)?;
+        let parsed = std::str::from_utf8(&bytes)
+            .map_err(|e| e.to_string())
+            .and_then(|text| serde_json::from_str::<JobFile>(text).map_err(|e| e.to_string()));
+        match parsed {
+            Ok(file) => {
+                next_id = next_id.max(file.id.saturating_add(1));
+                files.push(file);
+            }
+            Err(e) => {
+                let aside = dir.join(format!("{name}.corrupt"));
+                std::fs::rename(&path, &aside)?;
+                eprintln!(
+                    "tassd: set aside unreadable checkpoint {} as {}: {e}",
+                    path.display(),
+                    aside.display()
+                );
+            }
+        }
     }
     // deterministic resume order regardless of directory iteration order
     files.sort_by_key(|f| f.id);
-    Ok(files)
+    Ok((files, next_id))
 }
 
 #[cfg(test)]

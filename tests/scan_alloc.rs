@@ -12,12 +12,14 @@
 //! are shared, so a hitlist plan or a responsive view is a reference,
 //! not a copy of the hosts.
 //!
-//! The counting allocator is global, so the tests here take one lock and
-//! never count each other's allocations.
+//! The counting allocator is global and counts every thread, the test
+//! harness's own included. So both claims run in sequence from the one
+//! test in this file: with a second test, the harness's report of one
+//! test's completion could land inside the other's count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 use tass::bgp::ViewKind;
 use tass::core::{CycleOutcome, PreparedStrategy, ProbePlan, Strategy, StrategyKind};
 use tass::model::{HostSet, PrefixCount, Protocol, Snapshot, Universe, UniverseConfig};
@@ -31,15 +33,6 @@ struct CountingAlloc;
 static COUNTING: AtomicBool = AtomicBool::new(false);
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static BYTES: AtomicU64 = AtomicU64::new(0);
-
-/// Held by each test for its whole body.
-static SERIAL: Mutex<()> = Mutex::new(());
-
-fn serial() -> MutexGuard<'static, ()> {
-    SERIAL
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
 
 fn record(size: usize) {
     if COUNTING.load(Relaxed) {
@@ -88,8 +81,12 @@ fn prefix(s: &str) -> Prefix {
 }
 
 #[test]
+fn allocation_claims_hold() {
+    dead_prefixes_add_no_allocation();
+    campaign_cycle_allocation_does_not_grow_with_hosts();
+}
+
 fn dead_prefixes_add_no_allocation() {
-    let _serial = serial();
     // plan A: four /24s, every 5th address live; plan B: A plus 32 dead /24s
     let live: Vec<Prefix> = (0..4).map(|i| prefix(&format!("10.0.{i}.0/24"))).collect();
     let hosts: Vec<u32> = live
@@ -104,8 +101,6 @@ fn dead_prefixes_add_no_allocation() {
     with_dead.extend((0..32).map(|i| prefix(&format!("10.1.{i}.0/24"))));
     let plan_b = ProbePlan::Prefixes(with_dead);
 
-    // both paths run in this one test: the allocation counter is global,
-    // so concurrently running tests would count each other's allocations
     for wire_level in [true, false] {
         let cfg = ScanConfig::for_port(80)
             .unlimited_rate()
@@ -163,9 +158,7 @@ fn drive_cycle(prepared: &mut dyn PreparedStrategy, truth: &Arc<Snapshot>, m: u3
     prepared.observe(m, &outcome);
 }
 
-#[test]
 fn campaign_cycle_allocation_does_not_grow_with_hosts() {
-    let _serial = serial();
     let universe = Universe::generate(&UniverseConfig::small(41));
     let topo = universe.topology();
     let space = topo.announced_space();

@@ -381,19 +381,25 @@ fn stress_many_tenants_fair_completion_zero_drops() {
     assert_eq!(report.completed as usize, total);
 }
 
-/// Submit `spec` to a daemon over `cfg`, let the campaign complete at
-/// least two months, checkpoint-shutdown the daemon, and return the job
-/// id and its checkpoint file.
+/// Run `finished_first` full-scan jobs to completion on a daemon over
+/// `cfg`, then submit `spec`, let that campaign complete at least two
+/// months, checkpoint-shutdown the daemon, and return the job id and its
+/// checkpoint file.
 fn checkpoint_mid_campaign(
     reg: &Arc<SourceRegistry>,
     cfg: ServiceConfig,
     spec: &str,
     seed: u64,
+    finished_first: u64,
 ) -> (u64, PathBuf) {
     let dir = cfg.checkpoint_dir.clone().expect("a checkpoint directory");
     let daemon = Tassd::start(Arc::clone(reg), cfg).unwrap();
     let server = HttpServer::bind("127.0.0.1:0", daemon.core(), api::router()).unwrap();
     let mut client = HttpClient::connect(server.addr());
+    for seed in 0..finished_first {
+        let id = submit(&mut client, "alice", "full-scan", seed);
+        wait_done(&mut client, "alice", id);
+    }
     let id = submit(&mut client, "alice", spec, seed);
     let deadline = Instant::now() + Duration::from_secs(30);
     loop {
@@ -437,7 +443,7 @@ fn kill_then_resume_is_byte_identical() {
     };
 
     // first daemon: submit, let it get partway, checkpoint-shutdown
-    let (id, file) = checkpoint_mid_campaign(&reg, cfg(), spec, seed);
+    let (id, file) = checkpoint_mid_campaign(&reg, cfg(), spec, seed, 0);
 
     // second daemon over the same directory: the job resumes under its
     // original id and completes
@@ -501,7 +507,7 @@ fn torn_checkpoint_temp_file_does_not_block_resume() {
         month_delay: Duration::from_millis(40),
         checkpoint_dir: Some(dir.clone()),
     };
-    let (id, file) = checkpoint_mid_campaign(&reg, cfg(), spec, seed);
+    let (id, file) = checkpoint_mid_campaign(&reg, cfg(), spec, seed, 0);
     let good = std::fs::read_to_string(&file).unwrap();
     let leftovers: Vec<_> = std::fs::read_dir(&dir)
         .unwrap()
@@ -535,6 +541,65 @@ fn torn_checkpoint_temp_file_does_not_block_resume() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A checkpoint file that does not parse (a 21-byte torn
+/// `job-00000001.json`, and one with an id above every good job) is
+/// renamed `*.json.corrupt`; the daemon still starts, the good job
+/// resumes byte-identically, and no new job takes a set-aside id — at
+/// this start or the next.
+#[test]
+fn torn_checkpoint_file_is_set_aside_and_the_rest_resume() {
+    let spec = "reseeding-tass:more:0.95:3";
+    let seed = 13;
+    let dir = std::env::temp_dir().join(format!("tassd-set-aside-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let reg = registry();
+    let cfg = || ServiceConfig {
+        workers: 1,
+        quota: TenantQuota::default(),
+        month_delay: Duration::from_millis(40),
+        checkpoint_dir: Some(dir.clone()),
+    };
+    // job 1 finishes, job 2 is checkpointed mid-campaign
+    let (id, file) = checkpoint_mid_campaign(&reg, cfg(), spec, seed, 1);
+    assert_eq!(id, 2);
+    let torn = &std::fs::read(&file).unwrap()[..21];
+    let torn_files = [dir.join("job-00000001.json"), dir.join("job-00000009.json")];
+    for path in &torn_files {
+        std::fs::write(path, torn).unwrap();
+    }
+
+    let daemon = Tassd::start(Arc::clone(&reg), cfg()).unwrap();
+    let server = HttpServer::bind("127.0.0.1:0", daemon.core(), api::router()).unwrap();
+    let mut client = HttpClient::connect(server.addr());
+    wait_done(&mut client, "alice", id);
+    let (status, got) = client
+        .get(&format!("/v1/campaigns/{id}/results"), Some("alice"))
+        .unwrap();
+    assert_eq!(status, 200);
+    assert_eq!(
+        got,
+        oracle(&reg, spec, seed),
+        "resume must not change a byte"
+    );
+    for path in &torn_files {
+        assert!(!path.exists(), "{} left in place", path.display());
+        let aside = path.with_extension("json.corrupt");
+        assert_eq!(std::fs::read(&aside).unwrap(), torn, "{}", aside.display());
+    }
+    assert_eq!(submit(&mut client, "alice", "full-scan", 4), 10);
+    server.shutdown();
+    daemon.shutdown(ShutdownMode::Drain).unwrap();
+
+    // the set-aside files keep their ids taken at the next start too
+    let daemon = Tassd::start(Arc::clone(&reg), cfg()).unwrap();
+    let server = HttpServer::bind("127.0.0.1:0", daemon.core(), api::router()).unwrap();
+    let mut client = HttpClient::connect(server.addr());
+    assert_eq!(submit(&mut client, "alice", "full-scan", 5), 10);
+    server.shutdown();
+    daemon.shutdown(ShutdownMode::Drain).unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A checkpointed job resumed against a daemon that lacks its source
 /// fails, keeps the months it actually completed, and answers every
 /// results endpoint with a typed `409`.
@@ -548,7 +613,7 @@ fn failed_resume_keeps_the_checkpointed_months() {
         month_delay: Duration::from_millis(40),
         checkpoint_dir: Some(dir.clone()),
     };
-    let (id, file) = checkpoint_mid_campaign(&registry(), cfg(), "full-scan", 3);
+    let (id, file) = checkpoint_mid_campaign(&registry(), cfg(), "full-scan", 3, 0);
     // one `"month":` key per completed month evaluation
     let checkpointed = std::fs::read_to_string(&file)
         .unwrap()
