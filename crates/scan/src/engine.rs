@@ -61,11 +61,13 @@
 //! network's counters — including lossy, duplicating runs — are
 //! **identical at any thread count**: the shards partition the plan, and
 //! nothing about a probe's outcome depends on interleaving. Results are
-//! folded once per worker over an mpsc channel at the end; banners are
-//! counted after the fold, one per distinct responsive host (a sample
-//! can draw one address in two shards), and sampled from the lowest
-//! responsive addresses, so they too are independent of the thread
-//! count and of which worker finishes first.
+//! folded once per worker at the end, by joining the workers in shard
+//! order: a channel would allocate a waiter slot only when the fold
+//! waits for a worker, so a scan's allocation count would depend on
+//! timing. Banners are counted after the fold, one per distinct
+//! responsive host (a sample can draw one address in two shards), and
+//! sampled from the lowest responsive addresses, so they too are
+//! independent of the thread count and of which worker finishes first.
 //!
 //! `ScanReport::duration_secs` is the token-bucket virtual time of the
 //! slowest shard **plus one round trip of the network's configured
@@ -77,7 +79,6 @@ use crate::net::{NetLink, Replies, SimNetwork};
 use crate::rate::AtomicTokenBucket;
 use crate::siphash::SipHash24;
 use crate::wire::{self, tcp_flags, WireFamily};
-use std::sync::mpsc;
 use std::sync::Arc;
 use tass_core::{ProbePlan, StreamError};
 use tass_model::HostSet;
@@ -456,7 +457,6 @@ impl<F: ScanFamily> ScanEngine<F> {
     ) -> Result<ScanReport<F>, StreamError> {
         plan.check_streamable(announced)?;
         let threads = cfg.threads.max(1);
-        let (tx, rx) = mpsc::channel::<WorkerResult<F>>();
         let key = validation_key(cfg.seed);
         // One bucket for the whole scan: every worker fetch_adds into it,
         // so the aggregate rate is cfg.rate_pps regardless of how the
@@ -469,21 +469,21 @@ impl<F: ScanFamily> ScanEngine<F> {
         let bucket = &bucket;
 
         Ok(std::thread::scope(|scope| {
-            for t in 0..threads {
-                let tx = tx.clone();
-                let network = Arc::clone(&self.network);
-                let cfg = cfg.clone();
-                scope.spawn(move || {
-                    let targets =
-                        plan.stream_shard(cycle, announced, cfg.seed, t as u64, threads as u64);
-                    let res = scan_worker(&network, &cfg, key, bucket, targets);
-                    tx.send(res).expect("aggregator alive");
-                });
-            }
-            drop(tx);
+            let workers: Vec<_> = (0..threads)
+                .map(|t| {
+                    let network = Arc::clone(&self.network);
+                    let cfg = cfg.clone();
+                    scope.spawn(move || {
+                        let targets =
+                            plan.stream_shard(cycle, announced, cfg.seed, t as u64, threads as u64);
+                        scan_worker(&network, &cfg, key, bucket, targets)
+                    })
+                })
+                .collect();
             let mut report = ScanReport::<F>::default();
             let mut responsive: Vec<F::Addr> = Vec::new();
-            for r in rx {
+            for worker in workers {
+                let r = worker.join().expect("scan worker panicked");
                 report.probes_sent += r.probes_sent;
                 report.blocked_skipped += r.blocked_skipped;
                 report.responses += r.responses;

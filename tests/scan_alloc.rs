@@ -13,11 +13,13 @@
 //! not a copy of the hosts.
 //!
 //! The counting allocator is global and counts every thread, the test
-//! harness's own included. So both claims run in sequence from the one
-//! test in this file: with a second test, the harness's report of one
-//! test's completion could land inside the other's count.
+//! harness's own included: in a shared process, the harness's report of
+//! one test's completion could land inside another test's count. So each
+//! test re-runs itself alone in a child process of this test binary
+//! ([`alone`]), where no other test runs.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::process::Command;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 use tass::bgp::ViewKind;
@@ -80,13 +82,37 @@ fn prefix(s: &str) -> Prefix {
     s.parse().expect("valid prefix")
 }
 
-#[test]
-fn allocation_claims_hold() {
-    dead_prefixes_add_no_allocation();
-    campaign_cycle_allocation_does_not_grow_with_hosts();
+/// Set in the child process that [`alone`] starts.
+const ALONE: &str = "SCAN_ALLOC_ALONE";
+
+/// Runs `claim` as the only test of a child process of this test binary
+/// (`name --exact --test-threads=1`), and fails if the child fails or
+/// does not run exactly that one test. In the child, `claim` runs
+/// directly.
+fn alone(name: &str, claim: fn()) {
+    if std::env::var_os(ALONE).is_some() {
+        return claim();
+    }
+    let exe = std::env::current_exe().expect("test binary path");
+    let out = Command::new(exe)
+        .args([name, "--exact", "--test-threads=1", "--nocapture"])
+        .env(ALONE, "1")
+        .output()
+        .expect("start the test binary");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        out.status.success() && stdout.contains("test result: ok. 1 passed"),
+        "{name} alone in a child process:\n{stdout}{stderr}"
+    );
 }
 
+#[test]
 fn dead_prefixes_add_no_allocation() {
+    alone("dead_prefixes_add_no_allocation", dead_prefixes_claim);
+}
+
+fn dead_prefixes_claim() {
     // plan A: four /24s, every 5th address live; plan B: A plus 32 dead /24s
     let live: Vec<Prefix> = (0..4).map(|i| prefix(&format!("10.0.{i}.0/24"))).collect();
     let hosts: Vec<u32> = live
@@ -158,7 +184,15 @@ fn drive_cycle(prepared: &mut dyn PreparedStrategy, truth: &Arc<Snapshot>, m: u3
     prepared.observe(m, &outcome);
 }
 
+#[test]
 fn campaign_cycle_allocation_does_not_grow_with_hosts() {
+    alone(
+        "campaign_cycle_allocation_does_not_grow_with_hosts",
+        campaign_cycle_claim,
+    );
+}
+
+fn campaign_cycle_claim() {
     let universe = Universe::generate(&UniverseConfig::small(41));
     let topo = universe.topology();
     let space = topo.announced_space();
