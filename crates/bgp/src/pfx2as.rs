@@ -140,11 +140,6 @@ pub fn read<R: BufRead>(reader: R) -> Result<Vec<Announcement>, Pfx2AsError> {
     Ok(out)
 }
 
-/// Parse a pfx2as document from a string.
-pub fn read_str(s: &str) -> Result<Vec<Announcement>, Pfx2AsError> {
-    read(s.as_bytes())
-}
-
 /// Parse straight into a [`RouteTable`].
 pub fn read_table<R: BufRead>(reader: R) -> Result<RouteTable, Pfx2AsError> {
     Ok(RouteTable::from_announcements(read(reader)?))
@@ -215,7 +210,7 @@ mod tests {
 
     #[test]
     fn parses_sample() {
-        let anns = read_str(SAMPLE).unwrap();
+        let anns = read(SAMPLE.as_bytes()).unwrap();
         assert_eq!(anns.len(), 5);
         assert_eq!(anns[0].prefix.to_string(), "1.0.0.0/24");
         assert_eq!(anns[0].origin, Origin::Single(13335));
@@ -225,15 +220,15 @@ mod tests {
 
     #[test]
     fn roundtrip() {
-        let anns = read_str(SAMPLE).unwrap();
+        let anns = read(SAMPLE.as_bytes()).unwrap();
         let text = write_str(&anns);
-        let again = read_str(&text).unwrap();
+        let again = read(text.as_bytes()).unwrap();
         assert_eq!(anns, again);
     }
 
     #[test]
     fn spaces_accepted_as_separators() {
-        let anns = read_str("10.0.0.0 8 64500\n").unwrap();
+        let anns = read("10.0.0.0 8 64500\n".as_bytes()).unwrap();
         assert_eq!(anns.len(), 1);
         assert_eq!(anns[0].prefix.to_string(), "10.0.0.0/8");
     }
@@ -241,21 +236,21 @@ mod tests {
     #[test]
     fn host_bits_truncated() {
         // Some collector artifacts carry host bits; canonicalise, don't fail.
-        let anns = read_str("10.0.0.1\t8\t64500\n").unwrap();
+        let anns = read("10.0.0.1\t8\t64500\n".as_bytes()).unwrap();
         assert_eq!(anns[0].prefix.to_string(), "10.0.0.0/8");
     }
 
     #[test]
     fn error_on_wrong_field_count() {
-        let e = read_str("10.0.0.0\t8\n").unwrap_err();
+        let e = read("10.0.0.0\t8\n".as_bytes()).unwrap_err();
         assert!(matches!(e, Pfx2AsError::BadLine { line: 1, .. }));
-        let e = read_str("10.0.0.0\t8\t64500\textra\n").unwrap_err();
+        let e = read("10.0.0.0\t8\t64500\textra\n".as_bytes()).unwrap_err();
         assert!(matches!(e, Pfx2AsError::BadLine { line: 1, .. }));
     }
 
     #[test]
     fn error_on_bad_fields() {
-        let e = read_str("10.0.0\t8\t64500\n").unwrap_err();
+        let e = read("10.0.0\t8\t64500\n".as_bytes()).unwrap_err();
         assert!(matches!(
             e,
             Pfx2AsError::BadField {
@@ -263,7 +258,7 @@ mod tests {
                 ..
             }
         ));
-        let e = read_str("10.0.0.0\t40\t64500\n").unwrap_err();
+        let e = read("10.0.0.0\t40\t64500\n".as_bytes()).unwrap_err();
         assert!(matches!(
             e,
             Pfx2AsError::BadField {
@@ -271,7 +266,7 @@ mod tests {
                 ..
             }
         ));
-        let e = read_str("10.0.0.0\tx\t64500\n").unwrap_err();
+        let e = read("10.0.0.0\tx\t64500\n".as_bytes()).unwrap_err();
         assert!(matches!(
             e,
             Pfx2AsError::BadField {
@@ -279,10 +274,10 @@ mod tests {
                 ..
             }
         ));
-        let e = read_str("ok\n10.0.0.0\t8\tAS64500\n").unwrap_err();
+        let e = read("ok\n10.0.0.0\t8\tAS64500\n".as_bytes()).unwrap_err();
         // first line fails before the second is reached
         assert!(matches!(e, Pfx2AsError::BadLine { line: 1, .. }));
-        let e = read_str("10.0.0.0\t8\tAS64500\n").unwrap_err();
+        let e = read("10.0.0.0\t8\tAS64500\n".as_bytes()).unwrap_err();
         assert!(matches!(
             e,
             Pfx2AsError::BadField {
@@ -296,7 +291,7 @@ mod tests {
     #[test]
     fn error_line_numbers_count_comments() {
         let doc = "# comment\n\n10.0.0.0\t8\t64500\nbroken line\n";
-        let e = read_str(doc).unwrap_err();
+        let e = read(doc.as_bytes()).unwrap_err();
         assert!(matches!(e, Pfx2AsError::BadLine { line: 4, .. }), "{e}");
     }
 
@@ -314,7 +309,10 @@ mod tests {
     fn read_table_builds_rib() {
         let t = read_table(SAMPLE.as_bytes()).unwrap();
         assert_eq!(t.len(), 5);
-        assert_eq!(t.origin_of(0x0100_0001).unwrap().primary(), 13335);
+        assert_eq!(
+            t.get("1.0.0.0/24".parse().unwrap()).unwrap().primary(),
+            13335
+        );
     }
 
     #[test]

@@ -109,8 +109,6 @@ pub struct TableStats {
 /// assert_eq!(t.len(), 2);
 /// assert_eq!(t.l_prefixes(), vec!["10.0.0.0/8".parse::<Prefix>().unwrap()]);
 /// assert_eq!(t.m_prefixes(), vec!["10.16.0.0/12".parse::<Prefix>().unwrap()]);
-/// // Address attribution as an origin-AS lookup (longest match):
-/// assert_eq!(t.origin_of(0x0A10_0001).unwrap().primary(), 64501);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct RouteTable {
@@ -174,23 +172,6 @@ impl RouteTable {
     /// All announced prefixes in order.
     pub fn prefixes(&self) -> impl Iterator<Item = Prefix> + '_ {
         self.entries.keys().copied()
-    }
-
-    /// Longest-match origin lookup for an address (router semantics).
-    pub fn origin_of(&self, addr: u32) -> Option<&Origin> {
-        self.trie.longest_match(addr).map(|(_, o)| o)
-    }
-
-    /// The announced prefix an address belongs to under **more-specific**
-    /// (longest match) semantics.
-    pub fn longest_covering(&self, addr: u32) -> Option<Prefix> {
-        self.trie.longest_match(addr).map(|(p, _)| p)
-    }
-
-    /// The announced prefix an address belongs to under **less-specific**
-    /// (shortest match) semantics — the paper's l-prefix attribution.
-    pub fn least_covering(&self, addr: u32) -> Option<Prefix> {
-        self.trie.shortest_match(addr).map(|(p, _)| p)
     }
 
     /// l-prefixes: entries with no announced strict ancestor.
@@ -302,7 +283,7 @@ mod tests {
         assert_eq!(t.get(p("10.0.0.0/8")), Some(&Origin::Single(2)));
         assert_eq!(t.remove(p("10.0.0.0/8")), Some(Origin::Single(2)));
         assert!(t.is_empty());
-        assert!(t.origin_of(0x0A000001).is_none());
+        assert!(t.trie().longest_match(0x0A000001).is_none());
     }
 
     #[test]
@@ -320,14 +301,17 @@ mod tests {
     #[test]
     fn attribution_semantics() {
         let t = table(&[("10.0.0.0/8", 1), ("10.16.0.0/12", 2)]);
+        // more-specific (longest match) and less-specific (shortest
+        // match) attribution through the table's trie
+        let longest = |a| t.trie().longest_match(a).map(|(q, o)| (q, o.primary()));
+        let least = |a| t.trie().shortest_match(a).map(|(q, _)| q);
         let a = 0x0A10_0001; // 10.16.0.1
-        assert_eq!(t.longest_covering(a), Some(p("10.16.0.0/12")));
-        assert_eq!(t.least_covering(a), Some(p("10.0.0.0/8")));
-        assert_eq!(t.origin_of(a).unwrap().primary(), 2);
+        assert_eq!(longest(a), Some((p("10.16.0.0/12"), 2)));
+        assert_eq!(least(a), Some(p("10.0.0.0/8")));
         let b = 0x0A80_0001; // 10.128.0.1 — only in the /8
-        assert_eq!(t.longest_covering(b), Some(p("10.0.0.0/8")));
-        assert_eq!(t.least_covering(b), Some(p("10.0.0.0/8")));
-        assert_eq!(t.origin_of(0x0B00_0001), None);
+        assert_eq!(longest(b), Some((p("10.0.0.0/8"), 1)));
+        assert_eq!(least(b), Some(p("10.0.0.0/8")));
+        assert_eq!(longest(0x0B00_0001), None);
     }
 
     #[test]

@@ -273,14 +273,6 @@ impl SynthTable {
         let origin = self.table.get(p)?;
         self.class_by_asn.get(&origin.primary()).copied()
     }
-
-    /// The behavioural class governing an address: the class of its
-    /// longest-match announced prefix (the most specific operator wins,
-    /// as it would operationally).
-    pub fn class_of_addr(&self, addr: u32) -> Option<AsClass> {
-        let origin = self.table.origin_of(addr)?;
-        self.class_by_asn.get(&origin.primary()).copied()
-    }
 }
 
 /// Sample an index from cumulative weights. Small helper to avoid a
@@ -615,9 +607,8 @@ mod tests {
         let some_l = t.table.l_prefixes()[0];
         let c = t.class_of_prefix(some_l);
         assert!(c.is_some());
-        let c2 = t.class_of_addr(some_l.addr());
-        assert!(c2.is_some());
-        assert_eq!(t.class_of_addr(0x7F00_0001), None); // loopback unannounced
+        // loopback is unannounced
+        assert_eq!(t.class_of_prefix("127.0.0.0/8".parse().unwrap()), None);
     }
 
     #[test]

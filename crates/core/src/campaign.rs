@@ -45,6 +45,7 @@ use crate::strategy::{FamilySpace, Strategy, StrategyKind};
 use serde::{Deserialize, Serialize, Value};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
+use tass_model::corpus::CorpusError;
 use tass_model::{GroundTruth, Protocol};
 
 /// The stable job-level identity of a campaign: the strategy spec string
@@ -229,15 +230,26 @@ impl CampaignCheckpoint {
     }
 }
 
-/// The outcome of a resumable campaign run: finished, or suspended at a
-/// month boundary with the checkpoint to resume from.
-#[derive(Debug, Clone, PartialEq)]
+/// The outcome of a resumable campaign run: finished, suspended at a
+/// month boundary with the checkpoint to resume from, or failed on a
+/// month the source could not load.
+#[derive(Debug)]
 pub enum CampaignRun {
     /// The campaign covered every month of the source.
     Done(CampaignResult),
     /// The control hook suspended the campaign; resume by passing the
     /// checkpoint back to [`run_campaign_checkpointed`].
     Suspended(CampaignCheckpoint),
+    /// Month `month` could not be loaded. The checkpoint holds every
+    /// month completed before the failure.
+    Failed {
+        /// The completed months.
+        checkpoint: CampaignCheckpoint,
+        /// The month that failed to load.
+        month: u32,
+        /// Why it failed.
+        error: CorpusError,
+    },
 }
 
 /// One campaign of a lockstep unit: the strategy and seed that define
@@ -271,15 +283,18 @@ struct Lane<'s, F: FamilySpace> {
 /// skipping the expensive `evaluate` step, whose numbers are already
 /// stored — and appends each further month as it completes. `control` is
 /// consulted at each remaining month boundary; the return value is
-/// `false` when it suspended the unit and `true` when every month of the
-/// source ran. Both paths are byte-identical to an uninterrupted serial
-/// run (campaigns are deterministic per seed).
+/// `Ok(false)` when it suspended the unit and `Ok(true)` when every month
+/// of the source ran. Both paths are byte-identical to an uninterrupted
+/// serial run (campaigns are deterministic per seed). A month that
+/// cannot be loaded stops the unit with `Err((month, error))`: every
+/// lane keeps the months completed before it, and `control` is not
+/// called again.
 fn drive_unit<F, G>(
     source: &G,
     protocol: Protocol,
     lanes: &mut [Lane<'_, F>],
     control: &mut dyn FnMut(u32, &[Lane<'_, F>]) -> CampaignStep,
-) -> bool
+) -> Result<bool, (u32, CorpusError)>
 where
     F: FamilySpace,
     G: GroundTruth<F> + ?Sized,
@@ -288,7 +303,8 @@ where
     debug_assert!(lanes.iter().all(|lane| lane.months.len() == done));
     let space = source.topology();
     let announced = F::announced_space(space);
-    let mut t0 = Some(source.snapshot(0, protocol));
+    let load = |m| source.load_snapshot(m, protocol).map_err(|e| (m, e));
+    let mut t0 = Some(load(0)?);
     let mut prepared: Vec<_> = lanes
         .iter()
         .map(|lane| {
@@ -300,7 +316,7 @@ where
     for m in 0..=last {
         let replay = (m as usize) < done;
         if !replay && control(m, lanes) == CampaignStep::Suspend {
-            return false;
+            return Ok(false);
         }
         // month 0's truth is the t₀ already loaded (taking it here drops
         // it before month 1); later months load on first use, once for
@@ -320,7 +336,10 @@ where
             if replay && !feedback {
                 continue;
             }
-            let truth = truth.get_or_insert_with(|| source.snapshot(m, protocol));
+            let truth = match &mut truth {
+                Some(truth) => truth,
+                empty => empty.insert(load(m)?),
+            };
             if replay {
                 let outcome = CycleOutcome {
                     cycle: m,
@@ -351,7 +370,19 @@ where
             lane.months.push(MonthEval { month: m, eval });
         }
     }
-    true
+    Ok(true)
+}
+
+/// Drive a unit through every month, panicking as
+/// [`GroundTruth::snapshot`] does when a month cannot be loaded: the
+/// batch drivers' contract.
+fn drive_to_end<F, G>(source: &G, protocol: Protocol, lanes: &mut [Lane<'_, F>])
+where
+    F: FamilySpace,
+    G: GroundTruth<F> + ?Sized,
+{
+    drive_unit(source, protocol, lanes, &mut |_, _| CampaignStep::Continue)
+        .unwrap_or_else(|(m, e)| panic!("ground truth snapshot (month {m}, {protocol}): {e}"));
 }
 
 /// The result envelope a completed month series determines. Every
@@ -425,6 +456,10 @@ where
 /// result carries the checkpoint's [`CampaignJob`] identity stamped in
 /// (the one addition over the batch drivers, which identify results
 /// positionally).
+///
+/// Unlike the batch drivers, which panic, a month the source cannot
+/// load ends the run as [`CampaignRun::Failed`] with the months
+/// completed before it; `control` is not called again.
 pub fn run_campaign_checkpointed<G>(
     source: &G,
     checkpoint: CampaignCheckpoint,
@@ -444,20 +479,29 @@ where
         seed,
         months,
     }];
-    let finished = drive_unit(source, protocol, &mut lane, &mut |m, lanes| {
+    let driven = drive_unit(source, protocol, &mut lane, &mut |m, lanes| {
         control(m, &lanes[0].months)
     });
     let [Lane { months, .. }] = lane;
-    if finished {
-        let job = CampaignJob::new(kind, protocol, seed);
-        CampaignRun::Done(assemble_result(source, &kind, protocol, months).with_job(job))
-    } else {
-        CampaignRun::Suspended(CampaignCheckpoint {
-            kind,
-            protocol,
-            seed,
-            months,
-        })
+    let checkpoint = CampaignCheckpoint {
+        kind,
+        protocol,
+        seed,
+        months,
+    };
+    match driven {
+        Ok(true) => {
+            let job = checkpoint.job();
+            CampaignRun::Done(
+                assemble_result(source, &kind, protocol, checkpoint.months).with_job(job),
+            )
+        }
+        Ok(false) => CampaignRun::Suspended(checkpoint),
+        Err((month, error)) => CampaignRun::Failed {
+            checkpoint,
+            month,
+            error,
+        },
     }
 }
 
@@ -472,6 +516,9 @@ where
 /// the BGP topology, v6 strategies from the announced v6 space; hitrates
 /// are relative to the month's ground truth and probe costs are absolute
 /// address counts, so results of both families compare directly.
+///
+/// Panics, as [`GroundTruth::snapshot`] does, when a month cannot be
+/// loaded; [`run_campaign_checkpointed`] reports that as a failed run.
 pub fn run_campaign_strategy<F, G>(
     source: &G,
     strategy: &dyn Strategy<F>,
@@ -487,10 +534,7 @@ where
         seed,
         months: Vec::new(),
     }];
-    // a control that never suspends: every month runs
-    drive_unit(source, protocol, &mut lane, &mut |_, _| {
-        CampaignStep::Continue
-    });
+    drive_to_end(source, protocol, &mut lane);
     let [Lane { months, .. }] = lane;
     assemble_result(source, strategy, protocol, months)
 }
@@ -642,9 +686,7 @@ impl CampaignPool {
                     months: Vec::new(),
                 })
                 .collect();
-            drive_unit(source, protocol, &mut lanes, &mut |_, _| {
-                CampaignStep::Continue
-            });
+            drive_to_end(source, protocol, &mut lanes);
             for (&i, lane) in unit.iter().zip(lanes) {
                 out(
                     i,
@@ -727,6 +769,7 @@ mod tests {
     use crate::strategy::{PreparedStrategy, ReseedingTass, V6BlockTass, V6FreshSample, V6Hitlist};
     use std::cell::RefCell;
     use std::rc::Rc;
+    use std::sync::Arc;
     use tass_bgp::ViewKind;
     use tass_model::{Snapshot, Topology, Universe, UniverseConfig, V6Universe, V6UniverseConfig};
     use tass_net::V6;
@@ -1061,6 +1104,88 @@ mod tests {
         }
     }
 
+    /// A source whose month `fail_at` cannot be loaded.
+    struct FailsAt<'u> {
+        inner: &'u Universe,
+        fail_at: u32,
+    }
+
+    impl GroundTruth for FailsAt<'_> {
+        fn topology(&self) -> &Topology {
+            self.inner.topology()
+        }
+
+        fn months(&self) -> u32 {
+            self.inner.months()
+        }
+
+        fn protocols(&self) -> Vec<Protocol> {
+            GroundTruth::protocols(self.inner)
+        }
+
+        fn load_snapshot(
+            &self,
+            month: u32,
+            protocol: Protocol,
+        ) -> Result<Arc<Snapshot>, CorpusError> {
+            if month == self.fail_at {
+                return Err(CorpusError::MissingMonth { month, protocol });
+            }
+            self.inner.load_snapshot(month, protocol)
+        }
+    }
+
+    #[test]
+    fn a_month_that_cannot_load_fails_the_checkpointed_run() {
+        let u = universe();
+        for kind in [
+            StrategyKind::IpHitlist,
+            StrategyKind::AdaptiveTass {
+                view: ViewKind::MoreSpecific,
+                phi: 0.95,
+                explore: 0.1,
+            },
+        ] {
+            let oracle = run_campaign(&u, kind, Protocol::Http, 3);
+            for fail_at in 0..=u.months() {
+                let source = FailsAt { inner: &u, fail_at };
+                let mut calls = Vec::new();
+                let run = run_campaign_checkpointed(
+                    &source,
+                    CampaignCheckpoint::new(kind, Protocol::Http, 3),
+                    &mut |m, done| {
+                        calls.push((m, done.len()));
+                        CampaignStep::Continue
+                    },
+                );
+                let CampaignRun::Failed {
+                    checkpoint,
+                    month,
+                    error,
+                } = run
+                else {
+                    panic!("{kind:?}: month {fail_at} must fail the run, got {run:?}");
+                };
+                assert_eq!(month, fail_at, "{kind:?}");
+                assert!(
+                    matches!(error, CorpusError::MissingMonth { month, .. } if month == fail_at),
+                    "{kind:?}: {error}"
+                );
+                assert_eq!(checkpoint.job(), CampaignJob::new(kind, Protocol::Http, 3));
+                assert_eq!(
+                    checkpoint.months,
+                    oracle.months[..fail_at as usize],
+                    "{kind:?}: the months before {fail_at}"
+                );
+                // control saw every boundary up to the failing month (t₀
+                // loads before the first) and none after it
+                let seen = if fail_at == 0 { 0 } else { fail_at + 1 };
+                let want: Vec<(u32, usize)> = (0..seen).map(|m| (m, m as usize)).collect();
+                assert_eq!(calls, want, "{kind:?}: failing at {fail_at}");
+            }
+        }
+    }
+
     #[test]
     fn job_field_is_omitted_from_json_unless_stamped() {
         let u = universe();
@@ -1189,10 +1314,7 @@ mod tests {
                     seed: 5,
                     months: oracle.months[..done].to_vec(),
                 }];
-                let finished = drive_unit(&u, Protocol::Http, &mut lane, &mut |_, _| {
-                    CampaignStep::Continue
-                });
-                assert!(finished);
+                drive_to_end(&u, Protocol::Http, &mut lane);
                 assert_eq!(lane[0].months, oracle.months, "{kind:?} resumed at {done}");
                 assert_eq!(
                     *counting.observed.borrow(),

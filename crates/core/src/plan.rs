@@ -293,8 +293,8 @@ impl<F: AddrFamily> ProbePlan<F> {
     /// with replacement for `FreshSample`, in permuted order, without
     /// ever materialising the target set.
     ///
-    /// Panics if the plan is not streamable ([`ProbePlan::try_stream`]
-    /// is the checked variant).
+    /// Panics if the plan is not streamable
+    /// ([`ProbePlan::try_stream_shard`] is the checked variant).
     pub fn stream<'a>(
         &'a self,
         cycle: u32,
@@ -302,18 +302,6 @@ impl<F: AddrFamily> ProbePlan<F> {
         perm_seed: u64,
     ) -> PlanStream<'a, F> {
         self.stream_shard(cycle, announced, perm_seed, 0, 1)
-    }
-
-    /// Checked [`ProbePlan::stream`]: fails with a [`StreamError`]
-    /// instead of panicking when the plan walks a prefix wider than the
-    /// 2⁶⁴-address enumerable bound.
-    pub fn try_stream<'a>(
-        &'a self,
-        cycle: u32,
-        announced: &'a [Prefix<F>],
-        perm_seed: u64,
-    ) -> Result<PlanStream<'a, F>, StreamError> {
-        self.try_stream_shard(cycle, announced, perm_seed, 0, 1)
     }
 
     /// Stream shard `shard` of `total` of the cycle's targets.
@@ -797,7 +785,7 @@ mod tests {
     fn try_stream_reports_unenumerable_prefixes_as_errors() {
         let announced = vec!["2600::/48".parse::<Prefix<V6>>().unwrap()];
         let err = ProbePlan::<V6>::All
-            .try_stream(0, &announced, 1)
+            .try_stream_shard(0, &announced, 1, 0, 1)
             .unwrap_err();
         assert_eq!(err.prefix, "2600::/48");
         assert_eq!(err.size, 1u128 << 80);
@@ -810,7 +798,13 @@ mod tests {
             seed: 1,
         };
         assert!(sample.check_streamable(&announced).is_ok());
-        assert_eq!(sample.try_stream(0, &announced, 1).unwrap().count(), 10);
+        assert_eq!(
+            sample
+                .try_stream_shard(0, &announced, 1, 0, 1)
+                .unwrap()
+                .count(),
+            10
+        );
         // a /64 (exactly 2^64 addresses) sits on the bound: streamable
         let edge = ProbePlan::Prefixes(vec!["2600::/64".parse::<Prefix<V6>>().unwrap()]);
         assert!(edge.check_streamable(&[]).is_ok());

@@ -11,7 +11,6 @@ use std::path::Path;
 use tass_bgp::{pfx2as, View, ViewKind};
 use tass_core::campaign::{CampaignPool, CampaignResult};
 use tass_core::density::rank_units;
-use tass_core::plan::ProbePlan;
 use tass_core::select::{select_prefixes, Selection};
 use tass_core::strategy::StrategyKind;
 use tass_model::corpus::{
@@ -146,16 +145,6 @@ pub fn run_select(
         announced_space: view.total_space(),
         selection,
     })
-}
-
-impl SelectOutcome {
-    /// The selection as a typed [`ProbePlan`], ready to hand to
-    /// `tass_scan::ScanEngine::run_plan` for the follow-up cycles — the
-    /// same object the campaign simulation evaluates, so a CLI user and
-    /// the simulation probe byte-identical targets.
-    pub fn probe_plan(&self) -> ProbePlan {
-        ProbePlan::Prefixes(self.selection.sorted_prefixes())
-    }
 }
 
 /// Parse a strategy spec from the CLI (`--strategy`): the registry's
@@ -369,6 +358,7 @@ pub fn to_whitelist(outcome: &SelectOutcome) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tass_core::plan::ProbePlan;
     use tass_core::strategy::ReseedingTass;
 
     const TABLE: &str = "\
@@ -663,12 +653,18 @@ mod tests {
     #[test]
     fn probe_plan_matches_whitelist() {
         let out = run_select(TABLE, &addresses(), ViewKind::MoreSpecific, 0.9).unwrap();
-        let ProbePlan::Prefixes(prefixes) = out.probe_plan() else {
-            panic!("selection plans are prefix plans");
-        };
-        assert_eq!(prefixes, out.selection.sorted_prefixes());
+        // the whitelist lists the prefixes of the plan the campaign
+        // simulation evaluates for the same selection, and both probe
+        // the selected space
+        let prefixes = out.selection.sorted_prefixes();
+        let listed: Vec<tass_net::Prefix> = to_whitelist(&out)
+            .lines()
+            .filter(|line| !line.starts_with('#'))
+            .map(|line| line.parse().unwrap())
+            .collect();
+        assert_eq!(listed, prefixes);
         assert_eq!(
-            out.probe_plan().probe_count(out.announced_space),
+            ProbePlan::Prefixes(prefixes).probe_count(out.announced_space),
             out.selection.selected_space
         );
     }

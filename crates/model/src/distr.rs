@@ -122,18 +122,6 @@ pub fn sample_weighted<R: Rng + ?Sized>(rng: &mut R, weights: &[f64]) -> usize {
         .expect("at least one positive weight")
 }
 
-/// Sample a count with the given mean from a geometric distribution
-/// shifted to start at 1 (mean must be >= 1).
-pub fn sample_count_geometric<R: Rng + ?Sized>(rng: &mut R, mean: f64) -> usize {
-    assert!(mean >= 1.0, "geometric count mean must be >= 1");
-    let p = 1.0 / mean;
-    let mut n = 1usize;
-    while n < 1024 && rng.random::<f64>() > p {
-        n += 1;
-    }
-    n
-}
-
 /// Bernoulli draw that tolerates probabilities outside \[0,1\] by clamping —
 /// convenient for composed model parameters.
 pub fn coin<R: Rng + ?Sized>(rng: &mut R, p: f64) -> bool {
@@ -270,17 +258,6 @@ mod tests {
     #[should_panic(expected = "no positive weight")]
     fn weighted_rejects_all_zero() {
         sample_weighted(&mut rng(), &[0.0, 0.0]);
-    }
-
-    #[test]
-    fn geometric_count_mean() {
-        let mut r = rng();
-        let n = 100_000;
-        let sum: usize = (0..n).map(|_| sample_count_geometric(&mut r, 3.0)).sum();
-        let mean = sum as f64 / n as f64;
-        assert!((mean - 3.0).abs() < 0.1, "mean {mean}");
-        // minimum is 1
-        assert!((0..1000).all(|_| sample_count_geometric(&mut r, 1.0) == 1));
     }
 
     #[test]

@@ -281,25 +281,6 @@ impl Population {
     pub fn host_set(&self) -> HostSet {
         self.hosts.iter().map(|h| h.addr).collect()
     }
-
-    /// Hosts per block, aligned with `topo.blocks()`.
-    pub fn count_per_block(&self, num_blocks: usize) -> Vec<u32> {
-        let mut counts = vec![0u32; num_blocks];
-        for h in &self.hosts {
-            counts[h.block as usize] += 1;
-        }
-        counts
-    }
-
-    /// Live-host count per behavioural class.
-    pub fn count_per_class(&self, topo: &Topology) -> BTreeMap<AsClass, usize> {
-        let mut out = BTreeMap::new();
-        for h in &self.hosts {
-            *out.entry(topo.blocks()[h.block as usize].class)
-                .or_insert(0) += 1;
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -315,6 +296,18 @@ mod tests {
             l_prefix_count: n,
             ..Default::default()
         }))
+    }
+
+    impl Population {
+        /// Live-host count per behavioural class.
+        fn count_per_class(&self, topo: &Topology) -> BTreeMap<AsClass, usize> {
+            let mut out = BTreeMap::new();
+            for h in &self.hosts {
+                *out.entry(topo.blocks()[h.block as usize].class)
+                    .or_insert(0) += 1;
+            }
+            out
+        }
     }
 
     fn seed_pop(topo: &Topology, proto: Protocol, scale: f64, seed: u64) -> Population {
@@ -385,15 +378,6 @@ mod tests {
         assert!(by_class.get(&AsClass::Hosting).copied().unwrap_or(0) > 0);
         assert!(by_class.get(&AsClass::Residential).copied().unwrap_or(0) > 0);
         assert!(by_class.get(&AsClass::Enterprise).copied().unwrap_or(0) > 0);
-    }
-
-    #[test]
-    fn count_per_block_sums_to_len() {
-        let t = topo(300);
-        let p = seed_pop(&t, Protocol::Https, 1.0, 5);
-        let counts = p.count_per_block(t.num_blocks());
-        let sum: u64 = counts.iter().map(|&c| u64::from(c)).sum();
-        assert_eq!(sum as usize, p.len());
     }
 
     #[test]

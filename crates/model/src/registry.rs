@@ -159,16 +159,11 @@ impl SourceRegistry {
         self.insert(name, SourceEntry::V6(source))
     }
 
-    /// Open a corpus directory ([`CorpusGroundTruth::open`]), validate it
+    /// Open a corpus directory with the given cache options
+    /// ([`CorpusGroundTruth::open_with`]; this is how a service passes
+    /// its `--cache-bytes` ceiling down to the month cache), validate it
     /// eagerly (a service should refuse to start on a corrupt corpus, not
     /// fail campaigns later), and register it under `name`.
-    pub fn open_corpus(&mut self, name: &str, dir: &Path) -> Result<(), RegistryError> {
-        self.open_corpus_with(name, dir, &CorpusOptions::default())
-    }
-
-    /// [`SourceRegistry::open_corpus`] with explicit cache options —
-    /// how a service passes its `--cache-bytes` ceiling down to the
-    /// month cache.
     pub fn open_corpus_with(
         &mut self,
         name: &str,
@@ -318,7 +313,8 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         export_universe(&u, &dir).unwrap();
         let mut reg = SourceRegistry::new();
-        reg.open_corpus("archived", &dir).unwrap();
+        reg.open_corpus_with("archived", &dir, &CorpusOptions::default())
+            .unwrap();
         let info = reg.info("archived").unwrap();
         assert_eq!(info.family, "v4");
         assert_eq!(info.months, u.months());
@@ -328,7 +324,9 @@ mod tests {
         assert_eq!(&*a, u.snapshot(3, Protocol::Http));
         // a missing directory is a typed error naming the source
         let _ = std::fs::remove_dir_all(&dir);
-        let err = reg.open_corpus("gone", &dir).unwrap_err();
+        let err = reg
+            .open_corpus_with("gone", &dir, &CorpusOptions::default())
+            .unwrap_err();
         assert!(matches!(err, RegistryError::Corpus { ref name, .. } if name == "gone"));
         assert!(err.to_string().contains("gone"));
     }

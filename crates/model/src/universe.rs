@@ -76,8 +76,6 @@ pub struct Universe {
     topology: Topology,
     /// `snapshots[month][protocol.index()]`
     snapshots: Vec<Vec<Arc<Snapshot>>>,
-    /// Final host populations (after the last month), for inspection.
-    final_populations: Vec<Population>,
 }
 
 impl Universe {
@@ -89,7 +87,6 @@ impl Universe {
         let mut snapshots: Vec<Vec<Arc<Snapshot>>> = (0..=cfg.months)
             .map(|_| Vec::with_capacity(Protocol::COUNT))
             .collect();
-        let mut final_populations = Vec::with_capacity(Protocol::COUNT);
 
         for proto in Protocol::ALL {
             // independent, seed-derived RNG stream per protocol
@@ -113,12 +110,10 @@ impl Universe {
                     pop.host_set(),
                 )));
             }
-            final_populations.push(pop);
         }
         Universe {
             topology,
             snapshots,
-            final_populations,
         }
     }
 
@@ -140,11 +135,6 @@ impl Universe {
     /// All snapshots of one protocol, month ascending.
     pub fn series(&self, proto: Protocol) -> Vec<&Snapshot> {
         self.snapshots.iter().map(|m| &*m[proto.index()]).collect()
-    }
-
-    /// The population state after the final month (for inspection/tests).
-    pub fn final_population(&self, proto: Protocol) -> &Population {
-        &self.final_populations[proto.index()]
     }
 }
 
@@ -562,17 +552,6 @@ mod tests {
         // …and every later host is still inside a t0 dense block
         for addr in t6.hosts.iter().step_by(29) {
             assert!(u.dense_blocks().iter().any(|b| b.contains_addr(addr)));
-        }
-    }
-
-    #[test]
-    fn final_population_matches_last_snapshot() {
-        let u = small();
-        for proto in Protocol::ALL {
-            assert_eq!(
-                u.final_population(proto).host_set(),
-                u.snapshot(6, proto).hosts
-            );
         }
     }
 }

@@ -129,14 +129,6 @@ impl<F: AddrFamily> AddrRange<F> {
         }
     }
 
-    /// A single-address range.
-    pub fn single(addr: F::Addr) -> Self {
-        AddrRange {
-            first: addr,
-            last: addr,
-        }
-    }
-
     /// First (lowest) address.
     #[inline]
     pub fn first(&self) -> F::Addr {
@@ -536,7 +528,7 @@ mod tests {
 
     #[test]
     fn single_range() {
-        let r: AddrRange = AddrRange::single(42);
+        let r: AddrRange = AddrRange::new(42, 42).unwrap();
         assert_eq!(r.len(), 1);
         assert_eq!(r.to_prefixes(), vec![Prefix::new(42, 32).unwrap()]);
     }

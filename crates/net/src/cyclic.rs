@@ -45,20 +45,6 @@ pub fn mulmod(a: u64, b: u64, m: u64) -> u64 {
     ((u128::from(a) * u128::from(b)) % u128::from(m)) as u64
 }
 
-/// `(base ^ exp) mod m` by square-and-multiply.
-pub fn powmod(mut base: u64, mut exp: u64, m: u64) -> u64 {
-    let mut acc = 1u64 % m;
-    base %= m;
-    while exp > 0 {
-        if exp & 1 == 1 {
-            acc = mulmod(acc, base, m);
-        }
-        base = mulmod(base, base, m);
-        exp >>= 1;
-    }
-    acc
-}
-
 /// Widest modulus of the native tier: two operands below 2³² multiply
 /// to below 2⁶⁴, so the product and its remainder stay in `u64`.
 const NATIVE_MODULUS_MAX: u128 = 1 << 32;
@@ -171,7 +157,7 @@ const MR_WITNESSES: [u128; 13] = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41
 
 /// Miller–Rabin primality at u128 width: O(log² n) per witness instead
 /// of the old O(√n) trial division, so the u128 modulus path costs the
-/// same a few dozen `powmod`s as the u64 one (deterministic below 2⁸¹,
+/// same few dozen modular powers as the u64 one (deterministic below 2⁸¹,
 /// vanishingly improbable to err above — no practical modulus gets
 /// there).
 pub fn is_prime_u128(n: u128) -> bool {
@@ -206,14 +192,6 @@ pub fn is_prime_u128(n: u128) -> bool {
     true
 }
 
-/// Distinct prime factors of `n` by trial division.
-pub fn prime_factors(n: u64) -> Vec<u64> {
-    prime_factors_u128(u128::from(n))
-        .into_iter()
-        .map(|f| f as u64)
-        .collect()
-}
-
 /// Distinct prime factors at u128 width (trial division; same cost note
 /// as [`is_prime_u128`]).
 pub fn prime_factors_u128(mut n: u128) -> Vec<u128> {
@@ -239,15 +217,12 @@ pub fn prime_factors_u128(mut n: u128) -> Vec<u128> {
 pub enum CyclicError {
     /// The modulus is not prime.
     NotPrime(u128),
-    /// The proposed generator is not a primitive root of the group.
-    NotPrimitiveRoot(u128),
 }
 
 impl std::fmt::Display for CyclicError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             CyclicError::NotPrime(p) => write!(f, "{p} is not prime"),
-            CyclicError::NotPrimitiveRoot(g) => write!(f, "{g} is not a primitive root"),
         }
     }
 }
@@ -338,39 +313,6 @@ impl<F: AddrFamily> Cyclic<F> {
                 };
             }
         }
-    }
-
-    /// Build with an explicit generator (validated).
-    pub fn with_generator<W: Into<u128>>(p: W, g: W) -> Result<Cyclic<F>, CyclicError> {
-        let (p, g) = (p.into(), g.into());
-        if !is_prime_u128(p) {
-            return Err(CyclicError::NotPrime(p));
-        }
-        if p == 2 {
-            return if g == 1 {
-                Ok(Cyclic {
-                    p,
-                    generator: 1,
-                    _family: PhantomData,
-                })
-            } else {
-                Err(CyclicError::NotPrimitiveRoot(g))
-            };
-        }
-        let factors = prime_factors_u128(p - 1);
-        if g < 2 || g >= p || !is_primitive_root(g, p, &factors) {
-            return Err(CyclicError::NotPrimitiveRoot(g));
-        }
-        Ok(Cyclic {
-            p,
-            generator: g,
-            _family: PhantomData,
-        })
-    }
-
-    /// The modulus.
-    pub fn modulus(&self) -> F::Wide {
-        F::wide_from_u128(self.p)
     }
 
     /// The generator.
@@ -531,6 +473,18 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
+    /// The v4 group over the prime `p` walked by the primitive root `g`,
+    /// so a test can pin the order of the walk.
+    fn with_generator(p: u64, g: u64) -> Cyclic {
+        let (p, g) = (u128::from(p), u128::from(g));
+        assert!(is_primitive_root(g, p, &prime_factors_u128(p - 1)));
+        Cyclic {
+            p,
+            generator: g,
+            _family: PhantomData,
+        }
+    }
+
     #[test]
     fn primality_basics() {
         assert!(is_prime(2) && is_prime(3) && is_prime(257) && is_prime(65537));
@@ -546,24 +500,25 @@ mod tests {
 
     #[test]
     fn factorisation() {
-        assert_eq!(prime_factors(1), Vec::<u64>::new());
-        assert_eq!(prime_factors(12), vec![2, 3]);
-        assert_eq!(prime_factors(256), vec![2]);
-        assert_eq!(prime_factors(97), vec![97]);
+        assert_eq!(prime_factors_u128(1), Vec::<u128>::new());
+        assert_eq!(prime_factors_u128(12), vec![2, 3]);
+        assert_eq!(prime_factors_u128(256), vec![2]);
+        assert_eq!(prime_factors_u128(97), vec![97]);
         // p-1 for the ZMap prime: verify the product of factor powers
-        let fs = prime_factors(ZMAP_PRIME - 1);
+        let order = u128::from(ZMAP_PRIME - 1);
+        let fs = prime_factors_u128(order);
         assert!(!fs.is_empty());
         for f in &fs {
-            assert!(is_prime(*f));
-            assert_eq!((ZMAP_PRIME - 1) % f, 0);
+            assert!(is_prime_u128(*f));
+            assert_eq!(order % f, 0);
         }
     }
 
     #[test]
     fn powmod_matches_naive() {
-        for (b, e, m) in [(2u64, 10u64, 1000u64), (3, 0, 7), (5, 3, 13), (7, 6, 13)] {
-            let naive = (0..e).fold(1u64, |acc, _| acc * b % m);
-            assert_eq!(powmod(b, e, m), naive);
+        for (b, e, m) in [(2u128, 10u128, 1000u128), (3, 0, 7), (5, 3, 13), (7, 6, 13)] {
+            let naive = (0..e).fold(1u128, |acc, _| acc * b % m);
+            assert_eq!(powmod_u128(b, e, m), naive);
         }
     }
 
@@ -784,14 +739,6 @@ mod tests {
         assert_eq!(c.order(), 1);
         assert_eq!(c.iter().collect::<Vec<u64>>(), vec![1]);
         assert_eq!(c.addresses(0, 1, 1u64).collect::<Vec<u32>>(), vec![0]);
-        assert_eq!(
-            Cyclic::<V4>::with_generator(2u64, 1).unwrap().generator(),
-            1
-        );
-        assert_eq!(
-            Cyclic::<V4>::with_generator(2u64, 0),
-            Err(CyclicError::NotPrimitiveRoot(0))
-        );
     }
 
     #[test]
@@ -801,23 +748,17 @@ mod tests {
             Cyclic::<V4>::new(100u64, &mut rng),
             Err(CyclicError::NotPrime(100))
         );
-        assert_eq!(
-            Cyclic::<V4>::with_generator(101u64, 1),
-            Err(CyclicError::NotPrimitiveRoot(1))
-        );
-        // 2^k elements: for p=7, the quadratic residues {1,2,4} are not
-        // primitive roots; 3 is.
-        assert!(Cyclic::<V4>::with_generator(7u64, 3).is_ok());
-        assert_eq!(
-            Cyclic::<V4>::with_generator(7u64, 2),
-            Err(CyclicError::NotPrimitiveRoot(2))
-        );
+        assert!(!is_primitive_root(1, 101, &prime_factors_u128(100)));
+        // for p=7, the quadratic residues {1,2,4} are not primitive
+        // roots; 3 is.
+        assert!(is_primitive_root(3, 7, &[2, 3]));
+        assert!(!is_primitive_root(2, 7, &[2, 3]));
     }
 
     #[test]
     #[should_panic(expected = "shard index out of range")]
     fn shard_bounds_checked() {
-        let c: Cyclic = Cyclic::with_generator(7u64, 3).unwrap();
+        let c: Cyclic = with_generator(7, 3);
         let _ = c.iter_shard(2, 2);
     }
 
@@ -825,7 +766,7 @@ mod tests {
     fn ipv4_group_spot_checks() {
         let mut rng = SmallRng::seed_from_u64(10);
         let c = Cyclic::ipv4(&mut rng);
-        assert_eq!(c.modulus(), ZMAP_PRIME);
+        assert_eq!(c.p, u128::from(ZMAP_PRIME));
         assert_eq!(c.order(), (1 << 32) + 14);
         // first 100k elements of a shard are distinct
         let sample: Vec<u64> = c.iter_shard(0, 256).take(100_000).collect();
@@ -851,7 +792,7 @@ mod tests {
 
     #[test]
     fn deterministic_walk_for_fixed_generator() {
-        let c: Cyclic = Cyclic::with_generator(257u64, 3).unwrap();
+        let c: Cyclic = with_generator(257, 3);
         let a: Vec<u64> = c.iter().take(10).collect();
         assert_eq!(
             a,

@@ -298,7 +298,7 @@ mod tests {
                 .iter()
                 .map(|&(a, l)| {
                     let len = root.len() + (l % (32 - root.len()).max(1)).max(1);
-                    let addr = root.addr() | (a & !root.netmask());
+                    let addr = root.addr() | (a & (root.last() - root.first()));
                     Prefix::new_truncate(addr, len.min(32)).unwrap()
                 })
                 .collect();

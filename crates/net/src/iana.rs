@@ -107,15 +107,6 @@ pub fn allocated_set() -> PrefixSet {
     PrefixSet::full().subtract(&reserved_set())
 }
 
-/// Is `addr` inside any special-purpose block?
-pub fn is_reserved(addr: u32) -> bool {
-    // The registry is small; scan it. Hot paths should use `reserved_set()`
-    // once and query the PrefixSet.
-    special_purpose_registry()
-        .iter()
-        .any(|e| e.prefix.contains_addr(addr))
-}
-
 /// Why an IPv6 address block is special-purpose.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SpecialUse6 {
@@ -188,16 +179,17 @@ pub fn reserved_set_v6() -> PrefixSet<crate::V6> {
     PrefixSet::from_prefixes(special_purpose_registry_v6().into_iter().map(|e| e.prefix))
 }
 
-/// Is the v6 address inside any special-purpose block?
-pub fn is_reserved_v6(addr: u128) -> bool {
-    special_purpose_registry_v6()
-        .iter()
-        .any(|e| e.prefix.contains_addr(addr))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Is the v6 address inside any special-purpose block? A linear scan
+    /// of the registry: the oracle of [`reserved_set_v6`].
+    fn is_reserved_v6(addr: u128) -> bool {
+        special_purpose_registry_v6()
+            .iter()
+            .any(|e| e.prefix.contains_addr(addr))
+    }
 
     #[test]
     fn registry_entries_are_canonical() {
@@ -213,17 +205,20 @@ mod tests {
 
     #[test]
     fn well_known_reserved_addresses() {
-        assert!(is_reserved(0x7F00_0001)); // 127.0.0.1
-        assert!(is_reserved(0x0A01_0203)); // 10.1.2.3
-        assert!(is_reserved(0xC0A8_0101)); // 192.168.1.1
-        assert!(is_reserved(0xAC10_0001)); // 172.16.0.1
-        assert!(is_reserved(0xE000_0001)); // 224.0.0.1
-        assert!(is_reserved(0xFFFF_FFFF)); // 255.255.255.255
-        assert!(is_reserved(0x6440_0001)); // 100.64.0.1 (CGN)
+        let set = reserved_set();
+        let reserved = |a| set.contains_addr(a);
+        assert!(reserved(0x7F00_0001)); // 127.0.0.1
+        assert!(reserved(0x0A01_0203)); // 10.1.2.3
+        assert!(reserved(0xC0A8_0101)); // 192.168.1.1
+        assert!(reserved(0xAC10_0001)); // 172.16.0.1
+        assert!(reserved(0xE000_0001)); // 224.0.0.1
+        assert!(reserved(0xFFFF_FFFF)); // 255.255.255.255
+        assert!(reserved(0x6440_0001)); // 100.64.0.1 (CGN)
     }
 
     #[test]
     fn well_known_public_addresses() {
+        let set = reserved_set();
         for a in [
             0x0808_0808u32, // 8.8.8.8
             0x0101_0101,    // 1.1.1.1
@@ -231,7 +226,7 @@ mod tests {
             0x0B00_0001,    // 11.0.0.1 (just above 10/8)
             0x6480_0001,    // 100.128.0.1 (just above CGN /10)
         ] {
-            assert!(!is_reserved(a), "{a:#x} wrongly reserved");
+            assert!(!set.contains_addr(a), "{a:#x} wrongly reserved");
         }
     }
 

@@ -28,8 +28,10 @@
 //! * [`deagg`] — the paper's Figure 2 decomposition: split a less-specific
 //!   prefix into the minimal partition that preserves every more-specific
 //!   announcement,
-//! * [`iana`] — IANA special-purpose registries (RFC 6890 and friends) used
-//!   for scan blocklists and the paper's Figure 1 scoping pyramid,
+//! * [`iana`] — IANA special-purpose registries (RFC 6890 and friends),
+//!   queried as [`PrefixSet`]s ([`iana::reserved_set`],
+//!   [`iana::reserved_set_v6`], [`iana::allocated_set`]) for scan
+//!   blocklists and the paper's Figure 1 scoping pyramid,
 //! * [`cyclic`] — ZMap's address permutation (multiplicative-group
 //!   iteration with sharding), the streaming substrate shared by the
 //!   scan engine and `tass-core`'s lazy probe-plan iterators.

@@ -142,12 +142,6 @@ impl<F: AddrFamily> Prefix<F> {
         self.len == F::BITS
     }
 
-    /// The netmask (e.g. v4 `/8` → `0xFF000000`).
-    #[inline]
-    pub fn netmask(&self) -> F::Addr {
-        F::addr_from_u128(netmask_u128::<F>(self.len))
-    }
-
     /// Number of addresses covered: `2^(BITS − len)`.
     ///
     /// This is the denominator of the paper's density
@@ -259,50 +253,6 @@ impl<F: AddrFamily> Prefix<F> {
         ))
     }
 
-    /// The value of the bit that distinguishes the two children of this
-    /// prefix in `addr` — i.e. bit `len` (0-indexed from the MSB) of `addr`.
-    /// Used by the trie to pick a branch.
-    #[inline]
-    pub fn branch_bit(&self, addr: F::Addr) -> usize {
-        debug_assert!(self.len < F::BITS);
-        ((F::addr_to_u128(addr) >> (F::BITS - 1 - self.len)) & 1) as usize
-    }
-
-    /// Ancestor at a given (shorter or equal) length.
-    pub fn ancestor_at(&self, len: u8) -> Result<Prefix<F>, NetError> {
-        if len > self.len {
-            return Err(NetError::InvalidPrefixLength(len));
-        }
-        Prefix::new_truncate(self.addr, len)
-    }
-
-    /// All sub-prefixes of a given (longer or equal) length, in order.
-    ///
-    /// `10.0.0.0/8`.subnets(10) yields the four /10s inside the /8.
-    pub fn subnets(&self, len: u8) -> Result<SubnetIter<F>, NetError> {
-        if len > F::BITS || len < self.len {
-            return Err(NetError::InvalidPrefixLength(len));
-        }
-        let count_bits = len - self.len;
-        Ok(SubnetIter {
-            next: F::addr_to_u128(self.addr),
-            remaining: if count_bits >= 128 {
-                u128::MAX // uncountable v6 /0 → /128 walk; never exhausted
-            } else {
-                1u128 << count_bits
-            },
-            // step is 2^(BITS-len); the one unshiftable case (v6
-            // subnets(0), a single subnet) never advances
-            step: if F::BITS - len >= 128 {
-                0
-            } else {
-                1u128 << (F::BITS - len)
-            },
-            len,
-            _family: std::marker::PhantomData,
-        })
-    }
-
     /// The longest common prefix of two prefixes.
     pub fn common(&self, other: &Prefix<F>) -> Prefix<F> {
         let max_len = self.len.min(other.len);
@@ -313,40 +263,6 @@ impl<F: AddrFamily> Prefix<F> {
         Prefix::new_truncate(self.addr, common_bits).expect("len <= BITS")
     }
 }
-
-/// Iterator over fixed-length subnets of a prefix (see [`Prefix::subnets`]).
-#[derive(Debug, Clone)]
-pub struct SubnetIter<F: AddrFamily = V4> {
-    next: u128,
-    remaining: u128,
-    step: u128,
-    len: u8,
-    _family: std::marker::PhantomData<F>,
-}
-
-impl<F: AddrFamily> Iterator for SubnetIter<F> {
-    type Item = Prefix<F>;
-
-    fn next(&mut self) -> Option<Prefix<F>> {
-        if self.remaining == 0 {
-            return None;
-        }
-        self.remaining -= 1;
-        let p = Prefix {
-            addr: F::addr_from_u128(self.next),
-            len: self.len,
-        };
-        self.next = self.next.wrapping_add(self.step);
-        Some(p)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let n = usize::try_from(self.remaining).unwrap_or(usize::MAX);
-        (n, Some(n))
-    }
-}
-
-impl ExactSizeIterator for SubnetIter {}
 
 impl<F: AddrFamily> fmt::Display for Prefix<F> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -480,8 +396,12 @@ mod tests {
     #[test]
     fn v6_subnets_and_common() {
         let p: Prefix<V6> = "2001:db8::/48".parse().unwrap();
-        let subs: Vec<Prefix<V6>> = p.subnets(50).unwrap().collect();
-        assert_eq!(subs.len(), 4);
+        // the four /50s inside the /48: the children of its children
+        let (a, b) = p.children().unwrap();
+        let subs: Vec<Prefix<V6>> = [a, b]
+            .iter()
+            .flat_map(|half| <[_; 2]>::from(half.children().unwrap()))
+            .collect();
         assert_eq!(subs[0], "2001:db8::/50".parse().unwrap());
         assert_eq!(subs[3].first(), p.first() + (3u128 << 78));
         let q: Prefix<V6> = "2001:db8:1::/48".parse().unwrap();
@@ -501,7 +421,7 @@ mod tests {
         ];
         for (s, mask, size) in cases {
             let p: Prefix = s.parse().unwrap();
-            assert_eq!(p.netmask(), *mask, "{s}");
+            assert_eq!(netmask_u128::<V4>(p.len()), u128::from(*mask), "{s}");
             assert_eq!(p.size(), *size, "{s}");
         }
     }
@@ -544,35 +464,6 @@ mod tests {
     }
 
     #[test]
-    fn ancestors_and_subnets() {
-        let p: Prefix = "10.16.0.0/12".parse().unwrap();
-        assert_eq!(p.ancestor_at(8).unwrap(), "10.0.0.0/8".parse().unwrap());
-        assert_eq!(p.ancestor_at(12).unwrap(), p);
-        assert!(p.ancestor_at(13).is_err());
-        let subs: Vec<Prefix> = "10.0.0.0/8"
-            .parse::<Prefix>()
-            .unwrap()
-            .subnets(10)
-            .unwrap()
-            .collect();
-        assert_eq!(subs.len(), 4);
-        assert_eq!(subs[0], "10.0.0.0/10".parse().unwrap());
-        assert_eq!(subs[3], "10.192.0.0/10".parse().unwrap());
-        // identity
-        let same: Vec<Prefix> = p.subnets(12).unwrap().collect();
-        assert_eq!(same, vec![p]);
-        assert!(p.subnets(11).is_err());
-        assert!(p.subnets(33).is_err());
-    }
-
-    #[test]
-    fn subnets_of_host_prefix() {
-        let h = Prefix::host(7);
-        let subs: Vec<Prefix> = h.subnets(32).unwrap().collect();
-        assert_eq!(subs, vec![h]);
-    }
-
-    #[test]
     fn common_prefix() {
         let a: Prefix = "10.0.0.0/16".parse().unwrap();
         let b: Prefix = "10.1.0.0/16".parse().unwrap();
@@ -580,16 +471,6 @@ mod tests {
         assert_eq!(a.common(&a), a);
         let c: Prefix = "192.0.0.0/8".parse().unwrap();
         assert_eq!(a.common(&c), Prefix::ZERO);
-    }
-
-    #[test]
-    fn branch_bit_picks_children() {
-        let p: Prefix = "10.0.0.0/8".parse().unwrap();
-        let (lo, hi) = p.children().unwrap();
-        assert_eq!(p.branch_bit(lo.addr()), 0);
-        assert_eq!(p.branch_bit(hi.addr()), 1);
-        assert_eq!(p.branch_bit(0x0A80_0001), 1);
-        assert_eq!(p.branch_bit(0x0A7F_FFFF), 0);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! [`PrefixSet`] stores address space as a sorted list of **disjoint,
 //! non-adjacent inclusive ranges** and converts to the minimal CIDR cover on
-//! demand. Ranges make the algebra (union / intersection / subtraction /
-//! complement) simple and obviously correct; CIDR conversion is only needed
+//! demand. Ranges make the algebra (union / intersection / subtraction)
+//! simple and obviously correct; CIDR conversion is only needed
 //! at the edges (scan scheduling, table dumps). This is the representation
 //! behind scan blocklists, the IANA registries, and the "announced address
 //! space" bookkeeping in the routing substrate. The algorithms are
@@ -147,15 +147,6 @@ impl<F: AddrFamily> PrefixSet<F> {
         i < self.ranges.len() && self.ranges[i].contains(addr)
     }
 
-    /// Is the whole prefix covered by the set?
-    pub fn covers(&self, p: Prefix<F>) -> bool {
-        let r = AddrRange::from(p);
-        let i = self.ranges.partition_point(|x| x.last() < r.first());
-        i < self.ranges.len()
-            && self.ranges[i].first() <= r.first()
-            && r.last() <= self.ranges[i].last()
-    }
-
     /// Does the set share at least one address with the prefix?
     pub fn intersects(&self, p: Prefix<F>) -> bool {
         let r = AddrRange::from(p);
@@ -199,20 +190,9 @@ impl<F: AddrFamily> PrefixSet<F> {
         out
     }
 
-    /// Complement within the family's full space.
-    pub fn complement(&self) -> PrefixSet<F> {
-        PrefixSet::full().subtract(self)
-    }
-
     /// The minimal CIDR cover of the set, sorted by address.
     pub fn to_prefixes(&self) -> Vec<Prefix<F>> {
         self.ranges.iter().flat_map(|r| r.to_prefixes()).collect()
-    }
-
-    /// Iterate every address in the set (ascending). Use with care on
-    /// large sets.
-    pub fn iter_addrs(&self) -> impl Iterator<Item = F::Addr> + '_ {
-        self.ranges.iter().flat_map(|r| r.iter())
     }
 }
 
@@ -324,10 +304,11 @@ mod tests {
     #[test]
     fn covers_and_intersects() {
         let s = PrefixSet::from_prefixes([p("10.0.0.0/8"), p("192.168.0.0/16")]);
-        assert!(s.covers(p("10.5.0.0/16")));
-        assert!(s.covers(p("10.0.0.0/8")));
-        assert!(!s.covers(p("0.0.0.0/0")));
-        assert!(!s.covers(p("11.0.0.0/8")));
+        let covered = |q| PrefixSet::from_prefixes([q]).subtract(&s).is_empty();
+        assert!(covered(p("10.5.0.0/16")));
+        assert!(covered(p("10.0.0.0/8")));
+        assert!(!covered(p("0.0.0.0/0")));
+        assert!(!covered(p("11.0.0.0/8")));
         assert!(s.intersects(p("0.0.0.0/4"))); // 10/8 lies within 0/4
         assert!(s.intersects(p("192.0.0.0/8")));
         assert!(!s.intersects(p("172.16.0.0/12")));
@@ -351,7 +332,7 @@ mod tests {
     #[test]
     fn complement_of_half() {
         let a = PrefixSet::from_prefixes([p("0.0.0.0/1")]);
-        let c = a.complement();
+        let c = PrefixSet::full().subtract(&a);
         assert_eq!(c.to_prefixes(), vec![p("128.0.0.0/1")]);
         assert_eq!(a.union(&c).num_addrs(), 1 << 32);
         assert!(a.intersection(&c).is_empty());
@@ -363,7 +344,7 @@ mod tests {
         assert!(s.contains_addr(0));
         assert!(s.contains_addr(u32::MAX));
         assert_eq!(s.num_addrs(), 2);
-        let c = s.complement();
+        let c = PrefixSet::full().subtract(&s);
         assert_eq!(c.num_addrs(), (1u64 << 32) - 2);
         assert!(!c.contains_addr(0));
     }
@@ -375,7 +356,9 @@ mod tests {
         assert_eq!(s.num_addrs(), 1u128 << 96);
         assert!(s.contains_addr((0x2001_0db8u128 << 96) | 42));
         assert!(!s.contains_addr(0x2001_0db9u128 << 96));
-        assert!(s.covers(p6("2001:db8:1234::/48")));
+        assert!(PrefixSet::from_prefixes([p6("2001:db8:1234::/48")])
+            .subtract(&s)
+            .is_empty());
         assert!(s.intersects(p6("2001::/16")));
         // remove splits at 128-bit width
         let mut t = s.clone();
@@ -397,7 +380,7 @@ mod tests {
             p6("::/128"),
             p6("ffff:ffff:ffff:ffff:ffff:ffff:ffff:ffff/128"),
         ]);
-        let c = hosts.complement();
+        let c = f.subtract(&hosts);
         assert!(!c.contains_addr(0));
         assert!(!c.contains_addr(u128::MAX));
         assert!(c.contains_addr(1));
@@ -410,19 +393,6 @@ mod tests {
             PrefixSet::from_prefixes((0..20u32).map(|i| Prefix::new(i << 12, 24).unwrap()));
         let d = format!("{s:?}");
         assert!(d.contains("…"));
-    }
-
-    #[test]
-    fn iter_addrs_sorted_unique() {
-        let s = PrefixSet::from_prefixes([p("10.0.0.0/30"), p("10.0.0.8/30")]);
-        let v: Vec<u32> = s.iter_addrs().collect();
-        assert_eq!(
-            v,
-            vec![
-                0x0A000000, 0x0A000001, 0x0A000002, 0x0A000003, 0x0A000008, 0x0A000009, 0x0A00000A,
-                0x0A00000B
-            ]
-        );
     }
 
     // ---- property tests against a naive bit-set oracle over a small universe

@@ -273,14 +273,6 @@ impl<T, F: AddrFamily> PrefixTrie<T, F> {
         out
     }
 
-    /// Number of stored prefixes at or below `p` (including `p` itself).
-    pub fn descendant_count(&self, p: Prefix<F>) -> usize {
-        match self.walk(p) {
-            Some(idx) => self.nodes[idx].weight as usize,
-            None => 0,
-        }
-    }
-
     /// Does `p` have stored prefixes *strictly* below it?
     pub fn has_strict_descendants(&self, p: Prefix<F>) -> bool {
         match self.walk(p) {
@@ -413,6 +405,15 @@ mod tests {
 
     fn p(s: &str) -> Prefix {
         s.parse().unwrap()
+    }
+
+    impl<T, F: AddrFamily> PrefixTrie<T, F> {
+        /// Number of stored prefixes at or below `p` (including `p`
+        /// itself): the node weight `has_strict_descendants` reads.
+        fn descendant_count(&self, p: Prefix<F>) -> usize {
+            self.walk(p)
+                .map_or(0, |idx| self.nodes[idx].weight as usize)
+        }
     }
 
     #[test]

@@ -73,41 +73,6 @@ impl TokenBucket {
             false
         }
     }
-
-    /// Take one token, advancing the virtual clock to the earliest time it
-    /// is available. Returns the (possibly advanced) virtual time — this is
-    /// how the simulator "waits" without sleeping.
-    pub fn take_blocking(&mut self) -> f64 {
-        if !self.try_take() {
-            let deficit = 1.0 - self.tokens;
-            let wait = deficit / self.rate;
-            let t = self.now + wait;
-            self.advance_to(t);
-            // guard against float rounding leaving us a hair short
-            if !self.try_take() {
-                self.tokens = 0.0;
-            }
-        }
-        self.now
-    }
-
-    /// Take `n` tokens at once, advancing the virtual clock as far as
-    /// the last of them requires. Equivalent to `n` sequential
-    /// [`take_blocking`](TokenBucket::take_blocking) calls in O(1) —
-    /// once the bucket runs dry mid-batch, every further token refills
-    /// exactly at `1/rate`, so the total wait collapses to
-    /// `(n - tokens) / rate`. This is the engine's batched hot-path
-    /// form: one clock update per batch instead of per probe.
-    pub fn take_blocking_n(&mut self, n: u64) -> f64 {
-        let n = n as f64;
-        if self.tokens >= n {
-            self.tokens -= n;
-        } else {
-            self.now += (n - self.tokens) / self.rate;
-            self.tokens = 0.0;
-        }
-        self.now
-    }
 }
 
 /// A lock-free token bucket shared by every worker of a scan.
@@ -161,8 +126,8 @@ impl AtomicTokenBucket {
     }
 
     /// Take `n` tokens and return the virtual send time of the last of
-    /// them, in seconds. Equivalent to the serial bucket's
-    /// [`TokenBucket::take_blocking_n`] when called from one thread;
+    /// them, in seconds. Equivalent to `n` blocking takes from a serial
+    /// [`TokenBucket`] when called from one thread;
     /// under concurrent callers the returned times interleave but the
     /// global send rate still converges to `rate`. An unlimited bucket
     /// always returns 0.0 (virtual time never advances).
@@ -180,6 +145,43 @@ impl AtomicTokenBucket {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The serial bucket's blocking takes: the oracle
+    /// [`AtomicTokenBucket::take_n`] is checked against.
+    impl TokenBucket {
+        /// Take one token, advancing the virtual clock to the earliest
+        /// time it is available; returns the (possibly advanced) virtual
+        /// time.
+        fn take_blocking(&mut self) -> f64 {
+            if !self.try_take() {
+                let deficit = 1.0 - self.tokens;
+                let wait = deficit / self.rate;
+                let t = self.now + wait;
+                self.advance_to(t);
+                // guard against float rounding leaving us a hair short
+                if !self.try_take() {
+                    self.tokens = 0.0;
+                }
+            }
+            self.now
+        }
+
+        /// Take `n` tokens at once, advancing the virtual clock as far
+        /// as the last of them requires. Equivalent to `n` sequential
+        /// `take_blocking` calls in O(1): once the bucket runs dry
+        /// mid-batch, every further token refills exactly at `1/rate`,
+        /// so the total wait collapses to `(n - tokens) / rate`.
+        fn take_blocking_n(&mut self, n: u64) -> f64 {
+            let n = n as f64;
+            if self.tokens >= n {
+                self.tokens -= n;
+            } else {
+                self.now += (n - self.tokens) / self.rate;
+                self.tokens = 0.0;
+            }
+            self.now
+        }
+    }
 
     #[test]
     fn starts_full_and_drains() {

@@ -626,14 +626,8 @@ impl ServiceCore {
         })
     }
 
-    /// The finished job's byte-stable result JSON: the unpaged
-    /// [`ServiceCore::job_result_page`].
-    pub fn job_result(&self, tenant: &str, id: u64) -> Result<String, ResultError> {
-        self.job_result_page(tenant, id, 0, None)
-    }
-
-    /// A page of the finished job's result: the same envelope as
-    /// [`ServiceCore::job_result`] with the `months` array sliced to
+    /// A page of the finished job's byte-stable result JSON: the whole
+    /// result's envelope with the `months` array sliced to
     /// `[offset, offset + limit)`, cut from the job's published result
     /// parts, so paging never re-serialises anything. `(0, None)` is the
     /// whole result; an `offset` past the end yields the envelope with
@@ -804,6 +798,16 @@ impl ServiceCore {
                 tenant.running -= 1;
                 // resume-first when the daemon comes back
                 tenant.queue.push_front(id);
+            }
+            CampaignRun::Failed { month, error, .. } => {
+                // `months_done` already counts the completed months: the
+                // hook set it at the failing boundary, or the resumed
+                // checkpoint did
+                eprintln!("tassd: job {id} failed at month {month}: {error}");
+                let mut table = self.table.lock().expect("job table lock");
+                self.finish(&mut table, id, JobStatus::Failed);
+                drop(table);
+                self.wake.notify_all();
             }
         }
     }
@@ -1076,7 +1080,7 @@ mod tests {
         assert_eq!(view.strategy, "tass:more:0.95");
         assert_eq!(view.months_done, view.months_total + 1);
         // over-the-table result == direct library run, byte for byte
-        let got = core.job_result("alice", id).unwrap();
+        let got = core.job_result_page("alice", id, 0, None).unwrap();
         let u = registry.get_v4("demo").unwrap();
         let oracle = run_campaign(&*u, kind, Protocol::Http, 7).with_job(CampaignJob::new(
             kind,
@@ -1086,7 +1090,10 @@ mod tests {
         assert_eq!(got, serde_json::to_string(&oracle).unwrap());
         // other tenants cannot see the job
         assert!(core.job_view("mallory", id).is_none());
-        assert_eq!(core.job_result("mallory", id), Err(ResultError::NotFound));
+        assert_eq!(
+            core.job_result_page("mallory", id, 0, None),
+            Err(ResultError::NotFound)
+        );
         let report = daemon.shutdown(ShutdownMode::Drain).unwrap();
         assert_eq!(report.completed, 1);
         assert_eq!(report.checkpointed, 0);
@@ -1100,7 +1107,7 @@ mod tests {
         let kind = tass_core::parse_spec("tass:more:0.95").unwrap();
         let id = core.submit("alice", submit(kind, 7)).unwrap();
         wait_done(&core, "alice", id);
-        let full = core.job_result("alice", id).unwrap();
+        let full = core.job_result_page("alice", id, 0, None).unwrap();
         let oracle: tass_core::CampaignResult = serde_json::from_str(&full).unwrap();
         let months = oracle.months.len();
         assert!(months >= 3, "demo source must span several months");
@@ -1214,7 +1221,7 @@ mod tests {
                 .unwrap();
             let view = wait_done(&core, "alice", id);
             assert_eq!((view.months_total, view.months_done), (months, months + 1));
-            let got = core.job_result("alice", id).unwrap();
+            let got = core.job_result_page("alice", id, 0, None).unwrap();
             // identical to a direct run over the capped source
             let capped = Capped {
                 inner: registry.get_v4("demo").unwrap(),

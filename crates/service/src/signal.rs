@@ -41,15 +41,14 @@ pub fn shutdown_requested() -> bool {
     SHUTDOWN.load(Ordering::SeqCst)
 }
 
-/// Reset the flag (tests only — signals are process-global).
-#[doc(hidden)]
-pub fn reset() {
-    SHUTDOWN.store(false, Ordering::SeqCst);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Clear the flag: signals are process-global.
+    fn reset() {
+        SHUTDOWN.store(false, Ordering::SeqCst);
+    }
 
     #[test]
     fn flag_flips_on_raised_signal() {

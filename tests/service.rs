@@ -79,6 +79,23 @@ fn wait_done(client: &mut HttpClient, tenant: &str, id: u64) -> String {
     }
 }
 
+/// Poll a job's status endpoint until it reports `failed`; return the
+/// final status body.
+fn wait_failed(client: &mut HttpClient, tenant: &str, id: u64) -> String {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        let (status, body) = client
+            .get(&format!("/v1/campaigns/{id}"), Some(tenant))
+            .unwrap();
+        assert_eq!(status, 200, "{body}");
+        if parse_field_str(&body, "status") == "failed" {
+            return body;
+        }
+        assert!(Instant::now() < deadline, "job {id} never failed: {body}");
+        thread::sleep(Duration::from_millis(5));
+    }
+}
+
 /// The byte-stable oracle: what the library produces locally for the
 /// same job.
 fn oracle(reg: &SourceRegistry, spec: &str, seed: u64) -> String {
@@ -625,18 +642,7 @@ fn failed_resume_keeps_the_checkpointed_months() {
     let daemon = Tassd::start(Arc::new(SourceRegistry::new()), cfg()).unwrap();
     let server = HttpServer::bind("127.0.0.1:0", daemon.core(), api::router()).unwrap();
     let mut client = HttpClient::connect(server.addr());
-    let deadline = Instant::now() + Duration::from_secs(30);
-    let body = loop {
-        let (status, body) = client
-            .get(&format!("/v1/campaigns/{id}"), Some("alice"))
-            .unwrap();
-        assert_eq!(status, 200, "{body}");
-        if parse_field_str(&body, "status") == "failed" {
-            break body;
-        }
-        assert!(Instant::now() < deadline, "job {id} never failed: {body}");
-        thread::sleep(Duration::from_millis(5));
-    };
+    let body = wait_failed(&mut client, "alice", id);
     assert_eq!(
         parse_field_u64(&body, "months_done"),
         checkpointed,
@@ -650,6 +656,116 @@ fn failed_resume_keeps_the_checkpointed_months() {
         assert!(body.contains(r#""code":"not_done""#), "{path}: {body}");
     }
     let (_, health) = client.get("/v1/healthz", None).unwrap();
+    assert_eq!(parse_field_u64(&health, "failed"), 1, "{health}");
+
+    server.shutdown();
+    daemon.shutdown(ShutdownMode::Drain).unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A corpus month torn on disk after the corpus was opened fails the job
+/// that reaches it. The worker survives: another tenant's job on an
+/// in-memory source completes byte-identically, and nothing is left
+/// counted as running.
+#[test]
+fn a_month_torn_after_open_fails_its_job_and_the_worker_survives() {
+    let dir = std::env::temp_dir().join(format!("tassd-torn-month-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let universe = Universe::generate(&UniverseConfig::small(UNIVERSE_SEED));
+    tass::model::corpus::export_universe(&universe, &dir).unwrap();
+    let mut reg = SourceRegistry::new();
+    reg.insert_v4("demo", Arc::new(universe)).unwrap();
+    let opts = tass::model::corpus::CorpusOptions {
+        cache_snapshots: 1,
+        ..Default::default()
+    };
+    reg.open_corpus_with("archive", &dir, &opts).unwrap();
+    let reg = Arc::new(reg);
+    let month2 = dir
+        .join(tass::model::corpus::SNAPSHOT_DIR)
+        .join("m2-http.snap");
+    let bytes = std::fs::read(&month2).unwrap();
+    std::fs::write(&month2, &bytes[..bytes.len() / 2]).unwrap();
+
+    let daemon = Tassd::start(
+        Arc::clone(&reg),
+        ServiceConfig {
+            workers: 1,
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let server = HttpServer::bind("127.0.0.1:0", daemon.core(), api::router()).unwrap();
+    let mut client = HttpClient::connect(server.addr());
+    let (status, body) = client
+        .post(
+            "/v1/campaigns",
+            Some("alice"),
+            r#"{"source":"archive","strategy":"full-scan","protocol":"http","seed":1}"#,
+        )
+        .unwrap();
+    assert_eq!(status, 201, "{body}");
+    let torn = parse_field_u64(&body, "id");
+    let other = submit(&mut client, "bob", "tass:more:0.95", 2);
+
+    let body = wait_failed(&mut client, "alice", torn);
+    assert_eq!(parse_field_u64(&body, "months_done"), 2, "{body}");
+    wait_done(&mut client, "bob", other);
+    let (status, got) = client
+        .get(&format!("/v1/campaigns/{other}/results"), Some("bob"))
+        .unwrap();
+    assert_eq!(status, 200);
+    assert_eq!(got, oracle(&reg, "tass:more:0.95", 2));
+    let (_, health) = client.get("/v1/healthz", None).unwrap();
+    assert_eq!(parse_field_u64(&health, "running"), 0, "{health}");
+    assert_eq!(parse_field_u64(&health, "failed"), 1, "{health}");
+    assert_eq!(parse_field_u64(&health, "done"), 1, "{health}");
+
+    server.shutdown();
+    daemon.shutdown(ShutdownMode::Drain).unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A checkpoint file whose horizon runs past its source fails the
+/// resumed job at the first month the source lacks, keeping every month
+/// before it, and the worker goes on to run the next job.
+#[test]
+fn a_checkpoint_past_the_source_horizon_fails_its_job() {
+    let dir = std::env::temp_dir().join(format!("tassd-horizon-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let reg = registry();
+    let cfg = || ServiceConfig {
+        workers: 1,
+        quota: TenantQuota::default(),
+        month_delay: Duration::from_millis(40),
+        checkpoint_dir: Some(dir.clone()),
+    };
+    let (id, file) = checkpoint_mid_campaign(&reg, cfg(), "full-scan", 3, 0);
+    // the demo source has 6 months after t₀; claim 9
+    let text = std::fs::read_to_string(&file).unwrap();
+    assert_eq!(text.matches(r#""months_total":6"#).count(), 1, "{text}");
+    std::fs::write(
+        &file,
+        text.replace(r#""months_total":6"#, r#""months_total":9"#),
+    )
+    .unwrap();
+
+    let daemon = Tassd::start(
+        Arc::clone(&reg),
+        ServiceConfig {
+            month_delay: Duration::ZERO,
+            ..cfg()
+        },
+    )
+    .unwrap();
+    let server = HttpServer::bind("127.0.0.1:0", daemon.core(), api::router()).unwrap();
+    let mut client = HttpClient::connect(server.addr());
+    let body = wait_failed(&mut client, "alice", id);
+    assert_eq!(parse_field_u64(&body, "months_done"), 7, "{body}");
+    let next = submit(&mut client, "alice", "full-scan", 4);
+    wait_done(&mut client, "alice", next);
+    let (_, health) = client.get("/v1/healthz", None).unwrap();
+    assert_eq!(parse_field_u64(&health, "running"), 0, "{health}");
     assert_eq!(parse_field_u64(&health, "failed"), 1, "{health}");
 
     server.shutdown();
