@@ -56,6 +56,20 @@ fn err(status: u16, code: &str, message: &str) -> Response {
     Response::json(status, error_body(code, message))
 }
 
+fn unknown_campaign(id: u64) -> Response {
+    err(
+        404,
+        "unknown_campaign",
+        &format!("no campaign {id} for this tenant"),
+    )
+}
+
+/// A handler's response: what `body` returns, or the first refusal it
+/// meets.
+fn answer(body: impl FnOnce() -> Result<Response, Response>) -> Response {
+    body().unwrap_or_else(|refusal| refusal)
+}
+
 /// The tenant identity, from `X-Api-Key`.
 fn tenant(req: &Request) -> Result<String, Response> {
     match req.header("x-api-key") {
@@ -203,113 +217,78 @@ pub fn router() -> Router<ServiceCore> {
             )
         })
         .route("POST", "/v1/campaigns", |core: &ServiceCore, req, _p| {
-            let tenant = match tenant(req) {
-                Ok(t) => t,
-                Err(resp) => return resp,
-            };
-            let submission = match parse_submission(&req.body) {
-                Ok(s) => s,
-                Err(resp) => return resp,
-            };
-            match core.submit(&tenant, submission) {
-                Ok(id) => Response::json(201, format!(r#"{{"id":{id},"status":"queued"}}"#)),
-                Err(e) => submit_error(e),
-            }
+            answer(|| {
+                let tenant = tenant(req)?;
+                Ok(match core.submit(&tenant, parse_submission(&req.body)?) {
+                    Ok(id) => Response::json(201, format!(r#"{{"id":{id},"status":"queued"}}"#)),
+                    Err(e) => submit_error(e),
+                })
+            })
         })
         .route("GET", "/v1/campaigns/{id}", |core: &ServiceCore, req, p| {
-            let tenant = match tenant(req) {
-                Ok(t) => t,
-                Err(resp) => return resp,
-            };
-            let id = match job_id(p.get("id")) {
-                Ok(id) => id,
-                Err(resp) => return resp,
-            };
-            match core.job_view(&tenant, id) {
-                Some(view) => {
-                    Response::json(200, serde_json::to_string(&view).expect("views render"))
-                }
-                None => err(
-                    404,
-                    "unknown_campaign",
-                    &format!("no campaign {id} for this tenant"),
-                ),
-            }
+            answer(|| {
+                let (tenant, id) = (tenant(req)?, job_id(p.get("id"))?);
+                let view = core
+                    .job_view(&tenant, id)
+                    .ok_or_else(|| unknown_campaign(id))?;
+                Ok(Response::json(
+                    200,
+                    serde_json::to_string(&view).expect("views render"),
+                ))
+            })
         })
         .route(
             "GET",
             "/v1/campaigns/{id}/results",
             |core: &ServiceCore, req, p| {
-                let tenant = match tenant(req) {
-                    Ok(t) => t,
-                    Err(resp) => return resp,
-                };
-                let id = match job_id(p.get("id")) {
-                    Ok(id) => id,
-                    Err(resp) => return resp,
-                };
-                let (offset, limit) = match page_window(req) {
-                    Ok(window) => window,
-                    Err(resp) => return resp,
-                };
-                match core.job_result_page(&tenant, id, offset, limit) {
-                    Ok(json) => Response::json(200, json),
-                    Err(ResultError::NotFound) => err(
-                        404,
-                        "unknown_campaign",
-                        &format!("no campaign {id} for this tenant"),
-                    ),
-                    Err(ResultError::NotDone { status }) => err(
-                        409,
-                        "not_done",
-                        &format!("campaign {id} is {status}; results exist once it is done"),
-                    ),
-                }
+                answer(|| {
+                    let (tenant, id) = (tenant(req)?, job_id(p.get("id"))?);
+                    let (offset, limit) = page_window(req)?;
+                    Ok(match core.job_result_page(&tenant, id, offset, limit) {
+                        Ok(json) => Response::json(200, json),
+                        Err(ResultError::NotFound) => unknown_campaign(id),
+                        Err(ResultError::NotDone { status }) => err(
+                            409,
+                            "not_done",
+                            &format!("campaign {id} is {status}; results exist once it is done"),
+                        ),
+                    })
+                })
             },
         )
         .route(
             "GET",
             "/v1/campaigns/{id}/results/stream",
             |core: &ServiceCore, req, p| {
-                let tenant = match tenant(req) {
-                    Ok(t) => t,
-                    Err(resp) => return resp,
-                };
-                let id = match job_id(p.get("id")) {
-                    Ok(id) => id,
-                    Err(resp) => return resp,
-                };
-                // resolve existence and terminal failure *before*
-                // committing to a 200 chunked response
-                match core.job_view(&tenant, id) {
-                    None => {
-                        return err(
-                            404,
-                            "unknown_campaign",
-                            &format!("no campaign {id} for this tenant"),
-                        )
-                    }
-                    Some(view) if view.status == "failed" => {
-                        return err(
+                answer(|| {
+                    let (tenant, id) = (tenant(req)?, job_id(p.get("id"))?);
+                    // resolve existence and terminal failure *before*
+                    // committing to a 200 chunked response
+                    let view = core
+                        .job_view(&tenant, id)
+                        .ok_or_else(|| unknown_campaign(id))?;
+                    if view.status == "failed" {
+                        return Err(err(
                             409,
                             "not_done",
                             &format!("campaign {id} is failed; it will never have results"),
-                        )
+                        ));
                     }
-                    Some(_) => {}
-                }
-                let core = core.arc();
-                let mut piece = 0u64;
-                Response::stream(200, "application/json", move || {
-                    match core.result_stream_piece(&tenant, id, piece) {
-                        Ok(StreamPiece::Pending) => StreamChunk::Pending,
-                        Ok(StreamPiece::Data(data)) => {
-                            piece += 1;
-                            StreamChunk::Data(data.into_bytes())
-                        }
-                        Ok(StreamPiece::End) => StreamChunk::End,
-                        Ok(StreamPiece::Gone) | Err(_) => StreamChunk::Abort,
-                    }
+                    let core = core.arc();
+                    let mut piece = 0u64;
+                    Ok(Response::stream(
+                        200,
+                        "application/json",
+                        move || match core.result_stream_piece(&tenant, id, piece) {
+                            Ok(StreamPiece::Pending) => StreamChunk::Pending,
+                            Ok(StreamPiece::Data(data)) => {
+                                piece += 1;
+                                StreamChunk::Data(data.into_bytes())
+                            }
+                            Ok(StreamPiece::End) => StreamChunk::End,
+                            Ok(StreamPiece::Gone) | Err(_) => StreamChunk::Abort,
+                        },
+                    ))
                 })
             },
         )

@@ -10,6 +10,14 @@
 //! token-bucket submission rate ([`tass_scan::rate::TokenBucket`] fed
 //! wall-clock time) and a pending-jobs quota.
 //!
+//! A job's state changes only by a `JobEvent` applied to the job table
+//! (`JobTable::apply`): `Queued` when a job is submitted or resumed from
+//! a checkpoint file, `Started` when a worker claims it, `Progress` at
+//! each month boundary, `Suspended` at a checkpoint shutdown and
+//! `Finished` when it is done or failed. The same step keeps the
+//! queued/running/done/failed counters that `GET /v1/healthz` reads, so
+//! a health check never walks the jobs.
+//!
 //! Campaigns run through [`run_campaign_checkpointed`], which is what
 //! makes shutdown graceful in both senses:
 //!
@@ -17,11 +25,14 @@
 //! * **checkpoint** — stop accepting, suspend running campaigns at the
 //!   next month boundary, and persist every unfinished job (strategy
 //!   kind + seed + completed months) as one JSON file per job. A daemon
-//!   restarted over the same checkpoint directory resumes those jobs
-//!   under their original ids and produces **byte-identical** results to
-//!   an uninterrupted run — campaigns are deterministic per seed, and
-//!   the resume path replays completed cycles instead of recomputing
-//!   them.
+//!   restarted over the same checkpoint directory queues those jobs
+//!   again under their original ids and produces **byte-identical**
+//!   results to an uninterrupted run — campaigns are deterministic per
+//!   seed, and the resume path replays completed cycles instead of
+//!   recomputing them.
+//!
+//! A job that finishes, done or failed, removes its file, so no restart
+//! runs it again.
 
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
@@ -33,8 +44,8 @@ use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::thread;
 use std::time::{Duration, Instant};
 use tass_core::{
-    partial_result, run_campaign_checkpointed, CampaignCheckpoint, CampaignJob, CampaignPool,
-    CampaignRun, CampaignStep, MonthEval, StrategyKind,
+    partial_result, run_campaign_checkpointed, CampaignCheckpoint, CampaignPool, CampaignRun,
+    CampaignStep, MonthEval, StrategyKind,
 };
 use tass_model::corpus::CorpusError;
 use tass_model::registry::{SharedSource, SourceEntry, SourceRegistry};
@@ -258,7 +269,8 @@ pub struct JobView {
     pub completion_index: Option<u64>,
 }
 
-/// One persisted unfinished job — the checkpointed-shutdown file format.
+/// What a job is admitted from, submitted or resumed, and the
+/// checkpointed-shutdown file format.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct JobFile {
     id: u64,
@@ -269,17 +281,10 @@ struct JobFile {
 }
 
 struct Job {
-    tenant: String,
-    source: String,
-    kind: StrategyKind,
-    protocol: Protocol,
-    seed: u64,
-    months_total: u32,
+    /// The job's identity and the checkpoint a claim runs from and a
+    /// checkpoint shutdown persists.
+    file: JobFile,
     status: JobStatus,
-    /// Present while the job is claimable (queued or suspended); taken
-    /// by the worker for the duration of the run.
-    checkpoint: Option<CampaignCheckpoint>,
-    months_done: u32,
     /// The result as published so far: the envelope plus one element
     /// per completed month. Every results endpoint — full body, page,
     /// stream — cuts its bytes from these parts; `None` until the first
@@ -288,14 +293,24 @@ struct Job {
     completion_index: Option<u64>,
 }
 
+impl Job {
+    /// Campaign cycles completed: those published, or before the first
+    /// publication those checkpointed.
+    fn months_done(&self) -> u32 {
+        let checkpointed = self.file.checkpoint.months.len();
+        self.result
+            .as_ref()
+            .map_or(checkpointed, |parts| parts.months.len()) as u32
+    }
+}
+
 /// A job's `CampaignResult` JSON, split where the results endpoints cut
-/// it. `head + months.concat() + tail` is exactly
+/// it. `head + months.join(",") + tail` is exactly
 /// `serde_json::to_string` of the result covering those months.
 struct ResultParts {
     /// Envelope bytes through the months array's `[`.
     head: String,
-    /// Serialized month elements, in month order; every element after
-    /// the first carries its leading comma.
+    /// Serialized month elements, in month order.
     months: Vec<String>,
     /// The months array's `]` through the end of the envelope.
     tail: String,
@@ -303,71 +318,51 @@ struct ResultParts {
 
 impl ResultParts {
     /// The result with its `months` array sliced to
-    /// `[offset, offset + limit)`; `(0, None)` is the whole result. The
-    /// first selected element drops its leading comma.
+    /// `[offset, offset + limit)`; `(0, None)` is the whole result.
     fn page(&self, offset: usize, limit: Option<usize>) -> String {
         let start = offset.min(self.months.len());
         let end = limit.map_or(self.months.len(), |l| {
             offset.saturating_add(l).min(self.months.len())
         });
         let page = &self.months[start..end];
-        let len = page.iter().map(String::len).sum::<usize>();
+        let len = page.iter().map(|element| element.len() + 1).sum::<usize>();
         let mut out = String::with_capacity(self.head.len() + len + self.tail.len());
         out.push_str(&self.head);
         for (i, element) in page.iter().enumerate() {
-            out.push_str(if i == 0 {
-                element.strip_prefix(',').unwrap_or(element)
-            } else {
-                element
-            });
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str(element);
         }
         out.push_str(&self.tail);
         out
     }
 }
 
-/// Bring `parts` up to date with the months completed so far, rendering
-/// only the months it does not hold yet. The envelope comes from one
-/// render of the 1-month [`partial_result`] stamped with the job
-/// identity the checkpointed driver adds — the same constructor as the
-/// final result — so the parts concatenate to the finished result's
-/// exact bytes.
-fn publish_months(
-    parts: &mut Option<ResultParts>,
-    source: &Capped,
-    kind: &StrategyKind,
-    protocol: Protocol,
-    job: &CampaignJob,
-    done: &[MonthEval],
-) {
-    let Some(first) = done.first() else {
-        return;
-    };
-    let parts = parts.get_or_insert_with(|| {
-        let envelope = partial_result(source, kind, protocol, vec![*first])
-            .expect("one month is a result")
-            .with_job(job.clone());
-        let json = serde_json::to_string(&envelope).expect("campaign results always serialize");
-        let element = serde_json::to_string(first).expect("month evals always serialize");
-        let key = "\"months\":[";
-        let open = json.find(key).expect("results carry a months array") + key.len();
-        let tail = json[open..]
-            .strip_prefix(element.as_str())
-            .expect("the months array opens with the first month");
-        ResultParts {
-            head: json[..open].to_string(),
-            months: Vec::new(),
-            tail: tail.to_string(),
-        }
-    });
-    for (i, eval) in done.iter().enumerate().skip(parts.months.len()) {
-        let element = serde_json::to_string(eval).expect("month evals always serialize");
-        parts.months.push(if i == 0 {
-            element
-        } else {
-            format!(",{element}")
-        });
-    }
+/// One change to the job table. [`JobTable::apply`] is the only code
+/// that writes a job's status, checkpoint, result or completion index,
+/// a tenant's queue or running count, or the job counters.
+enum JobEvent {
+    /// A submitted or resumed job joins the back of its tenant's queue.
+    Queued(JobFile),
+    /// A worker claimed the job.
+    Started { id: u64 },
+    /// A month boundary: the result elements rendered since the last
+    /// `Progress`; the first `Progress` with months also carries the
+    /// result's envelope, as parts with no months yet.
+    Progress {
+        id: u64,
+        envelope: Option<ResultParts>,
+        months: Vec<String>,
+    },
+    /// The campaign stopped at a month boundary; the job rejoins the
+    /// front of its tenant's queue with the checkpoint to resume from.
+    Suspended {
+        id: u64,
+        checkpoint: CampaignCheckpoint,
+    },
+    /// The job ended `done` or `failed`.
+    Finished { id: u64, status: JobStatus },
 }
 
 struct Tenant {
@@ -378,23 +373,26 @@ struct Tenant {
 
 #[derive(Default)]
 struct JobTable {
+    quota: TenantQuota,
     jobs: BTreeMap<u64, Job>,
     tenants: BTreeMap<String, Tenant>,
     /// Round-robin dispatch order over tenant names.
     rr: VecDeque<String>,
     next_id: u64,
-    completions: u64,
+    /// Jobs by status, indexed by `JobStatus as usize`: the `healthz`
+    /// counts.
+    counts: [usize; 4],
 }
 
 impl JobTable {
-    fn tenant_mut(&mut self, name: &str, quota: &TenantQuota) -> &mut Tenant {
+    fn tenant_mut(&mut self, name: &str) -> &mut Tenant {
         if !self.tenants.contains_key(name) {
             self.tenants.insert(
                 name.to_string(),
                 Tenant {
                     queue: VecDeque::new(),
                     running: 0,
-                    bucket: quota.bucket(),
+                    bucket: self.quota.bucket(),
                 },
             );
             self.rr.push_back(name.to_string());
@@ -402,29 +400,96 @@ impl JobTable {
         self.tenants.get_mut(name).expect("inserted above")
     }
 
-    fn queued_total(&self) -> usize {
-        self.tenants.values().map(|t| t.queue.len()).sum()
+    fn job_mut(&mut self, id: u64) -> &mut Job {
+        self.jobs.get_mut(&id).expect("event ids resolve")
+    }
+
+    fn tenant_of(&mut self, id: u64) -> &mut Tenant {
+        let name = &self.jobs[&id].file.tenant;
+        self.tenants.get_mut(name).expect("job tenants resolve")
+    }
+
+    /// Job `id`, if `tenant` owns it.
+    fn owned(&self, tenant: &str, id: u64) -> Result<&Job, ResultError> {
+        let job = self.jobs.get(&id).filter(|j| j.file.tenant == tenant);
+        job.ok_or(ResultError::NotFound)
+    }
+
+    /// Apply one job event: the only write to job state.
+    fn apply(&mut self, event: JobEvent) {
+        let (id, status) = match event {
+            JobEvent::Queued(file) => {
+                let id = file.id;
+                self.next_id = self.next_id.max(id.saturating_add(1));
+                self.tenant_mut(&file.tenant).queue.push_back(id);
+                self.counts[JobStatus::Queued as usize] += 1;
+                let job = Job {
+                    file,
+                    status: JobStatus::Queued,
+                    result: None,
+                    completion_index: None,
+                };
+                self.jobs.insert(id, job);
+                return;
+            }
+            JobEvent::Started { id } => {
+                let tenant = self.tenant_of(id);
+                tenant.queue.retain(|&queued| queued != id);
+                tenant.running += 1;
+                (id, JobStatus::Running)
+            }
+            JobEvent::Progress {
+                id,
+                envelope,
+                months,
+            } => {
+                let job = self.job_mut(id);
+                job.result = envelope.or(job.result.take());
+                if let Some(parts) = &mut job.result {
+                    parts.months.extend(months);
+                }
+                return;
+            }
+            JobEvent::Suspended { id, checkpoint } => {
+                self.job_mut(id).file.checkpoint = checkpoint;
+                let tenant = self.tenant_of(id);
+                tenant.running -= 1;
+                // resume-first when the daemon comes back
+                tenant.queue.push_front(id);
+                (id, JobStatus::Queued)
+            }
+            JobEvent::Finished { id, status } => {
+                let index = self.completions();
+                self.job_mut(id).completion_index = Some(index);
+                self.tenant_of(id).running -= 1;
+                (id, status)
+            }
+        };
+        let from = std::mem::replace(&mut self.job_mut(id).status, status);
+        self.counts[from as usize] -= 1;
+        self.counts[status as usize] += 1;
+    }
+
+    /// Jobs finished, done or failed.
+    fn completions(&self) -> u64 {
+        (self.counts[JobStatus::Done as usize] + self.counts[JobStatus::Failed as usize]) as u64
     }
 
     /// Claim the next runnable job, visiting tenants round-robin so no
-    /// tenant's backlog starves the others.
-    fn claim(&mut self, quota: &TenantQuota) -> Option<(u64, CampaignCheckpoint)> {
+    /// tenant's backlog starves the others, and return what it runs
+    /// from.
+    fn claim(&mut self) -> Option<JobFile> {
         for _ in 0..self.rr.len() {
-            let name = self.rr.pop_front().expect("rr nonempty in loop");
-            self.rr.push_back(name.clone());
-            let tenant = self.tenants.get_mut(&name).expect("rr names resolve");
-            if tenant.running >= quota.max_concurrent || tenant.queue.is_empty() {
+            self.rr.rotate_left(1);
+            let name = self.rr.back().expect("rr nonempty in loop");
+            let tenant = &self.tenants[name];
+            if tenant.running >= self.quota.max_concurrent {
                 continue;
             }
-            let id = tenant.queue.pop_front().expect("queue nonempty");
-            tenant.running += 1;
-            let job = self.jobs.get_mut(&id).expect("queued ids resolve");
-            job.status = JobStatus::Running;
-            let checkpoint = job
-                .checkpoint
-                .take()
-                .expect("queued jobs hold a checkpoint");
-            return Some((id, checkpoint));
+            if let Some(&id) = tenant.queue.front() {
+                self.apply(JobEvent::Started { id });
+                return Some(self.jobs[&id].file.clone());
+            }
         }
         None
     }
@@ -479,7 +544,7 @@ pub struct ServiceStats {
 /// Shared daemon state: the source registry, the configuration, and the
 /// job table. HTTP handlers and workers both talk to this.
 pub struct ServiceCore {
-    /// Self-reference, set by [`Tassd::start`]'s `Arc::new_cyclic` — how
+    /// Self-reference, set by `ServiceCore::new`'s `Arc::new_cyclic` — how
     /// handlers holding only `&ServiceCore` mint the owning handle a
     /// streaming response's `'static` chunk source must capture.
     me: Weak<ServiceCore>,
@@ -494,6 +559,35 @@ pub struct ServiceCore {
 }
 
 impl ServiceCore {
+    /// A core with the jobs of `cfg.checkpoint_dir` queued and no
+    /// workers yet.
+    fn new(registry: Arc<SourceRegistry>, cfg: ServiceConfig) -> io::Result<Arc<ServiceCore>> {
+        let mut table = JobTable {
+            quota: cfg.quota.clone(),
+            next_id: 1,
+            ..JobTable::default()
+        };
+        if let Some(dir) = &cfg.checkpoint_dir {
+            std::fs::create_dir_all(dir)?;
+            let (files, next_id) = load_checkpoint_files(dir)?;
+            table.next_id = next_id;
+            for file in files {
+                table.apply(JobEvent::Queued(file));
+            }
+        }
+        Ok(Arc::new_cyclic(|me| ServiceCore {
+            me: me.clone(),
+            registry,
+            cfg,
+            started: Instant::now(),
+            accepting: AtomicBool::new(true),
+            stop: AtomicBool::new(false),
+            drain: AtomicBool::new(false),
+            table: Mutex::new(table),
+            wake: Condvar::new(),
+        }))
+    }
+
     /// The daemon's source catalogue.
     pub fn registry(&self) -> &SourceRegistry {
         &self.registry
@@ -508,22 +602,11 @@ impl ServiceCore {
 
     /// Aggregate statistics.
     pub fn stats(&self) -> ServiceStats {
-        let table = self.table.lock().expect("job table lock");
-        let mut running = 0;
-        let mut done = 0;
-        let mut failed = 0;
-        for job in table.jobs.values() {
-            match job.status {
-                JobStatus::Running => running += 1,
-                JobStatus::Done => done += 1,
-                JobStatus::Failed => failed += 1,
-                JobStatus::Queued => {}
-            }
-        }
+        let [queued, running, done, failed] = self.table.lock().expect("job table lock").counts;
         ServiceStats {
             uptime_secs: self.started.elapsed().as_secs(),
             accepting: self.accepting.load(Ordering::Relaxed),
-            queued: table.queued_total(),
+            queued,
             running,
             done,
             failed,
@@ -564,44 +647,28 @@ impl ServiceCore {
             None => source.months(),
         };
         let now = self.started.elapsed().as_secs_f64();
-        let quota = self.cfg.quota.clone();
+        let max_pending = self.cfg.quota.max_pending;
         let mut table = self.table.lock().expect("job table lock");
-        let tenant_entry = table.tenant_mut(tenant, &quota);
+        let tenant_entry = table.tenant_mut(tenant);
         tenant_entry.bucket.advance_to(now);
         if !tenant_entry.bucket.try_take() {
             return Err(SubmitError::RateLimited);
         }
         let pending = tenant_entry.queue.len() + tenant_entry.running;
-        if pending >= quota.max_pending {
+        if pending >= max_pending {
             return Err(SubmitError::QuotaExceeded {
                 pending,
-                max: quota.max_pending,
+                max: max_pending,
             });
         }
         let id = table.next_id;
-        table.next_id += 1;
-        table.jobs.insert(
+        table.apply(JobEvent::Queued(JobFile {
             id,
-            Job {
-                tenant: tenant.to_string(),
-                source: req.source.clone(),
-                kind: req.kind,
-                protocol,
-                seed: req.seed,
-                months_total,
-                status: JobStatus::Queued,
-                checkpoint: Some(CampaignCheckpoint::new(req.kind, protocol, req.seed)),
-                months_done: 0,
-                result: None,
-                completion_index: None,
-            },
-        );
-        table
-            .tenants
-            .get_mut(tenant)
-            .expect("tenant created above")
-            .queue
-            .push_back(id);
+            tenant: tenant.to_string(),
+            source: req.source,
+            months_total,
+            checkpoint: CampaignCheckpoint::new(req.kind, protocol, req.seed),
+        }));
         drop(table);
         self.wake.notify_all();
         Ok(id)
@@ -612,16 +679,17 @@ impl ServiceCore {
     /// does not distinguish the two).
     pub fn job_view(&self, tenant: &str, id: u64) -> Option<JobView> {
         let table = self.table.lock().expect("job table lock");
-        let job = table.jobs.get(&id).filter(|j| j.tenant == tenant)?;
+        let job = table.owned(tenant, id).ok()?;
+        let checkpoint = &job.file.checkpoint;
         Some(JobView {
             id,
             status: job.status.tag().to_string(),
-            source: job.source.clone(),
-            strategy: job.kind.spec(),
-            protocol: job.protocol.tag().to_string(),
-            seed: job.seed,
-            months_done: job.months_done,
-            months_total: job.months_total,
+            source: job.file.source.clone(),
+            strategy: checkpoint.kind.spec(),
+            protocol: checkpoint.protocol.tag().to_string(),
+            seed: checkpoint.seed,
+            months_done: job.months_done(),
+            months_total: job.file.months_total,
             completion_index: job.completion_index,
         })
     }
@@ -640,11 +708,7 @@ impl ServiceCore {
         limit: Option<usize>,
     ) -> Result<String, ResultError> {
         let table = self.table.lock().expect("job table lock");
-        let job = table
-            .jobs
-            .get(&id)
-            .filter(|j| j.tenant == tenant)
-            .ok_or(ResultError::NotFound)?;
+        let job = table.owned(tenant, id)?;
         match (&job.result, job.status) {
             (Some(parts), JobStatus::Done) => Ok(parts.page(offset, limit)),
             _ => Err(ResultError::NotDone {
@@ -668,11 +732,7 @@ impl ServiceCore {
         piece: u64,
     ) -> Result<StreamPiece, ResultError> {
         let table = self.table.lock().expect("job table lock");
-        let job = table
-            .jobs
-            .get(&id)
-            .filter(|j| j.tenant == tenant)
-            .ok_or(ResultError::NotFound)?;
+        let job = table.owned(tenant, id)?;
         if job.status == JobStatus::Failed {
             return Ok(StreamPiece::Gone);
         }
@@ -683,76 +743,104 @@ impl ServiceCore {
         let done = job.status == JobStatus::Done;
         Ok(match piece {
             0 => StreamPiece::Data(parts.head.clone()),
-            p if p <= months => StreamPiece::Data(parts.months[p as usize - 1].clone()),
+            1 if months > 0 => StreamPiece::Data(parts.months[0].clone()),
+            p if p <= months => StreamPiece::Data(format!(",{}", parts.months[p as usize - 1])),
             _ if !done => StreamPiece::Pending,
             p if p == months + 1 => StreamPiece::Data(parts.tail.clone()),
             _ => StreamPiece::End,
         })
     }
 
-    fn checkpoint_path(&self, id: u64) -> Option<PathBuf> {
-        self.cfg
-            .checkpoint_dir
-            .as_ref()
-            .map(|dir| dir.join(format!("job-{id:08}.json")))
-    }
-
     /// One worker's life: claim fairly, run checkpointed, repeat.
-    fn worker_loop(self: &Arc<Self>) {
+    fn worker_loop(&self) {
+        let mut table = self.table.lock().expect("job table lock");
         loop {
-            let claimed = {
-                let mut table = self.table.lock().expect("job table lock");
-                loop {
-                    let stopping = self.stop.load(Ordering::Relaxed);
-                    if stopping && !self.drain.load(Ordering::Relaxed) {
-                        return; // checkpoint mode: leave queues in place
-                    }
-                    if stopping && table.queued_total() == 0 {
-                        return; // drain mode: everything claimable is claimed
-                    }
-                    match table.claim(&self.cfg.quota) {
-                        Some(claimed) => break claimed,
-                        None => {
-                            let (t, _timeout) = self
-                                .wake
-                                .wait_timeout(table, WORKER_POLL)
-                                .expect("job table lock");
-                            table = t;
-                        }
-                    }
-                }
-            };
-            self.run_job(claimed.0, claimed.1);
+            // checkpoint mode leaves the queues in place; drain mode
+            // stops once everything claimable is claimed
+            let queued = table.counts[JobStatus::Queued as usize];
+            if self.stop.load(Ordering::Relaxed)
+                && (!self.drain.load(Ordering::Relaxed) || queued == 0)
+            {
+                return;
+            }
+            if let Some(claimed) = table.claim() {
+                drop(table);
+                self.run_job(claimed);
+                table = self.table.lock().expect("job table lock");
+            } else {
+                table = self
+                    .wake
+                    .wait_timeout(table, WORKER_POLL)
+                    .expect("job table lock")
+                    .0;
+            }
         }
     }
 
-    fn run_job(self: &Arc<Self>, id: u64, checkpoint: CampaignCheckpoint) {
-        let (source_name, months_total) = {
-            let table = self.table.lock().expect("job table lock");
-            let job = table.jobs.get(&id).expect("claimed ids resolve");
-            (job.source.clone(), job.months_total)
-        };
+    /// Run a claimed job until it finishes or is suspended.
+    fn run_job(&self, file: JobFile) {
+        let JobFile {
+            id,
+            source: name,
+            months_total,
+            checkpoint,
+            ..
+        } = file;
         // sources are validated at submit time and the registry is
-        // immutable, so this lookup only fails on a checkpoint file
-        // resumed against a daemon missing the source
-        let Some(inner) = self.registry.get_v4(&source_name) else {
-            let mut table = self.table.lock().expect("job table lock");
-            self.finish(&mut table, id, JobStatus::Failed);
-            return;
+        // immutable, so these checks only fail a checkpoint file resumed
+        // against a daemon that lacks its source or has a shorter one
+        let inner = self.registry.get_v4(&name);
+        let horizon = inner.as_ref().map(|source| source.months());
+        let Some(inner) = inner.filter(|_| horizon >= Some(months_total)) else {
+            let served = horizon.map_or("is not served".into(), |h| format!("has horizon {h}"));
+            let before = checkpoint.months_done();
+            let reason =
+                format!("before month {before}: horizon {months_total}, but {name:?} {served}");
+            return self.finish(id, Err(reason));
         };
         let source = Capped {
             inner,
             months: months_total,
         };
-        let (kind, protocol, identity) = (checkpoint.kind, checkpoint.protocol, checkpoint.job());
+        // renders the months completed since the last call outside the
+        // table lock; the envelope is the 1-month `partial_result` stamped
+        // with the job identity the checkpointed driver adds — the same
+        // constructor as the final result — so the parts join to the
+        // finished result's exact bytes
+        let (kind, job) = (checkpoint.kind, checkpoint.job());
+        let mut rendered = 0;
+        let mut progress = |done: &[MonthEval]| {
+            let envelope = done.first().filter(|_| rendered == 0).map(|first| {
+                let mut result = partial_result(&source, &kind, job.protocol, vec![*first])
+                    .expect("one month is a result")
+                    .with_job(job.clone());
+                result.months.clear();
+                let json =
+                    serde_json::to_string(&result).expect("campaign results always serialize");
+                let key = "\"months\":[";
+                let open = json.find(key).expect("results carry a months array") + key.len();
+                ResultParts {
+                    head: json[..open].to_string(),
+                    months: Vec::new(),
+                    tail: json[open..].to_string(),
+                }
+            });
+            let months = done[rendered..]
+                .iter()
+                .map(|eval| serde_json::to_string(eval).expect("month evals always serialize"))
+                .collect();
+            rendered = done.len();
+            JobEvent::Progress {
+                id,
+                envelope,
+                months,
+            }
+        };
         let delay = self.cfg.month_delay;
         let mut control = |month: u32, done: &[MonthEval]| {
-            {
-                let mut table = self.table.lock().expect("job table lock");
-                let job = table.jobs.get_mut(&id).expect("running ids resolve");
-                job.months_done = month;
-                publish_months(&mut job.result, &source, &kind, protocol, &identity, done);
-            }
+            debug_assert_eq!(month as usize, done.len());
+            let event = progress(done);
+            self.table.lock().expect("job table lock").apply(event);
             if self.stop.load(Ordering::Relaxed) && !self.drain.load(Ordering::Relaxed) {
                 return CampaignStep::Suspend;
             }
@@ -762,70 +850,44 @@ impl ServiceCore {
             CampaignStep::Continue
         };
         match run_campaign_checkpointed(&source, checkpoint, &mut control) {
+            // the hook never sees the last month (nor any month of a
+            // `months: 0` job), so the parts are completed here
             CampaignRun::Done(result) => {
-                let mut table = self.table.lock().expect("job table lock");
-                let job = table.jobs.get_mut(&id).expect("running ids resolve");
-                // the hook never sees the last month (nor any month of a
-                // `months: 0` job), so the parts are completed here
-                publish_months(
-                    &mut job.result,
-                    &source,
-                    &kind,
-                    protocol,
-                    &identity,
-                    &result.months,
-                );
-                job.months_done = job.months_total + 1;
-                self.finish(&mut table, id, JobStatus::Done);
-                drop(table);
-                // the job is finished; its resume file (if any) is stale
-                if let Some(path) = self.checkpoint_path(id) {
-                    let _ = std::fs::remove_file(path);
-                }
-                self.wake.notify_all();
+                self.finish(id, Ok(progress(&result.months)));
             }
-            CampaignRun::Suspended(cp) => {
-                let mut guard = self.table.lock().expect("job table lock");
-                let table = &mut *guard;
-                let job = table.jobs.get_mut(&id).expect("running ids resolve");
-                job.months_done = cp.months_done();
-                job.checkpoint = Some(cp);
-                job.status = JobStatus::Queued;
-                let tenant = table
-                    .tenants
-                    .get_mut(&job.tenant)
-                    .expect("job tenants resolve");
-                tenant.running -= 1;
-                // resume-first when the daemon comes back
-                tenant.queue.push_front(id);
+            CampaignRun::Suspended(checkpoint) => {
+                let suspended = JobEvent::Suspended { id, checkpoint };
+                self.table.lock().expect("job table lock").apply(suspended);
             }
             CampaignRun::Failed { month, error, .. } => {
-                // `months_done` already counts the completed months: the
-                // hook set it at the failing boundary, or the resumed
-                // checkpoint did
-                eprintln!("tassd: job {id} failed at month {month}: {error}");
-                let mut table = self.table.lock().expect("job table lock");
-                self.finish(&mut table, id, JobStatus::Failed);
-                drop(table);
-                self.wake.notify_all();
+                self.finish(id, Err(format!("at month {month}: {error}")));
             }
         }
     }
 
-    /// Mark `id` finished with `status` (done or failed), stamping its
-    /// completion index. A failed job keeps the months it completed.
-    fn finish(&self, table: &mut JobTable, id: u64, status: JobStatus) {
-        let index = table.completions;
-        table.completions += 1;
-        let job = table.jobs.get_mut(&id).expect("finished ids resolve");
-        job.status = status;
-        job.completion_index = Some(index);
-        let tenant = job.tenant.clone();
-        table
-            .tenants
-            .get_mut(&tenant)
-            .expect("job tenants resolve")
-            .running -= 1;
+    /// End job `id`: done after its last `Progress`, or failed for the
+    /// given reason, which goes to stderr. Either way the job keeps the
+    /// months it completed, its checkpoint file (if any) is removed so
+    /// no restart runs it again, and the workers are woken, since its
+    /// tenant has a free run slot.
+    fn finish(&self, id: u64, outcome: Result<JobEvent, String>) {
+        if let Err(reason) = &outcome {
+            eprintln!("tassd: job {id} failed {reason}");
+        }
+        let mut table = self.table.lock().expect("job table lock");
+        let status = match outcome {
+            Ok(last) => {
+                table.apply(last);
+                JobStatus::Done
+            }
+            Err(_) => JobStatus::Failed,
+        };
+        table.apply(JobEvent::Finished { id, status });
+        drop(table);
+        if let Some(dir) = &self.cfg.checkpoint_dir {
+            let _ = std::fs::remove_file(dir.join(format!("job-{id:08}.json")));
+        }
+        self.wake.notify_all();
     }
 }
 
@@ -835,7 +897,9 @@ pub enum ShutdownMode {
     /// Finish every queued job, then exit.
     Drain,
     /// Suspend running campaigns at the next month boundary and persist
-    /// every unfinished job to the checkpoint directory.
+    /// every unfinished job, suspended or never started, to the
+    /// checkpoint directory as one `job-*.json` file. A finished job has
+    /// no file.
     Checkpoint,
 }
 
@@ -855,55 +919,17 @@ pub struct Tassd {
 }
 
 impl Tassd {
-    /// Start the daemon: resume any checkpointed jobs found in
-    /// `cfg.checkpoint_dir` (setting aside any job file that does not
-    /// parse), then spawn the campaign workers.
+    /// Start the daemon: admit each job file in `cfg.checkpoint_dir`
+    /// under its original id, by the same `Queued` event as a
+    /// submission (setting aside any file that does not parse), then
+    /// spawn the campaign workers.
     pub fn start(registry: Arc<SourceRegistry>, cfg: ServiceConfig) -> io::Result<Tassd> {
         let pool = if cfg.workers == 0 {
             CampaignPool::from_env()
         } else {
             CampaignPool::new(cfg.workers)
         };
-        let mut table = JobTable {
-            next_id: 1,
-            ..JobTable::default()
-        };
-        if let Some(dir) = &cfg.checkpoint_dir {
-            std::fs::create_dir_all(dir)?;
-            let (files, next_id) = load_checkpoint_files(dir)?;
-            table.next_id = next_id;
-            for file in files {
-                let tenant = table.tenant_mut(&file.tenant, &cfg.quota);
-                tenant.queue.push_back(file.id);
-                table.jobs.insert(
-                    file.id,
-                    Job {
-                        tenant: file.tenant,
-                        source: file.source,
-                        kind: file.checkpoint.kind,
-                        protocol: file.checkpoint.protocol,
-                        seed: file.checkpoint.seed,
-                        months_total: file.months_total,
-                        status: JobStatus::Queued,
-                        months_done: file.checkpoint.months_done(),
-                        checkpoint: Some(file.checkpoint),
-                        result: None,
-                        completion_index: None,
-                    },
-                );
-            }
-        }
-        let core = Arc::new_cyclic(|me| ServiceCore {
-            me: me.clone(),
-            registry,
-            cfg,
-            started: Instant::now(),
-            accepting: AtomicBool::new(true),
-            stop: AtomicBool::new(false),
-            drain: AtomicBool::new(false),
-            table: Mutex::new(table),
-            wake: Condvar::new(),
-        });
+        let core = ServiceCore::new(registry, cfg)?;
         let workers = (0..pool.workers())
             .map(|i| {
                 let core = Arc::clone(&core);
@@ -934,27 +960,19 @@ impl Tassd {
         }
         let table = self.core.table.lock().expect("job table lock");
         let mut checkpointed = 0;
-        if mode == ShutdownMode::Checkpoint {
-            if let Some(dir) = &self.core.cfg.checkpoint_dir {
-                for (id, job) in &table.jobs {
-                    let Some(checkpoint) = &job.checkpoint else {
-                        continue;
-                    };
-                    let file = JobFile {
-                        id: *id,
-                        tenant: job.tenant.clone(),
-                        source: job.source.clone(),
-                        months_total: job.months_total,
-                        checkpoint: checkpoint.clone(),
-                    };
-                    let json = serde_json::to_string(&file).expect("job files always serialize");
+        if let (ShutdownMode::Checkpoint, Some(dir)) = (mode, &self.core.cfg.checkpoint_dir) {
+            // the workers have stopped, so every unfinished job is queued
+            for (id, job) in &table.jobs {
+                if job.status == JobStatus::Queued {
+                    let json =
+                        serde_json::to_string(&job.file).expect("job files always serialize");
                     write_atomically(dir, &format!("job-{id:08}.json"), json.as_bytes())?;
                     checkpointed += 1;
                 }
             }
         }
         Ok(ShutdownReport {
-            completed: table.completions,
+            completed: table.completions(),
             checkpointed,
         })
     }
@@ -981,8 +999,9 @@ fn write_atomically(dir: &Path, name: &str, bytes: &[u8]) -> io::Result<()> {
 /// copy) does not stop the daemon: it is renamed to
 /// `job-XXXXXXXX.json.corrupt`, one stderr line names it, and the other
 /// jobs resume. The id in every `job-` file name stays taken, as does
-/// every resumed job's own id, so a new job never reuses the id of a
-/// file set aside now or at an earlier start.
+/// every resumed job's own id (its `Queued` event raises the next id),
+/// so a new job never reuses the id of a file set aside now or at an
+/// earlier start.
 fn load_checkpoint_files(dir: &Path) -> io::Result<(Vec<JobFile>, u64)> {
     let mut files = Vec::new();
     let mut next_id = 1u64;
@@ -1003,10 +1022,7 @@ fn load_checkpoint_files(dir: &Path) -> io::Result<(Vec<JobFile>, u64)> {
             .map_err(|e| e.to_string())
             .and_then(|text| serde_json::from_str::<JobFile>(text).map_err(|e| e.to_string()));
         match parsed {
-            Ok(file) => {
-                next_id = next_id.max(file.id.saturating_add(1));
-                files.push(file);
-            }
+            Ok(file) => files.push(file),
             Err(e) => {
                 let aside = dir.join(format!("{name}.corrupt"));
                 std::fs::rename(&path, &aside)?;
@@ -1059,6 +1075,122 @@ mod tests {
             assert!(Instant::now() < deadline, "job {id} stuck: {view:?}");
             thread::sleep(Duration::from_millis(5));
         }
+    }
+
+    /// The job counts as `stats()` computed them before the table kept
+    /// counters: a walk over every job, and the tenant queues' lengths.
+    fn walk(table: &JobTable) -> [usize; 4] {
+        let mut running = 0;
+        let mut done = 0;
+        let mut failed = 0;
+        for job in table.jobs.values() {
+            match job.status {
+                JobStatus::Running => running += 1,
+                JobStatus::Done => done += 1,
+                JobStatus::Failed => failed += 1,
+                JobStatus::Queued => {}
+            }
+        }
+        let queued = table.tenants.values().map(|t| t.queue.len()).sum();
+        [queued, running, done, failed]
+    }
+
+    /// `[queued, running, done, failed]` from `stats()`, checked
+    /// against the walk.
+    fn checked_counts(core: &ServiceCore) -> [usize; 4] {
+        let stats = core.stats();
+        let counts = [stats.queued, stats.running, stats.done, stats.failed];
+        assert_eq!(counts, walk(&core.table.lock().unwrap()));
+        counts
+    }
+
+    /// One worker step on the test thread: claim the next job and run it
+    /// to its end.
+    fn step(core: &ServiceCore) -> u64 {
+        let file = core.table.lock().unwrap().claim().expect("a claimable job");
+        let id = file.id;
+        core.run_job(file);
+        id
+    }
+
+    /// Two tenants submit; alice's job is checkpointed mid-campaign and
+    /// resumed by a second daemon, where bob's job fails because its
+    /// source is gone. After every step the counters `stats()` reads
+    /// equal a walk over the job table.
+    #[test]
+    fn counters_equal_a_walk_through_submit_checkpoint_resume_and_failure() {
+        let dir = std::env::temp_dir().join(format!("tassd-counts-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = ServiceConfig {
+            checkpoint_dir: Some(dir.clone()),
+            month_delay: Duration::from_millis(10),
+            ..ServiceConfig::default()
+        };
+        let demo = demo_registry().get_v4("demo").unwrap();
+        let mut first = SourceRegistry::new();
+        first.insert_v4("demo", Arc::clone(&demo)).unwrap();
+        first.insert_v4("gone", demo).unwrap();
+        let core = ServiceCore::new(Arc::new(first), cfg.clone()).unwrap();
+        assert_eq!(checked_counts(&core), [0, 0, 0, 0]);
+        let capped = |seed| SubmitRequest {
+            months: Some(4),
+            ..submit(StrategyKind::FullScan, seed)
+        };
+        let resumed = core.submit("alice", capped(1)).unwrap();
+        let gone = SubmitRequest {
+            source: "gone".to_string(),
+            ..capped(2)
+        };
+        let lost = core.submit("bob", gone).unwrap();
+        assert_eq!(checked_counts(&core), [2, 0, 0, 0]);
+
+        let file = core.table.lock().unwrap().claim().unwrap();
+        assert_eq!(file.id, resumed);
+        assert_eq!(checked_counts(&core), [1, 1, 0, 0]);
+        thread::scope(|scope| {
+            scope.spawn(|| core.run_job(file));
+            while core.job_view("alice", resumed).unwrap().months_done < 2 {
+                thread::sleep(Duration::from_millis(2));
+            }
+            core.stop.store(true, Ordering::Relaxed);
+        });
+        assert_eq!(checked_counts(&core), [2, 0, 0, 0]);
+        let months = core.job_view("alice", resumed).unwrap().months_done;
+        let daemon = Tassd {
+            core: Arc::clone(&core),
+            workers: Vec::new(),
+        };
+        assert_eq!(
+            daemon
+                .shutdown(ShutdownMode::Checkpoint)
+                .unwrap()
+                .checkpointed,
+            2
+        );
+        assert_eq!(checked_counts(&core), [2, 0, 0, 0]);
+
+        let core = ServiceCore::new(demo_registry(), cfg).unwrap();
+        assert_eq!(checked_counts(&core), [2, 0, 0, 0]);
+        assert_eq!(core.job_view("alice", resumed).unwrap().months_done, months);
+        assert_eq!(step(&core), resumed);
+        assert_eq!(checked_counts(&core), [1, 0, 1, 0]);
+        assert_eq!(step(&core), lost);
+        assert_eq!(checked_counts(&core), [0, 0, 1, 1]);
+        assert_eq!(core.job_view("bob", lost).unwrap().status, "failed");
+
+        let capped = Capped {
+            inner: core.registry().get_v4("demo").unwrap(),
+            months: 4,
+        };
+        let oracle = run_campaign(&capped, StrategyKind::FullScan, Protocol::Http, 1)
+            .with_job(CampaignJob::new(StrategyKind::FullScan, Protocol::Http, 1));
+        assert_eq!(
+            core.job_result_page("alice", resumed, 0, None).unwrap(),
+            serde_json::to_string(&oracle).unwrap()
+        );
+        let left: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+        assert!(left.is_empty(), "finished jobs left {left:?}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -663,6 +663,44 @@ fn failed_resume_keeps_the_checkpointed_months() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A failed job leaves no checkpoint file: after a drain, a daemon
+/// restarted over the same directory neither queues the job again nor
+/// reports a second failure.
+#[test]
+fn a_failed_job_leaves_no_file_and_is_not_run_again() {
+    let dir = std::env::temp_dir().join(format!("tassd-failed-once-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = || ServiceConfig {
+        workers: 1,
+        quota: TenantQuota::default(),
+        month_delay: Duration::from_millis(40),
+        checkpoint_dir: Some(dir.clone()),
+    };
+    let (id, file) = checkpoint_mid_campaign(&registry(), cfg(), "full-scan", 3, 0);
+
+    // both restarts lack the job's source: the first fails the job
+    for restart in 0..2 {
+        let daemon = Tassd::start(Arc::new(SourceRegistry::new()), cfg()).unwrap();
+        let server = HttpServer::bind("127.0.0.1:0", daemon.core(), api::router()).unwrap();
+        let mut client = HttpClient::connect(server.addr());
+        if restart == 0 {
+            wait_failed(&mut client, "alice", id);
+        } else {
+            let (status, body) = client
+                .get(&format!("/v1/campaigns/{id}"), Some("alice"))
+                .unwrap();
+            assert_eq!(status, 404, "the failed job came back: {body}");
+        }
+        let (_, health) = client.get("/v1/healthz", None).unwrap();
+        assert_eq!(parse_field_u64(&health, "failed"), 1 - restart, "{health}");
+        assert_eq!(parse_field_u64(&health, "queued"), 0, "{health}");
+        server.shutdown();
+        daemon.shutdown(ShutdownMode::Drain).unwrap();
+        assert!(!file.exists(), "{} outlived its failure", file.display());
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A corpus month torn on disk after the corpus was opened fails the job
 /// that reaches it. The worker survives: another tenant's job on an
 /// in-memory source completes byte-identically, and nothing is left
@@ -727,8 +765,8 @@ fn a_month_torn_after_open_fails_its_job_and_the_worker_survives() {
 }
 
 /// A checkpoint file whose horizon runs past its source fails the
-/// resumed job at the first month the source lacks, keeping every month
-/// before it, and the worker goes on to run the next job.
+/// resumed job before it runs a month, keeping the months it
+/// checkpointed, and the worker goes on to run the next job.
 #[test]
 fn a_checkpoint_past_the_source_horizon_fails_its_job() {
     let dir = std::env::temp_dir().join(format!("tassd-horizon-{}", std::process::id()));
@@ -743,6 +781,8 @@ fn a_checkpoint_past_the_source_horizon_fails_its_job() {
     let (id, file) = checkpoint_mid_campaign(&reg, cfg(), "full-scan", 3, 0);
     // the demo source has 6 months after t₀; claim 9
     let text = std::fs::read_to_string(&file).unwrap();
+    // one `"month":` key per completed month evaluation
+    let checkpointed = text.matches(r#""month":"#).count() as u64;
     assert_eq!(text.matches(r#""months_total":6"#).count(), 1, "{text}");
     std::fs::write(
         &file,
@@ -761,7 +801,11 @@ fn a_checkpoint_past_the_source_horizon_fails_its_job() {
     let server = HttpServer::bind("127.0.0.1:0", daemon.core(), api::router()).unwrap();
     let mut client = HttpClient::connect(server.addr());
     let body = wait_failed(&mut client, "alice", id);
-    assert_eq!(parse_field_u64(&body, "months_done"), 7, "{body}");
+    assert_eq!(
+        parse_field_u64(&body, "months_done"),
+        checkpointed,
+        "{body}"
+    );
     let next = submit(&mut client, "alice", "full-scan", 4);
     wait_done(&mut client, "alice", next);
     let (_, health) = client.get("/v1/healthz", None).unwrap();
