@@ -213,7 +213,7 @@ fn serve_main(args: &[String]) {
                     "usage: tass-select serve [--addr HOST:PORT] [--source NAME=SPEC]... \
                      [--workers N] [--checkpoint-dir DIR] [--drain] [--max-pending N] \
                      [--max-concurrent N] [--rate R] [--burst B] [--month-delay-ms MS] \
-                     [--http-loops N] [--keep-alive-secs S]"
+                     [--cache-bytes N] [--http-loops N] [--keep-alive-secs S]"
                 );
                 return;
             }

@@ -35,8 +35,9 @@
 //! plain `409`.
 
 use crate::httpd::{Request, Response, Router, StreamChunk};
-use crate::service::{ResultError, ServiceCore, StreamPiece, SubmitError, SubmitRequest};
+use crate::service::{ResultError, ServiceCore, SubmitError, SubmitRequest};
 use serde::Value;
+use std::sync::Arc;
 use tass_core::parse_spec;
 use tass_model::Protocol;
 
@@ -204,19 +205,19 @@ fn job_id(params_id: Option<&str>) -> Result<u64, Response> {
 
 /// The daemon's route table over a shared [`ServiceCore`].
 pub fn router() -> Router<ServiceCore> {
-    Router::new()
-        .route("GET", "/v1/healthz", |core: &ServiceCore, _req, _p| {
+    Router::<ServiceCore>::new()
+        .route("GET", "/v1/healthz", |core, _req, _p| {
             let stats = core.stats();
             Response::json(200, serde_json::to_string(&stats).expect("stats render"))
         })
-        .route("GET", "/v1/sources", |core: &ServiceCore, _req, _p| {
+        .route("GET", "/v1/sources", |core, _req, _p| {
             let sources = core.registry().list();
             Response::json(
                 200,
                 serde_json::to_string(&sources).expect("sources render"),
             )
         })
-        .route("POST", "/v1/campaigns", |core: &ServiceCore, req, _p| {
+        .route("POST", "/v1/campaigns", |core, req, _p| {
             answer(|| {
                 let tenant = tenant(req)?;
                 Ok(match core.submit(&tenant, parse_submission(&req.body)?) {
@@ -225,7 +226,7 @@ pub fn router() -> Router<ServiceCore> {
                 })
             })
         })
-        .route("GET", "/v1/campaigns/{id}", |core: &ServiceCore, req, p| {
+        .route("GET", "/v1/campaigns/{id}", |core, req, p| {
             answer(|| {
                 let (tenant, id) = (tenant(req)?, job_id(p.get("id"))?);
                 let view = core
@@ -237,29 +238,25 @@ pub fn router() -> Router<ServiceCore> {
                 ))
             })
         })
-        .route(
-            "GET",
-            "/v1/campaigns/{id}/results",
-            |core: &ServiceCore, req, p| {
-                answer(|| {
-                    let (tenant, id) = (tenant(req)?, job_id(p.get("id"))?);
-                    let (offset, limit) = page_window(req)?;
-                    Ok(match core.job_result_page(&tenant, id, offset, limit) {
-                        Ok(json) => Response::json(200, json),
-                        Err(ResultError::NotFound) => unknown_campaign(id),
-                        Err(ResultError::NotDone { status }) => err(
-                            409,
-                            "not_done",
-                            &format!("campaign {id} is {status}; results exist once it is done"),
-                        ),
-                    })
+        .route("GET", "/v1/campaigns/{id}/results", |core, req, p| {
+            answer(|| {
+                let (tenant, id) = (tenant(req)?, job_id(p.get("id"))?);
+                let (offset, limit) = page_window(req)?;
+                Ok(match core.job_result_page(&tenant, id, offset, limit) {
+                    Ok(json) => Response::json(200, json),
+                    Err(ResultError::NotFound) => unknown_campaign(id),
+                    Err(ResultError::NotDone { status }) => err(
+                        409,
+                        "not_done",
+                        &format!("campaign {id} is {status}; results exist once it is done"),
+                    ),
                 })
-            },
-        )
+            })
+        })
         .route(
             "GET",
             "/v1/campaigns/{id}/results/stream",
-            |core: &ServiceCore, req, p| {
+            |core, req, p| {
                 answer(|| {
                     let (tenant, id) = (tenant(req)?, job_id(p.get("id"))?);
                     // resolve existence and terminal failure *before*
@@ -274,21 +271,16 @@ pub fn router() -> Router<ServiceCore> {
                             &format!("campaign {id} is failed; it will never have results"),
                         ));
                     }
-                    let core = core.arc();
+                    let core = Arc::clone(core);
                     let mut piece = 0u64;
-                    Ok(Response::stream(
-                        200,
-                        "application/json",
-                        move || match core.result_stream_piece(&tenant, id, piece) {
-                            Ok(StreamPiece::Pending) => StreamChunk::Pending,
-                            Ok(StreamPiece::Data(data)) => {
-                                piece += 1;
-                                StreamChunk::Data(data.into_bytes())
-                            }
-                            Ok(StreamPiece::End) => StreamChunk::End,
-                            Ok(StreamPiece::Gone) | Err(_) => StreamChunk::Abort,
-                        },
-                    ))
+                    Ok(Response::stream(200, "application/json", move || {
+                        let chunk = core.result_stream_piece(&tenant, id, piece);
+                        let chunk = chunk.unwrap_or(StreamChunk::Abort);
+                        if let StreamChunk::Data(_) = chunk {
+                            piece += 1;
+                        }
+                        chunk
+                    }))
                 })
             },
         )
@@ -298,7 +290,6 @@ pub fn router() -> Router<ServiceCore> {
 mod tests {
     use super::*;
     use crate::service::{ServiceConfig, ShutdownMode, Tassd};
-    use std::sync::Arc;
     use tass_model::registry::SourceRegistry;
     use tass_model::universe::{Universe, UniverseConfig};
 
@@ -415,7 +406,7 @@ mod tests {
             ),
         ];
         for (req, status, code) in cases {
-            let resp = router.dispatch(&*core, &req);
+            let resp = router.dispatch(&core, &req);
             let body = String::from_utf8(resp.body.clone()).unwrap();
             assert_eq!(
                 (resp.status, body.contains(code)),
@@ -426,9 +417,9 @@ mod tests {
             );
         }
         // unauthenticated endpoints answer without a key
-        let resp = router.dispatch(&*core, &request("GET", "/v1/healthz", None, ""));
+        let resp = router.dispatch(&core, &request("GET", "/v1/healthz", None, ""));
         assert_eq!(resp.status, 200);
-        let resp = router.dispatch(&*core, &request("GET", "/v1/sources", None, ""));
+        let resp = router.dispatch(&core, &request("GET", "/v1/sources", None, ""));
         let body = String::from_utf8(resp.body).unwrap();
         assert_eq!(resp.status, 200);
         assert!(body.contains(r#""name":"demo""#), "{body}");

@@ -41,8 +41,10 @@
 //! buffer (responses are rendered straight into the write buffer, head
 //! and body in one pass), and the parsed [`Request`]'s header/body
 //! containers are reclaimed after dispatch so their capacity survives to
-//! the next request. The only per-request allocations left are the
-//! header name/value strings themselves. Handlers run on the event-loop
+//! the next request. The per-request allocations left are the request's
+//! method, path and header strings, the route parameter lists and the
+//! response body, and their number does not grow with the connection's
+//! history (`tests/scan_alloc.rs`). Handlers run on the event-loop
 //! thread — the API holds locks for microseconds, so dispatch is cheap —
 //! and a slow *client* can never stall another connection: it only ever
 //! parks its own state machine until its socket is ready again.
@@ -220,10 +222,9 @@ pub struct Request {
 impl Request {
     /// First value of a header, by case-insensitive name.
     pub fn header(&self, name: &str) -> Option<&str> {
-        let name = name.to_ascii_lowercase();
         self.headers
             .iter()
-            .find(|(k, _)| *k == name)
+            .find(|(k, _)| k.eq_ignore_ascii_case(name))
             .map(|(_, v)| v.as_str())
     }
 
@@ -240,6 +241,7 @@ impl Request {
 }
 
 /// One pull from a streaming response body.
+#[derive(Debug)]
 pub enum StreamChunk {
     /// Nothing to send yet — the event loop re-polls on the next tick.
     Pending,
@@ -356,7 +358,7 @@ enum Seg {
     Param(String),
 }
 
-type Handler<S> = Box<dyn Fn(&S, &Request, &PathParams) -> Response + Send + Sync>;
+type Handler<S> = Box<dyn Fn(&Arc<S>, &Request, &PathParams) -> Response + Send + Sync>;
 
 struct Route<S> {
     method: &'static str,
@@ -364,7 +366,9 @@ struct Route<S> {
     handler: Handler<S>,
 }
 
-/// A method + path-pattern dispatcher over shared state `S`.
+/// A method + path-pattern dispatcher over shared state `S`. Handlers
+/// get the `Arc<S>` the event loop holds, so a streaming body can own a
+/// clone of it.
 pub struct Router<S> {
     routes: Vec<Route<S>>,
 }
@@ -389,7 +393,7 @@ impl<S> Router<S> {
         mut self,
         method: &'static str,
         pattern: &str,
-        handler: impl Fn(&S, &Request, &PathParams) -> Response + Send + Sync + 'static,
+        handler: impl Fn(&Arc<S>, &Request, &PathParams) -> Response + Send + Sync + 'static,
     ) -> Router<S> {
         let pattern = pattern
             .split('/')
@@ -428,7 +432,7 @@ impl<S> Router<S> {
 
     /// Dispatch one request: `404` when no pattern matches the path,
     /// `405` when a pattern matches but not the method.
-    pub fn dispatch(&self, state: &S, req: &Request) -> Response {
+    pub fn dispatch(&self, state: &Arc<S>, req: &Request) -> Response {
         let mut path_matched = false;
         for route in &self.routes {
             if let Some(params) = Router::<S>::match_path(&route.pattern, &req.path) {

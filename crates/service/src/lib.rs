@@ -48,7 +48,7 @@ pub mod sources;
 pub use client::HttpClient;
 pub use httpd::{HttpServer, HttpdConfig, Router, StreamChunk};
 pub use service::{
-    JobView, ServiceConfig, ServiceCore, ServiceStats, ShutdownMode, ShutdownReport, StreamPiece,
-    SubmitError, SubmitRequest, Tassd, TenantQuota,
+    JobView, ServiceConfig, ServiceCore, ServiceStats, ShutdownMode, ShutdownReport, SubmitError,
+    SubmitRequest, Tassd, TenantQuota,
 };
 pub use sources::{add_source, add_source_with};

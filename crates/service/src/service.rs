@@ -18,6 +18,15 @@
 //! queued/running/done/failed counters that `GET /v1/healthz` reads, so
 //! a health check never walks the jobs.
 //!
+//! The daemon's lifecycle lives in the same table: `stopping` is `None`
+//! while serving, and [`Tassd::shutdown`] sets it under the table lock.
+//! It is read only in critical sections that exist anyway: the one in
+//! which `submit` applies `Queued`, `stats()`, a worker's claim, and a
+//! month boundary's `Progress`. So no job is accepted after the workers
+//! have gone. Idle workers block on the table's condvar with no timeout;
+//! queuing a job, finishing one (which frees a run slot) and shutdown
+//! each notify it.
+//!
 //! Campaigns run through [`run_campaign_checkpointed`], which is what
 //! makes shutdown graceful in both senses:
 //!
@@ -34,13 +43,13 @@
 //! A job that finishes, done or failed, removes its file, so no restart
 //! runs it again.
 
+use crate::httpd::StreamChunk;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, Weak};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 use tass_core::{
@@ -54,10 +63,6 @@ use tass_model::source::GroundTruth;
 use tass_model::topology::Topology;
 use tass_model::Protocol;
 use tass_scan::rate::TokenBucket;
-
-/// How long an idle worker sleeps on the wake condvar before re-checking
-/// the stop flags.
-const WORKER_POLL: Duration = Duration::from_millis(25);
 
 /// Per-tenant limits, enforced at submission time.
 #[derive(Debug, Clone)]
@@ -204,24 +209,6 @@ pub enum ResultError {
         /// Current status tag (`queued` / `running` / `failed`).
         status: String,
     },
-}
-
-/// One piece of a streamed result fetch
-/// ([`ServiceCore::result_stream_piece`]). Pieces concatenate to the
-/// exact bytes of the unpaginated result body: piece 0 is the envelope
-/// prefix through the months array's `[`, pieces `1..=months` are the
-/// month elements (each after the first carrying its leading comma),
-/// and the final piece is `]` through the end of the envelope.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum StreamPiece {
-    /// Not computed yet — the campaign hasn't reached this month.
-    Pending,
-    /// The piece's bytes.
-    Data(String),
-    /// Every piece has been served; the stream is complete.
-    End,
-    /// The job failed: the stream can never complete.
-    Gone,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -382,6 +369,8 @@ struct JobTable {
     /// Jobs by status, indexed by `JobStatus as usize`: the `healthz`
     /// counts.
     counts: [usize; 4],
+    /// `None` while serving; set once by [`Tassd::shutdown`].
+    stopping: Option<ShutdownMode>,
 }
 
 impl JobTable {
@@ -544,17 +533,12 @@ pub struct ServiceStats {
 /// Shared daemon state: the source registry, the configuration, and the
 /// job table. HTTP handlers and workers both talk to this.
 pub struct ServiceCore {
-    /// Self-reference, set by `ServiceCore::new`'s `Arc::new_cyclic` — how
-    /// handlers holding only `&ServiceCore` mint the owning handle a
-    /// streaming response's `'static` chunk source must capture.
-    me: Weak<ServiceCore>,
     registry: Arc<SourceRegistry>,
     cfg: ServiceConfig,
     started: Instant,
-    accepting: AtomicBool,
-    stop: AtomicBool,
-    drain: AtomicBool,
     table: Mutex<JobTable>,
+    /// Notified after every table change a waiting worker may act on: a
+    /// job queued, a run slot freed, shutdown begun.
     wake: Condvar,
 }
 
@@ -575,14 +559,10 @@ impl ServiceCore {
                 table.apply(JobEvent::Queued(file));
             }
         }
-        Ok(Arc::new_cyclic(|me| ServiceCore {
-            me: me.clone(),
+        Ok(Arc::new(ServiceCore {
             registry,
             cfg,
             started: Instant::now(),
-            accepting: AtomicBool::new(true),
-            stop: AtomicBool::new(false),
-            drain: AtomicBool::new(false),
             table: Mutex::new(table),
             wake: Condvar::new(),
         }))
@@ -593,19 +573,13 @@ impl ServiceCore {
         &self.registry
     }
 
-    /// An owning handle to this core. A `ServiceCore` is only ever
-    /// reachable through an `Arc`, so the upgrade cannot fail while a
-    /// caller holds `&self`.
-    pub fn arc(&self) -> Arc<ServiceCore> {
-        self.me.upgrade().expect("core is reachable only via Arc")
-    }
-
     /// Aggregate statistics.
     pub fn stats(&self) -> ServiceStats {
-        let [queued, running, done, failed] = self.table.lock().expect("job table lock").counts;
+        let table = self.table.lock().expect("job table lock");
+        let [queued, running, done, failed] = table.counts;
         ServiceStats {
             uptime_secs: self.started.elapsed().as_secs(),
-            accepting: self.accepting.load(Ordering::Relaxed),
+            accepting: table.stopping.is_none(),
             queued,
             running,
             done,
@@ -613,9 +587,13 @@ impl ServiceCore {
         }
     }
 
-    /// Validate and enqueue a campaign submission for `tenant`.
+    /// Validate and enqueue a campaign submission for `tenant`. One
+    /// critical section refuses it once shutdown has begun and applies
+    /// its `Queued`, so every accepted job is seen by the workers or by
+    /// a checkpoint shutdown.
     pub fn submit(&self, tenant: &str, req: SubmitRequest) -> Result<u64, SubmitError> {
-        if !self.accepting.load(Ordering::Relaxed) {
+        let mut table = self.table.lock().expect("job table lock");
+        if table.stopping.is_some() {
             return Err(SubmitError::NotAccepting);
         }
         let source = match self.registry.get(&req.source) {
@@ -648,7 +626,6 @@ impl ServiceCore {
         };
         let now = self.started.elapsed().as_secs_f64();
         let max_pending = self.cfg.quota.max_pending;
-        let mut table = self.table.lock().expect("job table lock");
         let tenant_entry = table.tenant_mut(tenant);
         tenant_entry.bucket.advance_to(now);
         if !tenant_entry.bucket.try_take() {
@@ -719,60 +696,62 @@ impl ServiceCore {
 
     /// Piece `piece` of job `id`'s result stream — the streaming
     /// endpoint's pull source, cut from the same result parts as every
-    /// other results endpoint.
+    /// other results endpoint. The `Data` pieces concatenate to the exact
+    /// bytes of the unpaginated result body.
     ///
-    /// Piece 0 is the envelope head; piece `p` is month element `p - 1`
-    /// once the campaign has completed that month (until then the piece
-    /// is [`StreamPiece::Pending`]); the tail follows once the job is
-    /// done, and then [`StreamPiece::End`].
+    /// Piece 0 is the envelope head through the months array's `[`;
+    /// piece `p` is month element `p - 1`, after the first with its
+    /// leading comma, once the campaign has completed that month (until
+    /// then the piece is [`StreamChunk::Pending`]); the tail, `]` through
+    /// the end of the envelope, follows once the job is done, and then
+    /// [`StreamChunk::End`]. A failed job's stream can never complete:
+    /// [`StreamChunk::Abort`].
     pub fn result_stream_piece(
         &self,
         tenant: &str,
         id: u64,
         piece: u64,
-    ) -> Result<StreamPiece, ResultError> {
+    ) -> Result<StreamChunk, ResultError> {
         let table = self.table.lock().expect("job table lock");
         let job = table.owned(tenant, id)?;
         if job.status == JobStatus::Failed {
-            return Ok(StreamPiece::Gone);
+            return Ok(StreamChunk::Abort);
         }
         let Some(parts) = &job.result else {
-            return Ok(StreamPiece::Pending);
+            return Ok(StreamChunk::Pending);
         };
         let months = parts.months.len() as u64;
         let done = job.status == JobStatus::Done;
-        Ok(match piece {
-            0 => StreamPiece::Data(parts.head.clone()),
-            1 if months > 0 => StreamPiece::Data(parts.months[0].clone()),
-            p if p <= months => StreamPiece::Data(format!(",{}", parts.months[p as usize - 1])),
-            _ if !done => StreamPiece::Pending,
-            p if p == months + 1 => StreamPiece::Data(parts.tail.clone()),
-            _ => StreamPiece::End,
-        })
+        let data = match piece {
+            0 => parts.head.clone(),
+            1 if months > 0 => parts.months[0].clone(),
+            p if p <= months => format!(",{}", parts.months[p as usize - 1]),
+            _ if !done => return Ok(StreamChunk::Pending),
+            p if p == months + 1 => parts.tail.clone(),
+            _ => return Ok(StreamChunk::End),
+        };
+        Ok(StreamChunk::Data(data.into_bytes()))
     }
 
-    /// One worker's life: claim fairly, run checkpointed, repeat.
+    /// One worker's life: claim fairly, run checkpointed, repeat; with
+    /// nothing to claim, block until `wake` is notified.
     fn worker_loop(&self) {
         let mut table = self.table.lock().expect("job table lock");
         loop {
             // checkpoint mode leaves the queues in place; drain mode
             // stops once everything claimable is claimed
             let queued = table.counts[JobStatus::Queued as usize];
-            if self.stop.load(Ordering::Relaxed)
-                && (!self.drain.load(Ordering::Relaxed) || queued == 0)
-            {
-                return;
+            match table.stopping {
+                Some(ShutdownMode::Checkpoint) => return,
+                Some(ShutdownMode::Drain) if queued == 0 => return,
+                _ => {}
             }
             if let Some(claimed) = table.claim() {
                 drop(table);
                 self.run_job(claimed);
                 table = self.table.lock().expect("job table lock");
             } else {
-                table = self
-                    .wake
-                    .wait_timeout(table, WORKER_POLL)
-                    .expect("job table lock")
-                    .0;
+                table = self.wake.wait(table).expect("job table lock");
             }
         }
     }
@@ -840,10 +819,12 @@ impl ServiceCore {
         let mut control = |month: u32, done: &[MonthEval]| {
             debug_assert_eq!(month as usize, done.len());
             let event = progress(done);
-            self.table.lock().expect("job table lock").apply(event);
-            if self.stop.load(Ordering::Relaxed) && !self.drain.load(Ordering::Relaxed) {
+            let mut table = self.table.lock().expect("job table lock");
+            table.apply(event);
+            if table.stopping == Some(ShutdownMode::Checkpoint) {
                 return CampaignStep::Suspend;
             }
+            drop(table);
             if !delay.is_zero() {
                 thread::sleep(delay);
             }
@@ -891,10 +872,13 @@ impl ServiceCore {
     }
 }
 
-/// How [`Tassd::shutdown`] treats unfinished jobs.
+/// How [`Tassd::shutdown`] treats unfinished jobs. In both modes the job
+/// table refuses submissions from the moment shutdown records the mode
+/// there, and every job it accepted before then is run or persisted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShutdownMode {
-    /// Finish every queued job, then exit.
+    /// Finish every queued job, then exit: each worker leaves once no
+    /// job is left to claim, and the last running jobs run to the end.
     Drain,
     /// Suspend running campaigns at the next month boundary and persist
     /// every unfinished job, suspended or never started, to the
@@ -946,14 +930,11 @@ impl Tassd {
         Arc::clone(&self.core)
     }
 
-    /// Gracefully stop: refuse new submissions, then drain or checkpoint
-    /// per `mode`, join the workers, and report.
+    /// Gracefully stop: record `mode` in the job table, which refuses
+    /// new submissions from then on, wake the workers to drain or
+    /// checkpoint per `mode`, join them, and report.
     pub fn shutdown(mut self, mode: ShutdownMode) -> io::Result<ShutdownReport> {
-        self.core.accepting.store(false, Ordering::Relaxed);
-        self.core
-            .drain
-            .store(mode == ShutdownMode::Drain, Ordering::Relaxed);
-        self.core.stop.store(true, Ordering::Relaxed);
+        self.core.table.lock().expect("job table lock").stopping = Some(mode);
         self.core.wake.notify_all();
         for worker in self.workers.drain(..) {
             let _ = worker.join();
@@ -1152,7 +1133,7 @@ mod tests {
             while core.job_view("alice", resumed).unwrap().months_done < 2 {
                 thread::sleep(Duration::from_millis(2));
             }
-            core.stop.store(true, Ordering::Relaxed);
+            core.table.lock().unwrap().stopping = Some(ShutdownMode::Checkpoint);
         });
         assert_eq!(checked_counts(&core), [2, 0, 0, 0]);
         let months = core.job_view("alice", resumed).unwrap().months_done;
@@ -1191,6 +1172,34 @@ mod tests {
         let left: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
         assert!(left.is_empty(), "finished jobs left {left:?}");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Shutdown's first step on a core with no workers: once the table
+    /// is `stopping`, a submission is refused before it is validated and
+    /// touches no counter or tenant, and a running job suspends at its
+    /// next month boundary, here the one before month 0.
+    #[test]
+    fn a_stopping_table_refuses_submissions_and_suspends_running_jobs() {
+        let core = ServiceCore::new(demo_registry(), ServiceConfig::default()).unwrap();
+        let id = core
+            .submit("alice", submit(StrategyKind::FullScan, 1))
+            .unwrap();
+        let file = core.table.lock().unwrap().claim().unwrap();
+        core.table.lock().unwrap().stopping = Some(ShutdownMode::Checkpoint);
+        assert!(!core.stats().accepting);
+        let unknown = SubmitRequest {
+            source: "nope".to_string(),
+            ..submit(StrategyKind::FullScan, 2)
+        };
+        for req in [submit(StrategyKind::FullScan, 2), unknown] {
+            assert_eq!(core.submit("bob", req), Err(SubmitError::NotAccepting));
+        }
+        assert_eq!(checked_counts(&core), [0, 1, 0, 0]);
+        assert!(!core.table.lock().unwrap().tenants.contains_key("bob"));
+        core.run_job(file);
+        assert_eq!(checked_counts(&core), [1, 0, 0, 0]);
+        let view = core.job_view("alice", id).unwrap();
+        assert_eq!((view.status.as_str(), view.months_done), ("queued", 0));
     }
 
     #[test]
@@ -1367,8 +1376,10 @@ mod tests {
             let mut streamed = String::new();
             for piece in 0.. {
                 match core.result_stream_piece("alice", id, piece).unwrap() {
-                    StreamPiece::Data(data) => streamed.push_str(&data),
-                    StreamPiece::End => break,
+                    StreamChunk::Data(data) => {
+                        streamed.push_str(std::str::from_utf8(&data).unwrap())
+                    }
+                    StreamChunk::End => break,
                     other => panic!("months {months} piece {piece}: {other:?}"),
                 }
             }

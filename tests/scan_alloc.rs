@@ -1,4 +1,5 @@
-//! Allocation claims, tested as allocation counts.
+//! Allocation claims, tested as allocation counts, and the HTTP server's
+//! thread claim, tested as a thread count.
 //!
 //! The probe hot path: a scan's heap allocations may grow with what it
 //! *finds* (the responsive set) but not with what it merely *walks*.
@@ -12,21 +13,32 @@
 //! are shared, so a hitlist plan or a responsive view is a reference,
 //! not a copy of the hosts.
 //!
+//! The HTTP server: once a keep-alive connection is warm, every request
+//! on it allocates the same number of times, so a batch of requests
+//! allocates exactly as often as the batch before it; and the event
+//! loops are a fixed pool, so idle keep-alive connections cost file
+//! descriptors, not threads.
+//!
 //! The counting allocator is global and counts every thread, the test
 //! harness's own included: in a shared process, the harness's report of
-//! one test's completion could land inside another test's count. So each
-//! test re-runs itself alone in a child process of this test binary
-//! ([`alone`]), where no other test runs.
+//! one test's completion could land inside another test's count, and
+//! another test's threads inside a thread count. So each test re-runs
+//! itself alone in a child process of this test binary ([`alone`]),
+//! where no other test runs.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::process::Command;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
+use std::time::Duration;
 use tass::bgp::ViewKind;
 use tass::core::{CycleOutcome, PreparedStrategy, ProbePlan, Strategy, StrategyKind};
 use tass::model::{HostSet, PrefixCount, Protocol, Snapshot, Universe, UniverseConfig};
 use tass::net::Prefix;
 use tass::scan::{Blocklist, FaultConfig, Responder, ScanConfig, ScanEngine, SimNetwork};
+use tass::service::httpd::{HttpServer, HttpdConfig, Response, Router};
 
 /// Counts allocations (and reallocations) and their requested bytes
 /// while `COUNTING` is set.
@@ -254,4 +266,87 @@ fn campaign_cycle_claim() {
             "{name}: (allocations, bytes) per cycle at N and 4N hosts"
         );
     }
+}
+
+/// One keep-alive exchange that allocates nothing on the client side: a
+/// fixed request, and its fixed answer read into a stack buffer.
+const PING: &[u8] = b"GET /ping HTTP/1.1\r\nX-Api-Key: t\r\n\r\n";
+const PONG: &[u8] = b"HTTP/1.1 200 OK\r\nContent-Type: text/plain; charset=utf-8\r\n\
+Content-Length: 2\r\nConnection: keep-alive\r\n\r\nok";
+
+fn ping(conn: &mut TcpStream) {
+    conn.write_all(PING).expect("send the request");
+    let mut answer = [0u8; PONG.len()];
+    conn.read_exact(&mut answer).expect("read the answer");
+    assert_eq!(&answer[..], PONG);
+}
+
+/// A one-loop server whose only route answers a static body, with a
+/// keep-alive window no test outlives.
+fn ping_server() -> HttpServer {
+    let router = Router::new().route("GET", "/ping", |_: &Arc<()>, _, _| {
+        Response::text(200, "ok")
+    });
+    let cfg = HttpdConfig {
+        event_loops: 1,
+        keep_alive: Duration::from_secs(600),
+    };
+    HttpServer::bind_with("127.0.0.1:0", Arc::new(()), router, cfg).expect("bind loopback")
+}
+
+#[test]
+fn keep_alive_requests_allocate_the_same_per_batch() {
+    alone(
+        "keep_alive_requests_allocate_the_same_per_batch",
+        keep_alive_claim,
+    );
+}
+
+fn keep_alive_claim() {
+    const REQUESTS: usize = 64;
+    let server = ping_server();
+    let mut conn = TcpStream::connect(server.addr()).expect("connect");
+    let mut batch = || counted(|| (0..REQUESTS).for_each(|_| ping(&mut conn))).0;
+    batch(); // warm-up: the connection's buffers and one-time setup
+    let (first, second) = (batch(), batch());
+    assert_eq!(
+        first, second,
+        "(allocations, bytes) of two batches of {REQUESTS} keep-alive requests"
+    );
+    server.shutdown();
+}
+
+#[test]
+fn idle_keep_alive_connections_add_no_thread() {
+    alone(
+        "idle_keep_alive_connections_add_no_thread",
+        idle_connections_claim,
+    );
+}
+
+/// Threads of this process.
+fn threads() -> usize {
+    std::fs::read_dir("/proc/self/task")
+        .expect("list /proc/self/task")
+        .count()
+}
+
+fn idle_connections_claim() {
+    let server = ping_server();
+    let before = threads();
+    let idle: Vec<TcpStream> = (0..128)
+        .map(|_| {
+            let mut conn = TcpStream::connect(server.addr()).expect("connect");
+            ping(&mut conn); // served, so accepted, and then idle
+            conn
+        })
+        .collect();
+    assert_eq!(
+        threads(),
+        before,
+        "{} idle keep-alive connections",
+        idle.len()
+    );
+    drop(idle);
+    server.shutdown();
 }
