@@ -55,7 +55,7 @@
 //!
 //!   --addr HOST:PORT    listen address (default 127.0.0.1:7447)
 //!   --source NAME=SPEC  register a ground-truth source; repeatable.
-//!                       Specs: universe:SEED | v6:SEED | corpus:DIR
+//!                       Specs: universe:SEED | corpus:DIR
 //!                       (default: demo=universe:1)
 //!   --workers N         campaign worker threads (default: the
 //!                       CAMPAIGN_WORKERS contract, i.e. all cores)

@@ -42,9 +42,7 @@ pub use population::{
     Population,
 };
 pub use protocol::Protocol;
-pub use registry::{
-    RegistryError, SharedSource, SharedSourceV6, SourceEntry, SourceInfo, SourceRegistry,
-};
+pub use registry::{RegistryError, SharedSource, SourceInfo, SourceRegistry};
 pub use snapshot::{DecodeError, HostSet, HostSetView, PrefixCount, Snapshot};
 pub use source::{FamilySpace, GroundTruth};
 pub use topology::{BlockMeta, Topology};

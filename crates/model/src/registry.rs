@@ -2,15 +2,13 @@
 //! resident campaign service serves from.
 //!
 //! A daemon that accepts campaign submissions needs to name its data
-//! sources: synthetic [`crate::Universe`]/[`crate::V6Universe`] scenarios, corpus
-//! directories of archived monthly scans, or any user-provided
-//! `impl GroundTruth`. The registry holds them as trait objects behind
-//! one string namespace, tagged by address family (the two families have
-//! different seeding contexts, so they cannot share a trait object
-//! type), and answers the service's two questions: *describe every
+//! sources: synthetic [`crate::Universe`] scenarios, corpus directories
+//! of archived monthly scans, or any user-provided `impl GroundTruth`.
+//! The registry holds them as IPv4 trait objects behind one string
+//! namespace, and answers the service's two questions: *describe every
 //! source* ([`SourceRegistry::list`]) and *hand me a shareable source by
-//! name* ([`SourceRegistry::get_v4`] / [`SourceRegistry::get_v6`] —
-//! `Arc`s, because campaign workers run on many threads).
+//! name* ([`SourceRegistry::get_v4`] — an `Arc`, because campaign
+//! workers run on many threads).
 //!
 //! The registry is immutable once built (build it, then share it behind
 //! an `Arc`): a resident service re-resolving names mid-campaign would
@@ -24,47 +22,16 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::path::Path;
 use std::sync::Arc;
-use tass_net::V6;
 
 /// A shareable v4 ground-truth source.
 pub type SharedSource = Arc<dyn GroundTruth + Send + Sync>;
-/// A shareable v6 ground-truth source.
-pub type SharedSourceV6 = Arc<dyn GroundTruth<V6> + Send + Sync>;
-
-/// One registered source, either family.
-#[derive(Clone)]
-pub enum SourceEntry {
-    /// An IPv4 source (synthetic universe, corpus, custom impl).
-    V4(SharedSource),
-    /// An IPv6 source.
-    V6(SharedSourceV6),
-}
-
-impl fmt::Debug for SourceEntry {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SourceEntry::V4(s) => write!(
-                f,
-                "SourceEntry::V4(months: {}, protocols: {:?})",
-                s.months(),
-                s.protocols()
-            ),
-            SourceEntry::V6(s) => write!(
-                f,
-                "SourceEntry::V6(months: {}, protocols: {:?})",
-                s.months(),
-                s.protocols()
-            ),
-        }
-    }
-}
 
 /// The service-facing description of one registered source.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SourceInfo {
     /// Registry name.
     pub name: String,
-    /// Address family tag: `"v4"` or `"v6"`.
+    /// Address family tag: always `"v4"`.
     pub family: String,
     /// Months after the seeding month t₀ (campaign cycles = `months + 1`).
     pub months: u32,
@@ -123,9 +90,9 @@ impl std::error::Error for RegistryError {
 }
 
 /// A named, immutable-after-build catalogue of ground-truth sources.
-#[derive(Debug, Default, Clone)]
+#[derive(Default, Clone)]
 pub struct SourceRegistry {
-    entries: BTreeMap<String, SourceEntry>,
+    entries: BTreeMap<String, SharedSource>,
 }
 
 impl SourceRegistry {
@@ -134,7 +101,8 @@ impl SourceRegistry {
         SourceRegistry::default()
     }
 
-    fn insert(&mut self, name: &str, entry: SourceEntry) -> Result<(), RegistryError> {
+    /// Register an IPv4 source under `name`.
+    pub fn insert_v4(&mut self, name: &str, source: SharedSource) -> Result<(), RegistryError> {
         if name.is_empty() || name.chars().any(char::is_whitespace) {
             return Err(RegistryError::BadName {
                 name: name.to_string(),
@@ -145,18 +113,8 @@ impl SourceRegistry {
                 name: name.to_string(),
             });
         }
-        self.entries.insert(name.to_string(), entry);
+        self.entries.insert(name.to_string(), source);
         Ok(())
-    }
-
-    /// Register an IPv4 source under `name`.
-    pub fn insert_v4(&mut self, name: &str, source: SharedSource) -> Result<(), RegistryError> {
-        self.insert(name, SourceEntry::V4(source))
-    }
-
-    /// Register an IPv6 source under `name`.
-    pub fn insert_v6(&mut self, name: &str, source: SharedSourceV6) -> Result<(), RegistryError> {
-        self.insert(name, SourceEntry::V6(source))
     }
 
     /// Open a corpus directory with the given cache options
@@ -179,42 +137,18 @@ impl SourceRegistry {
         self.insert_v4(name, Arc::new(corpus))
     }
 
-    /// The entry registered under `name`, any family.
-    pub fn get(&self, name: &str) -> Option<&SourceEntry> {
-        self.entries.get(name)
-    }
-
-    /// The IPv4 source under `name` (`None` if absent or v6).
+    /// The source under `name`.
     pub fn get_v4(&self, name: &str) -> Option<SharedSource> {
-        match self.entries.get(name) {
-            Some(SourceEntry::V4(s)) => Some(Arc::clone(s)),
-            _ => None,
-        }
-    }
-
-    /// The IPv6 source under `name` (`None` if absent or v4).
-    pub fn get_v6(&self, name: &str) -> Option<SharedSourceV6> {
-        match self.entries.get(name) {
-            Some(SourceEntry::V6(s)) => Some(Arc::clone(s)),
-            _ => None,
-        }
+        self.entries.get(name).map(Arc::clone)
     }
 
     /// Describe one source.
     pub fn info(&self, name: &str) -> Option<SourceInfo> {
-        self.entries.get(name).map(|entry| match entry {
-            SourceEntry::V4(s) => SourceInfo {
-                name: name.to_string(),
-                family: "v4".to_string(),
-                months: s.months(),
-                protocols: s.protocols(),
-            },
-            SourceEntry::V6(s) => SourceInfo {
-                name: name.to_string(),
-                family: "v6".to_string(),
-                months: s.months(),
-                protocols: s.protocols(),
-            },
+        self.entries.get(name).map(|s| SourceInfo {
+            name: name.to_string(),
+            family: "v4".to_string(),
+            months: s.months(),
+            protocols: s.protocols(),
         })
     }
 
@@ -247,7 +181,7 @@ impl SourceRegistry {
 mod tests {
     use super::*;
     use crate::corpus::export_universe;
-    use crate::universe::{Universe, UniverseConfig, V6Universe, V6UniverseConfig};
+    use crate::universe::{Universe, UniverseConfig};
 
     fn registry() -> SourceRegistry {
         let mut reg = SourceRegistry::new();
@@ -256,9 +190,9 @@ mod tests {
             Arc::new(Universe::generate(&UniverseConfig::small(3))),
         )
         .unwrap();
-        reg.insert_v6(
-            "six",
-            Arc::new(V6Universe::generate(&V6UniverseConfig::small(5))),
+        reg.insert_v4(
+            "other",
+            Arc::new(Universe::generate(&UniverseConfig::small(5))),
         )
         .unwrap();
         reg
@@ -268,19 +202,15 @@ mod tests {
     fn lookup_and_list_are_name_sorted_and_family_tagged() {
         let reg = registry();
         assert_eq!(reg.len(), 2);
-        assert_eq!(reg.names(), vec!["six", "small"]);
+        assert_eq!(reg.names(), vec!["other", "small"]);
         let infos = reg.list();
-        assert_eq!(infos[0].name, "six");
-        assert_eq!(infos[0].family, "v6");
-        assert_eq!(infos[0].protocols, vec![Protocol::Http]);
-        assert_eq!(infos[1].family, "v4");
+        assert_eq!(infos[0].name, "other");
+        assert_eq!(infos[1].name, "small");
+        assert!(infos.iter().all(|info| info.family == "v4"));
         assert_eq!(infos[1].months, 6);
         assert_eq!(infos[1].protocols, Protocol::ALL.to_vec());
-        // family-checked accessors
         assert!(reg.get_v4("small").is_some());
-        assert!(reg.get_v4("six").is_none(), "six is a v6 source");
-        assert!(reg.get_v6("six").is_some());
-        assert!(reg.get_v6("nope").is_none());
+        assert!(reg.get_v4("nope").is_none());
         assert!(reg.info("nope").is_none());
     }
 
@@ -291,12 +221,6 @@ mod tests {
         assert!(matches!(
             reg.insert_v4("small", u.clone()),
             Err(RegistryError::Duplicate { name }) if name == "small"
-        ));
-        // cross-family name collisions are collisions all the same
-        let v6 = Arc::new(V6Universe::generate(&V6UniverseConfig::small(5)));
-        assert!(matches!(
-            reg.insert_v6("small", v6),
-            Err(RegistryError::Duplicate { .. })
         ));
         for bad in ["", "two words", "tab\tname"] {
             assert!(matches!(

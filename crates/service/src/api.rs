@@ -169,7 +169,6 @@ fn submit_error(e: SubmitError) -> Response {
     match e {
         SubmitError::NotAccepting => err(503, "shutting_down", &message),
         SubmitError::UnknownSource(_) => err(404, "unknown_source", &message),
-        SubmitError::UnsupportedFamily(_) => err(422, "unsupported_family", &message),
         SubmitError::BadProtocol { .. } => err(400, "bad_protocol", &message),
         SubmitError::BadMonths { .. } => err(400, "bad_months", &message),
         SubmitError::RateLimited => err(429, "rate_limited", &message),

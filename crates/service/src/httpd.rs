@@ -9,52 +9,50 @@
 //! reads like any mainstream Rust service and could be ported to a real
 //! framework by rewriting only this module.
 //!
-//! # The event loop
+//! # Sessions and the event loop
 //!
-//! A small fixed pool of event-loop threads (default: one per core,
-//! capped at four) each owns an `epoll` instance and a set of accepted
-//! connections; the shared non-blocking listener is registered
-//! level-triggered in every loop, so whichever loop wakes first takes
-//! the new connection and keeps it for life. There is **no
-//! thread-per-connection anywhere**: ten thousand idle keep-alive
-//! connections cost ten thousand file descriptors and nothing else.
-//!
-//! Each connection runs a state machine:
+//! Protocol and I/O are apart, in the sans-I/O style of h11 and
+//! `quinn-proto`. A `Session` is one connection's state machine with no
+//! socket and no clock: it is fed bytes and the instant they arrived,
+//! holds the bytes to send, and dispatches through the router and state
+//! it is handed. A small fixed pool of event-loop threads (one per core,
+//! capped at four) each owns an `epoll` instance, its sockets and their
+//! sessions; the shared listener is level-triggered in every loop, and
+//! whichever loop wakes first keeps the connection for life. There is
+//! **no thread-per-connection anywhere**.
 //!
 //! ```text
-//!        readable                head + body complete
-//! Read ───────────▶ parse head ──────────────────────▶ dispatch
-//!   ▲   (431 over 16 KiB, 413 over 4 MiB, 400 malformed → respond+close)
-//!   │                                                      │
-//!   │ keep-alive re-arm                                    ▼
-//! Write ◀──────────────────────────────────── response → write buffer
-//!   │  partial write? arm EPOLLOUT, resume where it stopped
-//!   ▼
-//! Stream (chunked transfer encoding: pull the body source whenever the
-//!         socket is writable and on every tick; `0\r\n\r\n` → keep-alive)
+//!  event loop                         Session
+//!  readable: feed(bytes, now)   ───▶  Read: find the head, parse, dispatch
+//!            EOF: peer_closed()         │ response → output, back to Read
+//!  writable: write output(),            │ chunked → Stream: pull the source
+//!            consumed(n)                │   whenever output is sent, until
+//!  tick:     tick(now) → Keep | Reap    │   0\r\n\r\n → Read
+//!                                       │ 400 · 408 · 413 · 431, or
+//!                                       ▼ Connection: close
+//!                                     Close: Reap once output is sent
 //! ```
 //!
 //! # Cost model
 //!
-//! The steady state allocates nothing per request in the transport: each
-//! connection owns one reusable read buffer and one reusable write
-//! buffer (responses are rendered straight into the write buffer, head
-//! and body in one pass), and the parsed [`Request`]'s header/body
-//! containers are reclaimed after dispatch so their capacity survives to
-//! the next request. The per-request allocations left are the request's
-//! method, path and header strings, the route parameter lists and the
-//! response body, and their number does not grow with the connection's
-//! history (`tests/scan_alloc.rs`). Handlers run on the event-loop
-//! thread — the API holds locks for microseconds, so dispatch is cheap —
-//! and a slow *client* can never stall another connection: it only ever
-//! parks its own state machine until its socket is ready again.
+//! Each session reuses one read and one write buffer (a response is
+//! rendered straight into the write buffer, head and body in one pass)
+//! and reclaims the parsed [`Request`]'s header and body containers
+//! after dispatch. What a request still allocates is its method, path
+//! and header strings, the matched route's parameters and the response
+//! body; a route that does not match allocates nothing, and nothing
+//! grows with the connection's history (`tests/scan_alloc.rs`). The
+//! search for the end of a head resumes where the last one stopped, so
+//! a head that drips in a byte at a time costs O(n). Handlers run on the
+//! event-loop thread (the API holds locks for microseconds), and a slow
+//! *client* only ever parks its own session.
 //!
-//! Timers ride the `epoll_wait` timeout: every tick (25 ms) each loop
-//! reaps connections idle past the configurable keep-alive timeout and
-//! polls streaming responses whose source had nothing to send. Scope
-//! (and non-scope): HTTP/1.1 keep-alive, `Content-Length` framing for
-//! requests, `Content-Length` or chunked transfer encoding for
-//! responses. No TLS, no HTTP/2.
+//! Time rides the `epoll_wait` timeout: every tick (25 ms) each loop
+//! ticks its sessions, which pulls streams whose source had nothing,
+//! answers `408` to a head still incomplete the keep-alive timeout after
+//! its first byte, and reaps connections that sent nothing for that
+//! long. Scope: HTTP/1.1 keep-alive, `Content-Length` request bodies,
+//! `Content-Length` or chunked responses. No TLS, no HTTP/2.
 
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
@@ -328,6 +326,7 @@ impl Response {
             401 => "Unauthorized",
             404 => "Not Found",
             405 => "Method Not Allowed",
+            408 => "Request Timeout",
             409 => "Conflict",
             413 => "Payload Too Large",
             422 => "Unprocessable Entity",
@@ -364,6 +363,35 @@ struct Route<S> {
     method: &'static str,
     pattern: Vec<Seg>,
     handler: Handler<S>,
+}
+
+impl<S> Route<S> {
+    /// Whether `path` fits the pattern, compared over borrowed segments:
+    /// a route that does not match allocates nothing.
+    fn matches(&self, path: &str) -> bool {
+        let mut segs = path.split('/').filter(|s| !s.is_empty());
+        self.pattern.iter().all(|pat| {
+            segs.next().is_some_and(|seg| match pat {
+                Seg::Lit(lit) => lit == seg,
+                Seg::Param(_) => true,
+            })
+        }) && segs.next().is_none()
+    }
+
+    /// The `{name}` captures of a path that [`Route::matches`].
+    fn params(&self, path: &str) -> PathParams {
+        let segs = path.split('/').filter(|s| !s.is_empty());
+        PathParams(
+            self.pattern
+                .iter()
+                .zip(segs)
+                .filter_map(|(pat, seg)| match pat {
+                    Seg::Param(name) => Some((name.clone(), seg.to_string())),
+                    Seg::Lit(_) => None,
+                })
+                .collect(),
+        )
+    }
 }
 
 /// A method + path-pattern dispatcher over shared state `S`. Handlers
@@ -413,31 +441,14 @@ impl<S> Router<S> {
         self
     }
 
-    fn match_path(pattern: &[Seg], path: &str) -> Option<PathParams> {
-        let mut segs = path.split('/').filter(|s| !s.is_empty());
-        let mut params = Vec::with_capacity(2);
-        for pat in pattern {
-            let seg = segs.next()?;
-            match pat {
-                Seg::Lit(lit) if lit == seg => {}
-                Seg::Lit(_) => return None,
-                Seg::Param(name) => params.push((name.clone(), seg.to_string())),
-            }
-        }
-        if segs.next().is_some() {
-            return None;
-        }
-        Some(PathParams(params))
-    }
-
     /// Dispatch one request: `404` when no pattern matches the path,
     /// `405` when a pattern matches but not the method.
     pub fn dispatch(&self, state: &Arc<S>, req: &Request) -> Response {
         let mut path_matched = false;
         for route in &self.routes {
-            if let Some(params) = Router::<S>::match_path(&route.pattern, &req.path) {
+            if route.matches(&req.path) {
                 if route.method == req.method {
-                    return (route.handler)(state, req, &params);
+                    return (route.handler)(state, req, &route.params(&req.path));
                 }
                 path_matched = true;
             }
@@ -462,7 +473,8 @@ pub struct HttpdConfig {
     /// Event-loop threads; `0` picks one per core, capped at four.
     pub event_loops: usize,
     /// Idle connections (no bytes received, nothing owed to the peer)
-    /// are closed after this long.
+    /// are closed after this long, and a request head not complete this
+    /// long after its first byte is answered `408` and closed.
     pub keep_alive: Duration,
 }
 
@@ -487,32 +499,30 @@ impl HttpdConfig {
     }
 }
 
-/// Why a request could not be parsed, and what the wire answer is.
-enum ParseError {
-    /// Malformed head → `400`, close.
+/// Why a request is refused rather than dispatched. Each refusal is
+/// answered, and the connection closes once the answer is sent.
+enum Refusal {
+    /// Malformed head → `400`.
     Bad,
-    /// Head block over [`MAX_HEAD`] → `431`, close.
+    /// Head still incomplete the keep-alive timeout after its first
+    /// byte → `408`.
+    HeadTimeout,
+    /// Head block over [`MAX_HEAD`] → `431`.
     HeadTooLarge,
-    /// Declared body over [`MAX_BODY`] → `413`, close.
+    /// Declared body over [`MAX_BODY`] → `413`.
     BodyTooLarge,
 }
 
-impl ParseError {
+impl Refusal {
     fn response(&self) -> Response {
-        match self {
-            ParseError::Bad => Response::json(
-                400,
-                r#"{"error":{"code":"bad_request","message":"malformed HTTP request"}}"#,
-            ),
-            ParseError::HeadTooLarge => Response::json(
-                431,
-                r#"{"error":{"code":"head_too_large","message":"request head exceeds the 16 KiB cap"}}"#,
-            ),
-            ParseError::BodyTooLarge => Response::json(
-                413,
-                r#"{"error":{"code":"body_too_large","message":"request body exceeds the 4 MiB cap"}}"#,
-            ),
-        }
+        let (status, code, message) = match self {
+            Refusal::Bad => (400, "bad_request", "malformed HTTP request"),
+            Refusal::HeadTimeout => (408, "request_timeout", "request head not complete in time"),
+            Refusal::HeadTooLarge => (431, "head_too_large", "request head exceeds the 16 KiB cap"),
+            Refusal::BodyTooLarge => (413, "body_too_large", "request body exceeds the 4 MiB cap"),
+        };
+        let body = format!(r#"{{"error":{{"code":"{code}","message":"{message}"}}}}"#);
+        Response::json(status, body)
     }
 }
 
@@ -527,23 +537,14 @@ struct PendingHead {
     wants_close: bool,
 }
 
-/// What to do once the write buffer drains.
-enum AfterWrite {
-    /// Reset for the next request on the same connection.
-    KeepAlive,
-    /// Close the connection (protocol error or `Connection: close`).
-    Close,
-    /// Begin pulling a chunked body from this source.
-    Stream(ChunkSource),
-}
-
+/// What a session does once its output has been sent.
 enum ConnState {
-    /// Accumulating request bytes in the read buffer.
+    /// Answer the next request in the read buffer.
     Read,
-    /// Draining the write buffer.
-    Write(AfterWrite),
-    /// Chunked body in flight: drain the write buffer, then pull.
+    /// Pull the next chunk of a chunked body from this source.
     Stream(ChunkSource),
+    /// Close: the last answer was a refusal or `Connection: close`.
+    Close,
 }
 
 /// Reclaimed request containers: their capacity survives to the next
@@ -555,94 +556,252 @@ struct Scratch {
     body: Vec<u8>,
 }
 
-struct Conn {
-    stream: TcpStream,
+/// What the event loop does with a connection after a session call.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Fate {
+    /// Keep it, and send what [`Session::output`] holds.
+    Keep,
+    /// Close it: the session has nothing more to send.
+    Reap,
+}
+
+/// One connection's HTTP/1.1 state machine, with no socket and no clock
+/// (see the module docs). Every call that can move it on dispatches
+/// through the router and state it is handed.
+pub(crate) struct Session {
     state: ConnState,
     /// Unconsumed request bytes (reused across requests; pipelined
-    /// requests queue here until the current response is done).
+    /// requests queue here until the current response is sent).
     read_buf: Vec<u8>,
-    /// Rendered response bytes not yet accepted by the socket.
+    /// Rendered response bytes.
     write_buf: Vec<u8>,
-    /// Prefix of `write_buf` already written.
+    /// Prefix of `write_buf` already sent.
     written: usize,
     /// Parsed head waiting for body bytes.
     pending: Option<PendingHead>,
-    /// Interest mask currently registered with epoll.
-    interest: u32,
-    /// Last moment bytes arrived from the peer (idle-reap clock).
-    last_read: Instant,
-    /// Peer closed its write half (EPOLLRDHUP).
+    /// `read_buf[..head_scan]` has been searched for the end of a head.
+    head_scan: usize,
+    /// When the head in `read_buf` began to arrive.
+    head_since: Instant,
+    /// When bytes last arrived.
+    idle_since: Instant,
+    /// Idle connections and incomplete heads get this long.
+    keep_alive: Duration,
+    /// The peer closed its write half.
     peer_closed: bool,
     scratch: Scratch,
+    /// Bytes examined by head searches, for the O(n) search test.
+    #[cfg(test)]
+    searched: usize,
 }
 
-impl Conn {
-    fn new(stream: TcpStream, now: Instant) -> Conn {
-        Conn {
-            stream,
+impl Session {
+    pub(crate) fn new(now: Instant, keep_alive: Duration) -> Session {
+        Session {
             state: ConnState::Read,
             read_buf: Vec::with_capacity(4096),
             write_buf: Vec::with_capacity(4096),
             written: 0,
             pending: None,
-            interest: sys::EPOLLIN | sys::EPOLLRDHUP,
-            last_read: now,
+            head_scan: 0,
+            head_since: now,
+            idle_since: now,
+            keep_alive,
             peer_closed: false,
             scratch: Scratch::default(),
+            #[cfg(test)]
+            searched: 0,
         }
     }
 
-    fn wants_write(&self) -> bool {
-        self.written < self.write_buf.len()
+    /// Take the bytes the peer sent at `now`, and answer the requests
+    /// they complete.
+    pub(crate) fn feed<S>(
+        &mut self,
+        bytes: &[u8],
+        now: Instant,
+        router: &Router<S>,
+        state: &Arc<S>,
+    ) -> Fate {
+        if self.read_buf.is_empty() {
+            self.head_since = now; // the first byte of the next head
+        }
+        self.read_buf.extend_from_slice(bytes);
+        self.idle_since = now;
+        self.advance(router, state)
     }
-}
 
-fn find_head_end(buf: &[u8]) -> Option<usize> {
-    buf.windows(4).position(|w| w == b"\r\n\r\n")
+    /// Response bytes not yet sent.
+    pub(crate) fn output(&self) -> &[u8] {
+        &self.write_buf[self.written..]
+    }
+
+    /// The first `n` bytes of [`Session::output`] were sent; once all
+    /// are, the session moves on.
+    pub(crate) fn consumed<S>(&mut self, n: usize, router: &Router<S>, state: &Arc<S>) -> Fate {
+        self.written += n;
+        self.advance(router, state)
+    }
+
+    /// The peer will send nothing more: answer what is buffered, then
+    /// close.
+    pub(crate) fn peer_closed<S>(&mut self, router: &Router<S>, state: &Arc<S>) -> Fate {
+        self.peer_closed = true;
+        self.advance(router, state)
+    }
+
+    /// Timer work at `now`: refuse a head still incomplete the
+    /// keep-alive timeout after its first byte, reap a connection that
+    /// has sent nothing for that long, and pull a stream whose source had
+    /// nothing. A stream waits on the server, so it is never reaped.
+    pub(crate) fn tick<S>(&mut self, now: Instant, router: &Router<S>, state: &Arc<S>) -> Fate {
+        if self.output().is_empty() && matches!(self.state, ConnState::Read) {
+            if self.pending.is_none() && !self.read_buf.is_empty() {
+                if now.duration_since(self.head_since) >= self.keep_alive {
+                    self.refuse(Refusal::HeadTimeout);
+                }
+            } else if now.duration_since(self.idle_since) >= self.keep_alive {
+                return Fate::Reap;
+            }
+        }
+        self.advance(router, state)
+    }
+
+    /// Move on until the peer has to act: take output, or send more.
+    fn advance<S>(&mut self, router: &Router<S>, state: &Arc<S>) -> Fate {
+        loop {
+            if self.written < self.write_buf.len() {
+                return Fate::Keep;
+            }
+            self.write_buf.clear();
+            self.written = 0;
+            match &mut self.state {
+                ConnState::Close => return Fate::Reap,
+                // nobody is reading this stream
+                ConnState::Stream(_) if self.peer_closed => return Fate::Reap,
+                ConnState::Stream(source) => match source() {
+                    StreamChunk::Pending => return Fate::Keep, // the tick pulls again
+                    StreamChunk::Data(data) => render_chunk(&mut self.write_buf, &data),
+                    StreamChunk::End => {
+                        self.write_buf.extend_from_slice(b"0\r\n\r\n");
+                        self.state = ConnState::Read;
+                    }
+                    StreamChunk::Abort => return Fate::Reap,
+                },
+                ConnState::Read => {
+                    shrink(&mut self.write_buf);
+                    if let Some(fate) = self.answer(router, state) {
+                        return fate;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Answer the next request in the read buffer. `None` once an answer
+    /// is queued; otherwise the peer must send more first, or is gone.
+    fn answer<S>(&mut self, router: &Router<S>, state: &Arc<S>) -> Option<Fate> {
+        if self.pending.is_none() {
+            match self.find_head_end() {
+                Some(end) if end > MAX_HEAD => self.refuse(Refusal::HeadTooLarge),
+                Some(end) => match parse_head(&self.read_buf, end, &mut self.scratch) {
+                    Ok(head) => self.pending = Some(head),
+                    Err(refusal) => self.refuse(refusal),
+                },
+                None if self.read_buf.len() > MAX_HEAD => self.refuse(Refusal::HeadTooLarge),
+                None if !self.peer_closed => return Some(Fate::Keep),
+                None if self.read_buf.is_empty() => return Some(Fate::Reap),
+                None => self.refuse(Refusal::Bad), // the peer closed mid-head
+            }
+        }
+        let head = self.pending.as_ref()?; // refused: the answer is queued
+        let total = head.head_len + head.content_length;
+        if self.read_buf.len() < total {
+            // a body the peer will never finish is not answered
+            return Some(if self.peer_closed {
+                Fate::Reap
+            } else {
+                Fate::Keep
+            });
+        }
+        let mut head = self.pending.take()?;
+        head.req
+            .body
+            .extend_from_slice(&self.read_buf[head.head_len..total]);
+        self.read_buf.drain(..total);
+        shrink(&mut self.read_buf);
+        self.head_scan = 0;
+        self.head_since = self.idle_since;
+        let resp = router.dispatch(state, &head.req);
+        // reclaim the request containers for the next request
+        self.scratch.headers = head.req.headers;
+        self.scratch.body = head.req.body;
+        self.state = match resp.stream {
+            Some(source) => {
+                render_stream_head(&mut self.write_buf, resp.status, resp.content_type);
+                ConnState::Stream(source)
+            }
+            None => {
+                render_response(&mut self.write_buf, &resp);
+                if head.wants_close {
+                    ConnState::Close
+                } else {
+                    ConnState::Read
+                }
+            }
+        };
+        None
+    }
+
+    /// Queue a refusal's answer, and close once it is sent.
+    fn refuse(&mut self, refusal: Refusal) {
+        self.pending = None;
+        render_response(&mut self.write_buf, &refusal.response());
+        self.state = ConnState::Close;
+    }
+
+    /// Where the blank line ending the head starts, if it has arrived.
+    /// The search resumes where the last one stopped, three bytes back
+    /// for a `\r\n\r\n` split across reads.
+    fn find_head_end(&mut self) -> Option<usize> {
+        let from = self.head_scan.saturating_sub(3);
+        self.head_scan = self.read_buf.len();
+        #[cfg(test)]
+        {
+            self.searched += self.read_buf.len() - from;
+        }
+        let mut windows = self.read_buf[from..].windows(4);
+        windows.position(|w| w == b"\r\n\r\n").map(|pos| from + pos)
+    }
 }
 
 /// Parse a complete head block (`buf[..head_end]`) into a request with
 /// an empty body, reusing the connection's scratch containers.
-fn parse_head(
-    buf: &[u8],
-    head_end: usize,
-    scratch: &mut Scratch,
-) -> Result<PendingHead, ParseError> {
-    let head = std::str::from_utf8(&buf[..head_end]).map_err(|_| ParseError::Bad)?;
+fn parse_head(buf: &[u8], head_end: usize, scratch: &mut Scratch) -> Result<PendingHead, Refusal> {
+    let head = std::str::from_utf8(&buf[..head_end]).map_err(|_| Refusal::Bad)?;
     let mut lines = head.split("\r\n");
-    let request_line = lines.next().ok_or(ParseError::Bad)?;
+    let request_line = lines.next().ok_or(Refusal::Bad)?;
     let mut parts = request_line.split_whitespace();
-    let method = parts.next().ok_or(ParseError::Bad)?.to_ascii_uppercase();
-    let target = parts.next().ok_or(ParseError::Bad)?;
+    let method = parts.next().ok_or(Refusal::Bad)?.to_ascii_uppercase();
+    let target = parts.next().ok_or(Refusal::Bad)?;
     let (path, query) = match target.split_once('?') {
         Some((p, q)) => (p.to_string(), q.to_string()),
         None => (target.to_string(), String::new()),
     };
+    // a refused head closes its connection, so only success reclaims
+    // the scratch containers
     let mut headers = std::mem::take(&mut scratch.headers);
     headers.clear();
-    for line in lines {
-        if line.is_empty() {
-            continue;
-        }
-        let Some((name, value)) = line.split_once(':') else {
-            scratch.headers = headers;
-            return Err(ParseError::Bad);
-        };
+    for line in lines.filter(|line| !line.is_empty()) {
+        let (name, value) = line.split_once(':').ok_or(Refusal::Bad)?;
         headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
     }
     let content_length = match headers.iter().find(|(k, _)| k == "content-length") {
         None => 0,
-        Some((_, v)) => match v.parse::<usize>() {
-            Ok(n) => n,
-            Err(_) => {
-                scratch.headers = headers;
-                return Err(ParseError::Bad);
-            }
-        },
+        Some((_, v)) => v.parse::<usize>().map_err(|_| Refusal::Bad)?,
     };
     if content_length > MAX_BODY {
-        scratch.headers = headers;
-        return Err(ParseError::BodyTooLarge);
+        return Err(Refusal::BodyTooLarge);
     }
     let wants_close = headers
         .iter()
@@ -697,12 +856,83 @@ fn render_chunk(out: &mut Vec<u8>, data: &[u8]) {
     out.extend_from_slice(b"\r\n");
 }
 
-/// What a connection drive pass decided.
-enum Drive {
-    /// Keep the connection; interest may need re-arming.
-    Keep,
-    /// Close and forget the connection.
-    Close,
+/// Shrink an empty oversized buffer back to a bounded keepsake.
+fn shrink(buf: &mut Vec<u8>) {
+    if buf.is_empty() && buf.capacity() > BUF_KEEP {
+        buf.shrink_to(BUF_KEEP);
+    }
+}
+
+/// An accepted connection: its socket, the interest mask registered for
+/// it with epoll, and its session.
+struct Conn {
+    stream: TcpStream,
+    interest: u32,
+    session: Session,
+}
+
+impl Conn {
+    /// Feed the session what the socket has (if `readable`), then send
+    /// what the session has to say.
+    fn pump<S>(
+        &mut self,
+        mut readable: bool,
+        now: Instant,
+        router: &Router<S>,
+        state: &Arc<S>,
+    ) -> Fate {
+        let mut chunk = [0u8; READ_CHUNK];
+        while readable {
+            let fate = match self.stream.read(&mut chunk) {
+                Ok(0) => {
+                    readable = false; // end of stream
+                    self.session.peer_closed(router, state)
+                }
+                Ok(n) => self.session.feed(&chunk[..n], now, router, state),
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) => return Fate::Reap,
+            };
+            if fate == Fate::Reap {
+                return fate;
+            }
+        }
+        self.send(router, state)
+    }
+
+    /// Write the session's output until the socket blocks.
+    fn send<S>(&mut self, router: &Router<S>, state: &Arc<S>) -> Fate {
+        while !self.session.output().is_empty() {
+            let fate = match self.stream.write(self.session.output()) {
+                Ok(n) if n > 0 => self.session.consumed(n, router, state),
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                _ => return Fate::Reap, // a socket error, or one that takes nothing
+            };
+            if fate == Fate::Reap {
+                return fate;
+            }
+        }
+        Fate::Keep
+    }
+
+    /// Close a reaped connection, or arm EPOLLOUT exactly while its
+    /// session has output pending. Returns whether the connection stays.
+    fn settle(&mut self, fate: Fate, epoll: &sys::Epoll, token: u64) -> bool {
+        let fd = self.stream.as_raw_fd();
+        if fate == Fate::Reap {
+            epoll.delete(fd);
+            return false;
+        }
+        let mut want = sys::EPOLLIN | sys::EPOLLRDHUP;
+        if !self.session.output().is_empty() {
+            want |= sys::EPOLLOUT;
+        }
+        if want != self.interest && epoll.modify(fd, want, token).is_ok() {
+            self.interest = want;
+        }
+        true
+    }
 }
 
 struct EventLoop<S> {
@@ -715,7 +945,7 @@ struct EventLoop<S> {
     conns: HashMap<u64, Conn>,
     next_token: u64,
     /// The listener is out of this loop's interest set after an accept
-    /// error (until the next sweep).
+    /// error (until the next tick).
     listener_paused: bool,
 }
 
@@ -725,7 +955,7 @@ const LISTENER: u64 = 0;
 impl<S: Send + Sync + 'static> EventLoop<S> {
     fn run(mut self) {
         let mut events = [sys::EpollEvent { events: 0, data: 0 }; MAX_EVENTS];
-        let mut last_sweep = Instant::now();
+        let mut last_tick = Instant::now();
         loop {
             if self.stop.load(Ordering::Relaxed) {
                 return; // dropping the loop closes every connection fd
@@ -734,35 +964,29 @@ impl<S: Send + Sync + 'static> EventLoop<S> {
                 Ok(n) => n,
                 Err(_) => return,
             };
+            let now = Instant::now();
             for ev in &events[..n] {
                 let (ready, token) = (ev.events, ev.data);
                 if token == LISTENER {
-                    self.accept_ready();
+                    self.accept_ready(now);
                     continue;
                 }
-                let Some(mut conn) = self.conns.remove(&token) else {
+                let Some(conn) = self.conns.get_mut(&token) else {
                     continue; // already closed this batch
                 };
-                if ready & (sys::EPOLLERR | sys::EPOLLHUP) != 0 {
-                    continue; // conn drops; fd closes
-                }
-                if ready & sys::EPOLLRDHUP != 0 {
-                    conn.peer_closed = true;
-                }
-                match self.drive(&mut conn, ready) {
-                    Drive::Keep => {
-                        self.rearm(&mut conn, token);
-                        self.conns.insert(token, conn);
-                    }
-                    Drive::Close => {
-                        self.epoll.delete(conn.stream.as_raw_fd());
-                    }
+                let fate = if ready & (sys::EPOLLERR | sys::EPOLLHUP) != 0 {
+                    Fate::Reap
+                } else {
+                    let readable = ready & (sys::EPOLLIN | sys::EPOLLRDHUP) != 0;
+                    conn.pump(readable, now, &self.router, &self.state)
+                };
+                if !conn.settle(fate, &self.epoll, token) {
+                    self.conns.remove(&token);
                 }
             }
-            let now = Instant::now();
-            if now.duration_since(last_sweep) >= TICK {
-                last_sweep = now;
-                self.sweep(now);
+            if now.duration_since(last_tick) >= TICK {
+                last_tick = now;
+                self.tick(now);
             }
         }
     }
@@ -772,8 +996,8 @@ impl<S: Send + Sync + 'static> EventLoop<S> {
     /// (EMFILE/ENFILE when descriptors run out) leaves the connection
     /// pending, so the level-triggered listener would wake this loop
     /// again at once, forever: it leaves the interest set instead, and
-    /// the next sweep puts it back.
-    fn accept_ready(&mut self) {
+    /// the next tick puts it back.
+    fn accept_ready(&mut self, now: Instant) {
         loop {
             match self.listener.accept() {
                 Ok((stream, _)) => {
@@ -782,12 +1006,14 @@ impl<S: Send + Sync + 'static> EventLoop<S> {
                     }
                     let token = self.next_token;
                     self.next_token += 1;
-                    let conn = Conn::new(stream, Instant::now());
-                    if self
-                        .epoll
-                        .add(conn.stream.as_raw_fd(), conn.interest, token)
-                        .is_ok()
-                    {
+                    let interest = sys::EPOLLIN | sys::EPOLLRDHUP;
+                    if self.epoll.add(stream.as_raw_fd(), interest, token).is_ok() {
+                        let session = Session::new(now, self.keep_alive);
+                        let conn = Conn {
+                            stream,
+                            interest,
+                            session,
+                        };
                         self.conns.insert(token, conn);
                     }
                 }
@@ -801,27 +1027,9 @@ impl<S: Send + Sync + 'static> EventLoop<S> {
         }
     }
 
-    /// Re-register the connection if its desired interest changed
-    /// (EPOLLOUT is armed exactly while a write is pending).
-    fn rearm(&self, conn: &mut Conn, token: u64) {
-        let mut want = sys::EPOLLIN | sys::EPOLLRDHUP;
-        if conn.wants_write() {
-            want |= sys::EPOLLOUT;
-        }
-        if want != conn.interest
-            && self
-                .epoll
-                .modify(conn.stream.as_raw_fd(), want, token)
-                .is_ok()
-        {
-            conn.interest = want;
-        }
-    }
-
-    /// Periodic work: re-add a paused listener, reap idle connections
-    /// and poll streaming bodies whose source had nothing to send on the
-    /// last pass.
-    fn sweep(&mut self, now: Instant) {
+    /// Periodic work: re-add a paused listener, and tick every session
+    /// once, closing those it reaps.
+    fn tick(&mut self, now: Instant) {
         if self.listener_paused
             && self
                 .epoll
@@ -830,237 +1038,15 @@ impl<S: Send + Sync + 'static> EventLoop<S> {
         {
             self.listener_paused = false;
         }
-        let keep_alive = self.keep_alive;
-        let mut closed: Vec<u64> = Vec::with_capacity(0);
-        let mut stream_tokens: Vec<u64> = Vec::with_capacity(0);
-        for (token, conn) in &self.conns {
-            match conn.state {
-                // a streaming connection is waiting on the *server*
-                // (campaign progress), not the peer — never idle-reaped
-                ConnState::Stream(_) => stream_tokens.push(*token),
-                _ => {
-                    if now.duration_since(conn.last_read) >= keep_alive && !conn.wants_write() {
-                        closed.push(*token);
-                    }
-                }
-            }
-        }
-        for token in closed {
-            if let Some(conn) = self.conns.remove(&token) {
-                self.epoll.delete(conn.stream.as_raw_fd());
-            }
-        }
-        for token in stream_tokens {
-            let Some(mut conn) = self.conns.remove(&token) else {
-                continue;
+        let (epoll, router, state) = (&self.epoll, &*self.router, &self.state);
+        self.conns.retain(|&token, conn| {
+            let fate = match conn.session.tick(now, router, state) {
+                Fate::Keep => conn.send(router, state),
+                Fate::Reap => Fate::Reap,
             };
-            match self.drive(&mut conn, 0) {
-                Drive::Keep => {
-                    self.rearm(&mut conn, token);
-                    self.conns.insert(token, conn);
-                }
-                Drive::Close => self.epoll.delete(conn.stream.as_raw_fd()),
-            }
-        }
+            conn.settle(fate, epoll, token)
+        });
     }
-
-    /// Advance one connection's state machine as far as the socket
-    /// allows right now.
-    fn drive(&mut self, conn: &mut Conn, ready: u32) -> Drive {
-        if ready & sys::EPOLLIN != 0 {
-            match self.fill(conn) {
-                Ok(()) => {}
-                Err(_) => return Drive::Close,
-            }
-        }
-        loop {
-            match &mut conn.state {
-                ConnState::Read => match self.drive_read(conn) {
-                    Some(Drive::Close) => return Drive::Close,
-                    Some(Drive::Keep) => continue, // response queued: fall into Write
-                    None => return Drive::Keep,    // need more bytes
-                },
-                ConnState::Write(_) => {
-                    match flush(&mut conn.stream, &conn.write_buf, &mut conn.written) {
-                        Flush::Blocked => return Drive::Keep,
-                        Flush::Error => return Drive::Close,
-                        Flush::Done => {
-                            conn.write_buf.clear();
-                            conn.written = 0;
-                            shrink(&mut conn.write_buf);
-                            let ConnState::Write(after) =
-                                std::mem::replace(&mut conn.state, ConnState::Read)
-                            else {
-                                unreachable!("matched Write above");
-                            };
-                            match after {
-                                AfterWrite::Close => return Drive::Close,
-                                AfterWrite::Stream(source) => {
-                                    conn.state = ConnState::Stream(source);
-                                    continue;
-                                }
-                                AfterWrite::KeepAlive => {
-                                    if conn.peer_closed && conn.read_buf.is_empty() {
-                                        return Drive::Close;
-                                    }
-                                    continue; // pipelined request may be buffered
-                                }
-                            }
-                        }
-                    }
-                }
-                ConnState::Stream(source) => {
-                    // `source` borrows only `conn.state`; the flush
-                    // touches the disjoint socket + write fields
-                    match flush(&mut conn.stream, &conn.write_buf, &mut conn.written) {
-                        Flush::Blocked => return Drive::Keep,
-                        Flush::Error => return Drive::Close,
-                        Flush::Done => {}
-                    }
-                    conn.write_buf.clear();
-                    conn.written = 0;
-                    if conn.peer_closed {
-                        return Drive::Close; // nobody is reading this stream
-                    }
-                    match source() {
-                        StreamChunk::Pending => return Drive::Keep, // tick re-polls
-                        StreamChunk::Data(data) => {
-                            render_chunk(&mut conn.write_buf, &data);
-                            continue;
-                        }
-                        StreamChunk::End => {
-                            conn.write_buf.extend_from_slice(b"0\r\n\r\n");
-                            conn.state = ConnState::Write(AfterWrite::KeepAlive);
-                            continue;
-                        }
-                        StreamChunk::Abort => return Drive::Close,
-                    }
-                }
-            }
-        }
-    }
-
-    /// Pull everything the socket has into the read buffer.
-    fn fill(&self, conn: &mut Conn) -> io::Result<()> {
-        let mut chunk = [0u8; READ_CHUNK];
-        loop {
-            match conn.stream.read(&mut chunk) {
-                Ok(0) => {
-                    conn.peer_closed = true;
-                    return Ok(());
-                }
-                Ok(n) => {
-                    conn.read_buf.extend_from_slice(&chunk[..n]);
-                    conn.last_read = Instant::now();
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => Err(e)?,
-            }
-        }
-    }
-
-    /// Try to complete one request from the read buffer. `None`: need
-    /// more bytes. `Some(Keep)`: a response was queued (state moved to
-    /// `Write`). `Some(Close)`: connection is done.
-    fn drive_read(&mut self, conn: &mut Conn) -> Option<Drive> {
-        if conn.pending.is_none() {
-            let head_end = match find_head_end(&conn.read_buf) {
-                Some(pos) if pos > MAX_HEAD => {
-                    return Some(self.fatal(conn, ParseError::HeadTooLarge))
-                }
-                Some(pos) => pos,
-                None if conn.read_buf.len() > MAX_HEAD => {
-                    return Some(self.fatal(conn, ParseError::HeadTooLarge))
-                }
-                None if conn.peer_closed => {
-                    if conn.read_buf.is_empty() {
-                        return Some(Drive::Close);
-                    }
-                    return Some(self.fatal(conn, ParseError::Bad));
-                }
-                None => return None,
-            };
-            match parse_head(&conn.read_buf, head_end, &mut conn.scratch) {
-                Ok(pending) => conn.pending = Some(pending),
-                Err(e) => return Some(self.fatal(conn, e)),
-            }
-        }
-        let total = {
-            let pending = conn.pending.as_ref().expect("set above");
-            pending.head_len + pending.content_length
-        };
-        if conn.read_buf.len() < total {
-            if conn.peer_closed {
-                return Some(Drive::Close); // truncated body, peer gone
-            }
-            return None;
-        }
-        let mut pending = conn.pending.take().expect("checked above");
-        pending
-            .req
-            .body
-            .extend_from_slice(&conn.read_buf[pending.head_len..total]);
-        conn.read_buf.drain(..total);
-        shrink(&mut conn.read_buf);
-        let resp = self.router.dispatch(&self.state, &pending.req);
-        // reclaim the request containers for the next request
-        conn.scratch.headers = pending.req.headers;
-        conn.scratch.body = pending.req.body;
-        let after = match resp.stream {
-            Some(source) => {
-                render_stream_head(&mut conn.write_buf, resp.status, resp.content_type);
-                AfterWrite::Stream(source)
-            }
-            None => {
-                render_response(&mut conn.write_buf, &resp);
-                if pending.wants_close {
-                    AfterWrite::Close
-                } else {
-                    AfterWrite::KeepAlive
-                }
-            }
-        };
-        conn.state = ConnState::Write(after);
-        Some(Drive::Keep)
-    }
-
-    /// Queue a protocol-error response and close once it drains.
-    fn fatal(&self, conn: &mut Conn, e: ParseError) -> Drive {
-        conn.pending = None;
-        render_response(&mut conn.write_buf, &e.response());
-        conn.state = ConnState::Write(AfterWrite::Close);
-        Drive::Keep
-    }
-}
-
-/// Shrink an empty oversized buffer back to a bounded keepsake.
-fn shrink(buf: &mut Vec<u8>) {
-    if buf.is_empty() && buf.capacity() > BUF_KEEP {
-        buf.shrink_to(BUF_KEEP);
-    }
-}
-
-enum Flush {
-    Done,
-    Blocked,
-    Error,
-}
-
-/// Write as much of the pending buffer as the socket takes. Takes the
-/// socket and write-cursor fields individually so callers holding a
-/// borrow of `Conn::state` (the streaming arm) can still flush.
-fn flush(stream: &mut TcpStream, write_buf: &[u8], written: &mut usize) -> Flush {
-    while *written < write_buf.len() {
-        match stream.write(&write_buf[*written..]) {
-            Ok(0) => return Flush::Error,
-            Ok(n) => *written += n,
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Flush::Blocked,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => return Flush::Error,
-        }
-    }
-    Flush::Done
 }
 
 /// A running HTTP server: the bound address and a shutdown handle.
@@ -1148,6 +1134,7 @@ impl Drop for HttpServer {
 mod tests {
     use super::*;
     use crate::client::HttpClient;
+    use proptest::prelude::*;
 
     fn router() -> Router<u32> {
         Router::new()
@@ -1199,49 +1186,6 @@ mod tests {
     }
 
     #[test]
-    fn malformed_requests_get_400() {
-        let server = HttpServer::bind("127.0.0.1:0", Arc::new(0u32), router()).unwrap();
-        let mut raw = TcpStream::connect(server.addr()).unwrap();
-        raw.write_all(b"GET /ping HTTP/1.1\r\nthis header has no colon\r\n\r\n")
-            .unwrap();
-        let mut resp = String::new();
-        let _ = raw.read_to_string(&mut resp);
-        assert!(resp.starts_with("HTTP/1.1 400"), "got {resp:?}");
-        server.shutdown();
-    }
-
-    #[test]
-    fn oversized_head_gets_431_with_typed_body() {
-        let server = HttpServer::bind("127.0.0.1:0", Arc::new(0u32), router()).unwrap();
-        let mut raw = TcpStream::connect(server.addr()).unwrap();
-        raw.write_all(b"GET /ping HTTP/1.1\r\n").unwrap();
-        let filler = format!("x-filler: {}\r\n", "y".repeat(1000));
-        for _ in 0..20 {
-            if raw.write_all(filler.as_bytes()).is_err() {
-                break; // server may already have responded and closed
-            }
-        }
-        let mut resp = String::new();
-        let _ = raw.read_to_string(&mut resp);
-        assert!(resp.starts_with("HTTP/1.1 431"), "got {resp:?}");
-        assert!(resp.contains("head_too_large"), "got {resp:?}");
-        server.shutdown();
-    }
-
-    #[test]
-    fn oversized_body_gets_413_with_typed_body() {
-        let server = HttpServer::bind("127.0.0.1:0", Arc::new(0u32), router()).unwrap();
-        let mut raw = TcpStream::connect(server.addr()).unwrap();
-        raw.write_all(b"POST /echo HTTP/1.1\r\nContent-Length: 5000000\r\n\r\n")
-            .unwrap();
-        let mut resp = String::new();
-        let _ = raw.read_to_string(&mut resp);
-        assert!(resp.starts_with("HTTP/1.1 413"), "got {resp:?}");
-        assert!(resp.contains("body_too_large"), "got {resp:?}");
-        server.shutdown();
-    }
-
-    #[test]
     fn chunked_stream_decodes_and_connection_survives() {
         let server = HttpServer::bind("127.0.0.1:0", Arc::new(0u32), router()).unwrap();
         let mut client = HttpClient::connect(server.addr());
@@ -1258,25 +1202,6 @@ mod tests {
         let (status, _) = client.get("/ping", None).unwrap();
         assert_eq!(status, 200);
         assert_eq!(client.reconnects(), 0);
-        server.shutdown();
-    }
-
-    #[test]
-    fn pipelined_requests_answer_in_order() {
-        let server = HttpServer::bind("127.0.0.1:0", Arc::new(3u32), router()).unwrap();
-        let mut raw = TcpStream::connect(server.addr()).unwrap();
-        raw.write_all(
-            b"GET /ping HTTP/1.1\r\n\r\nGET /items/9/detail HTTP/1.1\r\nConnection: close\r\n\r\n",
-        )
-        .unwrap();
-        let mut resp = String::new();
-        let _ = raw.read_to_string(&mut resp);
-        let first = resp.find("pong 3").expect("first response present");
-        let second = resp.find(r#"{"id":"9"}"#).expect("second response present");
-        assert!(
-            first < second,
-            "responses must come back in order: {resp:?}"
-        );
         server.shutdown();
     }
 
@@ -1302,5 +1227,297 @@ mod tests {
         let n = raw.read(&mut chunk).unwrap_or(0);
         assert_eq!(n, 0, "idle connection must be reaped (EOF)");
         server.shutdown();
+    }
+
+    const KEEP_ALIVE: Duration = Duration::from_secs(10);
+
+    /// The peer of one session, played by the test: it sends bytes at
+    /// instants it chooses, takes the session's output `write` bytes at a
+    /// time, and keeps all of it in `out`.
+    struct Peer {
+        session: Session,
+        router: Router<u32>,
+        state: Arc<u32>,
+        write: usize,
+        out: Vec<u8>,
+    }
+
+    impl Peer {
+        fn new(t0: Instant, write: usize) -> Peer {
+            Peer {
+                session: Session::new(t0, KEEP_ALIVE),
+                router: router(),
+                state: Arc::new(3),
+                write,
+                out: Vec::new(),
+            }
+        }
+
+        /// Send `bytes` at `now`, then take the output.
+        fn send(&mut self, bytes: &[u8], now: Instant) -> Fate {
+            let fate = self.session.feed(bytes, now, &self.router, &self.state);
+            self.take(fate)
+        }
+
+        /// Tick the session at `now`, then take the output.
+        fn tick(&mut self, now: Instant) -> Fate {
+            let fate = self.session.tick(now, &self.router, &self.state);
+            self.take(fate)
+        }
+
+        /// Close the write half, then take the output.
+        fn close(&mut self) -> Fate {
+            let fate = self.session.peer_closed(&self.router, &self.state);
+            self.take(fate)
+        }
+
+        fn take(&mut self, mut fate: Fate) -> Fate {
+            while fate == Fate::Keep && !self.session.output().is_empty() {
+                let output = self.session.output();
+                let n = output.len().min(self.write);
+                self.out.extend_from_slice(&output[..n]);
+                fate = self.session.consumed(n, &self.router, &self.state);
+            }
+            fate
+        }
+
+        fn text(&self) -> String {
+            String::from_utf8(self.out.clone()).unwrap()
+        }
+    }
+
+    /// `input` sent in pieces cut at `cuts` (ascending), then the peer
+    /// closes. Returns the output, and whether the session was done
+    /// before the peer closed.
+    fn exchange(input: &[u8], cuts: &[usize], write: usize) -> (String, bool) {
+        let t0 = Instant::now();
+        let mut peer = Peer::new(t0, write);
+        let mut start = 0;
+        for &end in cuts.iter().chain([&input.len()]) {
+            if peer.send(&input[start..end], t0) == Fate::Reap {
+                return (peer.text(), true);
+            }
+            start = end;
+        }
+        assert_eq!(
+            peer.close(),
+            Fate::Reap,
+            "a session ends when its peer does"
+        );
+        (peer.text(), false)
+    }
+
+    /// The status codes in `output`, in order.
+    fn statuses(output: &str) -> Vec<&str> {
+        output
+            .match_indices("HTTP/1.1 ")
+            .map(|(i, _)| &output[i + 9..i + 12])
+            .collect()
+    }
+
+    /// Scripted byte sequences: what each must answer, and whether the
+    /// session closes before the peer does.
+    fn scripts() -> Vec<(Vec<u8>, &'static [&'static str], bool)> {
+        let mut oversized_head = b"GET /ping HTTP/1.1\r\nx-filler: ".to_vec();
+        oversized_head.resize(MAX_HEAD + 100, b'y');
+        oversized_head.extend_from_slice(b"\r\n\r\n");
+        vec![
+            (
+                b"GET /ping HTTP/1.1\r\n\r\nGET /items/9/detail HTTP/1.1\r\nX-Api-Key: k\r\n\r\n\
+                  POST /echo HTTP/1.1\r\nContent-Length: 7\r\n\r\n{\"k\":1}GET /nope HTTP/1.1\r\n\r\n"
+                    .to_vec(),
+                &["200", "200", "200", "404"],
+                false,
+            ),
+            (
+                b"GET /ping HTTP/1.1\r\n\r\nGET /ping HTTP/1.1\r\nno colon\r\n\r\nGET /ping HTTP/1.1\r\n\r\n"
+                    .to_vec(),
+                &["200", "400"],
+                true,
+            ),
+            (oversized_head, &["431"], true),
+            (
+                b"GET /ping HTTP/1.1\r\n\r\nPOST /echo HTTP/1.1\r\nContent-Length: 5000000\r\n\r\nxyz"
+                    .to_vec(),
+                &["200", "413"],
+                true,
+            ),
+            (
+                b"GET /ping HTTP/1.1\r\nConnection: close\r\n\r\nGET /ping HTTP/1.1\r\n\r\n".to_vec(),
+                &["200"],
+                true,
+            ),
+            (
+                b"GET /count HTTP/1.1\r\n\r\nGET /ping HTTP/1.1\r\n\r\n".to_vec(),
+                &["200", "200"],
+                false,
+            ),
+        ]
+    }
+
+    #[test]
+    fn split_at_every_offset_gives_the_whole_feed_output() {
+        for (input, answers, closes) in scripts() {
+            let whole = exchange(&input, &[], usize::MAX);
+            assert_eq!(statuses(&whole.0), answers, "{whole:?}");
+            assert_eq!(whole.1, closes, "{whole:?}");
+            for cut in 0..=input.len() {
+                assert_eq!(exchange(&input, &[cut], usize::MAX), whole, "cut at {cut}");
+            }
+        }
+        let (stream, _) = exchange(b"GET /count HTTP/1.1\r\n\r\n", &[], usize::MAX);
+        assert!(
+            stream
+                .ends_with("\r\n\r\n8\r\nchunk-1;\r\n8\r\nchunk-2;\r\n8\r\nchunk-3;\r\n0\r\n\r\n"),
+            "{stream:?}"
+        );
+    }
+
+    proptest! {
+        /// Any number of cuts at any offsets, and output taken in pieces
+        /// of any size, give the whole-feed output.
+        #[test]
+        fn random_splits_give_the_whole_feed_output(
+            script in 0usize..6,
+            cuts in collection::vec(any::<usize>(), 0..12),
+            write in 1usize..64,
+        ) {
+            let (input, _, _) = scripts().swap_remove(script);
+            let mut cuts: Vec<usize> = cuts.iter().map(|c| c % (input.len() + 1)).collect();
+            cuts.sort_unstable();
+            let whole = exchange(&input, &[], usize::MAX);
+            prop_assert_eq!(exchange(&input, &cuts, write), whole);
+        }
+    }
+
+    #[test]
+    fn malformed_requests_get_400() {
+        let (resp, _) = exchange(
+            b"GET /ping HTTP/1.1\r\nthis header has no colon\r\n\r\n",
+            &[],
+            usize::MAX,
+        );
+        assert!(resp.starts_with("HTTP/1.1 400"), "got {resp:?}");
+    }
+
+    #[test]
+    fn oversized_head_gets_431_with_typed_body() {
+        let mut input = b"GET /ping HTTP/1.1\r\n".to_vec();
+        let filler = format!("x-filler: {}\r\n", "y".repeat(1000));
+        let mut cuts = Vec::with_capacity(20);
+        for _ in 0..20 {
+            cuts.push(input.len());
+            input.extend_from_slice(filler.as_bytes());
+        }
+        let (resp, _) = exchange(&input, &cuts, usize::MAX);
+        assert!(resp.starts_with("HTTP/1.1 431"), "got {resp:?}");
+        assert!(resp.contains("head_too_large"), "got {resp:?}");
+    }
+
+    #[test]
+    fn oversized_body_gets_413_with_typed_body() {
+        let (resp, _) = exchange(
+            b"POST /echo HTTP/1.1\r\nContent-Length: 5000000\r\n\r\n",
+            &[],
+            usize::MAX,
+        );
+        assert!(resp.starts_with("HTTP/1.1 413"), "got {resp:?}");
+        assert!(resp.contains("body_too_large"), "got {resp:?}");
+    }
+
+    #[test]
+    fn pipelined_requests_answer_in_order() {
+        let (resp, _) = exchange(
+            b"GET /ping HTTP/1.1\r\n\r\nGET /items/9/detail HTTP/1.1\r\nConnection: close\r\n\r\n",
+            &[],
+            usize::MAX,
+        );
+        let first = resp.find("pong 3").expect("first response present");
+        let second = resp.find(r#"{"id":"9"}"#).expect("second response present");
+        assert!(
+            first < second,
+            "responses must come back in order: {resp:?}"
+        );
+    }
+
+    #[test]
+    fn idle_sessions_are_reaped_at_keep_alive() {
+        let t0 = Instant::now();
+        let at = |ms: u64| t0 + Duration::from_millis(ms);
+        // a connection that never sends is reaped at the timeout
+        let mut peer = Peer::new(t0, usize::MAX);
+        assert_eq!(peer.tick(at(9_999)), Fate::Keep);
+        assert_eq!(peer.tick(at(10_000)), Fate::Reap);
+        // a request restarts the timeout
+        let mut peer = Peer::new(t0, usize::MAX);
+        assert_eq!(
+            peer.send(b"GET /ping HTTP/1.1\r\n\r\n", at(5_000)),
+            Fate::Keep
+        );
+        assert_eq!(statuses(&peer.text()), ["200"]);
+        assert_eq!(peer.tick(at(14_999)), Fate::Keep);
+        assert_eq!(peer.tick(at(15_000)), Fate::Reap);
+        // a body that stops arriving is reaped without an answer
+        let mut peer = Peer::new(t0, usize::MAX);
+        let post = b"POST /echo HTTP/1.1\r\nContent-Length: 9\r\n\r\n{";
+        assert_eq!(peer.send(post, at(1_000)), Fate::Keep);
+        assert_eq!(peer.tick(at(11_000)), Fate::Reap);
+        assert!(peer.out.is_empty());
+    }
+
+    #[test]
+    fn a_dripped_head_gets_408_at_its_deadline() {
+        let t0 = Instant::now();
+        let at = |ms: u64| t0 + Duration::from_millis(ms);
+        // after 3 s idle, a head arrives a byte a second and never ends;
+        // every byte would restart an idle timer, but the head's deadline
+        // counts from its first byte
+        let mut peer = Peer::new(t0, usize::MAX);
+        for (i, byte) in b"GET /ping HTTP/1.1\r\nX-Slow: 1".iter().enumerate() {
+            let now = at(3_000 + 1_000 * i as u64);
+            if now >= at(13_000) {
+                break;
+            }
+            assert_eq!(peer.send(&[*byte], now), Fate::Keep);
+            assert_eq!(peer.tick(now), Fate::Keep);
+        }
+        assert_eq!(peer.tick(at(12_999)), Fate::Keep);
+        assert!(peer.out.is_empty());
+        assert_eq!(peer.tick(at(13_000)), Fate::Reap);
+        let resp = peer.text();
+        assert!(
+            resp.starts_with("HTTP/1.1 408 Request Timeout\r\n"),
+            "{resp:?}"
+        );
+        assert!(resp.contains(r#""code":"request_timeout""#), "{resp:?}");
+        // a head that starts behind a served request counts from its own
+        // first byte too
+        let mut peer = Peer::new(t0, usize::MAX);
+        assert_eq!(
+            peer.send(b"GET /ping HTTP/1.1\r\n\r\nGE", at(0)),
+            Fate::Keep
+        );
+        assert_eq!(peer.send(b"T /p", at(5_000)), Fate::Keep);
+        assert_eq!(peer.tick(at(9_999)), Fate::Keep);
+        assert_eq!(peer.tick(at(10_000)), Fate::Reap);
+        assert_eq!(statuses(&peer.text()), ["200", "408"]);
+    }
+
+    #[test]
+    fn a_dripped_head_is_searched_in_linear_time() {
+        let mut head = b"GET /ping HTTP/1.1\r\nx-filler: ".to_vec();
+        head.resize(MAX_HEAD - 4, b'y');
+        head.extend_from_slice(b"\r\n\r\n");
+        let t0 = Instant::now();
+        let mut peer = Peer::new(t0, usize::MAX);
+        for byte in &head {
+            assert_eq!(peer.send(&[*byte], t0), Fate::Keep);
+        }
+        assert_eq!(statuses(&peer.text()), ["200"]);
+        let (n, searched) = (head.len(), peer.session.searched);
+        assert!(
+            searched <= 4 * n,
+            "{searched} bytes searched for a {n}-byte head"
+        );
     }
 }

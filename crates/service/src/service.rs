@@ -57,7 +57,7 @@ use tass_core::{
     CampaignStep, MonthEval, StrategyKind,
 };
 use tass_model::corpus::CorpusError;
-use tass_model::registry::{SharedSource, SourceEntry, SourceRegistry};
+use tass_model::registry::{SharedSource, SourceRegistry};
 use tass_model::snapshot::Snapshot;
 use tass_model::source::GroundTruth;
 use tass_model::topology::Topology;
@@ -140,9 +140,6 @@ pub enum SubmitError {
     NotAccepting,
     /// No source under that name.
     UnknownSource(String),
-    /// The source exists but is not an IPv4 source; campaigns over it
-    /// are not yet supported.
-    UnsupportedFamily(String),
     /// The requested protocol is not offered by the source.
     BadProtocol {
         /// The requested protocol.
@@ -173,10 +170,6 @@ impl fmt::Display for SubmitError {
         match self {
             SubmitError::NotAccepting => write!(f, "service is shutting down"),
             SubmitError::UnknownSource(name) => write!(f, "no source named {name:?}"),
-            SubmitError::UnsupportedFamily(name) => write!(
-                f,
-                "source {name:?} is not an IPv4 source; v6 campaigns are not yet served"
-            ),
             SubmitError::BadProtocol { protocol, offered } => {
                 let offered: Vec<&str> = offered.iter().map(|p| p.tag()).collect();
                 write!(
@@ -596,13 +589,10 @@ impl ServiceCore {
         if table.stopping.is_some() {
             return Err(SubmitError::NotAccepting);
         }
-        let source = match self.registry.get(&req.source) {
-            None => return Err(SubmitError::UnknownSource(req.source.clone())),
-            Some(SourceEntry::V6(_)) => {
-                return Err(SubmitError::UnsupportedFamily(req.source.clone()))
-            }
-            Some(SourceEntry::V4(s)) => Arc::clone(s),
-        };
+        let source = self
+            .registry
+            .get_v4(&req.source)
+            .ok_or_else(|| SubmitError::UnknownSource(req.source.clone()))?;
         let offered = source.protocols();
         let protocol = match req.protocol {
             Some(p) if !offered.contains(&p) => {

@@ -3,15 +3,17 @@
 //!
 //! ```text
 //! demo=universe:1        a seeded synthetic IPv4 universe (small config)
-//! six=v6:5               a seeded synthetic IPv6 universe (small config)
 //! real=corpus:/data/dir  an exported corpus directory, validated eagerly
 //! ```
+//!
+//! tassd runs IPv4 campaigns only, so a `v6:SEED` spec is refused by
+//! name rather than registered as a source no submission could use.
 
 use std::path::Path;
 use std::sync::Arc;
 use tass_model::corpus::CorpusOptions;
 use tass_model::registry::SourceRegistry;
-use tass_model::universe::{Universe, UniverseConfig, V6Universe, V6UniverseConfig};
+use tass_model::universe::{Universe, UniverseConfig};
 
 /// Parse one `NAME=SPEC` definition and register it.
 pub fn add_source(registry: &mut SourceRegistry, definition: &str) -> Result<(), String> {
@@ -38,18 +40,12 @@ pub fn add_source_with(
             let u = Universe::generate(&UniverseConfig::small(seed));
             registry.insert_v4(name, Arc::new(u)).map_err(|e| err(&e))
         }
-        Some(("v6", seed)) => {
-            let seed: u64 = seed
-                .parse()
-                .map_err(|_| err(&"v6 seed must be an integer"))?;
-            let u = V6Universe::generate(&V6UniverseConfig::small(seed));
-            registry.insert_v6(name, Arc::new(u)).map_err(|e| err(&e))
-        }
+        Some(("v6", _)) => Err(err(&"v6 sources are not served; tassd runs IPv4 campaigns")),
         Some(("corpus", dir)) => registry
             .open_corpus_with(name, Path::new(dir), corpus_opts)
             .map_err(|e| err(&e)),
         _ => Err(format!(
-            "source {name:?}: spec {spec:?} must be universe:SEED | v6:SEED | corpus:DIR"
+            "source {name:?}: spec {spec:?} must be universe:SEED | corpus:DIR"
         )),
     }
 }
@@ -62,10 +58,9 @@ mod tests {
     fn definitions_build_a_registry() {
         let mut reg = SourceRegistry::new();
         add_source(&mut reg, "demo=universe:1").unwrap();
-        add_source(&mut reg, "six=v6:5").unwrap();
-        assert_eq!(reg.names(), vec!["demo", "six"]);
+        add_source(&mut reg, "two=universe:2").unwrap();
+        assert_eq!(reg.names(), vec!["demo", "two"]);
         assert!(reg.get_v4("demo").is_some());
-        assert!(reg.get_v6("six").is_some());
     }
 
     #[test]
@@ -75,7 +70,7 @@ mod tests {
             "no-equals",
             "x=unknown:1",
             "x=universe:notanumber",
-            "x=v6:",
+            "x=v6:5",
             "x=corpus:/definitely/not/a/dir",
         ] {
             let e = add_source(&mut reg, bad).unwrap_err();

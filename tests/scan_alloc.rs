@@ -15,9 +15,10 @@
 //!
 //! The HTTP server: once a keep-alive connection is warm, every request
 //! on it allocates the same number of times, so a batch of requests
-//! allocates exactly as often as the batch before it; and the event
-//! loops are a fixed pool, so idle keep-alive connections cost file
-//! descriptors, not threads.
+//! allocates exactly as often as the batch before it; a route that does
+//! not match a request allocates nothing; and the event loops are a
+//! fixed pool, so idle keep-alive connections cost file descriptors, not
+//! threads.
 //!
 //! The counting allocator is global and counts every thread, the test
 //! harness's own included: in a shared process, the harness's report of
@@ -38,7 +39,7 @@ use tass::core::{CycleOutcome, PreparedStrategy, ProbePlan, Strategy, StrategyKi
 use tass::model::{HostSet, PrefixCount, Protocol, Snapshot, Universe, UniverseConfig};
 use tass::net::Prefix;
 use tass::scan::{Blocklist, FaultConfig, Responder, ScanConfig, ScanEngine, SimNetwork};
-use tass::service::httpd::{HttpServer, HttpdConfig, Response, Router};
+use tass::service::httpd::{HttpServer, HttpdConfig, PathParams, Request, Response, Router};
 
 /// Counts allocations (and reallocations) and their requested bytes
 /// while `COUNTING` is set.
@@ -314,6 +315,63 @@ fn keep_alive_claim() {
         "(allocations, bytes) of two batches of {REQUESTS} keep-alive requests"
     );
     server.shutdown();
+}
+
+#[test]
+fn routes_that_do_not_match_allocate_nothing() {
+    alone(
+        "routes_that_do_not_match_allocate_nothing",
+        unmatched_routes_claim,
+    );
+}
+
+/// The daemon's six routes in the daemon's order, where five come
+/// before the stream route, or with the stream route first. Every
+/// handler answers the `{id}` it captured.
+fn api_shaped_router(stream_first: bool) -> Router<()> {
+    let stream = ("GET", "/v1/campaigns/{id}/results/stream");
+    let mut routes = vec![
+        ("GET", "/v1/healthz"),
+        ("GET", "/v1/sources"),
+        ("POST", "/v1/campaigns"),
+        ("GET", "/v1/campaigns/{id}"),
+        ("GET", "/v1/campaigns/{id}/results"),
+    ];
+    if stream_first {
+        routes.insert(0, stream);
+    } else {
+        routes.push(stream);
+    }
+    let id = |_: &Arc<()>, _: &Request, p: &PathParams| {
+        Response::text(200, p.get("id").unwrap_or("none").to_string())
+    };
+    routes
+        .into_iter()
+        .fold(Router::new(), |router, (method, pattern)| {
+            router.route(method, pattern, id)
+        })
+}
+
+fn unmatched_routes_claim() {
+    let req = Request {
+        method: "GET".to_string(),
+        path: "/v1/campaigns/7/results/stream".to_string(),
+        query: String::new(),
+        headers: vec![("x-api-key".to_string(), "t".to_string())],
+        body: Vec::new(),
+    };
+    let state = Arc::new(());
+    let [last, first] = [false, true].map(|stream_first| {
+        let router = api_shaped_router(stream_first);
+        router.dispatch(&state, &req); // warm-up
+        let (counts, resp) = counted(|| router.dispatch(&state, &req));
+        assert_eq!((resp.status, &resp.body[..]), (200, &b"7"[..]));
+        counts
+    });
+    assert_eq!(
+        last, first,
+        "(allocations, bytes) of one dispatch with five routes before the match and with none"
+    );
 }
 
 #[test]
