@@ -4,8 +4,8 @@
 //! probe path. This sweep measures cycles per second of
 //! `CampaignPool::run_matrix` over the standard 4-protocol matrix for
 //! the feedback strategies (`Tass`, `ReseedingTass`, `AdaptiveTass`) at
-//! 1/2/4 workers, plus the bytes allocated per cycle (a counting global
-//! allocator). The copy-free feedback claim itself — a cycle allocates
+//! 1/2/4 workers, plus the bytes allocated per cycle (the counting global
+//! allocator of `tass_bench::alloc`). The copy-free feedback claim itself — a cycle allocates
 //! the same at N and 4N hosts — is asserted by
 //! `campaign_cycle_allocation_does_not_grow_with_hosts` in
 //! `tests/scan_alloc.rs`; this sweep reports the totals.
@@ -15,29 +15,11 @@
 //! but the sweep structure, cycle counts and allocation numbers are
 //! deterministic.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use tass_bench::alloc::{counted, CountingAlloc};
 use tass_bench::{scenario, time, Bench};
 use tass_bgp::ViewKind;
 use tass_core::campaign::CampaignPool;
 use tass_core::StrategyKind;
-
-/// A pass-through allocator that counts every byte, so the bench can
-/// report allocated bytes per cycle for the cycle loop itself.
-struct CountingAlloc;
-
-static ALLOCATED: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATED.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -89,12 +71,12 @@ fn main() {
             // the first run builds the snapshots' lazy indexes; the
             // allocation count starts after it
             let cycles = matrix_cycles();
-            let alloc0 = ALLOCATED.load(Ordering::Relaxed);
-            let cps =
-                time(n, || assert_eq!(matrix_cycles(), cycles)).map(|secs| cycles as f64 / secs);
+            let ((_, bytes), cps) = counted(|| {
+                time(n, || assert_eq!(matrix_cycles(), cycles)).map(|secs| cycles as f64 / secs)
+            });
             // the timed runs plus the harness's warm-up run
             let runs = n as u64 + 1;
-            let alloc_per_cycle = (ALLOCATED.load(Ordering::Relaxed) - alloc0) / (cycles * runs);
+            let alloc_per_cycle = bytes / (cycles * runs);
             bench.record(
                 &format!("{name}/x{workers}"),
                 "cycles/s",

@@ -2,8 +2,9 @@
 //! cyclic permutation, SipHash, set algebra, the host-set merge that
 //! dominates strategy evaluation, the kernels of the TASS cycle loop
 //! (the view counting sweep, an adaptive re-count of an observed view,
-//! and the density rank with its φ cutoff), and the two per-probe kernels of the simulated network (the
-//! responder's membership test and the fault draw). The wire codecs are
+//! the density rank with its φ cutoff, and one campaign unit's
+//! preparation), and the two per-probe kernels of the simulated network
+//! (the responder's membership test and the fault draw). The wire codecs are
 //! measured by `wire_codec`.
 //!
 //! Each record is nanoseconds per element. An operation too short to time
@@ -13,7 +14,9 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
 use tass_bench::Bench;
-use tass_core::{parse_spec, select_prefixes_budgeted, DensityCounts, ProbePlan, Strategy};
+use tass_core::{
+    parse_spec, select_prefixes_budgeted, DensityCounts, ProbePlan, Strategy, UnitSeed,
+};
 use tass_model::{HostSet, HostSetView, PrefixCount, Protocol, Universe, UniverseConfig};
 use tass_net::{deagg, Cyclic, Prefix, PrefixSet, PrefixTrie, V4};
 use tass_scan::siphash::SipHash24;
@@ -140,7 +143,11 @@ fn bench_host_set(bench: &mut Bench) {
 /// cutoff). Both are per view unit. `host_set/recount_view` is an
 /// adaptive re-count: the observed view of one
 /// `adaptive-tass:more:0.95:0.02` plan at t₀, counted by its own planned
-/// prefixes, per planned unit.
+/// prefixes, per planned unit. `campaign/prepare_unit` prepares the
+/// three lanes of one `replay` unit (tass, reseeding-tass and
+/// adaptive-tass, all on the m-view at φ = 0.95) from t₀, per lane: each
+/// lane alone with `prepare`, and all three with `prepare_in` on one
+/// shared memo, which sweeps and selects once for the unit.
 fn bench_cycle_kernels(bench: &mut Bench) {
     let universe = Universe::generate(&compact_universe(5, 4_000));
     let view = &universe.topology().m_view;
@@ -178,6 +185,32 @@ fn bench_cycle_kernels(bench: &mut Bench) {
         recounts, swept,
         "a planned unit's count in its observed view"
     );
+
+    let topo = universe.topology();
+    let lanes = [
+        "tass:more:0.95",
+        "reseeding-tass:more:0.95:3",
+        "adaptive-tass:more:0.95:0.02",
+    ]
+    .map(|spec| parse_spec(spec).expect("valid spec"));
+    let per_lane = || -> Vec<_> { lanes.iter().map(|k| k.prepare(topo, t0, 1)).collect() };
+    let shared = || -> Vec<_> {
+        let mut memo = UnitSeed::default();
+        lanes
+            .iter()
+            .map(|k| k.prepare_in(topo, t0, 1, &mut memo))
+            .collect()
+    };
+    let n = lanes.len() as u64;
+    bench.ns_per_element("campaign/prepare_unit/per_lane", n, per_lane);
+    bench.ns_per_element("campaign/prepare_unit/shared_memo", n, shared);
+    for (mut alone, mut memo) in per_lane().into_iter().zip(shared()) {
+        assert_eq!(
+            alone.plan(0),
+            memo.plan(0),
+            "a lane prepares the same either way"
+        );
+    }
 }
 
 /// A universe of `l_prefixes` small (/22–/24) l-prefixes at host scale

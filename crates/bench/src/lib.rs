@@ -20,6 +20,8 @@
 //! comparison across commits builds the other commit in a scratch
 //! directory and alternates the two bench binaries.
 
+pub mod alloc;
+
 use serde::{Serialize, Value};
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;

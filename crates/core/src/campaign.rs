@@ -15,11 +15,14 @@
 //!
 //! One loop drives every campaign, and it drives them in *units*: one or
 //! more campaigns on the same protocol, run in lockstep. The unit loads
-//! t₀ once and prepares every campaign from it, then loads each month
-//! **once** and runs `plan → evaluate → observe` for each campaign in
-//! turn. A serial matrix of `k` strategies over a disk corpus therefore
-//! reads and decodes each month once per protocol, not `k` times,
-//! whatever the corpus's month cache holds. The single-campaign drivers
+//! t₀ once and prepares every campaign from it through one
+//! [`UnitSeed`], so lanes on the same view share its t₀ counting sweep
+//! and lanes on the same view and φ share its rank and selection too.
+//! Then the unit loads each month **once** and runs
+//! `plan → evaluate → observe` for each campaign in turn. A serial
+//! matrix of `k` strategies over a disk corpus therefore reads and
+//! decodes each month once per protocol, not `k` times, whatever the
+//! corpus's month cache holds. The single-campaign drivers
 //! ([`run_campaign_strategy`], the service's
 //! [`run_campaign_checkpointed`]) are units of one.
 //!
@@ -41,7 +44,7 @@
 
 use crate::metrics::MonthEval;
 use crate::plan::CycleOutcome;
-use crate::strategy::{FamilySpace, Strategy, StrategyKind};
+use crate::strategy::{FamilySpace, Strategy, StrategyKind, UnitSeed};
 use serde::{Deserialize, Serialize, Value};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -262,12 +265,16 @@ struct Lane<'s, F: FamilySpace> {
 
 /// The one campaign loop every public driver funnels into. It runs a
 /// *unit* — one or more campaigns on the same protocol — in lockstep:
-/// t₀ is loaded once and every lane is prepared from it; that same t₀
-/// doubles as month 0's truth and is released before month 1; then each
-/// month is loaded **once** and `plan → evaluate → observe` runs for
-/// each lane in unit order. Lanes never share state, so a unit's results
+/// t₀ is loaded once and every lane is prepared from it with
+/// [`Strategy::prepare_in`] on one [`UnitSeed`], so each view's t₀
+/// counts and each (view, φ) selection are computed once per unit; that
+/// same t₀ doubles as month 0's truth and is released before month 1;
+/// then each month is loaded **once** and `plan → evaluate → observe`
+/// runs for each lane in unit order. The memo holds only pure functions
+/// of (view, t₀, φ) and lanes share no other state, so a unit's results
 /// are byte-identical to running its campaigns one by one; only the
-/// number of month loads drops (one per month, not one per lane).
+/// number of month loads (one per month, not one per lane) and of t₀
+/// sweeps and selections drops.
 ///
 /// The last month runs `plan → evaluate` only. No plan follows it and
 /// the prepared strategies are dropped here, so its feedback would be
@@ -305,13 +312,15 @@ where
     let announced = F::announced_space(space);
     let load = |m| source.load_snapshot(m, protocol).map_err(|e| (m, e));
     let mut t0 = Some(load(0)?);
+    let mut memo = UnitSeed::default();
     let mut prepared: Vec<_> = lanes
         .iter()
         .map(|lane| {
             let t0 = t0.as_deref().expect("t₀ is loaded above");
-            lane.strategy.prepare(space, t0, lane.seed)
+            lane.strategy.prepare_in(space, t0, lane.seed, &mut memo)
         })
         .collect();
+    drop(memo); // its counts are t₀'s, read by no month after it
     let last = source.months();
     for m in 0..=last {
         let replay = (m as usize) < done;

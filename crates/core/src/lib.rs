@@ -64,6 +64,6 @@ pub use plan::{CycleOutcome, Eval, PlanStream, ProbePlan, StreamError};
 pub use select::{select_prefixes, select_prefixes_budgeted, Selection};
 pub use spec::{parse_spec, SpecError};
 pub use strategy::{
-    AdaptiveTass, FamilySpace, PreparedStrategy, ReseedingTass, Strategy, StrategyKind,
+    AdaptiveTass, FamilySpace, PreparedStrategy, ReseedingTass, Strategy, StrategyKind, UnitSeed,
     V6BlockTass, V6FreshSample, V6Hitlist,
 };

@@ -6,7 +6,8 @@
 //! models exactly that loop:
 //!
 //! 1. [`Strategy::prepare`] — seed from the t₀ full scan, yielding a
-//!    stateful [`PreparedStrategy`];
+//!    stateful [`PreparedStrategy`] ([`Strategy::prepare_in`] does the
+//!    same from a [`UnitSeed`] several campaigns on one t₀ share);
 //! 2. [`PreparedStrategy::plan`] — each cycle, decide *what to probe* as a
 //!    typed [`ProbePlan`] (prefix list / address set / fresh sample /
 //!    everything);
@@ -86,6 +87,108 @@ pub trait Strategy<F: FamilySpace = V4>: fmt::Debug {
         t0: &Snapshot<F>,
         seed: u64,
     ) -> Box<dyn PreparedStrategy<F>>;
+
+    /// [`prepare`](Self::prepare), drawing on a memo shared with the
+    /// other campaigns seeded from the same `space` and `t0`.
+    ///
+    /// The campaign driver prepares every lane of a lockstep unit through
+    /// one [`UnitSeed`], so strategies that count, rank and select the
+    /// same view at the same φ do it once per unit, not once per lane.
+    /// Every memo entry is a pure function of (view, t₀, φ), so the
+    /// prepared strategy is the one `prepare` builds. The default ignores
+    /// the memo and calls `prepare`; the TASS registry kinds implement
+    /// this and make `prepare` call it on a fresh memo.
+    fn prepare_in(
+        &self,
+        space: &F::Space,
+        t0: &Snapshot<F>,
+        seed: u64,
+        memo: &mut UnitSeed,
+    ) -> Box<dyn PreparedStrategy<F>> {
+        let _ = memo;
+        self.prepare(space, t0, seed)
+    }
+}
+
+/// The t₀ memo of one campaign unit: what every TASS lane seeded from the
+/// same topology and t₀ snapshot would otherwise compute alone.
+///
+/// It fills lazily and holds
+///
+/// * the t₀ host count of every unit, per [`ViewKind`] (one bulk sweep
+///   per view), and
+/// * the [`Selection`] and its unit indices per (view, φ) (one stats +
+///   rank + cutoff per pair).
+///
+/// A memo belongs to one (topology, t₀) pair: hand it only to
+/// preparations from that pair, as the campaign driver does for the
+/// lanes of one unit.
+#[derive(Debug, Default)]
+pub struct UnitSeed {
+    counts: Vec<(ViewKind, Vec<u64>)>,
+    selections: Vec<(ViewKind, u64, Selection, Vec<u32>)>,
+    /// t₀ sweeps run so far.
+    #[cfg(test)]
+    sweeps: usize,
+}
+
+impl UnitSeed {
+    /// The t₀ host count of every unit of `view`, index-aligned with its
+    /// units.
+    pub(crate) fn counts(&mut self, topo: &Topology, view: ViewKind, t0: &Snapshot) -> &[u64] {
+        let at = match self.counts.iter().position(|(v, _)| *v == view) {
+            Some(at) => at,
+            None => {
+                // one bulk sweep over the sorted t₀ hosts — identical
+                // counts to attributing every host through the trie (view
+                // units are disjoint, so containment and longest-match
+                // agree), at O(units log hosts) instead of a trie walk
+                // per host
+                let units = view_of(topo, view).units();
+                let mut counts = Vec::with_capacity(units.len());
+                t0.hosts
+                    .count_prefixes_into(units.iter().map(|vu| vu.prefix), &mut counts);
+                #[cfg(test)]
+                {
+                    self.sweeps += 1;
+                }
+                self.counts.push((view, counts));
+                self.counts.len() - 1
+            }
+        };
+        &self.counts[at].1
+    }
+
+    /// The TASS selection of `view` at coverage target `phi` from t₀, and
+    /// its unit indices in rank order.
+    pub(crate) fn selection(
+        &mut self,
+        topo: &Topology,
+        view: ViewKind,
+        phi: f64,
+        t0: &Snapshot,
+    ) -> (&Selection, &[u32]) {
+        let key = (view, phi.to_bits());
+        let at = match self
+            .selections
+            .iter()
+            .position(|(v, bits, ..)| (*v, *bits) == key)
+        {
+            Some(at) => at,
+            None => {
+                let counts = DensityCounts::from_unit_counts(
+                    view_of(topo, view),
+                    self.counts(topo, view, t0),
+                );
+                // rank by one radix sort, then cut off at φ
+                let (selection, units) = select_prefixes_budgeted(counts, phi);
+                self.selections.push((view, key.1, selection, units));
+                self.selections.len() - 1
+            }
+        };
+        let (_, _, selection, units) = &self.selections[at];
+        (selection, units)
+    }
 }
 
 /// The per-campaign lifecycle of a prepared strategy, generic over the
@@ -213,19 +316,27 @@ impl Strategy for StrategyKind {
         }
     }
 
+    fn prepare(&self, topo: &Topology, t0: &Snapshot, seed: u64) -> Box<dyn PreparedStrategy> {
+        self.prepare_in(topo, t0, seed, &mut UnitSeed::default())
+    }
+
     /// The six static kinds freeze their t₀ plan into a
     /// [`StaticPrepared`]; the two feedback kinds delegate to
     /// [`ReseedingTass`] and [`AdaptiveTass`].
-    fn prepare(&self, topo: &Topology, t0: &Snapshot, seed: u64) -> Box<dyn PreparedStrategy> {
+    fn prepare_in(
+        &self,
+        topo: &Topology,
+        t0: &Snapshot,
+        seed: u64,
+        memo: &mut UnitSeed,
+    ) -> Box<dyn PreparedStrategy> {
         let announced = topo.announced_space();
         let (plan, selection) = match *self {
             StrategyKind::FullScan => (ProbePlan::All, None),
             StrategyKind::Tass { view, phi } => {
-                // count by one bulk sweep, rank by one radix sort
-                let v = view_of(topo, view);
-                let (sel, units) =
-                    select_prefixes_budgeted(DensityCounts::units(v, &t0.hosts), phi);
-                (ProbePlan::Prefixes(address_order(v, units)), Some(sel))
+                let (sel, units) = memo.selection(topo, view, phi, t0);
+                let plan = address_order(view_of(topo, view), units.to_vec());
+                (ProbePlan::Prefixes(plan), Some(sel.clone()))
             }
             StrategyKind::IpHitlist => (ProbePlan::Addrs(t0.hosts.clone()), None),
             StrategyKind::RandomSample { fraction } => {
@@ -257,10 +368,10 @@ impl Strategy for StrategyKind {
                 (ProbePlan::Prefixes(address_order(v, picked)), None)
             }
             StrategyKind::ReseedingTass { view, phi, delta_t } => {
-                return ReseedingTass { view, phi, delta_t }.prepare(topo, t0, seed)
+                return ReseedingTass { view, phi, delta_t }.prepare_in(topo, t0, seed, memo)
             }
             StrategyKind::AdaptiveTass { view, phi, explore } => {
-                return AdaptiveTass { view, phi, explore }.prepare(topo, t0, seed)
+                return AdaptiveTass { view, phi, explore }.prepare_in(topo, t0, seed, memo)
             }
         };
         Box::new(StaticPrepared::new(plan, selection))
@@ -354,16 +465,25 @@ impl Strategy for ReseedingTass {
         }
     }
 
-    fn prepare(&self, topo: &Topology, t0: &Snapshot, _seed: u64) -> Box<dyn PreparedStrategy> {
+    fn prepare(&self, topo: &Topology, t0: &Snapshot, seed: u64) -> Box<dyn PreparedStrategy> {
+        self.prepare_in(topo, t0, seed, &mut UnitSeed::default())
+    }
+
+    fn prepare_in(
+        &self,
+        topo: &Topology,
+        t0: &Snapshot,
+        _seed: u64,
+        memo: &mut UnitSeed,
+    ) -> Box<dyn PreparedStrategy> {
         let view = Arc::clone(view_of(topo, self.view));
-        let (selection, units) =
-            select_prefixes_budgeted(DensityCounts::units(&view, &t0.hosts), self.phi);
-        let sorted_plan = address_order(&view, units);
+        let (selection, units) = memo.selection(topo, self.view, self.phi, t0);
+        let sorted_plan = address_order(&view, units.to_vec());
         Box::new(ReseedingPrepared {
             view,
             phi: self.phi,
             delta_t: self.delta_t,
-            selection,
+            selection: selection.clone(),
             sorted_plan,
         })
     }
@@ -448,29 +568,39 @@ impl Strategy for AdaptiveTass {
         )
     }
 
-    fn prepare(&self, topo: &Topology, t0: &Snapshot, _seed: u64) -> Box<dyn PreparedStrategy> {
+    fn prepare(&self, topo: &Topology, t0: &Snapshot, seed: u64) -> Box<dyn PreparedStrategy> {
+        self.prepare_in(topo, t0, seed, &mut UnitSeed::default())
+    }
+
+    /// The t₀ counts seed the estimates, and the t₀ selection is the
+    /// first [`AdaptivePrepared::reselect`] over them, taken from the
+    /// memo.
+    fn prepare_in(
+        &self,
+        topo: &Topology,
+        t0: &Snapshot,
+        _seed: u64,
+        memo: &mut UnitSeed,
+    ) -> Box<dyn PreparedStrategy> {
         let view = Arc::clone(view_of(topo, self.view));
-        // one bulk sweep over the sorted t₀ hosts — identical counts to
-        // attributing every host through the trie (view units are
-        // disjoint, so containment and longest-match agree), at
-        // O(units log hosts) instead of a trie walk per host
-        let mut counts = Vec::with_capacity(view.len());
-        t0.hosts
-            .count_prefixes_into(view.units().iter().map(|vu| vu.prefix), &mut counts);
+        let counts = memo.counts(topo, self.view, t0).to_vec();
+        let (selection, units) = memo.selection(topo, self.view, self.phi, t0);
         let words = view.len().div_ceil(64);
-        let mut prepared = AdaptivePrepared {
+        let mut selected = vec![0; words];
+        for &u in units {
+            set_bit(&mut selected, u as usize);
+        }
+        Box::new(AdaptivePrepared {
             phi: self.phi,
             explore: self.explore,
             counts,
-            selection: Selection::default(),
-            selected: vec![0; words],
+            selection: selection.clone(),
+            selected,
             planned: vec![0; words],
             explore_cursor: 0,
             last_planned: Vec::new(),
             view,
-        };
-        prepared.reselect();
-        Box::new(prepared)
+        })
     }
 }
 
@@ -1098,6 +1228,121 @@ mod tests {
             };
             prepared.observe(cycle, &outcome);
         }
+    }
+
+    /// Every registry kind, at each view and φ for the kinds that have
+    /// them.
+    fn registry_lanes() -> Vec<StrategyKind> {
+        let mut lanes = vec![
+            StrategyKind::FullScan,
+            StrategyKind::IpHitlist,
+            StrategyKind::RandomSample { fraction: 0.02 },
+            StrategyKind::Block24Sample { fraction: 0.01 },
+        ];
+        for view in [ViewKind::LessSpecific, ViewKind::MoreSpecific] {
+            lanes.push(StrategyKind::RandomPrefix {
+                view,
+                space_fraction: 0.1,
+            });
+            for phi in [0.5, 0.95, 1.0] {
+                lanes.extend([
+                    StrategyKind::Tass { view, phi },
+                    StrategyKind::ReseedingTass {
+                        view,
+                        phi,
+                        delta_t: 2,
+                    },
+                    StrategyKind::AdaptiveTass {
+                        view,
+                        phi,
+                        explore: 0.05,
+                    },
+                ]);
+            }
+        }
+        lanes
+    }
+
+    /// The selection and the plans of cycles 0..=3, each cycle's outcome
+    /// fed back.
+    fn lifecycle(
+        mut prepared: Box<dyn PreparedStrategy>,
+        u: &Universe,
+    ) -> (String, Vec<ProbePlan>) {
+        let selection = format!("{:?}", prepared.selection());
+        let announced = u.topology().announced_space();
+        let plans = (0..=3)
+            .map(|m| {
+                let plan = prepared.plan(m);
+                let truth = tass_model::GroundTruth::snapshot(u, m, Protocol::Http);
+                let outcome = CycleOutcome {
+                    cycle: m,
+                    probes: plan.probe_count(announced),
+                    responsive: plan.observed(&truth, m, announced),
+                };
+                prepared.observe(m, &outcome);
+                plan
+            })
+            .collect();
+        (selection, plans)
+    }
+
+    #[test]
+    fn prepare_in_on_a_shared_memo_matches_a_fresh_prepare() {
+        let u = small_universe();
+        let t0 = u.snapshot(0, Protocol::Http);
+        let lanes = registry_lanes();
+        let fresh: Vec<_> = lanes
+            .iter()
+            .map(|kind| lifecycle(kind.prepare(u.topology(), t0, 3), &u))
+            .collect();
+        for reversed in [false, true] {
+            let mut order: Vec<usize> = (0..lanes.len()).collect();
+            if reversed {
+                order.reverse();
+            }
+            let mut memo = UnitSeed::default();
+            for i in order {
+                let prepared = lanes[i].prepare_in(u.topology(), t0, 3, &mut memo);
+                assert_eq!(
+                    lifecycle(prepared, &u),
+                    fresh[i],
+                    "{:?}, reversed {reversed}",
+                    lanes[i]
+                );
+            }
+            // one sweep per view, one selection per (view, φ)
+            assert_eq!((memo.sweeps, memo.selections.len()), (2, 6));
+        }
+    }
+
+    #[test]
+    fn a_three_lane_m_view_unit_sweeps_t0_once() {
+        let u = small_universe();
+        let t0 = u.snapshot(0, Protocol::Http);
+        let view = ViewKind::MoreSpecific;
+        let unit = [
+            StrategyKind::Tass { view, phi: 0.95 },
+            StrategyKind::ReseedingTass {
+                view,
+                phi: 0.95,
+                delta_t: 3,
+            },
+            StrategyKind::AdaptiveTass {
+                view,
+                phi: 0.95,
+                explore: 0.02,
+            },
+        ];
+        let mut memo = UnitSeed::default();
+        for kind in unit {
+            kind.prepare_in(u.topology(), t0, 1, &mut memo);
+        }
+        assert_eq!(
+            memo.sweeps, 1,
+            "one t₀ sweep for the unit, not one per lane"
+        );
+        assert_eq!(memo.selections.len(), 1, "one φ = 0.95 selection");
     }
 
     #[test]

@@ -252,16 +252,6 @@ impl<F: AddrFamily> Prefix<F> {
             },
         ))
     }
-
-    /// The longest common prefix of two prefixes.
-    pub fn common(&self, other: &Prefix<F>) -> Prefix<F> {
-        let max_len = self.len.min(other.len);
-        let diff = F::addr_to_u128(self.addr) ^ F::addr_to_u128(other.addr);
-        // leading zeros within the family's width
-        let lz = (diff.leading_zeros() as u8).saturating_sub(128 - F::BITS);
-        let common_bits = lz.min(max_len);
-        Prefix::new_truncate(self.addr, common_bits).expect("len <= BITS")
-    }
 }
 
 impl<F: AddrFamily> fmt::Display for Prefix<F> {
@@ -394,7 +384,7 @@ mod tests {
     }
 
     #[test]
-    fn v6_subnets_and_common() {
+    fn v6_subnets() {
         let p: Prefix<V6> = "2001:db8::/48".parse().unwrap();
         // the four /50s inside the /48: the children of its children
         let (a, b) = p.children().unwrap();
@@ -404,9 +394,6 @@ mod tests {
             .collect();
         assert_eq!(subs[0], "2001:db8::/50".parse().unwrap());
         assert_eq!(subs[3].first(), p.first() + (3u128 << 78));
-        let q: Prefix<V6> = "2001:db8:1::/48".parse().unwrap();
-        assert_eq!(p.common(&q).to_string(), "2001:db8::/47");
-        assert_eq!(p.common(&p), p);
     }
 
     #[test]
@@ -461,16 +448,6 @@ mod tests {
         assert_eq!(Prefix::ZERO.parent(), None);
         assert_eq!(Prefix::ZERO.sibling(), None);
         assert_eq!(Prefix::<V4>::host(1).children(), None);
-    }
-
-    #[test]
-    fn common_prefix() {
-        let a: Prefix = "10.0.0.0/16".parse().unwrap();
-        let b: Prefix = "10.1.0.0/16".parse().unwrap();
-        assert_eq!(a.common(&b), "10.0.0.0/15".parse().unwrap());
-        assert_eq!(a.common(&a), a);
-        let c: Prefix = "192.0.0.0/8".parse().unwrap();
-        assert_eq!(a.common(&c), Prefix::ZERO);
     }
 
     #[test]
@@ -537,22 +514,6 @@ mod tests {
             // CIDR blocks are laminar: overlap iff nested
             let overlap = p.first().max(q.first()) <= p.last().min(q.last());
             prop_assert_eq!(p.overlaps(&q), overlap);
-        }
-
-        #[test]
-        fn prop_common_is_ancestor_of_both(a in any::<u32>(), la in 0u8..=32,
-                                           b in any::<u32>(), lb in 0u8..=32) {
-            let p: Prefix = Prefix::new_truncate(a, la).unwrap();
-            let q = Prefix::new_truncate(b, lb).unwrap();
-            let c = p.common(&q);
-            prop_assert!(c.contains(&p));
-            prop_assert!(c.contains(&q));
-            // maximality: children of c cannot both contain p and q
-            if let Some((x, y)) = c.children() {
-                let both_x = x.contains(&p) && x.contains(&q);
-                let both_y = y.contains(&p) && y.contains(&q);
-                prop_assert!(!(both_x || both_y));
-            }
         }
 
         /// The generic machinery at 128-bit width mirrors the v4 laws.

@@ -43,9 +43,14 @@
 //! body; a route that does not match allocates nothing, and nothing
 //! grows with the connection's history (`tests/scan_alloc.rs`). The
 //! search for the end of a head resumes where the last one stopped, so
-//! a head that drips in a byte at a time costs O(n). Handlers run on the
-//! event-loop thread (the API holds locks for microseconds), and a slow
-//! *client* only ever parks its own session.
+//! a head that drips in a byte at a time costs O(n). Pipelined requests
+//! are answered from an offset into the read buffer, which is compacted
+//! once per feed, not once per request. While an answer waits to be
+//! sent the loop reads nothing more from that connection: a peer that
+//! pipelines without reading its answers fills the socket buffers and
+//! blocks, and the session holds at most one read's worth of requests.
+//! Handlers run on the event-loop thread (the API holds locks for
+//! microseconds), and a slow *client* only ever parks its own session.
 //!
 //! Time rides the `epoll_wait` timeout: every tick (25 ms) each loop
 //! ticks its sessions, which pulls streams whose source had nothing,
@@ -570,18 +575,22 @@ pub(crate) enum Fate {
 /// through the router and state it is handed.
 pub(crate) struct Session {
     state: ConnState,
-    /// Unconsumed request bytes (reused across requests; pipelined
-    /// requests queue here until the current response is sent).
+    /// Request bytes (reused across requests; pipelined requests queue
+    /// here until the current response is sent). `read_buf[..read_at]`
+    /// is answered already, and compacted away at the next feed.
     read_buf: Vec<u8>,
+    /// Start of the unanswered bytes in `read_buf`.
+    read_at: usize,
     /// Rendered response bytes.
     write_buf: Vec<u8>,
     /// Prefix of `write_buf` already sent.
     written: usize,
     /// Parsed head waiting for body bytes.
     pending: Option<PendingHead>,
-    /// `read_buf[..head_scan]` has been searched for the end of a head.
+    /// The first `head_scan` unanswered bytes have been searched for the
+    /// end of a head.
     head_scan: usize,
-    /// When the head in `read_buf` began to arrive.
+    /// When the next unanswered head began to arrive.
     head_since: Instant,
     /// When bytes last arrived.
     idle_since: Instant,
@@ -600,6 +609,7 @@ impl Session {
         Session {
             state: ConnState::Read,
             read_buf: Vec::with_capacity(4096),
+            read_at: 0,
             write_buf: Vec::with_capacity(4096),
             written: 0,
             pending: None,
@@ -623,9 +633,13 @@ impl Session {
         router: &Router<S>,
         state: &Arc<S>,
     ) -> Fate {
-        if self.read_buf.is_empty() {
+        if self.unread().is_empty() {
             self.head_since = now; // the first byte of the next head
         }
+        // answered requests leave the buffer once per feed, however many
+        // it held: one move of the unanswered tail, not one per request
+        self.read_buf.drain(..self.read_at);
+        self.read_at = 0;
         self.read_buf.extend_from_slice(bytes);
         self.idle_since = now;
         self.advance(router, state)
@@ -634,6 +648,11 @@ impl Session {
     /// Response bytes not yet sent.
     pub(crate) fn output(&self) -> &[u8] {
         &self.write_buf[self.written..]
+    }
+
+    /// Request bytes not yet answered.
+    fn unread(&self) -> &[u8] {
+        &self.read_buf[self.read_at..]
     }
 
     /// The first `n` bytes of [`Session::output`] were sent; once all
@@ -656,7 +675,7 @@ impl Session {
     /// nothing. A stream waits on the server, so it is never reaped.
     pub(crate) fn tick<S>(&mut self, now: Instant, router: &Router<S>, state: &Arc<S>) -> Fate {
         if self.output().is_empty() && matches!(self.state, ConnState::Read) {
-            if self.pending.is_none() && !self.read_buf.is_empty() {
+            if self.pending.is_none() && !self.unread().is_empty() {
                 if now.duration_since(self.head_since) >= self.keep_alive {
                     self.refuse(Refusal::HeadTimeout);
                 }
@@ -704,19 +723,21 @@ impl Session {
         if self.pending.is_none() {
             match self.find_head_end() {
                 Some(end) if end > MAX_HEAD => self.refuse(Refusal::HeadTooLarge),
-                Some(end) => match parse_head(&self.read_buf, end, &mut self.scratch) {
-                    Ok(head) => self.pending = Some(head),
-                    Err(refusal) => self.refuse(refusal),
-                },
-                None if self.read_buf.len() > MAX_HEAD => self.refuse(Refusal::HeadTooLarge),
+                Some(end) => {
+                    match parse_head(&self.read_buf[self.read_at..], end, &mut self.scratch) {
+                        Ok(head) => self.pending = Some(head),
+                        Err(refusal) => self.refuse(refusal),
+                    }
+                }
+                None if self.unread().len() > MAX_HEAD => self.refuse(Refusal::HeadTooLarge),
                 None if !self.peer_closed => return Some(Fate::Keep),
-                None if self.read_buf.is_empty() => return Some(Fate::Reap),
+                None if self.unread().is_empty() => return Some(Fate::Reap),
                 None => self.refuse(Refusal::Bad), // the peer closed mid-head
             }
         }
         let head = self.pending.as_ref()?; // refused: the answer is queued
         let total = head.head_len + head.content_length;
-        if self.read_buf.len() < total {
+        if self.unread().len() < total {
             // a body the peer will never finish is not answered
             return Some(if self.peer_closed {
                 Fate::Reap
@@ -725,11 +746,16 @@ impl Session {
             });
         }
         let mut head = self.pending.take()?;
+        let unread = &self.read_buf[self.read_at..];
         head.req
             .body
-            .extend_from_slice(&self.read_buf[head.head_len..total]);
-        self.read_buf.drain(..total);
-        shrink(&mut self.read_buf);
+            .extend_from_slice(&unread[head.head_len..total]);
+        self.read_at += total;
+        if self.read_at == self.read_buf.len() {
+            self.read_buf.clear();
+            self.read_at = 0;
+            shrink(&mut self.read_buf);
+        }
         self.head_scan = 0;
         self.head_since = self.idle_since;
         let resp = router.dispatch(state, &head.req);
@@ -760,17 +786,18 @@ impl Session {
         self.state = ConnState::Close;
     }
 
-    /// Where the blank line ending the head starts, if it has arrived.
-    /// The search resumes where the last one stopped, three bytes back
-    /// for a `\r\n\r\n` split across reads.
+    /// Where the blank line ending the head starts in the unanswered
+    /// bytes, if it has arrived. The search resumes where the last one
+    /// stopped, three bytes back for a `\r\n\r\n` split across reads.
     fn find_head_end(&mut self) -> Option<usize> {
+        let unread = &self.read_buf[self.read_at..];
         let from = self.head_scan.saturating_sub(3);
-        self.head_scan = self.read_buf.len();
+        self.head_scan = unread.len();
         #[cfg(test)]
         {
-            self.searched += self.read_buf.len() - from;
+            self.searched += unread.len() - from;
         }
-        let mut windows = self.read_buf[from..].windows(4);
+        let mut windows = unread[from..].windows(4);
         windows.position(|w| w == b"\r\n\r\n").map(|pos| from + pos)
     }
 }
@@ -873,7 +900,10 @@ struct Conn {
 
 impl Conn {
     /// Feed the session what the socket has (if `readable`), then send
-    /// what the session has to say.
+    /// what the session has to say. Reading stops while an answer waits
+    /// to be sent: a peer that pipelines without reading its answers
+    /// fills the socket buffers and blocks, instead of the session
+    /// buffering all it sends.
     fn pump<S>(
         &mut self,
         mut readable: bool,
@@ -882,7 +912,7 @@ impl Conn {
         state: &Arc<S>,
     ) -> Fate {
         let mut chunk = [0u8; READ_CHUNK];
-        while readable {
+        while readable && self.session.output().is_empty() {
             let fate = match self.stream.read(&mut chunk) {
                 Ok(0) => {
                     readable = false; // end of stream
@@ -917,17 +947,21 @@ impl Conn {
     }
 
     /// Close a reaped connection, or arm EPOLLOUT exactly while its
-    /// session has output pending. Returns whether the connection stays.
+    /// session has output pending and EPOLLIN | EPOLLRDHUP exactly while
+    /// it has none ([`Conn::pump`] reads nothing then, and the
+    /// level-triggered readiness would wake the loop at once, forever).
+    /// Returns whether the connection stays.
     fn settle(&mut self, fate: Fate, epoll: &sys::Epoll, token: u64) -> bool {
         let fd = self.stream.as_raw_fd();
         if fate == Fate::Reap {
             epoll.delete(fd);
             return false;
         }
-        let mut want = sys::EPOLLIN | sys::EPOLLRDHUP;
-        if !self.session.output().is_empty() {
-            want |= sys::EPOLLOUT;
-        }
+        let want = if self.session.output().is_empty() {
+            sys::EPOLLIN | sys::EPOLLRDHUP
+        } else {
+            sys::EPOLLOUT
+        };
         if want != self.interest && epoll.modify(fd, want, token).is_ok() {
             self.interest = want;
         }

@@ -172,7 +172,36 @@ fn lockstep_units_are_byte_identical_to_one_campaign_at_a_time() {
         .zip(Protocol::ALL.iter().cycle())
         .map(|(&k, &p)| (k, p))
         .collect();
-    for jobs in [fig5, single, pareto, interleaved] {
+    // one unit whose lanes share the m-view but not φ, so they share the
+    // t₀ counts and only the equal-φ lanes a selection, then two lanes
+    // at equal φ on different views, which share nothing
+    let m = ViewKind::MoreSpecific;
+    let shared_view: Vec<_> = [
+        StrategyKind::Tass { view: m, phi: 0.9 },
+        StrategyKind::AdaptiveTass {
+            view: m,
+            phi: 0.95,
+            explore: 0.02,
+        },
+        StrategyKind::ReseedingTass {
+            view: m,
+            phi: 0.95,
+            delta_t: 3,
+        },
+        StrategyKind::Tass {
+            view: ViewKind::LessSpecific,
+            phi: 0.9,
+        },
+        StrategyKind::AdaptiveTass {
+            view: ViewKind::LessSpecific,
+            phi: 0.95,
+            explore: 0.02,
+        },
+    ]
+    .iter()
+    .map(|&k| (k, Protocol::Http))
+    .collect();
+    for jobs in [fig5, single, pareto, interleaved, shared_view] {
         let one_by_one: Vec<CampaignResult> = jobs
             .iter()
             .map(|&(kind, proto)| run_campaign(&u, kind, proto, 5))

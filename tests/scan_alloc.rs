@@ -20,73 +20,29 @@
 //! fixed pool, so idle keep-alive connections cost file descriptors, not
 //! threads.
 //!
-//! The counting allocator is global and counts every thread, the test
+//! The counting allocator (`tass_bench::alloc`, shared with the benches)
+//! is global and counts every thread, the test
 //! harness's own included: in a shared process, the harness's report of
 //! one test's completion could land inside another test's count, and
 //! another test's threads inside a thread count. So each test re-runs
 //! itself alone in a child process of this test binary ([`alone`]),
 //! where no other test runs.
 
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::process::Command;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 use std::time::Duration;
 use tass::bgp::ViewKind;
 use tass::core::{CycleOutcome, PreparedStrategy, ProbePlan, Strategy, StrategyKind};
+use tass::model::registry::SourceRegistry;
 use tass::model::{HostSet, PrefixCount, Protocol, Snapshot, Universe, UniverseConfig};
 use tass::net::Prefix;
 use tass::scan::{Blocklist, FaultConfig, Responder, ScanConfig, ScanEngine, SimNetwork};
 use tass::service::httpd::{HttpServer, HttpdConfig, PathParams, Request, Response, Router};
-
-/// Counts allocations (and reallocations) and their requested bytes
-/// while `COUNTING` is set.
-struct CountingAlloc;
-
-static COUNTING: AtomicBool = AtomicBool::new(false);
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static BYTES: AtomicU64 = AtomicU64::new(0);
-
-fn record(size: usize) {
-    if COUNTING.load(Relaxed) {
-        ALLOCS.fetch_add(1, Relaxed);
-        BYTES.fetch_add(size as u64, Relaxed);
-    }
-}
-
-/// `(allocations, bytes)` made by `f`, and its result.
-fn counted<R>(f: impl FnOnce() -> R) -> ((u64, u64), R) {
-    ALLOCS.store(0, Relaxed);
-    BYTES.store(0, Relaxed);
-    COUNTING.store(true, Relaxed);
-    let r = f();
-    COUNTING.store(false, Relaxed);
-    ((ALLOCS.load(Relaxed), BYTES.load(Relaxed)), r)
-}
-
-// SAFETY: every method forwards to the system allocator unchanged; the
-// counters are relaxed statistics that publish no other data.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        record(layout.size());
-        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` with this layout
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        record(new_size);
-        // SAFETY: `ptr` came from `System` with this layout, and the
-        // caller upholds `GlobalAlloc::realloc`'s contract
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
+use tass::service::service::SubmitRequest;
+use tass::service::{api, ServiceConfig, ShutdownMode, StreamChunk, Tassd};
+use tass_bench::alloc::{counted, CountingAlloc};
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
@@ -372,6 +328,75 @@ fn unmatched_routes_claim() {
         last, first,
         "(allocations, bytes) of one dispatch with five routes before the match and with none"
     );
+}
+
+#[test]
+fn api_routes_allocate_their_pinned_counts() {
+    alone("api_routes_allocate_their_pinned_counts", api_routes_claim);
+}
+
+/// A `GET` of `target` by tenant `alice`.
+fn api_get(target: &str) -> Request {
+    let (path, query) = target.split_once('?').unwrap_or((target, ""));
+    Request {
+        method: "GET".to_string(),
+        path: path.to_string(),
+        query: query.to_string(),
+        headers: vec![("x-api-key".to_string(), "alice".to_string())],
+        body: Vec::new(),
+    }
+}
+
+/// The daemon's routes each allocate a pinned `(allocations, bytes)`
+/// per dispatch: healthz, a campaign's status, a page of its result, and
+/// one piece of its result stream (what the stream route's source pulls
+/// each time the connection can take more).
+fn api_routes_claim() {
+    let mut registry = SourceRegistry::new();
+    let universe = Universe::generate(&UniverseConfig::small(5));
+    registry.insert_v4("demo", Arc::new(universe)).unwrap();
+    let cfg = ServiceConfig {
+        workers: 1,
+        ..ServiceConfig::default()
+    };
+    let daemon = Tassd::start(Arc::new(registry), cfg).expect("start the daemon");
+    let core = daemon.core();
+    let router = api::router();
+    let dispatch = |target: &str| {
+        let req = api_get(target);
+        router.dispatch(&core, &req); // warm-up
+        let (counts, resp) = counted(|| router.dispatch(&core, &req));
+        assert_eq!(resp.status, 200, "{target}");
+        counts
+    };
+    // first, while the uptime it reports is one digit wide
+    let healthz = dispatch("/v1/healthz");
+    let submission = SubmitRequest {
+        source: "demo".to_string(),
+        kind: StrategyKind::Tass {
+            view: ViewKind::MoreSpecific,
+            phi: 0.95,
+        },
+        protocol: Some(Protocol::Http),
+        seed: 3,
+        months: None,
+    };
+    let id = core.submit("alice", submission).expect("submit");
+    while core.job_view("alice", id).expect("the job").status != "done" {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    std::thread::sleep(Duration::from_millis(50)); // the worker goes idle
+    let status = dispatch(&format!("/v1/campaigns/{id}"));
+    let page = dispatch(&format!("/v1/campaigns/{id}/results?offset=1&limit=2"));
+    core.result_stream_piece("alice", id, 2).expect("a piece"); // warm-up
+    let (piece, chunk) = counted(|| core.result_stream_piece("alice", id, 2));
+    assert!(matches!(chunk, Ok(StreamChunk::Data(_))));
+    assert_eq!(
+        [healthz, status, page, piece],
+        [(17, 632), (34, 1360), (5, 659), (2, 131)],
+        "(allocations, bytes) of healthz, campaign status, a result page and a stream piece"
+    );
+    daemon.shutdown(ShutdownMode::Drain).expect("drain");
 }
 
 #[test]

@@ -12,6 +12,7 @@ use std::time::{Duration, Instant};
 use tass::core::{run_campaign, CampaignJob, StrategyKind};
 use tass::model::registry::SourceRegistry;
 use tass::model::{Protocol, Universe, UniverseConfig};
+use tass::service::httpd::HttpdConfig;
 use tass::service::{api, HttpClient, HttpServer, ServiceConfig, ShutdownMode, Tassd, TenantQuota};
 
 const UNIVERSE_SEED: u64 = 5;
@@ -26,8 +27,8 @@ fn registry() -> Arc<SourceRegistry> {
     Arc::new(reg)
 }
 
-fn start(month_delay: Duration) -> (Tassd, HttpServer) {
-    let daemon = Tassd::start(
+fn daemon(month_delay: Duration) -> Tassd {
+    Tassd::start(
         registry(),
         ServiceConfig {
             workers: 1,
@@ -36,7 +37,11 @@ fn start(month_delay: Duration) -> (Tassd, HttpServer) {
             checkpoint_dir: None,
         },
     )
-    .unwrap();
+    .unwrap()
+}
+
+fn start(month_delay: Duration) -> (Tassd, HttpServer) {
+    let daemon = daemon(month_delay);
     let server = HttpServer::bind("127.0.0.1:0", daemon.core(), api::router()).unwrap();
     (daemon, server)
 }
@@ -250,6 +255,113 @@ fn slow_client_does_not_stall_fast_clients() {
     assert!(
         resp.starts_with("HTTP/1.1 200"),
         "the slow-but-valid request is still served: {resp:?}"
+    );
+
+    server.shutdown();
+    daemon.shutdown(ShutdownMode::Drain).unwrap();
+}
+
+/// Reads HTTP/1.1 `Content-Length` responses off `raw` until `want` have
+/// arrived, and returns their status codes.
+fn read_answers(raw: &mut TcpStream, want: usize) -> Vec<u16> {
+    use std::io::Read;
+    let mut buf: Vec<u8> = Vec::new();
+    let mut at = 0;
+    let mut statuses = Vec::with_capacity(want);
+    let mut chunk = [0u8; 64 * 1024];
+    while statuses.len() < want {
+        let unread = &buf[at..];
+        let head_end = unread.windows(4).position(|w| w == b"\r\n\r\n");
+        if let Some(end) = head_end {
+            let head = std::str::from_utf8(&unread[..end]).unwrap();
+            let length: usize = head
+                .lines()
+                .find_map(|l| l.strip_prefix("Content-Length: "))
+                .expect("a Content-Length answer")
+                .parse()
+                .unwrap();
+            if unread.len() >= end + 4 + length {
+                statuses.push(head[9..12].parse().unwrap());
+                at += end + 4 + length;
+                continue;
+            }
+        }
+        buf.drain(..at);
+        at = 0;
+        let n = raw.read(&mut chunk).expect("answers arrive");
+        assert!(n > 0, "closed after {} answers", statuses.len());
+        buf.extend_from_slice(&chunk[..n]);
+    }
+    assert_eq!(at, buf.len(), "nothing past the last answer");
+    statuses
+}
+
+/// A client that pipelines requests and never reads its answers meets
+/// backpressure: the server stops reading while an answer waits to be
+/// sent, so the socket buffers fill and the client's writes block, and
+/// the server never buffers everything the client sends. Meanwhile the
+/// one event loop is free to serve others, and reading then drains
+/// exactly one answer per complete request sent.
+#[test]
+fn a_pipelining_client_that_does_not_read_is_blocked() {
+    const CAP: usize = 16 << 20;
+    let daemon = daemon(Duration::from_millis(1));
+    // one loop, and a keep-alive window the test cannot outlive, so the
+    // last, partial request is never answered 408
+    let cfg = HttpdConfig {
+        event_loops: 1,
+        keep_alive: Duration::from_secs(600),
+    };
+    let server = HttpServer::bind_with("127.0.0.1:0", daemon.core(), api::router(), cfg).unwrap();
+    let mut raw = TcpStream::connect(server.addr()).unwrap();
+    raw.set_nonblocking(true).unwrap();
+    let request = b"GET /v1/healthz HTTP/1.1\r\nHost: tassd\r\n\r\n";
+    let batch = request.repeat(1024);
+    // write until the writes have blocked for a whole second, or the cap
+    let mut sent = 0usize;
+    let mut blocked_since: Option<Instant> = None;
+    while sent < CAP {
+        match raw.write(&batch[sent % batch.len()..]) {
+            Ok(n) => {
+                sent += n;
+                blocked_since = None;
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                let since = *blocked_since.get_or_insert_with(Instant::now);
+                if since.elapsed() >= Duration::from_secs(1) {
+                    break;
+                }
+                thread::sleep(Duration::from_millis(10));
+            }
+            Err(e) => panic!("write: {e}"),
+        }
+    }
+    assert!(
+        sent < CAP,
+        "the client wrote {sent} bytes of unread requests without blocking"
+    );
+    let start = Instant::now();
+    let (status, _) = HttpClient::connect(server.addr())
+        .get("/v1/healthz", None)
+        .unwrap();
+    assert_eq!(status, 200);
+    assert!(
+        start.elapsed() < Duration::from_secs(2),
+        "the blocked client pins the event loop: another client waited {:?}",
+        start.elapsed()
+    );
+    raw.set_nonblocking(false).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    let complete = sent / request.len();
+    let statuses = read_answers(&mut raw, complete);
+    assert!(statuses.iter().all(|&s| s == 200), "every answer is a 200");
+    // the partial request last sent is not answered
+    raw.set_read_timeout(Some(Duration::from_millis(200)))
+        .unwrap();
+    let mut more = [0u8; 1];
+    assert!(
+        std::io::Read::read(&mut raw, &mut more).is_err(),
+        "no answer past the {complete} complete requests"
     );
 
     server.shutdown();
