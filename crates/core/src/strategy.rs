@@ -573,8 +573,7 @@ impl Strategy for AdaptiveTass {
     }
 
     /// The t₀ counts seed the estimates, and the t₀ selection is the
-    /// first [`AdaptivePrepared::reselect`] over them, taken from the
-    /// memo.
+    /// first re-selection over them, both taken from the memo.
     fn prepare_in(
         &self,
         topo: &Topology,
